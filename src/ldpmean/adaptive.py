@@ -26,15 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog as _scipy_linprog
 
 from . import lp as lplib
 from .baselines import check_eps
 from .domain import QuantizedDomain, QuantizedPmf, round_randomized_array, rounding_weights_array
 from .freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
-
-# embedded simplex below this many rows+variables, HiGHS above
-_SIMPLEX_SIZE_LIMIT = 800
 
 # invariant tolerances for solved tables
 _ROW_TOL = 1e-7
@@ -142,7 +138,13 @@ def build_lp(
     domain: QuantizedDomain,
 ) -> lplib.LinearProgram:
     """Assemble the noise-design LP over the q variables plus one t_k per
-    output grid index k in {-M, ..., N+M} (no auxiliaries at eps = inf)."""
+    output grid index k in {-M, ..., N+M} (no auxiliaries at eps = inf).
+
+    Equality rows are (normalization, zero mean) for each input i.  Privacy
+    rows are (lower, upper) for each (k, i), k-major: t_k <= d_i(k) and
+    d_i(k) / e^eps <= t_k, where d_i(k) is the q variable of offset
+    clip(k - i, -M, M) times the tail factor r^max(|k - i| - M, 0).
+    """
     eps = check_eps(eps, allow_inf=True)
     n = domain.n_bins
     m = shape.m
@@ -156,116 +158,59 @@ def build_lp(
     nq = (n + 1) * width
     finite = math.isfinite(eps)
     n_aux = (n + 2 * m + 1) if finite else 0
-
-    def qi(i: int, j: int) -> int:
-        return i * width + j + m
+    n_vars = nq + n_aux
 
     t1 = tail_first_moment(m, r)
     t2 = tail_second_moment(m, r)
 
-    objective = np.zeros(nq + n_aux)
     window_cost = (sigma * np.arange(-m, m + 1)) ** 2
     window_cost[0] = window_cost[-1] = sigma * sigma * t2
-    for i in range(n + 1):
-        objective[i * width : (i + 1) * width] = pmf.masses[i] * window_cost
+    objective = np.zeros(n_vars)
+    objective[:nq] = np.outer(pmf.masses, window_cost).ravel()
 
-    prog = lplib.LinearProgram(num_vars=nq + n_aux, objective=objective)
-
+    # row 2i: normalization, row 2i+1: zero mean, both over q[i, :]
+    offsets = np.arange(-m, m + 1)
     tail_norm = 1.0 / (1.0 - r)
-    for i in range(n + 1):
-        norm = {qi(i, j): 1.0 for j in range(-m + 1, m)}
-        norm[qi(i, -m)] = tail_norm
-        norm[qi(i, m)] = tail_norm
-        prog.add_constraint(norm, lplib.EQUAL, 1.0)
+    norm = np.where(np.abs(offsets) < m, 1.0, tail_norm)
+    mean = np.where(np.abs(offsets) < m, offsets, np.sign(offsets) * t1)
+    eq_cols = np.arange(nq).reshape(n + 1, 1, width).repeat(2, axis=1)
+    eq_vals = np.broadcast_to(np.stack([norm, mean]), eq_cols.shape)
+    eq_rhs = np.tile([1.0, 0.0], n + 1)
+    a_eq = _csr(eq_cols, eq_vals, (2 * (n + 1), n_vars))
+    if not finite:
+        return lplib.LinearProgram(objective, A_eq=a_eq, b_eq=eq_rhs)
 
-        mean = {qi(i, j): float(j) for j in range(-m + 1, m) if j != 0}
-        mean[qi(i, -m)] = -t1
-        mean[qi(i, m)] = t1
-        prog.add_constraint(mean, lplib.EQUAL, 0.0)
-
-    if finite:
-        grow = math.exp(eps)
-        for k in range(-m, n + m + 1):
-            t_k = nq + k + m
-            for i in range(n + 1):
-                j = k - i
-                if -m < j < m:
-                    var, coeff = qi(i, j), 1.0
-                elif j >= m:
-                    var, coeff = qi(i, m), r ** (j - m)
-                else:
-                    var, coeff = qi(i, -m), r ** (-m - j)
-                # t_k <= d_i(k) <= e^eps * t_k; the upper row is divided by
-                # e^eps so its coefficients stay O(1) at large eps (the raw
-                # form feeds e^eps-scale entries into the simplex tableau,
-                # which cycles numerically around eps = 8)
-                prog.add_constraint({t_k: 1.0, var: -coeff}, lplib.LESS_EQUAL, 0.0)
-                prog.add_constraint(
-                    {var: coeff / grow, t_k: -1.0}, lplib.LESS_EQUAL, 0.0
-                )
-    return prog
-
-
-def _solve_with_highs(prog: lplib.LinearProgram) -> lplib.LpSolution:
-    rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
-    for con in prog.constraints:
-        items = list(con.coeffs.items())
-        cols = [j for j, _ in items]
-        vals = [v for _, v in items]
-        if con.sense == lplib.EQUAL:
-            rows_eq.append((cols, vals))
-            rhs_eq.append(con.rhs)
-        elif con.sense == lplib.LESS_EQUAL:
-            rows_ub.append((cols, vals))
-            rhs_ub.append(con.rhs)
-        else:
-            rows_ub.append((cols, [-v for v in vals]))
-            rhs_ub.append(-con.rhs)
-
-    def to_csr(rows):
-        indptr = np.cumsum([0] + [len(c) for c, _ in rows])
-        indices = np.concatenate(
-            [np.asarray(c, dtype=np.int64) for c, _ in rows]
-        ) if rows else np.zeros(0, dtype=np.int64)
-        data = np.concatenate(
-            [np.asarray(v, dtype=float) for _, v in rows]
-        ) if rows else np.zeros(0)
-        return sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(rows), prog.num_vars)
-        )
-
-    res = _scipy_linprog(
-        prog.objective,
-        A_ub=to_csr(rows_ub) if rows_ub else None,
-        b_ub=np.asarray(rhs_ub) if rows_ub else None,
-        A_eq=to_csr(rows_eq) if rows_eq else None,
-        b_eq=np.asarray(rhs_eq) if rows_eq else None,
-        bounds=(0, None),
-        method="highs",
+    # row 2((k + M)(N + 1) + i): t_k - coeff q <= 0; the next row:
+    # coeff / e^eps q - t_k <= 0.  Dividing the upper row by e^eps keeps its
+    # coefficients O(1) at large eps.
+    ks = np.arange(-m, n + m + 1)
+    j = ks[:, None] - np.arange(n + 1)[None, :]
+    var = np.arange(n + 1) * width + np.clip(j, -m, m) + m
+    # one scalar pow per distinct exponent: numpy's vectorized power may
+    # round the last bit differently
+    powers = np.array([r**p for p in range(n + 1)])
+    coeff = powers[np.maximum(np.abs(j) - m, 0)]
+    t_k = np.broadcast_to((nq + ks + m)[:, None], var.shape)
+    ub_cols = np.stack([var, t_k, var, t_k], axis=-1)
+    ub_vals = np.stack(
+        [-coeff, np.ones_like(coeff), coeff / math.exp(eps), -np.ones_like(coeff)],
+        axis=-1,
     )
-    status = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}.get(
-        res.status, "iteration-limit"
+    n_ub = 2 * ks.size * (n + 1)
+    a_ub = _csr(ub_cols, ub_vals, (n_ub, n_vars))
+    return lplib.LinearProgram(
+        objective, A_ub=a_ub, b_ub=np.zeros(n_ub), A_eq=a_eq, b_eq=eq_rhs
     )
-    x = res.x if res.x is not None else np.zeros(prog.num_vars)
-    value = float(res.fun) if res.status == 0 else np.nan
-    return lplib.LpSolution(status, np.asarray(x), value, int(res.nit))
 
 
-def solve_lp(prog: lplib.LinearProgram, backend: str = "auto") -> lplib.LpSolution:
-    """Route a program to the embedded simplex or the HiGHS backend.
-
-    "auto" picks the embedded solver for small programs and HiGHS once
-    rows + variables exceed a fixed threshold; the choice is deterministic
-    in the program size only.
-    """
-    if backend == "auto":
-        small = prog.num_vars + len(prog.constraints) <= _SIMPLEX_SIZE_LIMIT
-        backend = "simplex" if small else "highs"
-    if backend == "simplex":
-        return lplib.solve(prog)
-    if backend == "highs":
-        return _solve_with_highs(prog)
-    raise ValueError(f"unknown backend {backend!r}")
+def _csr(cols: np.ndarray, vals: np.ndarray, shape: tuple) -> sparse.csr_array:
+    """CSR array from per-row column and value blocks (leading axes = rows,
+    in row order); zero coefficients are left out."""
+    cols = cols.reshape(shape[0], -1)
+    vals = vals.reshape(shape[0], -1)
+    rows = np.broadcast_to(np.arange(shape[0])[:, None], cols.shape)
+    keep = vals != 0.0
+    return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def solve_noise_table(
@@ -273,7 +218,6 @@ def solve_noise_table(
     eps: float,
     shape: NoiseShape,
     domain: QuantizedDomain,
-    backend: str = "auto",
 ) -> NoiseTable:
     """Solve the noise-design LP and package the optimum as a NoiseTable.
 
@@ -281,13 +225,12 @@ def solve_noise_table(
     normalization, row zero mean, exact privacy); any violation raises.
     """
     eps = check_eps(eps, allow_inf=True)
-    prog = build_lp(pmf, eps, shape, domain)
-    sol = solve_lp(prog, backend=backend)
+    sol = lplib.solve(build_lp(pmf, eps, shape, domain))
     if sol.status != "optimal":
         raise RuntimeError(
             f"noise-table LP did not solve: status={sol.status} "
             f"after {sol.iterations} iterations "
-            f"(n_bins={domain.n_bins}, m={shape.m}, eps={eps})"
+            f"(n_bins={domain.n_bins}, m={shape.m}, eps={eps}): {sol.message}"
         )
     n, m = domain.n_bins, shape.m
     q = sol.x[: (n + 1) * (2 * m + 1)].reshape(n + 1, 2 * m + 1).copy()
@@ -490,7 +433,6 @@ def run_protocol(
     domain: QuantizedDomain,
     rng: np.random.Generator,
     split_mask=None,
-    backend: str = "auto",
 ) -> ProtocolResult:
     """Two-phase mean estimation.
 
@@ -521,7 +463,7 @@ def run_protocol(
         )
     hist = collect_perturbed_histogram(domain, phase1, eps, rng)
     pmf_hat = reconstruct_pmf(hist, build_rr_matrix(domain.n_bins, eps))
-    table = solve_noise_table(pmf_hat, eps, shape, domain, backend=backend)
+    table = solve_noise_table(pmf_hat, eps, shape, domain)
     reports = adaptive_perturb_array(table, domain, phase2, rng)
     return ProtocolResult(
         mean_estimate=float(reports.mean()),

@@ -1,368 +1,118 @@
-"""Self-contained dense linear-programming solver.
+"""Linear programs in sparse form, solved through scipy's HiGHS.
 
-Standard form: minimize c.x subject to rows of A x (<= | = | >=) b with
-x >= 0.  Two-phase primal simplex on a dense tableau; Bland's anti-cycling
-rule for both the entering and the leaving choice, so the pivot sequence is
-deterministic and finite.  Constraint rows are stored sparsely (index ->
-coefficient dicts) because the mechanism-design programs upstream are large
-and very sparse; the tableau is only densified at solve time.
+Standard form: minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
+x >= 0.  The constraint blocks are CSR arrays, built by the caller directly
+in that form; `solve` is the package's only call into a solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
-_SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+# scipy's linprog status codes; 4 covers every HiGHS model status that is not
+# a verdict on the program (solve error, unknown status, ...)
+_STATUS = {
+    0: "optimal",
+    1: "iteration-limit",
+    2: "infeasible",
+    3: "unbounded",
+    4: "numerical-failure",
+}
 
 
-@dataclass
-class Constraint:
-    coeffs: dict[int, float]
-    sense: str
-    rhs: float
-
-
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  s.t.  constraints, x >= 0 componentwise."""
+    """min objective . x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
-    num_vars: int
-    objective: np.ndarray = None
-    constraints: list[Constraint] = field(default_factory=list)
+    A constraint block left as None has no rows.  Matrices may be given in
+    any form scipy.sparse accepts, dense rows included; they are stored as
+    CSR arrays.
+    """
+
+    objective: np.ndarray
+    A_ub: sparse.csr_array | None = None
+    b_ub: np.ndarray | None = None
+    A_eq: sparse.csr_array | None = None
+    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
-        if self.objective is None:
-            self.objective = np.zeros(self.num_vars)
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.num_vars,):
-            raise ValueError("objective length does not match num_vars")
-        if not np.all(np.isfinite(self.objective)):
+        objective = np.asarray(self.objective, dtype=float)
+        if objective.ndim != 1 or objective.size == 0:
+            raise ValueError("objective must be a nonempty vector")
+        if not np.all(np.isfinite(objective)):
             raise ValueError("objective has non-finite coefficients")
+        object.__setattr__(self, "objective", objective)
+        for a_name, b_name in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
+            a, b = getattr(self, a_name), getattr(self, b_name)
+            if a is None and b is None:
+                continue
+            if a is None or b is None:
+                raise ValueError(f"{a_name} and {b_name} must be given together")
+            a = sparse.csr_array(a, dtype=float)
+            b = np.asarray(b, dtype=float)
+            if a.ndim != 2 or a.shape[1] != objective.size:
+                raise ValueError(
+                    f"{a_name} has shape {a.shape}, expected (rows, {objective.size})"
+                )
+            if b.shape != (a.shape[0],):
+                raise ValueError(f"{b_name} length does not match the rows of {a_name}")
+            if not (np.all(np.isfinite(a.data)) and np.all(np.isfinite(b))):
+                raise ValueError(f"non-finite coefficient in {a_name} or {b_name}")
+            object.__setattr__(self, a_name, a)
+            object.__setattr__(self, b_name, b)
 
-    def add_constraint(self, coeffs, sense: str, rhs: float) -> None:
-        """coeffs is either a dict {var index: coefficient} or a full row."""
-        if sense not in _SENSES:
-            raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
-        if isinstance(coeffs, dict):
-            row = {int(j): float(v) for j, v in coeffs.items() if v != 0.0}
-        else:
-            arr = np.asarray(coeffs, dtype=float)
-            if arr.shape != (self.num_vars,):
-                raise ValueError("constraint row length does not match num_vars")
-            row = {int(j): float(arr[j]) for j in np.nonzero(arr)[0]}
-        for j in row:
-            if not 0 <= j < self.num_vars:
-                raise ValueError(f"variable index {j} out of range")
-        if not all(np.isfinite(v) for v in row.values()) or not np.isfinite(rhs):
-            raise ValueError("non-finite constraint coefficient")
-        self.constraints.append(Constraint(row, sense, float(rhs)))
-
-    def dense_matrix(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        """(A, senses, b) with one dense row per constraint."""
-        m = len(self.constraints)
-        a = np.zeros((m, self.num_vars))
-        b = np.zeros(m)
-        senses = []
-        for i, con in enumerate(self.constraints):
-            for j, v in con.coeffs.items():
-                a[i, j] = v
-            b[i] = con.rhs
-            senses.append(con.sense)
-        return a, senses, b
+    @property
+    def num_vars(self) -> int:
+        return self.objective.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    # optimal | infeasible | unbounded | iteration-limit | numerical-failure
+    status: str
     x: np.ndarray
     objective_value: float
     iterations: int
+    message: str  # HiGHS's own; after a retry, both methods' messages
+    method: str  # the HiGHS method that produced this verdict
 
 
-def dump_program(lp: LinearProgram, path) -> None:
-    """Plain-text standard-form listing for external cross-checking."""
-    with open(path, "w", encoding="utf-8") as fh:
-        terms = " + ".join(
-            f"{c!r}*x{j}" for j, c in enumerate(lp.objective) if c != 0.0
-        )
-        fh.write(f"minimize {terms or '0'}\n")
-        fh.write("subject to\n")
-        for con in lp.constraints:
-            lhs = " + ".join(
-                f"{v!r}*x{j}" for j, v in sorted(con.coeffs.items())
-            )
-            fh.write(f"  {lhs or '0'} {con.sense} {con.rhs!r}\n")
-        fh.write(f"x0..x{lp.num_vars - 1} >= 0\n")
-
-
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    colvals = tableau[:, col].copy()
-    colvals[row] = 0.0
-    tableau -= np.outer(colvals, tableau[row])
-    # kill residual round-off in the pivot column
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
-def _refresh(tableau, basis, ctx, feas_tol) -> bool:
-    """Rebuild the tableau exactly from the original data for the current
-    basis (classic reinversion).  Pivoting accumulates round-off, and on
-    ill-conditioned programs the drift eventually breaks basic feasibility;
-    a fresh solve of the basis system resets it."""
-    std_cols, std_b, cost = ctx
-    m = std_cols.shape[0]
-    try:
-        sol = np.linalg.solve(
-            std_cols[:, basis], np.hstack([std_cols, std_b[:, None]])
-        )
-    except np.linalg.LinAlgError:
-        return False
-    tableau[:m, : std_cols.shape[1]] = sol[:, :-1]
-    rhs = sol[:, -1]
-    # a degenerate basic value may sit a hair below zero; clip it so the
-    # ratio test stays well posed
-    lo = -feas_tol * (1.0 + float(np.max(np.abs(rhs))))
-    rhs[(rhs < 0.0) & (rhs >= lo)] = 0.0
-    tableau[:m, -1] = rhs
-    basic_cost = cost[basis]
-    tableau[-1, : cost.size] = cost - basic_cost @ sol[:, :-1]
-    tableau[-1, -1] = -float(basic_cost @ rhs)
-    for row, j in enumerate(basis):  # basic columns are exact unit vectors
-        tableau[:, j] = 0.0
-        tableau[row, j] = 1.0
-    return True
-
-
-def _run_simplex(tableau, basis, n_cols, opt_tol, feas_tol, max_iters, iters,
-                 ctx=None, refresh_every=50):
-    """Pivot on the cost row until optimal / unbounded / iteration limit.
-
-    Entering column: Bland (lowest index with negative reduced cost).
-    Leaving row: among (near-)minimum ratios the numerically largest pivot
-    element, switching to Bland's lowest-basic-index rule during long
-    degenerate stalls.  With `ctx` the tableau is periodically rebuilt from
-    the original data, and always rebuilt before declaring a verdict, so
-    round-off cannot accumulate into a wrong answer."""
-    m = tableau.shape[0] - 1
-    since_refresh = 0
-    stalled = 0
-    declares = 0
-    failed_refreshes = 0
-    best_obj = tableau[-1, -1]
-    while True:
-        if ctx is not None and since_refresh >= refresh_every:
-            if _refresh(tableau, basis, ctx, feas_tol):
-                since_refresh = 0
-                failed_refreshes = 0
-            else:
-                # the basis matrix has gone numerically singular, which a
-                # drift-admitted dependent pivot can cause; no later pivot
-                # on the drifted tableau repairs it, so give up honestly
-                failed_refreshes += 1
-                if failed_refreshes > 3:
-                    return "iteration-limit", iters
-        reduced = tableau[-1, :n_cols]
-        negative = np.nonzero(reduced < -opt_tol)[0]
-        if negative.size == 0:
-            if ctx is not None and since_refresh:
-                if not _refresh(tableau, basis, ctx, feas_tol):
-                    # cannot certify optimality against the original data
-                    return "iteration-limit", iters
-                since_refresh = 0
-                # A healthy run needs a handful of declare-refresh rounds
-                # in total: each one exposes drift-masked work that the
-                # next exact pivots burn down.  Hundreds mean the basis
-                # conditioning has outrun the tolerances and reduced costs
-                # are flipping sign at noise level, so give up honestly
-                # instead of churning forever.
-                declares += 1
-                if declares > 100:
-                    return "iteration-limit", iters
-                continue
-            return "optimal", iters
-        if iters >= max_iters:
-            return "iteration-limit", iters
-        col = int(negative[0])  # Bland: lowest eligible column index
-        column = tableau[:m, col]
-        positive = column > feas_tol
-        if not positive.any():
-            if ctx is not None and since_refresh:
-                if not _refresh(tableau, basis, ctx, feas_tol):
-                    # cannot certify unboundedness against the original data
-                    return "iteration-limit", iters
-                since_refresh = 0
-                continue
-            return "unbounded", iters
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[:m, -1][positive] / column[positive]
-        rmin = float(ratios.min())
-        tie = ratios <= rmin + feas_tol * (1.0 + abs(rmin))
-        candidates = np.nonzero(tie)[0]
-        if stalled > 2 * m:
-            # long degenerate stall: strict Bland tie-break (lowest basic
-            # index) until the objective moves again
-            row = int(candidates[np.argmin(basis[candidates])])
-        else:
-            order = np.lexsort((basis[candidates], -np.abs(column[candidates])))
-            row = int(candidates[order[0]])
-        _pivot(tableau, basis, row, col)
-        iters += 1
-        since_refresh += 1
-        if tableau[-1, -1] > best_obj + opt_tol * (1.0 + abs(best_obj)):
-            best_obj = tableau[-1, -1]
-            stalled = 0
-        else:
-            stalled += 1
-
-
-def solve(
-    lp: LinearProgram,
-    feas_tol: float = 1e-9,
-    opt_tol: float = 1e-9,
-    max_iters: int = 20000,
-) -> LpSolution:
-    """Two-phase primal simplex.  Never silently wrong: the status reports
-    iteration-limit when max_iters is hit, and declared-optimal solutions are
-    feasibility-checked (assert) in debug runs."""
-    a, senses, b = lp.dense_matrix()
-    m = len(senses)
-    n = lp.num_vars
-    if m == 0:
-        # unconstrained over x >= 0: bounded iff no negative objective entry
-        if np.any(lp.objective < -opt_tol):
-            return LpSolution("unbounded", np.zeros(n), np.nan, 0)
-        return LpSolution("optimal", np.zeros(n), 0.0, 0)
-
-    # orient rows so every rhs is nonnegative
-    flip = b < 0
-    a[flip] *= -1.0
-    b = np.where(flip, -b, b)
-    senses = [
-        {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[s]
-        if f
-        else s
-        for s, f in zip(senses, flip)
-    ]
-
-    slack_rows = [i for i, s in enumerate(senses) if s != EQUAL]
-    art_rows = [i for i, s in enumerate(senses) if s != LESS_EQUAL]
-    n_slack = len(slack_rows)
-    n_total = n + n_slack + len(art_rows)
-
-    tableau = np.zeros((m + 1, n_total + 1))
-    tableau[:m, :n] = a
-    tableau[:m, -1] = b
-    basis = np.empty(m, dtype=np.int64)
-    for k, i in enumerate(slack_rows):
-        tableau[i, n + k] = 1.0 if senses[i] == LESS_EQUAL else -1.0
-        basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        tableau[i, n + n_slack + k] = 1.0
-        basis[i] = n + n_slack + k
-
-    # untouched copies of the standard-form system, for tableau refreshes
-    # and the final vertex snap
-    std_full = tableau[:m, :n_total].copy()
-    std_a = std_full[:, : n + n_slack].copy()
-    std_b = b.copy()
-    row_ids = np.arange(m)
-    cost1 = np.zeros(n_total)
-    cost1[n + n_slack :] = 1.0
-
-    # phase 1: minimize the sum of artificials
-    for i in art_rows:
-        tableau[-1] -= tableau[i]
-    tableau[-1, n + n_slack : n_total] = 0.0  # artificial columns are basic
-    status, iters = _run_simplex(
-        tableau, basis, n_total, opt_tol, feas_tol, max_iters, 0,
-        ctx=(std_full, std_b, cost1),
+def _linprog(program: LinearProgram, method: str) -> LpSolution:
+    res = linprog(
+        program.objective,
+        A_ub=program.A_ub,
+        b_ub=program.b_ub,
+        A_eq=program.A_eq,
+        b_eq=program.b_eq,
+        bounds=(0, None),
+        method=method,
     )
-    if status != "optimal":
-        return LpSolution(status, np.zeros(n), np.nan, iters)
-    if -tableau[-1, -1] > 1e-7:
-        return LpSolution("infeasible", np.zeros(n), np.nan, iters)
-
-    # drive remaining artificials out of the basis; drop redundant rows
-    drop = []
-    for row in range(m):
-        if basis[row] >= n + n_slack:
-            entries = np.abs(tableau[row, : n + n_slack])
-            best = int(np.argmax(entries))
-            if entries[best] > feas_tol:
-                _pivot(tableau, basis, row, best)
-            else:
-                drop.append(row)
-    if drop:
-        keep = [r for r in range(m) if r not in drop]
-        tableau = tableau[keep + [m]]
-        basis = basis[keep]
-        row_ids = row_ids[keep]
-        m = len(keep)
-
-    # phase 2 on the real objective, artificial columns removed
-    tableau = np.hstack([tableau[:, : n + n_slack], tableau[:, -1:]])
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = lp.objective
-    for row in range(m):
-        tableau[-1] -= tableau[-1, basis[row]] * tableau[row]
-    cost2 = np.zeros(n + n_slack)
-    cost2[:n] = lp.objective
-    status, iters = _run_simplex(
-        tableau, basis, n + n_slack, opt_tol, feas_tol, max_iters, iters,
-        ctx=(std_a[row_ids], std_b[row_ids], cost2),
+    x = res.x if res.x is not None else np.zeros(program.num_vars)
+    value = float(res.fun) if res.status == 0 else np.nan
+    return LpSolution(
+        _STATUS[res.status], np.asarray(x), value, int(res.nit), res.message, method
     )
-    if status != "optimal":
-        return LpSolution(status, np.zeros(n), np.nan, iters)
-
-    if m:
-        # Snap the vertex: the pivot sequence fixes the final basis, but the
-        # tableau rhs carries round-off from every pivot (visible once the
-        # coefficients reach e^eps scale).  One fresh solve of the basis
-        # system against the original data removes it; keep the tableau
-        # values if the basis matrix turns out singular or the re-solve is
-        # not clearly clean.
-        bmat = std_a[row_ids][:, basis]
-        rhs = std_b[row_ids]
-        try:
-            cand = np.linalg.solve(bmat, rhs)
-        except np.linalg.LinAlgError:
-            cand = None
-        if cand is not None:
-            resid = float(np.max(np.abs(bmat @ cand - rhs)))
-            scale = 1.0 + float(np.max(np.abs(rhs)))
-            lo = -feas_tol * (1.0 + float(np.max(np.abs(cand))))
-            if resid <= feas_tol * scale and np.all(cand >= lo):
-                tableau[:m, -1] = cand
-
-    x = np.zeros(n)
-    in_struct = basis < n
-    x[basis[in_struct]] = tableau[:m, -1][in_struct]
-    x = np.clip(x, 0.0, None)  # round-off guard; basic values are >= 0 already
-    value = float(lp.objective @ x)
-
-    if __debug__:
-        _assert_feasible(lp, x, feas_tol)
-    return LpSolution("optimal", x, value, iters)
 
 
-def _assert_feasible(lp: LinearProgram, x: np.ndarray, feas_tol: float) -> None:
-    for con in lp.constraints:
-        lhs = sum(v * x[j] for j, v in con.coeffs.items())
-        scale = 1.0 + abs(con.rhs) + sum(abs(v) for v in con.coeffs.values())
-        slack = lhs - con.rhs
-        if con.sense == LESS_EQUAL:
-            ok = slack <= feas_tol * scale
-        elif con.sense == GREATER_EQUAL:
-            ok = slack >= -feas_tol * scale
-        else:
-            ok = abs(slack) <= feas_tol * scale
-        assert ok, f"optimal point violates {con.sense} row by {slack!r}"
+def solve(program: LinearProgram) -> LpSolution:
+    """Solve with HiGHS's default method.
+
+    A numerical failure is retried once with the interior-point method
+    (with crossover): where the coefficients span many orders of magnitude,
+    HiGHS's simplex can stop with model status Unknown on a program the
+    interior-point method solves.  After a retry the solution carries both
+    HiGHS messages and the summed iterations.
+    """
+    first = _linprog(program, "highs")
+    if first.status != "numerical-failure":
+        return first
+    retry = _linprog(program, "highs-ipm")
+    return replace(
+        retry,
+        iterations=first.iterations + retry.iterations,
+        message=f"highs: {first.message}; highs-ipm: {retry.message}",
+    )

@@ -71,7 +71,6 @@ def run_multidim_protocol(
     shape: NoiseShape,
     rng: np.random.Generator,
     n_bins: int = 16,
-    backend: str = "auto",
     assignment: np.ndarray | None = None,
     split_masks: list | None = None,
 ) -> MultidimResult:
@@ -107,7 +106,6 @@ def run_multidim_protocol(
             domain,
             rng,
             split_mask=mask,
-            backend=backend,
         )
         results.append(res)
         estimates[dim] = res.mean_estimate

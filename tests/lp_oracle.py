@@ -9,7 +9,21 @@ import itertools
 
 import numpy as np
 
-from ldpmean.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
+from ldpmean.lp import LinearProgram
+
+LESS_EQUAL = "<="
+EQUAL = "="
+GREATER_EQUAL = ">="
+
+
+def dense_system(lp: LinearProgram):
+    """(rows, senses, rhs): the A_ub rows as <=, then the A_eq rows as =."""
+    blocks = [(lp.A_ub, lp.b_ub, LESS_EQUAL), (lp.A_eq, lp.b_eq, EQUAL)]
+    blocks = [(a.toarray(), b, s) for a, b, s in blocks if a is not None]
+    rows = np.vstack([a for a, _, _ in blocks])
+    senses = [s for a, _, s in blocks for _ in range(a.shape[0])]
+    rhs = np.concatenate([b for _, b, _ in blocks])
+    return rows, senses, rhs
 
 
 def feasible(point, rows, senses, rhs, tol=1e-7):
@@ -29,7 +43,7 @@ def feasible(point, rows, senses, rhs, tol=1e-7):
 def vertex_enumeration_optimum(lp: LinearProgram):
     """Minimum objective over all vertices, or None when infeasible."""
     n = lp.num_vars
-    rows, senses, rhs = lp.dense_matrix()
+    rows, senses, rhs = dense_system(lp)
     pool = [(rows[i], rhs[i]) for i in range(len(rows))]
     for j in range(n):
         bound_row = np.zeros(n)
@@ -51,13 +65,14 @@ def vertex_enumeration_optimum(lp: LinearProgram):
 
 
 def random_bounded_program(rng: np.random.Generator) -> LinearProgram:
-    """Feasible-by-construction program with a box keeping it bounded."""
+    """Feasible-by-construction program with a box keeping it bounded.
+
+    Each drawn row is <=, >= or =; a >= row is stored negated in A_ub."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 7))
     x0 = rng.uniform(0.0, 3.0, size=n)
-    lp = LinearProgram(
-        num_vars=n, objective=rng.integers(-5, 6, size=n).astype(float)
-    )
+    objective = rng.integers(-5, 6, size=n).astype(float)
+    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
     for _ in range(m):
         row = rng.integers(-5, 6, size=n).astype(float)
         if not row.any():
@@ -65,11 +80,20 @@ def random_bounded_program(rng: np.random.Generator) -> LinearProgram:
         anchored = float(row @ x0)
         sense = (LESS_EQUAL, GREATER_EQUAL, EQUAL)[int(rng.integers(0, 3))]
         if sense == LESS_EQUAL:
-            lp.add_constraint(row, sense, anchored + float(rng.uniform(0, 2)))
+            ub_rows.append(row)
+            ub_rhs.append(anchored + float(rng.uniform(0, 2)))
         elif sense == GREATER_EQUAL:
-            lp.add_constraint(row, sense, anchored - float(rng.uniform(0, 2)))
+            ub_rows.append(-row)
+            ub_rhs.append(-(anchored - float(rng.uniform(0, 2))))
         else:
-            lp.add_constraint(row, sense, anchored)
-    for j in range(n):
-        lp.add_constraint({j: 1.0}, LESS_EQUAL, float(x0.max()) + 5.0)
-    return lp
+            eq_rows.append(row)
+            eq_rhs.append(anchored)
+    ub_rows.extend(np.eye(n))
+    ub_rhs.extend([float(x0.max()) + 5.0] * n)
+    return LinearProgram(
+        objective,
+        A_ub=np.asarray(ub_rows),
+        b_ub=ub_rhs,
+        A_eq=np.asarray(eq_rows) if eq_rows else None,
+        b_eq=eq_rhs if eq_rows else None,
+    )

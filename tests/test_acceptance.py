@@ -230,9 +230,7 @@ def test_criterion_06_variance_error_bound(capsys):
             u /= float(np.max(np.abs(u)))
             p_hat = p * (1.0 + psi * u)
             eps = EPS_GRID[trial % len(EPS_GRID)]
-            table = solve_noise_table(
-                QuantizedPmf(masses=p_hat), eps, shape, domain, backend="highs"
-            )
+            table = solve_noise_table(QuantizedPmf(masses=p_hat), eps, shape, domain)
             v_hat = expected_variance(table, QuantizedPmf(masses=p_hat))
             v = expected_variance(table, QuantizedPmf(masses=p))
             phi = variance_relative_error(v_hat, v)

@@ -116,6 +116,18 @@ class TestVarianceCommand:
         table = solve_noise_table(pmf, 1.0, ExperimentConfig(bins=2).shape, domain)
         assert values[("adaptive", "1.0")] == table.lp_objective
 
+    def test_default_eps_grid_at_four_bins(self, tmp_path):
+        # every default eps solves at N=4, M=16, eps=4 included
+        out = tmp_path / "var.csv"
+        rc = run_cli(["variance", "--bins", "4", "--mechanisms", "adaptive",
+                      "--out", str(out)])
+        assert rc == 0
+        _, rows = read_rows(out.read_text())
+        assert [(r[0], r[1]) for r in rows] == [
+            ("adaptive", eps) for eps in ("0.5", "1.0", "2.0", "4.0")
+        ]
+        assert float(rows[-1][2]) == pytest.approx(0.0563056750412457, rel=1e-9)
+
     def test_stdout_when_no_out_path(self, capsys):
         rc, out, err = run_cli(
             ["variance", "--mechanisms", "laplace", "--dataset", "uniform"]

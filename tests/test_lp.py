@@ -1,124 +1,173 @@
-"""Two-phase simplex solver: hand cases, statuses, and the vertex oracle."""
+"""The LP layer: hand cases and statuses of `lp.solve`, container validation,
+and the vertex oracle."""
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from ldpmean.lp import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    LinearProgram,
-    dump_program,
-    solve,
-)
-from lp_oracle import random_bounded_program, vertex_enumeration_optimum
+from ldpmean import lp as lplib
+from ldpmean.lp import LinearProgram, solve
+from lp_oracle import dense_system, random_bounded_program, vertex_enumeration_optimum
 
 
 def check_feasible(lp, x, tol=1e-7):
-    rows, senses, rhs = lp.dense_matrix()
+    rows, senses, rhs = dense_system(lp)
     assert np.all(x >= -tol)
     vals = rows @ x
     for v, s, b in zip(vals, senses, rhs):
         scale = 1.0 + abs(b)
-        if s == LESS_EQUAL:
+        if s == "<=":
             assert v <= b + tol * scale
-        elif s == GREATER_EQUAL:
-            assert v >= b - tol * scale
         else:
             assert abs(v - b) <= tol * scale
 
 
+def fake_linprog(statuses):
+    """Stand-in for scipy's linprog answering with the given statuses in turn."""
+    calls = []
+
+    def linprog(c, method, **kwargs):
+        status = statuses[len(calls)]
+        calls.append(method)
+        return OptimizeResult(
+            status=status, x=None, fun=0.0, nit=7, message=f"{method} status {status}"
+        )
+
+    return linprog, calls
+
+
 class TestHandExamples:
     def test_minimize_above_floor(self):
-        lp = LinearProgram(num_vars=1, objective=[1.0])
-        lp.add_constraint({0: 1.0}, GREATER_EQUAL, 1.0)
+        # x >= 1 as -x <= -1
+        lp = LinearProgram([1.0], A_ub=[[-1.0]], b_ub=[-1.0])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0)
         assert sol.x[0] == pytest.approx(1.0)
 
     def test_simplex_vertex(self):
-        lp = LinearProgram(num_vars=2, objective=[-1.0, -1.0])
-        lp.add_constraint({0: 1.0, 1: 1.0}, LESS_EQUAL, 1.0)
+        lp = LinearProgram([-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-1.0)
         check_feasible(lp, sol.x)
 
     def test_infeasible(self):
-        lp = LinearProgram(num_vars=1, objective=[1.0])
-        lp.add_constraint({0: 1.0}, LESS_EQUAL, -1.0)
-        assert solve(lp).status == "infeasible"
+        lp = LinearProgram([1.0], A_ub=[[1.0]], b_ub=[-1.0])
+        sol = solve(lp)
+        assert sol.status == "infeasible"
+        assert np.isnan(sol.objective_value)
+        assert "infeasible" in sol.message
 
     def test_unbounded(self):
-        lp = LinearProgram(num_vars=1, objective=[-1.0])
-        lp.add_constraint({0: 1.0}, GREATER_EQUAL, 0.0)
-        assert solve(lp).status == "unbounded"
+        lp = LinearProgram([-1.0], A_ub=[[-1.0]], b_ub=[0.0])
+        sol = solve(lp)
+        assert sol.status == "unbounded"
+        assert np.isnan(sol.objective_value)
+        assert "unbounded" in sol.message
+
+    def test_unbounded_without_constraints(self):
+        assert solve(LinearProgram([0.0, -1.0])).status == "unbounded"
 
     def test_equality_constraints(self):
         # x + y = 2, x - y = 0 -> (1, 1)
-        lp = LinearProgram(num_vars=2, objective=[1.0, 2.0])
-        lp.add_constraint({0: 1.0, 1: 1.0}, EQUAL, 2.0)
-        lp.add_constraint({0: 1.0, 1: -1.0}, EQUAL, 0.0)
+        lp = LinearProgram(
+            [1.0, 2.0], A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0]
+        )
         sol = solve(lp)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-9)
 
     def test_redundant_equality(self):
-        lp = LinearProgram(num_vars=2, objective=[1.0, 1.0])
-        lp.add_constraint({0: 1.0, 1: 1.0}, EQUAL, 2.0)
-        lp.add_constraint({0: 2.0, 1: 2.0}, EQUAL, 4.0)
+        lp = LinearProgram(
+            [1.0, 1.0], A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0]
+        )
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(2.0)
 
     def test_degenerate_vertex(self):
-        # three constraints meet at the optimum; Bland must not cycle
-        lp = LinearProgram(num_vars=2, objective=[-1.0, -1.0])
-        lp.add_constraint({0: 1.0}, LESS_EQUAL, 1.0)
-        lp.add_constraint({1: 1.0}, LESS_EQUAL, 1.0)
-        lp.add_constraint({0: 1.0, 1: 1.0}, LESS_EQUAL, 2.0)
+        # three constraints meet at the optimum
+        lp = LinearProgram(
+            [-1.0, -1.0],
+            A_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            b_ub=[1.0, 1.0, 2.0],
+        )
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-2.0)
 
-    def test_iteration_limit_status(self):
-        lp = LinearProgram(num_vars=3, objective=[-1.0, -2.0, -3.0])
-        lp.add_constraint({0: 1.0, 1: 1.0, 2: 1.0}, LESS_EQUAL, 10.0)
-        lp.add_constraint({0: 1.0, 1: 2.0}, LESS_EQUAL, 8.0)
-        sol = solve(lp, max_iters=1)
+    def test_iteration_limit_status(self, monkeypatch):
+        linprog, calls = fake_linprog([1])
+        monkeypatch.setattr(lplib, "linprog", linprog)
+        sol = solve(LinearProgram([1.0]))
         assert sol.status == "iteration-limit"
+        assert calls == ["highs"]  # only numerical failures are retried
 
     def test_zero_objective(self):
-        lp = LinearProgram(num_vars=2)
-        lp.add_constraint({0: 1.0, 1: 1.0}, EQUAL, 1.0)
+        lp = LinearProgram([0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0)
         check_feasible(lp, sol.x)
 
+    def test_sparse_and_dense_rows_agree(self):
+        rows = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+        dense = LinearProgram([-1.0, -1.0, -1.0], A_ub=rows, b_ub=[4.0, 3.0])
+        sparse = LinearProgram(
+            [-1.0, -1.0, -1.0], A_ub=dense.A_ub.tocoo(), b_ub=[4.0, 3.0]
+        )
+        np.testing.assert_array_equal(solve(dense).x, solve(sparse).x)
+
+
+class TestNumericalFailure:
+    def test_retried_with_interior_point(self, monkeypatch):
+        linprog, calls = fake_linprog([4, 0])
+        monkeypatch.setattr(lplib, "linprog", linprog)
+        sol = solve(LinearProgram([1.0]))
+        assert calls == ["highs", "highs-ipm"]
+        assert sol.status == "optimal" and sol.method == "highs-ipm"
+        assert sol.iterations == 14
+
+    def test_second_failure_carries_both_messages(self, monkeypatch):
+        linprog, calls = fake_linprog([4, 4])
+        monkeypatch.setattr(lplib, "linprog", linprog)
+        sol = solve(LinearProgram([1.0]))
+        assert calls == ["highs", "highs-ipm"]
+        assert sol.status == "numerical-failure"
+        assert "highs status 4" in sol.message
+        assert "highs-ipm status 4" in sol.message
+
 
 class TestValidation:
-    def test_bad_sense(self):
-        lp = LinearProgram(num_vars=1)
-        with pytest.raises(ValueError):
-            lp.add_constraint({0: 1.0}, "<", 1.0)
+    def test_rhs_without_matrix(self):
+        with pytest.raises(ValueError, match="together"):
+            LinearProgram([1.0], b_ub=[1.0])
+        with pytest.raises(ValueError, match="together"):
+            LinearProgram([1.0], A_eq=[[1.0]])
 
     def test_index_out_of_range(self):
-        lp = LinearProgram(num_vars=2)
+        # a coefficient on variable 2 of a two-variable program
         with pytest.raises(ValueError):
-            lp.add_constraint({2: 1.0}, LESS_EQUAL, 1.0)
+            LinearProgram([1.0, 1.0], A_ub=[[0.0, 0.0, 1.0]], b_ub=[1.0])
 
     def test_non_finite_rejected(self):
-        lp = LinearProgram(num_vars=1)
         with pytest.raises(ValueError):
-            lp.add_constraint({0: np.inf}, LESS_EQUAL, 1.0)
+            LinearProgram([1.0], A_ub=[[np.inf]], b_ub=[1.0])
         with pytest.raises(ValueError):
-            lp.add_constraint({0: 1.0}, LESS_EQUAL, np.nan)
+            LinearProgram([1.0], A_ub=[[1.0]], b_ub=[np.nan])
+        with pytest.raises(ValueError):
+            LinearProgram([np.nan])
 
     def test_objective_length(self):
         with pytest.raises(ValueError):
-            LinearProgram(num_vars=2, objective=[1.0])
+            LinearProgram([])
+        with pytest.raises(ValueError):
+            LinearProgram([[1.0, 2.0]])
+
+    def test_rhs_length(self):
+        with pytest.raises(ValueError):
+            LinearProgram([1.0], A_eq=[[1.0], [2.0]], b_eq=[1.0])
 
 
 class TestDeterminism:
@@ -130,18 +179,6 @@ class TestDeterminism:
         assert a.status == b.status
         assert a.iterations == b.iterations
         np.testing.assert_array_equal(a.x, b.x)
-
-
-class TestDump:
-    def test_round_trip_readable(self, tmp_path):
-        lp = LinearProgram(num_vars=2, objective=[1.0, -0.5])
-        lp.add_constraint({0: 1.0, 1: 2.0}, LESS_EQUAL, 3.0)
-        path = tmp_path / "program.txt"
-        dump_program(lp, path)
-        text = path.read_text()
-        assert "minimize" in text
-        assert "<=" in text
-        assert "x0" in text
 
 
 class TestVertexOracle:
