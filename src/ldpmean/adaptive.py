@@ -22,7 +22,7 @@ end indices pin the two asymptotic tail regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -213,6 +213,130 @@ def _csr(cols: np.ndarray, vals: np.ndarray, shape: tuple) -> sparse.csr_array:
     return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
+def _first_half_width(n: int, eps: float) -> int:
+    """First restricted half-width A to try.
+
+    Two laws with means 0 and N on L consecutive outputs whose ratio is
+    bounded by e^eps satisfy N <= (L - 1) tanh(eps/2).  Rows 0 and N of a
+    table are such laws on the outputs k of R(A), L = N + 2A + 1, so R(A)
+    is infeasible below A = N (coth(eps/2) - 1) / 2.  The optimum reaches
+    further than the edge of feasibility; starting half again past it
+    settles most programs in one solve.
+    """
+    a_min = math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
+    return math.ceil(1.5 * a_min + 2.0)
+
+
+def _restrict(program: lplib.LinearProgram, n: int, m: int, a: int):
+    """R(A): the noise-design program over the outputs k in [-A, N+A] only.
+
+    Keeps the window masses q[i, k - i] and t_k of those outputs, both
+    equality rows of every input and the two tube rows of each kept (k, i);
+    every other variable is fixed at 0.  Needs N + A < M, so that no kept
+    output reaches a tail.  Returns the program and the kept columns.
+    """
+    width = 2 * m + 1
+    ks = np.arange(-a, n + a + 1)
+    inputs = np.arange(n + 1)
+    cells = inputs[None, :] * width + ks[:, None] - inputs[None, :] + m
+    keep = np.concatenate([np.sort(cells.ravel()), (n + 1) * width + ks + m])
+    rows = slice(2 * (m - a) * (n + 1), 2 * (m + n + a + 1) * (n + 1))
+    sub = lplib.LinearProgram(
+        program.objective[keep],
+        A_ub=program.A_ub[rows][:, keep],
+        b_ub=program.b_ub[rows],
+        A_eq=program.A_eq[:, keep],
+        b_eq=program.b_eq,
+    )
+    return sub, keep
+
+
+def _certified(
+    program: lplib.LinearProgram,
+    sol: lplib.LpSolution,
+    n: int,
+    m: int,
+    a: int,
+    eps: float,
+) -> bool:
+    """Whether the optimum of R(A) is optimal for the whole program.
+
+    The zero-padded optimum of R(A) is feasible for the whole program, so
+    its objective bounds the optimum from above.  It is optimal once the
+    dual optimum of R(A) extends to a dual-feasible point of the whole
+    program with the same objective b.y (the tube rows have zero right-hand
+    sides, so only the equality duals y enter it).
+
+    With w >= 0 the multipliers of the tube rows, a column is dual feasible
+    when its reduced cost c - A_eq^T y + A_ub^T w is >= 0.  Kept columns
+    meet no omitted row, so R(A)'s duals already price them.  The omitted
+    rows are the two tube rows of each omitted (k, i), with multipliers
+    (l, u); let rho(i, j) = c(i, j) - y_norm_i norm(j) - y_mean_i mean(j).
+
+    - An interior cell (|k - i| < M) is the only q column in its rows and
+      needs l - u e^-eps <= rho(i, k - i).  The largest l - u this allows is
+      min(rho, e^eps rho).
+    - t_k needs sum_i (l - u) >= 0 over the cells of output k.
+
+    (a) An output whose cells are all interior therefore extends exactly
+    when s_k = sum_i min(rho, e^eps rho) >= 0.  (b) A tail column q[i, +-M]
+    meets the rows of every output beyond its edge with coefficient
+    r^(|k - i| - M), so the tail cells are coupled; their (l, u) >= 0 must
+    satisfy sum_tail (l - u) >= -s_k per output (s_k over its interior
+    cells) and sum_k r^(|k-i|-M) (l - u e^-eps) <= rho(i, +-M) per tail
+    column, a small feasibility LP.  Both hold to tol = 1e-9 max(1, |obj|).
+    """
+    width = 2 * m + 1
+    nq = (n + 1) * width
+    tol = 1e-9 * max(1.0, abs(sol.objective_value))
+    rho = (program.objective - program.A_eq.T @ sol.eq_duals)[:nq].reshape(n + 1, width)
+    ks = np.concatenate([np.arange(-m, -a), np.arange(n + a + 1, n + m + 1)])
+    inputs = np.arange(n + 1)
+    j = ks[:, None] - inputs[None, :]
+    interior = np.abs(j) < m
+    cell = rho[inputs[None, :], np.clip(j, -m, m) + m]
+    s = np.where(interior, np.minimum(cell, math.exp(eps) * cell), 0.0).sum(axis=1)
+    tail = ~interior.all(axis=1)
+    if np.any(s[~tail] < -tol):
+        return False
+    # (b) over the tube rows of the tail cells, against the tail columns
+    # and the t_k of the outputs they sit in
+    k_cell, i_cell = np.nonzero(~interior)
+    first = 2 * ((ks[k_cell] + m) * (n + 1) + i_cell)
+    rows = np.stack([first, first + 1], axis=1).ravel()
+    cols = np.concatenate([inputs * width, inputs * width + 2 * m, nq + ks[tail] + m])
+    rhs = np.concatenate([rho[:, 0], rho[:, -1], s[tail]]) + tol
+    if np.all(rhs >= 0.0):
+        return True  # l = u = 0
+    coupling = program.A_ub[rows][:, cols]
+    check = lplib.LinearProgram(np.zeros(rows.size), A_ub=-coupling.T, b_ub=rhs)
+    return lplib.solve(check).status == "optimal"
+
+
+def _solve_restricted_first(
+    program: lplib.LinearProgram, n: int, m: int, eps: float
+) -> lplib.LpSolution:
+    """Solve the noise-design program through restricted programs R(A).
+
+    Grows A by half whenever R(A) is infeasible or its optimum is not
+    certified optimal for the whole program; once N + A reaches M - 1 (or
+    at eps = inf, where there is no tube) it solves the whole program.
+    A certified solution is returned zero-padded to the whole program.
+    """
+    a = _first_half_width(n, eps) if math.isfinite(eps) else m
+    while n + a < m - 1:
+        sub, keep = _restrict(program, n, m, a)
+        sol = lplib.solve(sub)
+        if sol.status == "optimal" and _certified(program, sol, n, m, a, eps):
+            x = np.zeros(program.num_vars)
+            x[keep] = sol.x
+            return replace(sol, x=x)
+        if sol.status not in ("optimal", "infeasible"):
+            return sol
+        a = math.ceil(1.5 * a)
+    return lplib.solve(program)
+
+
 def solve_noise_table(
     pmf: QuantizedPmf,
     eps: float,
@@ -221,11 +345,16 @@ def solve_noise_table(
 ) -> NoiseTable:
     """Solve the noise-design LP and package the optimum as a NoiseTable.
 
-    The solved table is checked against its three invariants (row
-    normalization, row zero mean, exact privacy); any violation raises.
+    The program is solved over the outputs near the domain first and grown
+    until a dual certificate proves the result optimal for the whole
+    window (see _certified).  The solved table is checked against its
+    three invariants (row normalization, row zero mean, exact privacy);
+    any violation raises.
     """
     eps = check_eps(eps, allow_inf=True)
-    sol = lplib.solve(build_lp(pmf, eps, shape, domain))
+    sol = _solve_restricted_first(
+        build_lp(pmf, eps, shape, domain), domain.n_bins, shape.m, eps
+    )
     if sol.status != "optimal":
         raise RuntimeError(
             f"noise-table LP did not solve: status={sol.status} "

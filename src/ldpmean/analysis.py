@@ -17,26 +17,45 @@ from .baselines import (
     laplace_variance,
     piecewise_conditional_variance,
 )
-from .domain import QuantizedPmf
+from .domain import QuantizedPmf, rounding_weights_array
 
 BASELINE_MECHANISMS = ("duchi", "piecewise", "laplace", "hybrid")
 
 
-def expected_variance(table: NoiseTable, pmf: QuantizedPmf) -> float:
-    """pmf-weighted conditional noise variance of a table, tails exact.
+def row_variances(table: NoiseTable) -> np.ndarray:
+    """Conditional noise variance of each row of a table, tails exact.
 
     Per row: sum_{|j|<M} (sigma j)^2 q[i][j] + sigma^2 T2 (q[i][-M]+q[i][M]).
-    Evaluating this at the pmf the table was solved against reproduces its
-    lp_objective.
     """
-    if len(pmf) != table.domain.n_bins + 1:
-        raise ValueError("pmf size does not match table")
     m, r = table.shape.m, table.shape.r
     sigma = table.domain.sigma
     js = np.arange(-m + 1, m)
     window = table.q[:, 1:-1] @ (sigma * js) ** 2
     tails = sigma * sigma * tail_second_moment(m, r) * (table.q[:, 0] + table.q[:, -1])
-    return float(pmf.masses @ (window + tails))
+    return window + tails
+
+
+def expected_variance(table: NoiseTable, pmf: QuantizedPmf) -> float:
+    """pmf-weighted conditional noise variance of a table.
+
+    Evaluating this at the pmf the table was solved against reproduces its
+    lp_objective.
+    """
+    if len(pmf) != table.domain.n_bins + 1:
+        raise ValueError("pmf size does not match table")
+    return float(pmf.masses @ row_variances(table))
+
+
+def adaptive_conditional_variance(table: NoiseTable, xs) -> np.ndarray:
+    """Var[Y | X=x] of the adaptive mechanism for real inputs x.
+
+    Rounding to edge i with probability w (else i+1) is unbiased and adds
+    sigma^2 w (1-w); the row noise is zero-mean and adds its row variance.
+    """
+    domain = table.domain
+    idx, w = rounding_weights_array(domain, np.asarray(xs, dtype=float))
+    rows = row_variances(table)
+    return domain.sigma**2 * w * (1.0 - w) + w * rows[idx] + (1.0 - w) * rows[idx + 1]
 
 
 def variance_relative_error(v_hat: float, v: float) -> float:
@@ -56,31 +75,35 @@ def claim3_bound(psi: float) -> tuple[float, float]:
     return (-psi / (1.0 + psi), psi / (1.0 - psi))
 
 
+def baseline_conditional_variance(mechanism: str, xs, eps: float, beta: float):
+    """Var[Y | X=x] of a baseline mechanism for inputs x in [-beta, beta]."""
+    check_eps(eps)
+    xs = np.asarray(xs, dtype=float)
+    if mechanism == "laplace":
+        return np.full(xs.size, laplace_variance(beta, eps))
+    if mechanism == "duchi":
+        return duchi_conditional_variance(xs, beta, eps)
+    if mechanism == "piecewise":
+        return beta * beta * piecewise_conditional_variance(xs / beta, eps)
+    if mechanism == "hybrid":
+        # both branches are unbiased at every x, so the conditional variance
+        # of the mixture is the mixture of conditional variances
+        alpha = hybrid_alpha(eps)
+        return alpha * beta * beta * piecewise_conditional_variance(
+            xs / beta, eps
+        ) + (1.0 - alpha) * duchi_conditional_variance(xs, beta, eps)
+    raise ValueError(
+        f"unknown mechanism {mechanism!r}; expected one of {BASELINE_MECHANISMS}"
+    )
+
+
 def baseline_expected_variance(
     mechanism: str, pmf: QuantizedPmf, eps: float, beta: float
 ) -> float:
     """pmf-weighted average of a baseline's conditional variance on the edge
     grid implied by (beta, len(pmf))."""
-    check_eps(eps)
     xs = np.linspace(-beta, beta, len(pmf))
-    if mechanism == "laplace":
-        per_x = np.full(xs.size, laplace_variance(beta, eps))
-    elif mechanism == "duchi":
-        per_x = duchi_conditional_variance(xs, beta, eps)
-    elif mechanism == "piecewise":
-        per_x = beta * beta * piecewise_conditional_variance(xs / beta, eps)
-    elif mechanism == "hybrid":
-        # both branches are unbiased at every x, so the conditional variance
-        # of the mixture is the mixture of conditional variances
-        alpha = hybrid_alpha(eps)
-        per_x = alpha * beta * beta * piecewise_conditional_variance(
-            xs / beta, eps
-        ) + (1.0 - alpha) * duchi_conditional_variance(xs, beta, eps)
-    else:
-        raise ValueError(
-            f"unknown mechanism {mechanism!r}; expected one of {BASELINE_MECHANISMS}"
-        )
-    return float(pmf.masses @ per_x)
+    return float(pmf.masses @ baseline_conditional_variance(mechanism, xs, eps, beta))
 
 
 def squared_error(estimate: float, truth: float) -> float:

@@ -222,16 +222,15 @@ def cmd_variance(config: ExperimentConfig) -> str:
     return _write_csv(config, "variance", "mechanism,eps,expected_variance", rows)
 
 
-def _estimate_errors(config: ExperimentConfig, domain, load_fixed):
-    """Per-(mechanism, eps) squared errors over the configured runs.
+def _estimate_runs(config: ExperimentConfig, domain, load_fixed):
+    """Yield (mechanism, eps, xs, mask, estimate, result) for every run,
+    mechanism and eps of the estimate experiment, runs outermost.
 
     load_fixed is the rescaled CSV data, or None to draw a fresh synthetic
-    dataset per run.  Within a run every mechanism shares the same data and
-    split; each mechanism consumes its own stream.
+    dataset per run.  Within a run every mechanism shares the same data xs
+    and split mask (True = phase 1); each mechanism consumes its own stream.
+    result is the adaptive mechanism's ProtocolResult, None for a baseline.
     """
-    errors = {
-        (mech, eps): [] for mech in config.mechanisms for eps in config.eps_grid
-    }
     eps_sorted = sorted(config.eps_grid)
     for run in range(config.runs):
         if load_fixed is None:
@@ -239,7 +238,6 @@ def _estimate_errors(config: ExperimentConfig, domain, load_fixed):
             xs, _ = rescale_to(raw, config.beta)
         else:
             xs = load_fixed
-        truth = float(xs.mean())
         mask = _stream(config.seed, run, 0, _P_SPLIT).random(xs.size) < config.split
         phase2 = xs[~mask]
         for mechanism in config.mechanisms:
@@ -251,11 +249,21 @@ def _estimate_errors(config: ExperimentConfig, domain, load_fixed):
                         xs, eps, config.split, config.shape, domain, rng,
                         split_mask=mask,
                     )
-                    est = res.mean_estimate
+                    yield mechanism, eps, xs, mask, res.mean_estimate, res
                 else:
                     est = _baseline_estimate(mechanism, phase2, config.beta, eps, rng)
-                errors[(mechanism, eps)].append(squared_error(est, truth))
-    return errors, eps_sorted
+                    yield mechanism, eps, xs, mask, est, None
+
+
+def _estimate_errors(config: ExperimentConfig, domain, load_fixed):
+    """Per-(mechanism, eps) squared errors of the estimate experiment over
+    the configured runs, against each run's full-data mean."""
+    errors = {
+        (mech, eps): [] for mech in config.mechanisms for eps in config.eps_grid
+    }
+    for mechanism, eps, xs, _, est, _ in _estimate_runs(config, domain, load_fixed):
+        errors[(mechanism, eps)].append(squared_error(est, float(xs.mean())))
+    return errors, sorted(config.eps_grid)
 
 
 def cmd_estimate(config: ExperimentConfig) -> str:
@@ -344,7 +352,8 @@ def cmd_sweep(config: ExperimentConfig) -> str:
 
 def cmd_multidim(config: ExperimentConfig) -> str:
     """Attribute-sampled multidimensional estimation; error is the sum of
-    per-dimension squared errors against each dimension's full-data mean."""
+    per-dimension squared errors against each dimension's full-data mean.
+    Every mechanism spends eps / k on each of a client's k attributes."""
     fixed = None
     d = config.d
     if config.csv_path is not None:
@@ -397,7 +406,7 @@ def cmd_multidim(config: ExperimentConfig) -> str:
                     for dim in range(d):
                         phase2 = rows_mat[pools[dim], dim][~masks[dim]]
                         est = _baseline_estimate(
-                            mechanism, phase2, config.beta, eps, rng
+                            mechanism, phase2, config.beta, eps / config.k, rng
                         )
                         total += squared_error(est, truths[dim])
                 sums[(mechanism, eps)].append(total)

@@ -13,6 +13,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+# HiGHS stops once reduced costs are within this of dual feasibility.  At
+# its default (1e-7) restricted noise-design solves stop up to 2e-7
+# relative above the optimum, and their equality duals are what certifies
+# them (adaptive._certified)
+_DUAL_TOL = 1e-10
+
 # scipy's linprog status codes; 4 covers every HiGHS model status that is not
 # a verdict on the program (solve error, unknown status, ...)
 _STATUS = {
@@ -79,6 +85,7 @@ class LpSolution:
     iterations: int
     message: str  # HiGHS's own; after a retry, both methods' messages
     method: str  # the HiGHS method that produced this verdict
+    eq_duals: np.ndarray  # HiGHS's d(objective)/d(b_eq); empty unless optimal
 
 
 def _linprog(program: LinearProgram, method: str) -> LpSolution:
@@ -90,16 +97,21 @@ def _linprog(program: LinearProgram, method: str) -> LpSolution:
         b_eq=program.b_eq,
         bounds=(0, None),
         method=method,
+        options={"dual_feasibility_tolerance": _DUAL_TOL},
     )
     x = res.x if res.x is not None else np.zeros(program.num_vars)
-    value = float(res.fun) if res.status == 0 else np.nan
+    optimal = res.status == 0
+    value = float(res.fun) if optimal else np.nan
+    eqlin = res.get("eqlin") if optimal else None
+    duals = np.zeros(0) if eqlin is None else np.asarray(eqlin.marginals)
     return LpSolution(
-        _STATUS[res.status], np.asarray(x), value, int(res.nit), res.message, method
+        _STATUS[res.status], np.asarray(x), value, int(res.nit), res.message, method, duals
     )
 
 
 def solve(program: LinearProgram) -> LpSolution:
-    """Solve with HiGHS's default method.
+    """Solve with HiGHS's default method at a dual feasibility tolerance
+    of 1e-10.
 
     A numerical failure is retried once with the interior-point method
     (with crossover): where the coefficients span many orders of magnitude,

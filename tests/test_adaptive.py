@@ -21,10 +21,14 @@ from ldpmean.adaptive import (
     tail_second_moment,
     verify_composite_privacy,
     verify_privacy,
+    _certified,
+    _restrict,
 )
+from ldpmean import lp as lplib
 from ldpmean.baselines import piecewise_conditional_variance
-from ldpmean.data import TruncatedGaussian, true_pmf
+from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
 from ldpmean.domain import QuantizedPmf, make_domain
+from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import solve as lp_solve
 
 D2 = make_domain(1.0, 2)
@@ -249,15 +253,123 @@ class TestSolveNoiseTable:
 
     @pytest.mark.parametrize("m", [36, 40])
     def test_numerical_failure_recovered(self, m):
-        # HiGHS's default method stops with model status Unknown on these
-        # programs (coefficients span r^N / e^eps ~ 2e-12 to 80); the
-        # interior-point retry must reach the wide-window optimum
+        # the whole program's coefficients span r^N / e^eps ~ 2e-12 to 80,
+        # where HiGHS's default method can stop with model status Unknown;
+        # the restricted program has no tail coefficients, and both must
+        # reach the wide-window optimum
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        shape = NoiseShape(m=m, r=0.2)
         wide = solve_noise_table(pmf, 1.0, NoiseShape(m=64, r=0.2), d16)
-        table = solve_noise_table(pmf, 1.0, NoiseShape(m=m, r=0.2), d16)
+        table = solve_noise_table(pmf, 1.0, shape, d16)
+        whole = lp_solve(build_lp(pmf, 1.0, shape, d16))
+        assert whole.status == "optimal"
         assert table.lp_objective == pytest.approx(wide.lp_objective, rel=1e-9)
+        assert whole.objective_value == pytest.approx(wide.lp_objective, rel=1e-9)
         assert verify_privacy(table, 1.0).passed
+
+    @pytest.mark.parametrize(
+        "r, eps, m",
+        [(0.05, 1.0, 29), (0.05, 2.0, 47), (0.1, 1.0, 29), (0.1, 2.0, 35), (0.1, 2.0, 41)],
+    )
+    def test_small_tail_ratios_solve(self, r, eps, m):
+        # at HiGHS's default dual tolerance (1e-7) the whole programs end in
+        # a numerical failure after the retry, or in a table with an empty
+        # output column; M=29 at eps=1 is solved whole, the rest restricted
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        table = assert_matches_whole_program(pmf, eps, NoiseShape(m=m, r=r), d16)
+        assert verify_privacy(table, eps).passed
+
+    def test_whole_program_retried_with_interior_point(self):
+        # r = 0.1 puts r^N / e^eps near 1e-17 beside O(1) entries; the
+        # default method stops with model status Unknown on the whole
+        # program, the interior-point retry solves it, and the restricted
+        # solve never meets those coefficients
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        shape = NoiseShape(m=38, r=0.1)
+        whole = lp_solve(build_lp(pmf, 2.0, shape, d16))
+        assert whole.status == "optimal" and whole.method == "highs-ipm"
+        assert "model_status is Unknown" in whole.message
+        table = solve_noise_table(pmf, 2.0, shape, d16)
+        assert table.lp_objective == pytest.approx(whole.objective_value, rel=1e-9)
+
+
+def assert_matches_whole_program(pmf, eps, shape, domain):
+    table = solve_noise_table(pmf, eps, shape, domain)
+    whole = lp_solve(build_lp(pmf, eps, shape, domain))
+    assert whole.status == "optimal"
+    assert table.lp_objective == pytest.approx(whole.objective_value, rel=1e-9)
+    return table
+
+
+DESIGN_PMFS = {
+    "gaussian": TruncatedGaussian(mu=0.0, sd=0.1),
+    "uniform": BetaDistribution(a=1.0, b=1.0),
+    "exponential": ShiftedExponential(rate=6.0),
+}
+
+
+class TestRestrictedSolve:
+    """solve_noise_table solves over the outputs near the domain first and
+    accepts that optimum only with a dual certificate; it must reach the
+    whole program's optimum."""
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("name", sorted(DESIGN_PMFS))
+    def test_design_cells(self, name, eps):
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(DESIGN_PMFS[name], d16)
+        assert_matches_whole_program(pmf, eps, NoiseShape(m=64, r=0.5), d16)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [4, 8, 25])
+    def test_domain_sizes(self, n, eps):
+        domain = make_domain(1.0, n)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
+        assert_matches_whole_program(pmf, eps, NoiseShape(m=4 * n, r=0.5), domain)
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0])
+    def test_estimated_pmf_with_zero_cells(self, eps):
+        d16 = make_domain(1.0, 16)
+        rng = np.random.default_rng(3)
+        xs = np.clip(rng.normal(0.0, 0.1, 2000), -1.0, 1.0)
+        hist = collect_perturbed_histogram(d16, xs, eps, rng)
+        pmf = reconstruct_pmf(hist, build_rr_matrix(16, eps))
+        assert np.count_nonzero(pmf.masses == 0.0) >= 3
+        assert_matches_whole_program(pmf, eps, NoiseShape(m=64, r=0.5), d16)
+
+    def test_certificate_rejects_a_suboptimal_restriction(self):
+        # outputs [-27, 43] are feasible at eps = 0.5 but too few for the
+        # optimum, which reaches offsets +-33
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        program = build_lp(pmf, 0.5, NoiseShape(m=64, r=0.5), d16)
+        whole = lp_solve(program)
+        short = lp_solve(_restrict(program, 16, 64, 27)[0])
+        assert short.status == "optimal"
+        assert short.objective_value > whole.objective_value + 0.1
+        assert not _certified(program, short, 16, 64, 27, 0.5)
+        wide = lp_solve(_restrict(program, 16, 64, 40)[0])
+        assert wide.objective_value == pytest.approx(whole.objective_value, rel=1e-9)
+        assert _certified(program, wide, 16, 64, 40, 0.5)
+
+    def test_tail_mass_solves_whole_program(self, monkeypatch):
+        # at M=40, eps=0.5 the optimum needs mass beyond the window, which
+        # no restricted program holds
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        shape = NoiseShape(m=40, r=0.5)
+        sizes = []
+        solve = lplib.solve
+        monkeypatch.setattr(
+            lplib, "solve", lambda program: sizes.append(program.num_vars) or solve(program)
+        )
+        table = assert_matches_whole_program(pmf, 0.5, shape, d16)
+        assert sizes == [build_lp(pmf, 0.5, shape, d16).num_vars]
+        assert np.max(table.q[:, [0, -1]]) > 0.1
+        assert verify_privacy(table, 0.5).passed
 
 
 class TestVerifyPrivacy:

@@ -78,6 +78,16 @@ class TestHandExamples:
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-9)
 
+    def test_equality_duals(self):
+        # min x + 2y s.t. x + y = 2, x - y = 0: the rows are priced at 1.5
+        # and -0.5, and b . y is the optimum
+        lp = LinearProgram(
+            [1.0, 2.0], A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0]
+        )
+        sol = solve(lp)
+        np.testing.assert_allclose(sol.eq_duals, [1.5, -0.5], atol=1e-9)
+        assert lp.b_eq @ sol.eq_duals == pytest.approx(sol.objective_value, abs=1e-12)
+
     def test_redundant_equality(self):
         lp = LinearProgram(
             [1.0, 1.0], A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0]

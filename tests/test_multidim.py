@@ -110,8 +110,9 @@ class TestRunMultidimProtocol:
     def test_assigned_counts_total_k_times_n(self):
         n, d, k = 300, 3, 2
         data = small_matrix(n, d, 9)
+        # eps / k = 1 per attribute, within reach of the M=8 window
         res = run_multidim_protocol(
-            data, 1.0, 0.4, k, SHAPE, rng_for(10), n_bins=4
+            data, 2.0, 0.4, k, SHAPE, rng_for(10), n_bins=4
         )
         per_dim = [r.phase1_count + r.phase2_count for r in res.per_dimension]
         assert sum(per_dim) == k * n
@@ -120,7 +121,7 @@ class TestRunMultidimProtocol:
         n, d = 150, 2
         data = small_matrix(n, d, 11)
         res = run_multidim_protocol(
-            data, 1.0, 0.4, d, SHAPE, rng_for(12), n_bins=4
+            data, 2.0, 0.4, d, SHAPE, rng_for(12), n_bins=4
         )
         for r in res.per_dimension:
             assert r.phase1_count + r.phase2_count == n
