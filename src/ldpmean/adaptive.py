@@ -17,6 +17,10 @@ per output replaces the quadratic number of pairwise ratio constraints; the
 tube is feasible exactly when max_i d_i(k) <= e^eps * min_i d_i(k).  Beyond
 k = -M and k = N+M every d_i(k) scales by the same factor r per step, so the
 end indices pin the two asymptotic tail regimes.
+
+solve_noise_table first solves a restricted program over the outputs near
+the domain as a staircase, each kept mass t_k + s with 0 <= s <=
+expm1(eps) t_k, and proves its optimum optimal for the whole window.
 """
 
 from __future__ import annotations
@@ -227,28 +231,34 @@ def _first_half_width(n: int, eps: float) -> int:
     return math.ceil(1.5 * a_min + 2.0)
 
 
-def _restrict(program: lplib.LinearProgram, n: int, m: int, a: int):
-    """R(A): the noise-design program over the outputs k in [-A, N+A] only.
+def _restrict(program: lplib.LinearProgram, n: int, m: int, a: int, eps: float):
+    """R(A): the noise-design program over the outputs k in [-A, N+A] only,
+    over z = (s, t): each kept window mass is q[i, k - i] = s + t_k, s >= 0.
 
-    Keeps the window masses q[i, k - i] and t_k of those outputs, both
-    equality rows of every input and the two tube rows of each kept (k, i);
-    every other variable is fixed at 0.  Needs N + A < M, so that no kept
-    output reaches a tail.  Returns the program and the kept columns.
+    The lower tube row t_k <= q is then the bound s >= 0, and the upper row
+    q <= e^eps t_k is s / expm1(eps) - t_k <= 0 (divided like build_lp's,
+    so it stays O(1) at large eps): one row per kept cell.  The objective
+    and equality rows are the whole program's composed with x = T z; every
+    other variable is fixed at 0.  Needs N + A < M, so that no kept output
+    reaches a tail.  Returns the program and T.
     """
-    width = 2 * m + 1
     ks = np.arange(-a, n + a + 1)
-    inputs = np.arange(n + 1)
-    cells = inputs[None, :] * width + ks[:, None] - inputs[None, :] + m
-    keep = np.concatenate([np.sort(cells.ravel()), (n + 1) * width + ks + m])
-    rows = slice(2 * (m - a) * (n + 1), 2 * (m + n + a + 1) * (n + 1))
+    # column of q[i, k - i], input-major as in the whole program
+    cells = (2 * m * np.arange(n + 1)[:, None] + ks + m).ravel()
+    n_z = cells.size + ks.size
+    s_col = np.arange(cells.size)
+    t_col = cells.size + np.tile(np.arange(ks.size), n + 1)  # t_k of each cell
+    # x = T z: each kept q is s + t_k, each kept t_k is itself
+    rows = np.concatenate([cells, cells, (n + 1) * (2 * m + 1) + ks + m])
+    cols = np.concatenate([s_col, t_col, cells.size + np.arange(ks.size)])
+    embed = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(program.num_vars, n_z))
+    upper_vals = [np.full(cells.size, 1.0 / math.expm1(eps)), -np.ones(cells.size)]
+    upper = _csr(np.stack([s_col, t_col], -1), np.stack(upper_vals, -1), (cells.size, n_z))
     sub = lplib.LinearProgram(
-        program.objective[keep],
-        A_ub=program.A_ub[rows][:, keep],
-        b_ub=program.b_ub[rows],
-        A_eq=program.A_eq[:, keep],
-        b_eq=program.b_eq,
+        embed.T @ program.objective, A_ub=upper, b_ub=np.zeros(cells.size),
+        A_eq=program.A_eq @ embed, b_eq=program.b_eq,
     )
-    return sub, keep
+    return sub, embed
 
 
 def _certified(
@@ -261,11 +271,18 @@ def _certified(
 ) -> bool:
     """Whether the optimum of R(A) is optimal for the whole program.
 
-    The zero-padded optimum of R(A) is feasible for the whole program, so
+    The optimum of R(A), mapped by T, is feasible for the whole program, so
     its objective bounds the optimum from above.  It is optimal once the
     dual optimum of R(A) extends to a dual-feasible point of the whole
     program with the same objective b.y (the tube rows have zero right-hand
     sides, so only the equality duals y enter it).
+
+    R(A) is solved over (t, s), not over the kept (q, t), but its equality
+    duals are the same: T maps the cone {0 <= s <= expm1(eps) t} one to one
+    onto the kept tube cone K = {t <= q <= e^eps t, q, t >= 0}, so
+    T^T (c - A_eq^T y) lies in the dual cone of the first exactly when
+    c - A_eq^T y lies in K's.  Both forms have the same Lagrangian dual over
+    the equality rows, and a y optimal for one is optimal for the other.
 
     With w >= 0 the multipliers of the tube rows, a column is dual feasible
     when its reduced cost c - A_eq^T y + A_ub^T w is >= 0.  Kept columns
@@ -321,16 +338,14 @@ def _solve_restricted_first(
     Grows A by half whenever R(A) is infeasible or its optimum is not
     certified optimal for the whole program; once N + A reaches M - 1 (or
     at eps = inf, where there is no tube) it solves the whole program.
-    A certified solution is returned zero-padded to the whole program.
+    A certified solution is returned mapped to the whole program by T.
     """
     a = _first_half_width(n, eps) if math.isfinite(eps) else m
     while n + a < m - 1:
-        sub, keep = _restrict(program, n, m, a)
+        sub, embed = _restrict(program, n, m, a, eps)
         sol = lplib.solve(sub)
         if sol.status == "optimal" and _certified(program, sol, n, m, a, eps):
-            x = np.zeros(program.num_vars)
-            x[keep] = sol.x
-            return replace(sol, x=x)
+            return replace(sol, x=embed @ sol.x)
         if sol.status not in ("optimal", "infeasible"):
             return sol
         a = math.ceil(1.5 * a)
@@ -424,37 +439,31 @@ def _density_matrix(table: NoiseTable, ks: np.ndarray) -> np.ndarray:
 def _density_from_q(
     q: np.ndarray, n: int, m: int, r: float, ks: np.ndarray
 ) -> np.ndarray:
-    d = np.zeros((n + 1, ks.size))
-    for i in range(n + 1):
-        j = ks - i
-        window = np.abs(j) < m
-        d[i, window] = q[i, j[window] + m]
-        right = j >= m
-        d[i, right] = q[i, 2 * m] * r ** (j[right] - m).astype(float)
-        left = j <= -m
-        d[i, left] = q[i, 0] * r ** (-m - j[left]).astype(float)
+    j = ks[None, :] - np.arange(n + 1)[:, None]
+    d = q[np.arange(n + 1)[:, None], np.clip(j, -m, m) + m]
+    beyond = np.abs(j) >= m
+    d[beyond] *= r ** (np.abs(j[beyond]) - m).astype(float)
     return d
 
 
 def _ratio_report(density: np.ndarray, ks: np.ndarray, eps: float, tol: float, labels=None):
-    """Worst max/min column ratio of a (inputs x outputs) density matrix."""
-    max_ratio = 0.0
+    """Worst max/min column ratio of a (inputs x outputs) density matrix:
+    the first column reaching it, with the inputs of its max and min.
+    Columns where no input puts mass compare nothing and count as 0."""
+    top = density.max(axis=0)
+    bottom = density.min(axis=0)
+    ratios = np.divide(top, bottom, out=np.full(ks.size, math.inf), where=bottom > 0.0)
+    ratios[top <= 0.0] = 0.0
+    col = int(ratios.argmax())
+    max_ratio = float(ratios[col])
     worst = None
-    for col in range(ks.size):
-        d = density[:, col]
-        top = d.max()
-        if top <= 0.0:
-            continue  # no input puts mass here; nothing to compare
-        bottom = d.min()
-        ratio = math.inf if bottom <= 0.0 else top / bottom
-        if ratio > max_ratio:
-            max_ratio = ratio
-            i_max = int(d.argmax())
-            i_min = int(d.argmin())
-            if labels is not None:
-                worst = (int(ks[col]), labels[i_max], labels[i_min])
-            else:
-                worst = (int(ks[col]), i_max, i_min)
+    if max_ratio > 0.0:
+        i_max = int(density[:, col].argmax())
+        i_min = int(density[:, col].argmin())
+        if labels is not None:
+            worst = (int(ks[col]), labels[i_max], labels[i_min])
+        else:
+            worst = (int(ks[col]), i_max, i_min)
     bound = math.exp(eps) * (1.0 + tol) if math.isfinite(eps) else math.inf
     passed = (not math.isfinite(eps)) or max_ratio <= bound
     return PrivacyReport(max_ratio=max_ratio, worst_pair=worst, bound=bound, passed=passed)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpmean.adaptive import (
     NoiseShape,
@@ -22,12 +24,15 @@ from ldpmean.adaptive import (
     verify_composite_privacy,
     verify_privacy,
     _certified,
+    _density_from_q,
+    _first_half_width,
+    _ratio_report,
     _restrict,
 )
 from ldpmean import lp as lplib
 from ldpmean.baselines import piecewise_conditional_variance
 from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
-from ldpmean.domain import QuantizedPmf, make_domain
+from ldpmean.domain import QuantizedPmf, make_domain, rounding_weights_array
 from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import solve as lp_solve
 
@@ -347,13 +352,44 @@ class TestRestrictedSolve:
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         program = build_lp(pmf, 0.5, NoiseShape(m=64, r=0.5), d16)
         whole = lp_solve(program)
-        short = lp_solve(_restrict(program, 16, 64, 27)[0])
+        short = lp_solve(_restrict(program, 16, 64, 27, 0.5)[0])
         assert short.status == "optimal"
         assert short.objective_value > whole.objective_value + 0.1
         assert not _certified(program, short, 16, 64, 27, 0.5)
-        wide = lp_solve(_restrict(program, 16, 64, 40)[0])
+        wide = lp_solve(_restrict(program, 16, 64, 40, 0.5)[0])
         assert wide.objective_value == pytest.approx(whole.objective_value, rel=1e-9)
         assert _certified(program, wide, 16, 64, 40, 0.5)
+
+    @pytest.mark.parametrize(
+        "name, n, eps",
+        [("gaussian", 16, 0.5), ("uniform", 16, 2.0), ("exponential", 16, 8.0), ("gaussian", 4, 1.0)],
+    )
+    def test_back_map_is_feasible_for_the_whole_program(self, name, n, eps):
+        domain = make_domain(1.0, n)
+        pmf = true_pmf(DESIGN_PMFS[name], domain)
+        program = build_lp(pmf, eps, NoiseShape(m=4 * n, r=0.5), domain)
+        sub, embed = _restrict(program, n, 4 * n, _first_half_width(n, eps), eps)
+        sol = lp_solve(sub)
+        assert sol.status == "optimal"
+        x = embed @ sol.x
+        np.testing.assert_allclose(program.A_eq @ x, program.b_eq, rtol=0.0, atol=1e-9)
+        assert np.max(program.A_ub @ x) <= 1e-9
+        assert program.objective @ x == pytest.approx(sol.objective_value, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, a", [(16, 64, 40), (4, 16, 3), (8, 32, 0)])
+    def test_one_tube_row_per_kept_cell(self, n, m, a):
+        domain = make_domain(1.0, n)
+        pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
+        program = build_lp(pmf, 1.0, NoiseShape(m=m, r=0.5), domain)
+        sub, embed = _restrict(program, n, m, a, 1.0)
+        cells = (n + 1) * (n + 2 * a + 1)
+        assert sub.A_ub.shape[0] == cells
+        assert np.all(np.diff(sub.A_ub.indptr) == 2)  # one s and its t_k
+        assert sub.num_vars == cells + n + 2 * a + 1
+        # entries of T per q variable of the whole program
+        per_q = np.diff(embed.indptr)[: (n + 1) * (2 * m + 1)].reshape(n + 1, 2 * m + 1)
+        assert not per_q[:, [0, -1]].any()  # no tail column
+        assert np.count_nonzero(per_q) == cells
 
     def test_tail_mass_solves_whole_program(self, monkeypatch):
         # at M=40, eps=0.5 the optimum needs mass beyond the window, which
@@ -372,6 +408,32 @@ class TestRestrictedSolve:
         assert verify_privacy(table, 0.5).passed
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    eps=st.floats(0.5, 8.0),
+    r=st.floats(0.1, 0.8),
+    extra=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restricted_solve_matches_whole_program(n, eps, r, extra, seed):
+    # windows wide enough that the restricted programs are tried first
+    domain = make_domain(1.0, n)
+    pmf = QuantizedPmf(masses=np.random.default_rng(seed).dirichlet(np.ones(n + 1)))
+    shape = NoiseShape(m=n + _first_half_width(n, eps) + 2 + extra, r=r)
+    table = solve_noise_table(pmf, eps, shape, domain)
+    whole = lp_solve(build_lp(pmf, eps, shape, domain))
+    assert whole.status == "optimal"
+    gap = abs(table.lp_objective - whole.objective_value)
+    assert gap <= 1e-9 * max(1.0, abs(whole.objective_value))
+
+
+def disjoint_table():
+    q = np.zeros((3, 9))
+    q[:, 4] = 1.0
+    return NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=1.0)
+
+
 class TestVerifyPrivacy:
     def test_solved_table_passes(self):
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
@@ -388,12 +450,10 @@ class TestVerifyPrivacy:
         assert not tighter.passed
 
     def test_disjoint_support_is_infinite(self):
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=1.0)
-        report = verify_privacy(table, 1.0)
+        report = verify_privacy(disjoint_table(), 1.0)
         assert not report.passed
         assert report.max_ratio == math.inf
+        assert report.worst_pair == (0, 0, 1)  # first such column
 
     def test_infinite_eps_always_passes(self):
         q = np.zeros((3, 9))
@@ -406,6 +466,86 @@ class TestVerifyPrivacy:
         report = verify_composite_privacy(table, 2.0)
         assert report.passed
         assert report.max_ratio <= math.exp(2.0) * (1.0 + 1e-6)
+
+
+def density_by_rows(q, n, m, r, ks):
+    """Reference for _density_from_q, one input row at a time."""
+    d = np.zeros((n + 1, ks.size))
+    for i in range(n + 1):
+        j = ks - i
+        window = np.abs(j) < m
+        d[i, window] = q[i, j[window] + m]
+        right = j >= m
+        d[i, right] = q[i, 2 * m] * r ** (j[right] - m).astype(float)
+        left = j <= -m
+        d[i, left] = q[i, 0] * r ** (-m - j[left]).astype(float)
+    return d
+
+
+def ratio_report_by_columns(density, ks, eps, tol, labels=None):
+    """Reference for _ratio_report, one output column at a time."""
+    max_ratio = 0.0
+    worst = None
+    for col in range(ks.size):
+        d = density[:, col]
+        top = d.max()
+        if top <= 0.0:
+            continue
+        bottom = d.min()
+        ratio = math.inf if bottom <= 0.0 else top / bottom
+        if ratio > max_ratio:
+            max_ratio = ratio
+            i_max, i_min = int(d.argmax()), int(d.argmin())
+            if labels is not None:
+                worst = (int(ks[col]), labels[i_max], labels[i_min])
+            else:
+                worst = (int(ks[col]), i_max, i_min)
+    bound = math.exp(eps) * (1.0 + tol) if math.isfinite(eps) else math.inf
+    passed = (not math.isfinite(eps)) or max_ratio <= bound
+    return max_ratio, worst, bound, passed
+
+
+class TestVectorizedVerification:
+    """The array forms of the density and the ratio report reproduce the
+    loop forms exactly."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        d16 = make_domain(1.0, 16)
+        gaussian = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        return {
+            "solved": solve_noise_table(gaussian, 1.0, NoiseShape(m=64, r=0.5), d16),
+            "tail-loaded": solve_noise_table(gaussian, 0.5, NoiseShape(m=40, r=0.5), d16),
+            "geometric": geometric_reference_table(4, 8, 0.8)[0],
+            "disjoint": disjoint_table(),
+            "empty": NoiseTable(domain=D2, shape=SHAPE2, q=np.zeros((3, 9)), eps=1.0),
+        }
+
+    @pytest.mark.parametrize("name", ["solved", "tail-loaded", "geometric", "disjoint", "empty"])
+    def test_matches_loop_reference(self, tables, name):
+        table = tables[name]
+        n, m, r = table.domain.n_bins, table.shape.m, table.shape.r
+        ks = np.arange(-m - 1, n + m + 2)
+        density = _density_from_q(table.q, n, m, r, ks)
+        np.testing.assert_array_equal(density, density_by_rows(table.q, n, m, r, ks))
+        for eps in (table.eps, 0.5 * table.eps, math.inf):
+            report = _ratio_report(density, ks, eps, 1e-6)
+            expected = ratio_report_by_columns(density, ks, eps, 1e-6)
+            assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
+
+    def test_composite_report_matches_loop_reference(self, tables):
+        table = tables["solved"]
+        n, m = table.domain.n_bins, table.shape.m
+        xs = np.linspace(-1.0, 1.0, 41)
+        ks = np.arange(-m - 1, n + m + 2)
+        idx, w_left = rounding_weights_array(table.domain, xs)
+        weights = np.zeros((xs.size, n + 1))
+        weights[np.arange(xs.size), idx] = w_left
+        weights[np.arange(xs.size), np.minimum(idx + 1, n)] += 1.0 - w_left
+        mixture = weights @ density_by_rows(table.q, n, m, table.shape.r, ks)
+        report = verify_composite_privacy(table, 1.0, inputs=xs)
+        expected = ratio_report_by_columns(mixture, ks, 1.0, 1e-6, labels=xs.tolist())
+        assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
 
 
 class TestSampleNoise:
