@@ -21,6 +21,17 @@ end indices pin the two asymptotic tail regimes.
 solve_noise_table first solves a restricted program over the outputs near
 the domain as a staircase, each kept mass t_k + s with 0 <= s <=
 expm1(eps) t_k, and proves its optimum optimal for the whole window.
+
+Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
+for the categories, exactly as rng.choice(p=...) would, then one geometric
+array for the right-tail draws and one for the left-tail draws.
+adaptive_perturb_array rounds the clients (round_randomized_array), then
+draws the noise of each edge group with clients in edge order.  The
+category of a uniform u is cdf.searchsorted(u, side="right"), found
+through a guide table over 2^12 equal buckets of [0, 1): the same index
+for every u, without a binary search for most of them.  The arithmetic
+runs in blocks of domain._BLOCK values, because at millions of clients a
+full-length temporary costs more in page faults than its arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +44,13 @@ from scipy import sparse
 
 from . import lp as lplib
 from .baselines import check_eps
-from .domain import QuantizedDomain, QuantizedPmf, round_randomized_array, rounding_weights_array
+from .domain import (
+    QuantizedDomain,
+    QuantizedPmf,
+    _blocks,
+    round_randomized_array,
+    rounding_weights_array,
+)
 from .freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
 
 # invariant tolerances for solved tables
@@ -43,6 +60,11 @@ _NEG_TOL = 1e-9
 # (true basic values are either exactly zero or structurally positive), and
 # ratios of dust would poison the exact privacy enumeration
 _DUST = 1e-10
+# Buckets of the guide table that sample_noise uses in place of a binary
+# search over the row's cdf.  A power of two, so u * K is exact; 2^12
+# entries fit in L1 cache, and at most 2M of them (one per cdf point) fall
+# back to the search: under 2% of draws at M = 32.
+_GUIDE_BUCKETS = 1 << 12
 
 
 def tail_first_moment(m: int, r: float) -> float:
@@ -513,6 +535,61 @@ def verify_composite_privacy(
     return _ratio_report(mixture, ks, eps, tol, labels=[float(v) for v in xs])
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Index searchsorted(cdf, u, "right") for every u in each of the
+    _GUIDE_BUCKETS buckets [b/K, (b+1)/K), or -1 where a cdf point lies
+    strictly inside the bucket and the index depends on u."""
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    hi = cdf.searchsorted(edges[1:], side="left")
+    return np.where(lo == hi, lo, -1)
+
+
+def _cdf_index(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right") for uniforms u in [0, 1), exactly:
+    u * K is exact for K a power of two, so its floor is u's bucket."""
+    cats = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    inside = cats < 0
+    if inside.any():
+        cats[inside] = cdf.searchsorted(u[inside], side="right")
+    return cats
+
+
+def _draw_offsets(table: NoiseTable, i: int, rng: np.random.Generator, out: np.ndarray):
+    """Fill the int64 array out with noise offsets drawn from row i.
+
+    The uniforms are drawn into out's own memory, as rng.choice(p=...)
+    draws them, and each block's categories are written over its uniforms.
+    """
+    m, r = table.shape.m, table.shape.r
+    row = table.q[i]
+    probs = row.copy()
+    probs[0] = row[0] / (1.0 - r)
+    probs[-1] = row[-1] / (1.0 - r)
+    probs /= probs.sum()  # row invariants hold to 1e-7; renormalize exactly
+    if not (probs >= 0).all():
+        raise ValueError("probabilities are not non-negative")
+    # the cdf exactly as rng.choice(p=probs) builds it
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    guide = _guide_table(cdf)
+    u = out.view(np.float64)
+    rng.random(out=u)
+    # a tail of zero mass is never drawn: its cdf step is empty
+    n_right = n_left = 0
+    for block in _blocks(out.size):
+        cats = _cdf_index(cdf, guide, u[block])
+        if probs[-1] > 0:
+            n_right += np.count_nonzero(cats == 2 * m)
+        if probs[0] > 0:
+            n_left += np.count_nonzero(cats == 0)
+        np.subtract(cats, m, out=out[block])
+    if n_right:
+        out[out == m] = m + rng.geometric(1.0 - r, size=n_right) - 1
+    if n_left:
+        out[out == -m] = -m - (rng.geometric(1.0 - r, size=n_left) - 1)
+
+
 def sample_noise(table: NoiseTable, i: int, rng: np.random.Generator, size=None):
     """Draw noise offsets j from row i of the table.
 
@@ -521,21 +598,8 @@ def sample_noise(table: NoiseTable, i: int, rng: np.random.Generator, size=None)
     """
     if not 0 <= i <= table.domain.n_bins:
         raise ValueError("edge index out of range")
-    m, r = table.shape.m, table.shape.r
-    row = table.q[i]
-    probs = row.copy()
-    probs[0] = row[0] / (1.0 - r)
-    probs[-1] = row[-1] / (1.0 - r)
-    probs /= probs.sum()  # row invariants hold to 1e-7; renormalize exactly
-    n_draws = 1 if size is None else int(size)
-    cats = rng.choice(probs.size, size=n_draws, p=probs)
-    j = cats - m
-    right = cats == 2 * m
-    left = cats == 0
-    if right.any():
-        j[right] = m + rng.geometric(1.0 - r, size=int(right.sum())) - 1
-    if left.any():
-        j[left] = -m - (rng.geometric(1.0 - r, size=int(left.sum())) - 1)
+    j = np.empty(1 if size is None else int(size), dtype=np.int64)
+    _draw_offsets(table, i, rng, j)
     return int(j[0]) if size is None else j
 
 
@@ -553,14 +617,28 @@ def adaptive_perturb_array(
     noise drawn per rounded-edge group in fixed edge order (deterministic
     for a given stream)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    idx = round_randomized_array(domain, xs, rng)
-    offsets = np.zeros(xs.size, dtype=np.int64)
-    for i in range(domain.n_bins + 1):
-        mask = idx == i
-        count = int(mask.sum())
-        if count:
-            offsets[mask] = sample_noise(table, i, rng, size=count)
-    return domain.edges[idx] + domain.sigma * offsets
+    idx = round_randomized_array(domain, xs, rng).ravel()
+    # the group members in data order: a stable sort by edge, on the
+    # narrowest integer type so that numpy sorts by radix
+    edge = idx.astype(np.min_scalar_type(domain.n_bins))
+    order = np.argsort(edge, kind="stable")
+    reports = np.empty(idx.size)
+    start = 0
+    for i, count in enumerate(np.bincount(idx, minlength=domain.n_bins + 1)):
+        if not count:
+            continue
+        group = reports[start : start + count]
+        offsets = group.view(np.int64)
+        _draw_offsets(table, i, rng, offsets)
+        for block in _blocks(count):
+            # float reports over their int offsets: numpy copies an input
+            # that overlaps the output where needed, so no offset is lost
+            np.multiply(domain.sigma, offsets[block], out=group[block])
+            group[block] += domain.edges[i]
+        start += count
+    out = idx.view(np.float64)  # the rounding's buffer, no longer needed
+    out[order] = reports
+    return out.reshape(xs.shape)
 
 
 def run_protocol(

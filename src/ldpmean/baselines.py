@@ -3,6 +3,26 @@
 These serve both as competitors in experiments and as analytic oracles in
 tests.  All samplers take an explicit numpy Generator and accept scalars or
 arrays of inputs (scalar in, scalar out).
+
+Stream contract.  For n input values each sampler draws these full-length
+uniform arrays, in this order, before any other use of the generator:
+
+- laplace_perturb: rng.random(n);
+- duchi_perturb: rng.random(n);
+- piecewise_perturb: rng.random(n) (in or off the window), rng.random(n)
+  (position in the window), rng.random(n) (position off it);
+- hybrid_perturb: rng.random(n) (branch), then the piecewise draws, then
+  the two-point draw, so both branches are drawn for every value;
+- generalized_rr: rng.random(n) (keep or not), then
+  rng.integers(0, n_categories - 1, size=n).
+
+A fixed generator therefore gives the same reports and leaves the same
+stream position whatever else changes, which keeps CLI output stable.  The
+arithmetic runs in cache-sized blocks over the drawn arrays (see
+domain._BLOCK), with the reports written into a drawn buffer: a full-length
+temporary costs more in first-touch page faults than its arithmetic, and a
+per-element branch (np.where) more than a bit mask.  The range check of the
+input runs in the same pass, so a rejected input has consumed the draws.
 """
 
 from __future__ import annotations
@@ -10,6 +30,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .domain import _blocks, _check_block
 
 # Threshold above which the hybrid mechanism mixes in the piecewise branch.
 # Exact closed form of the cutoff from the hybrid construction; ~0.610986.
@@ -30,26 +52,64 @@ def check_eps(eps: float, allow_inf: bool = False) -> float:
     return eps
 
 
-def _check_range(x, beta: float) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > beta):
-        raise ValueError(f"input outside [-{beta}, {beta}]")
-    return xs
+def _shaped(out: np.ndarray, x):
+    """Scalar in, scalar out; otherwise out in the shape of x."""
+    return out[0].item() if np.isscalar(x) else out.reshape(np.shape(x))
+
+
+def _draw_below(rng: np.random.Generator, buf: np.ndarray, threshold: float) -> np.ndarray:
+    """rng.random(out=buf) < threshold, compared block by block; buf is
+    free for the next draw afterwards."""
+    rng.random(out=buf)
+    below = np.empty(buf.size, dtype=bool)
+    for block in _blocks(buf.size):
+        np.less(buf[block], threshold, out=below[block])
+    return below
+
+
+def _select(take: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """b[:] = np.where(take, a, b) for float64 or int64 blocks of one dtype,
+    by masking the bits."""
+    mask = take.view(np.int8).astype(np.int64)
+    np.negative(mask, out=mask)  # all ones where take
+    diff = np.bitwise_xor(a.view(np.int64), b.view(np.int64))
+    diff &= mask
+    b.view(np.int64)[...] ^= diff
+
+
+# smallest log1p argument of the Laplace inverse cdf: the uniform draw 0.0
+# would give log1p(-1) = -inf, and every other draw stays above this
+_LOG1P_FLOOR = -(1.0 - 2.0**-53)
 
 
 def laplace_perturb(x, beta: float, eps: float, rng: np.random.Generator):
     """x plus Laplace(0, 2*beta/eps) noise.
 
     Sampled by inverse CDF from a single uniform draw per value, so the
-    consumption of the random stream is fixed and reproducible.
+    consumption of the random stream is fixed and reproducible.  The draw
+    0.0 maps to the most negative finite noise, not -inf.
     """
     check_eps(eps)
-    xs = _check_range(x, beta)
+    xs = np.asarray(x, dtype=float).ravel()
     b = 2.0 * beta / eps
-    u = rng.random(np.shape(xs)) - 0.5
-    noise = -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    out = xs + noise
-    return float(out) if np.isscalar(x) else out
+    out = rng.random(xs.size)
+    for block in _blocks(xs.size):
+        xb = xs[block]
+        _check_block(xb, -beta, beta)
+        u = out[block]
+        u -= 0.5
+        arg = np.abs(u)
+        arg *= -2.0
+        np.maximum(arg, _LOG1P_FLOOR, out=arg)
+        np.log1p(arg, out=arg)
+        noise = np.sign(u, out=u)
+        noise *= -b
+        noise *= arg
+        noise += xb
+    if np.isscalar(x):
+        return out[0].item()
+    # [()] turns a 0-d result into a numpy scalar, as x + noise does
+    return out.reshape(np.shape(x))[()]
 
 
 def laplace_variance(beta: float, eps: float) -> float:
@@ -58,18 +118,32 @@ def laplace_variance(beta: float, eps: float) -> float:
     return 8.0 * beta * beta / (eps * eps)
 
 
+def _duchi_block(xb, beta: float, e: float, u) -> None:
+    """Two-point reports of one block, written over its uniforms u."""
+    support = beta * (e + 1.0) / (e - 1.0)
+    p_pos = (e - 1.0) / (2.0 * e + 2.0) * xb
+    p_pos /= beta
+    p_pos += 0.5
+    # u < p_pos exactly when u - p_pos < 0 (finite values: the difference
+    # of two distinct doubles is never zero), and equal values give +0
+    np.subtract(u, p_pos, out=p_pos)
+    np.copysign(support, p_pos, out=u)
+    np.negative(u, out=u)
+
+
 def duchi_perturb(x, beta: float, eps: float, rng: np.random.Generator):
     """Two-point mechanism: returns +/- beta*(e^eps+1)/(e^eps-1).
 
     Pr[positive] = (e^eps - 1) / (2 e^eps + 2) * x / beta + 1/2.
     """
     check_eps(eps)
-    xs = _check_range(x, beta)
+    xs = np.asarray(x, dtype=float).ravel()
     e = math.exp(eps)
-    support = beta * (e + 1.0) / (e - 1.0)
-    p_pos = (e - 1.0) / (2.0 * e + 2.0) * xs / beta + 0.5
-    out = np.where(rng.random(np.shape(xs)) < p_pos, support, -support)
-    return float(out) if np.isscalar(x) else out
+    out = rng.random(xs.size)
+    for block in _blocks(xs.size):
+        _check_block(xs[block], -beta, beta)
+        _duchi_block(xs[block], beta, e, out[block])
+    return _shaped(out, x)
 
 
 def duchi_conditional_variance(x, beta: float, eps: float):
@@ -109,6 +183,33 @@ def piecewise_density(y, x: float, eps: float):
     return float(dens) if np.isscalar(y) else dens
 
 
+def _piecewise_block(xb, c: float, in_window, u, v) -> None:
+    """Piecewise reports of one block, written over its uniforms v.
+
+    in_window holds the first draw's verdict, u and v the second and third
+    draws.  Each value comes from the floating-point operations of
+    piecewise_window and the segment choice, in their order, so its bits do
+    not depend on the block."""
+    left = (c + 1.0) / 2.0 * xb
+    left -= (c - 1.0) / 2.0
+    len_lo = left + c  # length of [-C, l]
+    right = len_lo - 1.0  # piecewise_window's left + c - 1.0
+    total = np.subtract(c, right)  # length of [r, C], then of both sides
+    total += len_lo
+    # off the window: pick a side proportionally to its length, then uniform
+    v *= total
+    low_side = v < len_lo
+    y = v - len_lo
+    y += right
+    _select(low_side, np.subtract(v, c, out=total), y)
+    # within the window: uniform on [l, r]
+    y_in = np.subtract(right, left, out=right)
+    y_in *= u
+    y_in += left
+    _select(in_window, y_in, y)
+    v[...] = y
+
+
 def piecewise_perturb(x, eps: float, rng: np.random.Generator):
     """Piecewise mechanism on [-1, 1]; output lies in [-C, C].
 
@@ -117,23 +218,17 @@ def piecewise_perturb(x, eps: float, rng: np.random.Generator):
     [-C, l(x)] u [r(x), C], drawn by a length-proportional segment choice.
     For general beta the caller scales x in and the result out.
     """
-    xs = _check_range(x, 1.0)
+    xs = np.asarray(x, dtype=float).ravel()
     c, _ = piecewise_params(eps)
     h = math.exp(eps / 2.0)
-    left, right = piecewise_window(xs, eps)
-    shape = np.shape(xs)
-
-    in_window = rng.random(shape) < h / (h + 1.0)
-    u = rng.random(shape)
-    # within the window: uniform on [l, r]
-    y_in = left + u * (right - left)
-    # off the window: pick a side proportionally to its length, then uniform
-    len_lo = left + c  # length of [-C, l]
-    len_hi = c - right
-    v = rng.random(shape) * (len_lo + len_hi)
-    y_out = np.where(v < len_lo, -c + v, right + (v - len_lo))
-    out = np.where(in_window, y_in, y_out)
-    return float(out) if np.isscalar(x) else out
+    u = np.empty(xs.size)
+    in_window = _draw_below(rng, u, h / (h + 1.0))
+    rng.random(out=u)
+    out = rng.random(xs.size)
+    for block in _blocks(xs.size):
+        _check_block(xs[block], -1.0, 1.0)
+        _piecewise_block(xs[block], c, in_window[block], u[block], out[block])
+    return _shaped(out, x)
 
 
 def piecewise_conditional_variance(x, eps: float):
@@ -151,15 +246,38 @@ def hybrid_alpha(eps: float) -> float:
 
 
 def hybrid_perturb(x, beta: float, eps: float, rng: np.random.Generator):
-    """Mixture of the piecewise and two-point mechanisms at weight alpha."""
-    xs = _check_range(x, beta)
+    """Mixture of the piecewise and two-point mechanisms at weight alpha.
+
+    Both branches are drawn for every value, so the stream consumption is
+    fixed whatever alpha is.
+    """
+    xs = np.asarray(x, dtype=float).ravel()
     alpha = hybrid_alpha(eps)
-    use_pm = rng.random(np.shape(xs)) < alpha
-    # draw both branches unconditionally so stream consumption is fixed
-    y_pm = beta * piecewise_perturb(xs / beta, eps, rng)
-    y_du = duchi_perturb(xs, beta, eps, rng)
-    out = np.where(use_pm, y_pm, y_du)
-    return float(out) if np.isscalar(x) else out
+    c, _ = piecewise_params(eps)
+    h, e = math.exp(eps / 2.0), math.exp(eps)
+    buf = np.empty(xs.size)
+    use_pm = _draw_below(rng, buf, alpha)
+    in_window = _draw_below(rng, buf, h / (h + 1.0))
+    rng.random(out=buf)
+    y_pm = rng.random(xs.size)
+    for block in _blocks(xs.size):
+        xb = xs[block]
+        _check_block(xb, -beta, beta)
+        _piecewise_block(xb / beta, c, in_window[block], buf[block], y_pm[block])
+        y_pm[block] *= beta
+    # the two-point draw comes last, into buf, which the first pass has read
+    out = rng.random(out=buf)
+    for block in _blocks(xs.size):
+        _duchi_block(xs[block], beta, e, out[block])
+        _select(use_pm[block], y_pm[block], out[block])
+    return _shaped(out, x)
+
+
+def _check_index(idx: np.ndarray, n_categories: int) -> None:
+    """Every index in [0, n_categories), none NaN."""
+    if idx.size and not (idx.min() >= 0 and idx.max() < n_categories):
+        bad = idx[~((idx >= 0) & (idx < n_categories))][0]
+        raise ValueError(f"index {bad.item()!r} outside [0, {n_categories})")
 
 
 def generalized_rr(index, n_categories: int, eps: float, rng: np.random.Generator):
@@ -175,13 +293,19 @@ def generalized_rr(index, n_categories: int, eps: float, rng: np.random.Generato
     if n_categories < 2:
         raise ValueError("need at least two categories")
     idx = np.asarray(index)
-    if np.any(idx < 0) or np.any(idx >= n_categories):
-        raise ValueError("index out of range")
+    flat = idx.ravel()
     if math.isinf(eps):
+        _check_index(flat, n_categories)
         return int(idx) if np.isscalar(index) else idx.copy()
     e = math.exp(eps)
-    keep = rng.random(np.shape(idx)) < e / (e + n_categories - 1.0)
-    other = rng.integers(0, n_categories - 1, size=np.shape(idx))
-    other += other >= idx  # skip the true index
-    out = np.where(keep, idx, other)
-    return int(out) if np.isscalar(index) else out
+    p_keep = e / (e + n_categories - 1.0)
+    keep = rng.random(flat.size)
+    other = rng.integers(0, n_categories - 1, size=flat.size)
+    dtype = np.result_type(flat, other)  # int64 for integer indices
+    out = other.astype(dtype, copy=False)
+    for block in _blocks(flat.size):
+        ib, ob = flat[block], out[block]
+        _check_index(ib, n_categories)
+        ob += ob >= ib  # skip the true index
+        _select(keep[block] < p_keep, ib.astype(dtype, copy=False), ob)
+    return int(out[0]) if np.isscalar(index) else out.reshape(idx.shape)

@@ -84,14 +84,42 @@ def make_domain(beta: float, n_bins: int) -> QuantizedDomain:
     return QuantizedDomain(beta=float(beta), n_bins=n_bins, sigma=sigma, edges=edges)
 
 
-def _check_in_domain(domain: QuantizedDomain, x) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < -domain.beta) or np.any(xs > domain.beta):
-        bad = xs[(xs < -domain.beta) | (xs > domain.beta)]
-        raise ValueError(
-            f"value {bad.flat[0]!r} outside [-{domain.beta}, {domain.beta}]"
-        )
-    return xs
+# Elements per block of a blocked pass.  2^14 float64 values are 128 KiB, so
+# the few temporaries a sampler keeps live per block stay in a core's L2
+# cache, and a pass makes no full-length temporary beyond its output and
+# its random draws.  At 1.8e6 values, 2^14 and 2^15 ran fastest; 2^11 and
+# 2^17 took about a fifth longer (per-call overhead, cache misses).
+_BLOCK = 1 << 14
+
+
+def _blocks(n: int):
+    """Slices of at most _BLOCK elements covering range(n) in order."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _check_block(xs: np.ndarray, lo: float, hi: float) -> None:
+    """Raise ValueError naming the first value of xs outside [lo, hi].
+
+    min and max propagate NaN, so a non-finite value fails too.
+    """
+    if xs.size and not (xs.min() >= lo and xs.max() <= hi):
+        bad = xs[~((xs >= lo) & (xs <= hi))][0]
+        raise ValueError(f"value {bad.item()!r} outside [{lo}, {hi}]")
+
+
+def _rounding_block(domain: QuantizedDomain, xs: np.ndarray):
+    """Left edge indices and left weights of one block of in-domain values."""
+    _check_block(xs, -domain.beta, domain.beta)
+    t = xs + domain.beta
+    t /= domain.sigma
+    idx = np.floor(t, out=t).astype(np.int64)
+    np.clip(idx, 0, domain.n_bins - 1, out=idx)
+    w_left = xs - domain.edges[idx]
+    w_left /= domain.sigma
+    np.subtract(1.0, w_left, out=w_left)
+    # floating error can leave w a hair outside [0, 1]
+    np.clip(w_left, 0.0, 1.0, out=w_left)
+    return idx, w_left
 
 
 def rounding_weights(domain: QuantizedDomain, x: float) -> tuple[int, float]:
@@ -106,14 +134,15 @@ def rounding_weights(domain: QuantizedDomain, x: float) -> tuple[int, float]:
 
 
 def rounding_weights_array(domain: QuantizedDomain, x) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rounding_weights: arrays of left indices and left weights."""
-    xs = _check_in_domain(domain, x)
-    idx = np.floor((xs + domain.beta) / domain.sigma).astype(np.int64)
-    np.clip(idx, 0, domain.n_bins - 1, out=idx)
-    w_left = 1.0 - (xs - domain.edges[idx]) / domain.sigma
-    # floating error can leave w a hair outside [0, 1]
-    np.clip(w_left, 0.0, 1.0, out=w_left)
-    return idx, w_left
+    """Vectorized rounding_weights: arrays of left indices and left weights,
+    shaped like x.  Raises ValueError on a value outside the domain or NaN."""
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    idx = np.empty(flat.size, dtype=np.int64)
+    w_left = np.empty(flat.size)
+    for block in _blocks(flat.size):
+        idx[block], w_left[block] = _rounding_block(domain, flat[block])
+    return idx.reshape(xs.shape), w_left.reshape(xs.shape)
 
 
 def round_randomized(domain: QuantizedDomain, x: float, rng: np.random.Generator) -> int:
@@ -122,10 +151,16 @@ def round_randomized(domain: QuantizedDomain, x: float, rng: np.random.Generator
 
 
 def round_randomized_array(domain, x, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized round_randomized, at least 1-d.  Draws rng.random(n) for
+    n values; the edge indices are written over the draws' buffer."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    idx, w_left = rounding_weights_array(domain, xs)
-    go_right = rng.random(xs.shape) >= w_left
-    return idx + go_right
+    flat = xs.ravel()
+    u = rng.random(flat.size)
+    out = u.view(np.int64)
+    for block in _blocks(flat.size):
+        idx, w_left = _rounding_block(domain, flat[block])
+        np.add(idx, u[block] >= w_left, out=out[block])
+    return out.reshape(xs.shape)
 
 
 def empirical_quantized_pmf(domain: QuantizedDomain, data) -> QuantizedPmf:

@@ -632,6 +632,13 @@ class TestPerturb:
         with pytest.raises(ValueError):
             adaptive_perturb(table, D2, 1.5, np.random.default_rng(0))
 
+    def test_non_finite_rejected(self):
+        q = np.zeros((3, 9))
+        q[:, 4] = 1.0
+        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        with pytest.raises(ValueError, match="value nan outside"):
+            adaptive_perturb_array(table, D2, [0.0, math.nan], np.random.default_rng(0))
+
 
 class TestProtocol:
     def test_deterministic_under_seed(self):

@@ -1,6 +1,7 @@
 """Classical perturbation mechanisms against their closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,27 @@ class TestLaplace:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             laplace_perturb(1.5, 1.0, 1.0, rng)
+
+    def test_zero_draw_gives_finite_noise(self):
+        # log1p(-2 * |0.0 - 0.5|) = log1p(-1) was -inf; the argument is
+        # clamped at -(1 - 2^-53), so the noise is b * ln(2^-53) = -53 b ln 2
+        xs = np.array([0.0, 0.25, -1.0])
+        out = laplace_perturb(xs, 1.0, 1.0, ZeroUniforms())
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, xs - 2.0 * 53.0 * math.log(2.0), rtol=1e-15)
+        assert laplace_perturb(0.5, 1.0, 4.0, ZeroUniforms()) == pytest.approx(
+            0.5 - 0.5 * 53.0 * math.log(2.0), rel=1e-15
+        )
+
+
+class ZeroUniforms:
+    """Stands in for a Generator whose every uniform draw is exactly 0.0."""
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
 
 
 class TestDuchi:
@@ -251,3 +273,32 @@ class TestUnbiasednessGrid:
             else:
                 draws = hybrid_perturb(xs, 1.0, 1.0, rng)
             assert empirical_mean_ok(draws, x, 1_000_000), f"{name} at x={x}"
+
+
+class TestNonFiniteInput:
+    """NaN and infinities are rejected by name, not perturbed, wherever in
+    the input they sit."""
+
+    SAMPLERS = {
+        "laplace": lambda x, rng: laplace_perturb(x, 1.0, 1.0, rng),
+        "duchi": lambda x, rng: duchi_perturb(x, 1.0, 1.0, rng),
+        "piecewise": lambda x, rng: piecewise_perturb(x, 1.0, rng),
+        "hybrid": lambda x, rng: hybrid_perturb(x, 2.0, 1.0, rng),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_rejected(self, name, bad):
+        sampler = self.SAMPLERS[name]
+        xs = np.zeros(40_000)
+        xs[30_000] = bad  # past the first block
+        for x in (xs, bad, [0.5, bad]):
+            with pytest.raises(ValueError, match=re.escape(f"value {bad!r} outside")):
+                sampler(x, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("eps", [1.0, math.inf])
+    def test_generalized_rr_rejects_nan_index(self, eps):
+        index = np.zeros(40_000)
+        index[30_000] = math.nan
+        with pytest.raises(ValueError, match="index nan outside"):
+            generalized_rr(index, 5, eps, np.random.default_rng(0))

@@ -1,5 +1,9 @@
 """Quantized domain, randomized rounding, and rescaling."""
 
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +78,24 @@ class TestRoundingWeights:
             rounding_weights(d, 1.0001)
         with pytest.raises(ValueError):
             rounding_weights(d, -1.0001)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN used to round to edge 0 with only a cast warning
+        d = make_domain(beta=1.0, n_bins=4)
+        xs = np.zeros(40_000)
+        xs[30_000] = bad  # past the first block
+        message = re.escape(f"value {bad!r} outside [-1.0, 1.0]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: rounding_weights_array(d, xs),
+                lambda: rounding_weights(d, bad),
+                lambda: round_randomized_array(d, xs, np.random.default_rng(0)),
+                lambda: round_randomized(d, bad, np.random.default_rng(0)),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
     @given(
         x=st.floats(-1.0, 1.0),

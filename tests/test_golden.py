@@ -1,0 +1,73 @@
+"""Fixed-seed outputs compared with files committed beside this module.
+
+Criterion 10 checks that two runs of one version agree; these checks pin
+the outputs across versions.  The golden files were written by the plain
+full-array samplers that preceded the blocked ones, so a change to the
+samplers' arithmetic or to their order of draws fails here.  They assume
+numpy's Philox stream and its random, integers and geometric methods;
+regenerate them (``python3 tests/test_golden.py``) only for a change that
+declares new CLI output.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ESTIMATE_ARGS = [
+    "estimate", "--mechanisms", "duchi,piecewise,hybrid,laplace",
+    "--n", "40000", "--runs", "2", "--eps", "0.5,1,4", "--seed", "2024",
+]
+ESTIMATE_CSV = GOLDEN / "estimate_baselines.csv"
+# SHA-256 of adaptive_perturb_sample(): the reports' float64 bytes, then
+# the generator's next uniform
+ADAPTIVE_SHA256 = "3bbfa7ed411496780feb627f7f07b78b735c02a4b776c05784e8939209c07dd8"
+
+
+def estimate_csv() -> bytes:
+    """The estimate command's CSV bytes for ESTIMATE_ARGS."""
+    import contextlib
+    import io
+
+    from ldpmean import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(ESTIMATE_ARGS + ["--out", "-"]) == 0
+    return out.getvalue().encode()
+
+
+def adaptive_perturb_sample() -> bytes:
+    """adaptive_perturb_array on a hand-built table with both tails.
+
+    The masses are small binary fractions, so the table's bits do not
+    depend on an LP solver; 3 * 2^14 + 7 clients cross several blocks.
+    """
+    from ldpmean.adaptive import NoiseShape, NoiseTable, adaptive_perturb_array
+    from ldpmean.domain import make_domain
+
+    domain = make_domain(1.0, 4)
+    i, j = np.meshgrid(np.arange(5), np.arange(13), indexing="ij")
+    q = ((3 * i + 5 * j) % 7 + 1) / 64.0
+    table = NoiseTable(domain=domain, shape=NoiseShape(m=6, r=0.5), q=q, eps=1.0)
+    rng = np.random.Generator(np.random.Philox(2024))
+    xs = rng.random(3 * 2**14 + 7) * 2.0 - 1.0
+    xs[:5] = domain.edges
+    reports = adaptive_perturb_array(table, domain, xs, rng)
+    return reports.tobytes() + np.float64(rng.random()).tobytes()
+
+
+def test_estimate_baselines_csv():
+    assert estimate_csv() == ESTIMATE_CSV.read_bytes()
+
+
+def test_adaptive_perturb_digest():
+    assert hashlib.sha256(adaptive_perturb_sample()).hexdigest() == ADAPTIVE_SHA256
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    ESTIMATE_CSV.write_bytes(estimate_csv())
+    print("adaptive sha256", hashlib.sha256(adaptive_perturb_sample()).hexdigest())
