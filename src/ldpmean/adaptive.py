@@ -18,9 +18,20 @@ tube is feasible exactly when max_i d_i(k) <= e^eps * min_i d_i(k).  Beyond
 k = -M and k = N+M every d_i(k) scales by the same factor r per step, so the
 end indices pin the two asymptotic tail regimes.
 
-solve_noise_table first solves a restricted program over the outputs near
-the domain as a staircase, each kept mass t_k + s with 0 <= s <=
-expm1(eps) t_k, and proves its optimum optimal for the whole window.
+solve_noise_table solves the restricted program R(A) over the outputs k in
+[-A, N+A], assembled directly as a staircase: each kept mass is t_k + s
+with 0 <= s <= expm1(eps) t_k.  Its equality duals y certify it by weak
+duality.  With rho_i(j) = p_i sigma^2 j^2 - y_norm,i - y_mean,i j, any
+integer-offset eps-LDP table q whose rows have finite variance costs
+b.y + sum_k sum_i rho_i(k - i) q_ik (finite variance makes the sums
+converge absolutely, so they can be regrouped by output k).  Each q_ik
+lies in [t_k, e^eps t_k], t_k = min_i q_ik, so output k adds at least
+t_k s(k), s(k) = sum_i min(rho_i, e^eps rho_i).  On the kept outputs
+s(k) >= 0 is R(A)'s own dual feasibility; s(k) >= -tol at every other
+integer k, found exactly in closed form, therefore proves R(A)'s optimum
+optimal to tol, since sum_k t_k <= 1.  That covers
+the window-plus-tails program below, which is solved whole only when no
+R(A) with N + A < M - 1 is certified, or at eps = inf.
 
 Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
 for the categories, exactly as rng.choice(p=...) would, then one geometric
@@ -37,7 +48,7 @@ full-length temporary costs more in page faults than its arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -157,6 +168,19 @@ def noise_mass(table: NoiseTable, i: int, j: int) -> float:
     return float(table.q[i, 0] * r ** (-m - j))
 
 
+def _check_design(
+    pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
+) -> float:
+    """The validated eps of a noise-design program."""
+    eps = check_eps(eps, allow_inf=True)
+    n = domain.n_bins
+    if len(pmf) != n + 1:
+        raise ValueError("pmf size does not match domain")
+    if shape.m < n:
+        raise ValueError(f"noise window m = {shape.m} must be >= n_bins = {n}")
+    return eps
+
+
 def build_lp(
     pmf: QuantizedPmf,
     eps: float,
@@ -171,13 +195,9 @@ def build_lp(
     d_i(k) / e^eps <= t_k, where d_i(k) is the q variable of offset
     clip(k - i, -M, M) times the tail factor r^max(|k - i| - M, 0).
     """
-    eps = check_eps(eps, allow_inf=True)
+    eps = _check_design(pmf, eps, shape, domain)
     n = domain.n_bins
     m = shape.m
-    if len(pmf) != n + 1:
-        raise ValueError("pmf size does not match domain")
-    if m < n:
-        raise ValueError(f"noise window m = {m} must be >= n_bins = {n}")
     r = shape.r
     sigma = domain.sigma
     width = 2 * m + 1
@@ -253,125 +273,159 @@ def _first_half_width(n: int, eps: float) -> int:
     return math.ceil(1.5 * a_min + 2.0)
 
 
-def _restrict(program: lplib.LinearProgram, n: int, m: int, a: int, eps: float):
+def _restrict(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.LinearProgram:
     """R(A): the noise-design program over the outputs k in [-A, N+A] only,
-    over z = (s, t): each kept window mass is q[i, k - i] = s + t_k, s >= 0.
+    over z = (s, t): each kept mass is q[i, k - i] = t_k + s, s >= 0.
 
     The lower tube row t_k <= q is then the bound s >= 0, and the upper row
     q <= e^eps t_k is s / expm1(eps) - t_k <= 0 (divided like build_lp's,
-    so it stays O(1) at large eps): one row per kept cell.  The objective
-    and equality rows are the whole program's composed with x = T z; every
-    other variable is fixed at 0.  Needs N + A < M, so that no kept output
-    reaches a tail.  Returns the program and T.
+    so it stays O(1) at large eps): one row per kept cell.  Per input i the
+    equality rows are normalization (row 2i) and zero mean (row 2i + 1), as
+    in build_lp; every other mass is 0.  The s are input-major, then the t.
     """
+    n = len(pmf) - 1
     ks = np.arange(-a, n + a + 1)
-    # column of q[i, k - i], input-major as in the whole program
-    cells = (2 * m * np.arange(n + 1)[:, None] + ks + m).ravel()
-    n_z = cells.size + ks.size
-    s_col = np.arange(cells.size)
-    t_col = cells.size + np.tile(np.arange(ks.size), n + 1)  # t_k of each cell
-    # x = T z: each kept q is s + t_k, each kept t_k is itself
-    rows = np.concatenate([cells, cells, (n + 1) * (2 * m + 1) + ks + m])
-    cols = np.concatenate([s_col, t_col, cells.size + np.arange(ks.size)])
-    embed = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(program.num_vars, n_z))
-    upper_vals = [np.full(cells.size, 1.0 / math.expm1(eps)), -np.ones(cells.size)]
-    upper = _csr(np.stack([s_col, t_col], -1), np.stack(upper_vals, -1), (cells.size, n_z))
-    sub = lplib.LinearProgram(
-        embed.T @ program.objective, A_ub=upper, b_ub=np.zeros(cells.size),
-        A_eq=program.A_eq @ embed, b_eq=program.b_eq,
+    j = ks[None, :] - np.arange(n + 1)[:, None]  # offset of each cell
+    cells = j.size
+    cost = pmf.masses[:, None] * (sigma * j) ** 2
+    objective = np.concatenate([cost.ravel(), cost.sum(axis=0)])
+    n_z = cells + ks.size
+    s_col = np.arange(cells).reshape(n + 1, ks.size)
+    t_col = np.broadcast_to(cells + np.arange(ks.size), s_col.shape)
+    # rows 2i and 2i + 1 over the s and t_k of input i's cells
+    eq_cols = np.concatenate([s_col, t_col], axis=1)[:, None, :].repeat(2, axis=1)
+    eq_vals = np.stack([np.ones(eq_cols.shape[::2]), np.tile(j, 2)], axis=1)
+    a_eq = _csr(eq_cols, eq_vals, (2 * (n + 1), n_z))
+    upper_vals = [np.full(cells, 1.0 / math.expm1(eps)), -np.ones(cells)]
+    upper = _csr(
+        np.stack([s_col.ravel(), t_col.ravel()], -1), np.stack(upper_vals, -1), (cells, n_z)
     )
-    return sub, embed
+    return lplib.LinearProgram(
+        objective, A_ub=upper, b_ub=np.zeros(cells),
+        A_eq=a_eq, b_eq=np.tile([1.0, 0.0], n + 1),
+    )
+
+
+def _scatter(z: np.ndarray, n: int, m: int, a: int) -> np.ndarray:
+    """The window masses q of R(A)'s point z: q[i, k - i] = t_k + s on the
+    kept outputs, 0 elsewhere.  Needs N + A < M, so that no kept output
+    reaches a tail."""
+    ks = np.arange(-a, n + a + 1)
+    cells = (n + 1) * ks.size
+    q = np.zeros((n + 1, 2 * m + 1))
+    rows = np.arange(n + 1)[:, None]
+    q[rows, ks - rows + m] = z[:cells].reshape(n + 1, ks.size) + z[cells:]
+    return q
+
+
+def _slack(masses: np.ndarray, sigma: float, y: np.ndarray, ks, eps: float) -> np.ndarray:
+    """s(k) = sum_i min(rho_i, e^eps rho_i) at the outputs ks, with
+    rho_i = p_i sigma^2 (k - i)^2 - y[2i] - y[2i + 1] (k - i)."""
+    j = np.asarray(ks, dtype=float)[:, None] - np.arange(masses.size)
+    rho = masses * (sigma * j) ** 2 - y[0::2] - y[1::2] * j
+    return np.minimum(rho, math.exp(eps) * rho).sum(axis=1)
+
+
+def _slack_minimum(
+    masses: np.ndarray, sigma: float, y: np.ndarray, a: int, eps: float
+) -> tuple[float, float]:
+    """(k, s(k)) at the minimum of s over every integer k outside
+    [-A, N+A], found exactly at O(N^2) cost whatever eps is.
+
+    Each rho_i is a quadratic in k (linear where p_i = 0), so s is a convex
+    quadratic between consecutive real roots of the rho_i.  On each such
+    piece, cut at -A - 1/2 and N + A + 1/2, the integer minimum sits at the
+    floor or the ceiling of the vertex, clamped to the piece; the integers
+    on each side of every cut are candidates too, which covers round-off in
+    the roots.  s is evaluated exactly at the candidates.  A piece whose
+    curvature is not positive is checked at its ends only, and an unbounded
+    one gives s = -inf.
+    """
+    n = masses.size - 1
+    inputs = np.arange(n + 1)
+    curv = masses * sigma * sigma  # rho_i = curv (k - i)^2 + lin (k - i) + const
+    lin, const = -y[1::2], -y[0::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # roots of each rho_i in the stable form, h / curv and const / h;
+        # const / h is the root of a linear rho_i
+        h = -0.5 * (lin + np.copysign(np.sqrt(lin * lin - 4.0 * curv * const), lin))
+        roots = np.concatenate([h / curv, const / h]) + np.tile(inputs, 2)
+    cuts = np.unique(np.concatenate([roots[np.isfinite(roots)], [-a - 0.5, n + a + 0.5]]))
+    lo = np.concatenate([[-np.inf], cuts])
+    hi = np.concatenate([cuts, [np.inf]])
+    outside = (hi <= -a - 0.5) | (lo >= n + a + 0.5)
+    lo, hi = lo[outside], hi[outside]  # the first and last are unbounded
+    # one point inside each piece fixes which branch of each min it takes
+    inner = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, (lo + hi) / 2))
+    j = inner[:, None] - inputs
+    weight = np.where(curv * j * j + lin * j + const < 0.0, math.exp(eps), 1.0)
+    c2 = weight @ curv
+    if c2[0] <= 0.0 or c2[-1] <= 0.0:
+        return math.nan, -math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = (weight @ (2.0 * curv * inputs - lin)) / (2.0 * c2)
+    near = np.clip(np.stack([np.floor(vertex), np.ceil(vertex)]), np.ceil(lo), np.floor(hi))
+    ends = [np.floor(cuts) - 1.0, np.floor(cuts), np.ceil(cuts), np.ceil(cuts) + 1.0]
+    ks = np.concatenate([near.ravel(), *ends])
+    ks = np.unique(ks[np.isfinite(ks) & ((ks < -a) | (ks > n + a))])
+    slack = _slack(masses, sigma, y, ks, eps)
+    best = int(slack.argmin())
+    return float(ks[best]), float(slack[best])
 
 
 def _certified(
-    program: lplib.LinearProgram,
-    sol: lplib.LpSolution,
-    n: int,
-    m: int,
-    a: int,
-    eps: float,
+    masses: np.ndarray, sigma: float, y: np.ndarray, objective: float, a: int, eps: float
 ) -> bool:
-    """Whether the optimum of R(A) is optimal for the whole program.
+    """Whether R(A)'s optimum, of value objective and with equality duals
+    y, is optimal among all integer-offset eps-LDP noise tables whose rows
+    have finite variance, and so for the window-plus-tails program.
 
-    The optimum of R(A), mapped by T, is feasible for the whole program, so
-    its objective bounds the optimum from above.  It is optimal once the
-    dual optimum of R(A) extends to a dual-feasible point of the whole
-    program with the same objective b.y (the tube rows have zero right-hand
-    sides, so only the equality duals y enter it).
+    Weak duality.  Let q be any such table, and rho_i(j) = p_i sigma^2 j^2
+    - y[2i] - y[2i + 1] j.  Each row has total mass 1 and mean 0, so
+    objective(q) = sum_i y[2i] + sum_k sum_i rho_i(k - i) q[i, k - i],
+    where finite variance makes every row's sums converge absolutely and
+    so lets them be regrouped by output k.  eps-LDP puts each q[i, k - i]
+    in [t_k, e^eps t_k] with t_k = min_i q[i, k - i], so
+    sum_i rho_i(k - i) q[i, k - i] >= t_k s(k), s(k) = sum_i min(rho_i,
+    e^eps rho_i).  Hence objective(q) >= b.y + sum_k t_k min(s(k), 0).
 
-    R(A) is solved over (t, s), not over the kept (q, t), but its equality
-    duals are the same: T maps the cone {0 <= s <= expm1(eps) t} one to one
-    onto the kept tube cone K = {t <= q <= e^eps t, q, t >= 0}, so
-    T^T (c - A_eq^T y) lies in the dual cone of the first exactly when
-    c - A_eq^T y lies in K's.  Both forms have the same Lagrangian dual over
-    the equality rows, and a y optimal for one is optimal for the other.
-
-    With w >= 0 the multipliers of the tube rows, a column is dual feasible
-    when its reduced cost c - A_eq^T y + A_ub^T w is >= 0.  Kept columns
-    meet no omitted row, so R(A)'s duals already price them.  The omitted
-    rows are the two tube rows of each omitted (k, i), with multipliers
-    (l, u); let rho(i, j) = c(i, j) - y_norm_i norm(j) - y_mean_i mean(j).
-
-    - An interior cell (|k - i| < M) is the only q column in its rows and
-      needs l - u e^-eps <= rho(i, k - i).  The largest l - u this allows is
-      min(rho, e^eps rho).
-    - t_k needs sum_i (l - u) >= 0 over the cells of output k.
-
-    (a) An output whose cells are all interior therefore extends exactly
-    when s_k = sum_i min(rho, e^eps rho) >= 0.  (b) A tail column q[i, +-M]
-    meets the rows of every output beyond its edge with coefficient
-    r^(|k - i| - M), so the tail cells are coupled; their (l, u) >= 0 must
-    satisfy sum_tail (l - u) >= -s_k per output (s_k over its interior
-    cells) and sum_k r^(|k-i|-M) (l - u e^-eps) <= rho(i, +-M) per tail
-    column, a small feasibility LP.  Both hold to tol = 1e-9 max(1, |obj|).
+    On the kept outputs s(k) >= 0 is R(A)'s own dual feasibility, which
+    HiGHS meets to its dual tolerance: the map q = t_k + s takes the cone
+    {0 <= s <= expm1(eps) t} one to one onto the kept tube cone {t <= q <=
+    e^eps t}, so R(A) has the same equality duals over (t, s) as over
+    (q, t).  On every other integer output s(k) >= -tol is checked here
+    (_slack_minimum), tol = 1e-9 max(1, |objective|).  Since sum_k t_k <=
+    sum_k q[0, k] = 1, the tolerance lowers the bound by at most tol: no
+    such table costs less than b.y - tol, and b.y is R(A)'s optimum up to
+    HiGHS's duality gap.
     """
-    width = 2 * m + 1
-    nq = (n + 1) * width
-    tol = 1e-9 * max(1.0, abs(sol.objective_value))
-    rho = (program.objective - program.A_eq.T @ sol.eq_duals)[:nq].reshape(n + 1, width)
-    ks = np.concatenate([np.arange(-m, -a), np.arange(n + a + 1, n + m + 1)])
-    inputs = np.arange(n + 1)
-    j = ks[:, None] - inputs[None, :]
-    interior = np.abs(j) < m
-    cell = rho[inputs[None, :], np.clip(j, -m, m) + m]
-    s = np.where(interior, np.minimum(cell, math.exp(eps) * cell), 0.0).sum(axis=1)
-    tail = ~interior.all(axis=1)
-    if np.any(s[~tail] < -tol):
-        return False
-    # (b) over the tube rows of the tail cells, against the tail columns
-    # and the t_k of the outputs they sit in
-    k_cell, i_cell = np.nonzero(~interior)
-    first = 2 * ((ks[k_cell] + m) * (n + 1) + i_cell)
-    rows = np.stack([first, first + 1], axis=1).ravel()
-    cols = np.concatenate([inputs * width, inputs * width + 2 * m, nq + ks[tail] + m])
-    rhs = np.concatenate([rho[:, 0], rho[:, -1], s[tail]]) + tol
-    if np.all(rhs >= 0.0):
-        return True  # l = u = 0
-    coupling = program.A_ub[rows][:, cols]
-    check = lplib.LinearProgram(np.zeros(rows.size), A_ub=-coupling.T, b_ub=rhs)
-    return lplib.solve(check).status == "optimal"
+    tol = 1e-9 * max(1.0, abs(objective))
+    return _slack_minimum(masses, sigma, y, a, eps)[1] >= -tol
 
 
 def _solve_restricted_first(
-    program: lplib.LinearProgram, n: int, m: int, eps: float
-) -> lplib.LpSolution:
-    """Solve the noise-design program through restricted programs R(A).
+    pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
+) -> tuple[lplib.LpSolution, np.ndarray | None]:
+    """Solve the noise-design program through restricted programs R(A);
+    return the solution and its window masses q.
 
     Grows A by half whenever R(A) is infeasible or its optimum is not
-    certified optimal for the whole program; once N + A reaches M - 1 (or
-    at eps = inf, where there is no tube) it solves the whole program.
-    A certified solution is returned mapped to the whole program by T.
+    certified (see _certified); once N + A reaches M - 1 (or at eps = inf,
+    where there is no tube) it solves the whole program of build_lp.
     """
+    n, m = domain.n_bins, shape.m
     a = _first_half_width(n, eps) if math.isfinite(eps) else m
     while n + a < m - 1:
-        sub, embed = _restrict(program, n, m, a, eps)
-        sol = lplib.solve(sub)
-        if sol.status == "optimal" and _certified(program, sol, n, m, a, eps):
-            return replace(sol, x=embed @ sol.x)
+        sol = lplib.solve(_restrict(pmf, domain.sigma, a, eps))
+        if sol.status == "optimal" and _certified(
+            pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, a, eps
+        ):
+            return sol, _scatter(sol.x, n, m, a)
         if sol.status not in ("optimal", "infeasible"):
-            return sol
+            return sol, None
         a = math.ceil(1.5 * a)
-    return lplib.solve(program)
+    sol = lplib.solve(build_lp(pmf, eps, shape, domain))
+    return sol, sol.x[: (n + 1) * (2 * m + 1)].reshape(n + 1, 2 * m + 1).copy()
 
 
 def solve_noise_table(
@@ -383,15 +437,12 @@ def solve_noise_table(
     """Solve the noise-design LP and package the optimum as a NoiseTable.
 
     The program is solved over the outputs near the domain first and grown
-    until a dual certificate proves the result optimal for the whole
-    window (see _certified).  The solved table is checked against its
-    three invariants (row normalization, row zero mean, exact privacy);
-    any violation raises.
+    until a dual certificate proves the result optimal (see _certified).
+    The solved table is checked against its three invariants (row
+    normalization, row zero mean, exact privacy); any violation raises.
     """
-    eps = check_eps(eps, allow_inf=True)
-    sol = _solve_restricted_first(
-        build_lp(pmf, eps, shape, domain), domain.n_bins, shape.m, eps
-    )
+    eps = _check_design(pmf, eps, shape, domain)
+    sol, q = _solve_restricted_first(pmf, eps, shape, domain)
     if sol.status != "optimal":
         raise RuntimeError(
             f"noise-table LP did not solve: status={sol.status} "
@@ -399,7 +450,6 @@ def solve_noise_table(
             f"(n_bins={domain.n_bins}, m={shape.m}, eps={eps}): {sol.message}"
         )
     n, m = domain.n_bins, shape.m
-    q = sol.x[: (n + 1) * (2 * m + 1)].reshape(n + 1, 2 * m + 1).copy()
     small_negative = (q < 0.0) & (q >= -_NEG_TOL)
     q[small_negative] = 0.0
     if np.any(q < 0.0):

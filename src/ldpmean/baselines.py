@@ -52,6 +52,15 @@ def check_eps(eps: float, allow_inf: bool = False) -> float:
     return eps
 
 
+def _exp_above_one(eps: float, value: float) -> float:
+    """value = exp(eps) or exp(eps / 2), which the two-point and piecewise
+    mechanisms divide by less one: at an eps where it rounds to 1.0 they
+    are undefined."""
+    if value == 1.0:
+        raise ValueError(f"eps = {eps!r} is too small: exp(eps) or exp(eps/2) rounds to 1")
+    return value
+
+
 def _shaped(out: np.ndarray, x):
     """Scalar in, scalar out; otherwise out in the shape of x."""
     return out[0].item() if np.isscalar(x) else out.reshape(np.shape(x))
@@ -138,7 +147,7 @@ def duchi_perturb(x, beta: float, eps: float, rng: np.random.Generator):
     """
     check_eps(eps)
     xs = np.asarray(x, dtype=float).ravel()
-    e = math.exp(eps)
+    e = _exp_above_one(eps, math.exp(eps))
     out = rng.random(xs.size)
     for block in _blocks(xs.size):
         _check_block(xs[block], -beta, beta)
@@ -149,14 +158,14 @@ def duchi_perturb(x, beta: float, eps: float, rng: np.random.Generator):
 def duchi_conditional_variance(x, beta: float, eps: float):
     """Var[Y | X=x] = beta^2 ((e^eps+1)/(e^eps-1))^2 - x^2."""
     check_eps(eps)
-    e = math.exp(eps)
+    e = _exp_above_one(eps, math.exp(eps))
     return beta * beta * ((e + 1.0) / (e - 1.0)) ** 2 - np.asarray(x, dtype=float) ** 2
 
 
 def piecewise_params(eps: float) -> tuple[float, float]:
     """(C, p): output half-range and in-window density height."""
     check_eps(eps)
-    h = math.exp(eps / 2.0)
+    h = _exp_above_one(eps, math.exp(eps / 2.0))
     c = (h + 1.0) / (h - 1.0)
     p = (math.exp(eps) - h) / (2.0 * h + 2.0)
     return c, p
@@ -234,7 +243,7 @@ def piecewise_perturb(x, eps: float, rng: np.random.Generator):
 def piecewise_conditional_variance(x, eps: float):
     """Var[Y | X=x] for the piecewise mechanism on [-1, 1]."""
     check_eps(eps)
-    h = math.exp(eps / 2.0)
+    h = _exp_above_one(eps, math.exp(eps / 2.0))
     xs = np.asarray(x, dtype=float)
     return xs * xs / (h - 1.0) + (h + 3.0) / (3.0 * (h - 1.0) ** 2)
 
@@ -274,10 +283,13 @@ def hybrid_perturb(x, beta: float, eps: float, rng: np.random.Generator):
 
 
 def _check_index(idx: np.ndarray, n_categories: int) -> None:
-    """Every index in [0, n_categories), none NaN."""
+    """Every index a whole number in [0, n_categories), none NaN."""
     if idx.size and not (idx.min() >= 0 and idx.max() < n_categories):
         bad = idx[~((idx >= 0) & (idx < n_categories))][0]
         raise ValueError(f"index {bad.item()!r} outside [0, {n_categories})")
+    if idx.dtype.kind == "f" and not np.all(idx == np.floor(idx)):
+        bad = idx[idx != np.floor(idx)][0]
+        raise ValueError(f"index {bad.item()!r} is not a whole number")
 
 
 def generalized_rr(index, n_categories: int, eps: float, rng: np.random.Generator):

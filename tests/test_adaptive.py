@@ -1,6 +1,7 @@
 """Noise-table optimization, sampling, perturbation, and privacy checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,11 @@ from ldpmean.adaptive import (
     _first_half_width,
     _ratio_report,
     _restrict,
+    _scatter,
+    _slack,
+    _slack_minimum,
 )
+from ldpmean import adaptive
 from ldpmean import lp as lplib
 from ldpmean.baselines import piecewise_conditional_variance
 from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
@@ -309,6 +314,18 @@ def assert_matches_whole_program(pmf, eps, shape, domain):
     return table
 
 
+def certified(pmf, domain, sol, a, eps):
+    return _certified(pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, a, eps)
+
+
+def whole_point(z, n, m, a):
+    """build_lp's variables (q, t) of R(A)'s point z = (s, t)."""
+    ks = np.arange(-a, n + a + 1)
+    t = np.zeros(n + 2 * m + 1)
+    t[ks + m] = z[(n + 1) * ks.size :]
+    return np.concatenate([_scatter(z, n, m, a).ravel(), t])
+
+
 DESIGN_PMFS = {
     "gaussian": TruncatedGaussian(mu=0.0, sd=0.1),
     "uniform": BetaDistribution(a=1.0, b=1.0),
@@ -350,15 +367,14 @@ class TestRestrictedSolve:
         # optimum, which reaches offsets +-33
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        program = build_lp(pmf, 0.5, NoiseShape(m=64, r=0.5), d16)
-        whole = lp_solve(program)
-        short = lp_solve(_restrict(program, 16, 64, 27, 0.5)[0])
+        whole = lp_solve(build_lp(pmf, 0.5, NoiseShape(m=64, r=0.5), d16))
+        short = lp_solve(_restrict(pmf, d16.sigma, 27, 0.5))
         assert short.status == "optimal"
         assert short.objective_value > whole.objective_value + 0.1
-        assert not _certified(program, short, 16, 64, 27, 0.5)
-        wide = lp_solve(_restrict(program, 16, 64, 40, 0.5)[0])
+        assert not certified(pmf, d16, short, 27, 0.5)
+        wide = lp_solve(_restrict(pmf, d16.sigma, 40, 0.5))
         assert wide.objective_value == pytest.approx(whole.objective_value, rel=1e-9)
-        assert _certified(program, wide, 16, 64, 40, 0.5)
+        assert certified(pmf, d16, wide, 40, 0.5)
 
     @pytest.mark.parametrize(
         "name, n, eps",
@@ -368,28 +384,41 @@ class TestRestrictedSolve:
         domain = make_domain(1.0, n)
         pmf = true_pmf(DESIGN_PMFS[name], domain)
         program = build_lp(pmf, eps, NoiseShape(m=4 * n, r=0.5), domain)
-        sub, embed = _restrict(program, n, 4 * n, _first_half_width(n, eps), eps)
-        sol = lp_solve(sub)
+        a = _first_half_width(n, eps)
+        sol = lp_solve(_restrict(pmf, domain.sigma, a, eps))
         assert sol.status == "optimal"
-        x = embed @ sol.x
+        x = whole_point(sol.x, n, 4 * n, a)
         np.testing.assert_allclose(program.A_eq @ x, program.b_eq, rtol=0.0, atol=1e-9)
         assert np.max(program.A_ub @ x) <= 1e-9
         assert program.objective @ x == pytest.approx(sol.objective_value, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.7, 3.0])
+    @pytest.mark.parametrize("n, a", [(4, 3), (3, 0)])
+    def test_is_the_whole_program_composed_with_the_back_map(self, n, a, eps):
+        # R(A) assembled directly has the objective and equality rows of
+        # build_lp's program composed with x = T z
+        domain = make_domain(1.0, n)
+        pmf = QuantizedPmf(masses=np.arange(1.0, n + 2) / ((n + 1) * (n + 2) / 2))
+        m = n + a + 2
+        program = build_lp(pmf, eps, NoiseShape(m=m, r=0.5), domain)
+        sub = _restrict(pmf, domain.sigma, a, eps)
+        embed = np.column_stack([whole_point(z, n, m, a) for z in np.eye(sub.num_vars)])
+        np.testing.assert_allclose(sub.objective, embed.T @ program.objective, rtol=1e-15)
+        np.testing.assert_array_equal(sub.A_eq.toarray(), program.A_eq @ embed)
+        np.testing.assert_array_equal(sub.b_eq, program.b_eq)
 
     @pytest.mark.parametrize("n, m, a", [(16, 64, 40), (4, 16, 3), (8, 32, 0)])
     def test_one_tube_row_per_kept_cell(self, n, m, a):
         domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
-        program = build_lp(pmf, 1.0, NoiseShape(m=m, r=0.5), domain)
-        sub, embed = _restrict(program, n, m, a, 1.0)
+        sub = _restrict(pmf, domain.sigma, a, 1.0)
         cells = (n + 1) * (n + 2 * a + 1)
         assert sub.A_ub.shape[0] == cells
         assert np.all(np.diff(sub.A_ub.indptr) == 2)  # one s and its t_k
         assert sub.num_vars == cells + n + 2 * a + 1
-        # entries of T per q variable of the whole program
-        per_q = np.diff(embed.indptr)[: (n + 1) * (2 * m + 1)].reshape(n + 1, 2 * m + 1)
-        assert not per_q[:, [0, -1]].any()  # no tail column
-        assert np.count_nonzero(per_q) == cells
+        q = _scatter(np.ones(sub.num_vars), n, m, a)
+        assert not q[:, [0, -1]].any()  # no tail column
+        assert np.count_nonzero(q) == cells
 
     def test_tail_mass_solves_whole_program(self, monkeypatch):
         # at M=40, eps=0.5 the optimum needs mass beyond the window, which
@@ -406,6 +435,132 @@ class TestRestrictedSolve:
         assert sizes == [build_lp(pmf, 0.5, shape, d16).num_vars]
         assert np.max(table.q[:, [0, -1]]) > 0.1
         assert verify_privacy(table, 0.5).passed
+
+
+def certified_solve(pmf, eps, domain):
+    """R(A)'s optimum at the first A where it is certified, and that A."""
+    a = _first_half_width(domain.n_bins, eps)
+    while True:
+        sol = lp_solve(_restrict(pmf, domain.sigma, a, eps))
+        if sol.status == "optimal" and certified(pmf, domain, sol, a, eps):
+            return sol, a
+        a = math.ceil(1.5 * a)
+
+
+def rr_pmf(n, eps, seed, sd, clients):
+    """The randomized-response estimate of clipped N(0, sd) clients."""
+    rng = np.random.default_rng(seed)
+    xs = np.clip(rng.normal(0.0, sd, clients), -1.0, 1.0)
+    hist = collect_perturbed_histogram(make_domain(1.0, n), xs, eps, rng)
+    return reconstruct_pmf(hist, build_rr_matrix(n, eps))
+
+
+CERTIFICATE_CASES = (
+    [(name, 16, eps) for name in sorted(DESIGN_PMFS) for eps in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    + [("gaussian", n, eps) for n in (4, 8, 25) for eps in (0.5, 1.0, 2.0, 4.0)]
+    + [("estimated", 16, eps) for eps in (1.0, 2.0, 8.0)]
+)
+
+
+class TestCertificate:
+    """The all-integer certificate: its closed-form minimum is exact, it
+    sees a violation at any distance, and it costs O(N^2) memory."""
+
+    @pytest.mark.parametrize("name, n, eps", CERTIFICATE_CASES)
+    def test_exact_minimum_matches_brute_force(self, name, n, eps):
+        domain = make_domain(1.0, n)
+        if name == "estimated":
+            pmf = rr_pmf(n, eps, seed=3, sd=0.1, clients=2000)
+            assert np.count_nonzero(pmf.masses == 0.0) >= 3
+        else:
+            pmf = true_pmf(DESIGN_PMFS[name], domain)
+        sol, a = certified_solve(pmf, eps, domain)
+        y = sol.eq_duals
+        tol = 1e-9 * max(1.0, abs(sol.objective_value))
+        k, s_min = _slack_minimum(pmf.masses, domain.sigma, y, a, eps)
+        ks = np.arange(-20 * n, 21 * n + 1)
+        ks = ks[(ks < -a) | (ks > n + a)]
+        brute = _slack(pmf.masses, domain.sigma, y, ks, eps)
+        assert -20 * n <= k <= 21 * n and not -a <= k <= n + a
+        assert s_min == pytest.approx(brute.min(), rel=1e-12, abs=1e-15)
+        assert min(s_min, brute.min()) >= -tol
+        # the self-contained duality gap c.x - b.y, with b = (1, 0) per input
+        assert abs(sol.objective_value - y[0::2].sum()) <= tol
+
+    def test_rejects_a_dip_beyond_the_brute_force_range(self):
+        # rho_0(k) = curv (k - k0)^2 - 5 is negative on k0 +- 10, and the
+        # other rho_i(k - i) = curv (k - k0 - 10)^2 + e_ are positive; their
+        # sum with weight e^eps on rho_0 is a convex quadratic between
+        # k0 - 10 and k0 + 10 with its vertex at k0 + 40 / (e + 4) = k0 + 5.95,
+        # set to dip below 0 at k0 + 6 only, 50 N past the domain
+        n, k0, dip, eps = 4, 1000, 1e-6, 1.0
+        domain = make_domain(1.0, n)
+        masses = np.full(n + 1, 1.0 / (n + 1))
+        curv = masses * domain.sigma**2
+        center = np.full(n + 1, k0 + 10.0)
+        center[0] = k0
+        e_ = (math.e * (5.0 - curv[0] * 36.0) - n * curv[1] * 16.0 - dip) / n
+        shift = np.full(n + 1, e_)
+        shift[0] = -5.0
+        lead = center - np.arange(n + 1)
+        y = np.empty(2 * (n + 1))  # rho_i(j) = curv_i (j - lead_i)^2 + shift_i
+        y[0::2] = -curv * lead**2 - shift
+        y[1::2] = 2.0 * curv * lead
+        ks = np.arange(-20 * n, 21 * n + 1)
+        assert _slack(masses, domain.sigma, y, ks, eps).min() > 0.0
+        assert _slack(masses, domain.sigma, y, [k0 + 5, k0 + 7], eps).min() > 0.0
+        k, s_min = _slack_minimum(masses, domain.sigma, y, 4, eps)
+        assert k == k0 + 6
+        assert s_min == pytest.approx(-dip, rel=1e-3)
+        assert not _certified(masses, domain.sigma, y, 1.0, 4, eps)
+
+    def test_memory_at_large_eps(self):
+        # a bound enumerated up to an analytic limit grows with e^eps
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        a = _first_half_width(16, 20.0)
+        sol = lp_solve(_restrict(pmf, d16.sigma, a, 20.0))
+        assert sol.status == "optimal"
+        tracemalloc.start()
+        try:
+            ok = certified(pmf, d16, sol, a, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 1 << 20
+
+
+def test_design_cells_take_one_solve_each(monkeypatch):
+    # one HiGHS solve of R(A) per table, and no whole program assembled;
+    # uniform eps=2 rejects its first A
+    solves, builds = [], []
+    solve, build = lplib.solve, adaptive.build_lp
+    monkeypatch.setattr(lplib, "solve", lambda program: solves.append(1) or solve(program))
+    monkeypatch.setattr(adaptive, "build_lp", lambda *args: builds.append(1) or build(*args))
+    d16 = make_domain(1.0, 16)
+    counts = {}
+    for name in sorted(DESIGN_PMFS):
+        for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
+            before = len(solves)
+            solve_noise_table(true_pmf(DESIGN_PMFS[name], d16), eps, NoiseShape(m=64, r=0.5), d16)
+            counts[name, eps] = len(solves) - before
+    assert sum(counts.values()) == 16
+    assert [cell for cell, count in counts.items() if count != 1] == [("uniform", 2.0)]
+    assert builds == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="the upper tube row s / expm1(eps) - t_k <= 0 meets HiGHS's 1e-7 primal "
+    "tolerance only after division by expm1(eps), so s can stay positive at t_k = 0",
+)
+@pytest.mark.parametrize("n, eps", [(8, 12.0), (8, 16.0), (16, 12.0), (16, 16.0), (16, 20.0)])
+def test_estimated_pmf_at_large_eps_is_private(n, eps):
+    pmf = rr_pmf(n, eps, seed=5, sd=0.2, clients=1000)
+    table = solve_noise_table(pmf, eps, NoiseShape(m=4 * n, r=0.5), make_domain(1.0, n))
+    assert verify_privacy(table, eps).passed
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -253,6 +253,18 @@ class TestGeneralizedRr:
         with pytest.raises(ValueError):
             generalized_rr(5, 5, 1.0, rng)
 
+    @pytest.mark.parametrize("eps", [1.0, 50.0, math.inf])
+    def test_fractional_index_rejected(self, eps):
+        index = np.zeros(40_000)
+        index[30_000] = 8.5  # past the first block
+        for bad in (index, [8.5], 8.5):
+            with pytest.raises(ValueError, match=r"index 8\.5 is not a whole number"):
+                generalized_rr(bad, 9, eps, np.random.default_rng(0))
+
+    def test_whole_float_indices_accepted(self):
+        out = generalized_rr(np.array([0.0, 8.0]), 9, math.inf, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, [0.0, 8.0])
+
 
 class TestUnbiasednessGrid:
     """Every mechanism, 21-point grid, 10^6 draws, 4 standard errors."""
@@ -302,3 +314,39 @@ class TestNonFiniteInput:
         index[30_000] = math.nan
         with pytest.raises(ValueError, match="index nan outside"):
             generalized_rr(index, 5, eps, np.random.default_rng(0))
+
+
+class TestTinyEps:
+    """An eps whose exp(eps) or exp(eps/2) rounds to 1.0 is named in a
+    ValueError, where the closed forms would divide by zero; Laplace has
+    no such denominator and still perturbs."""
+
+    EPS = 1e-17
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda eps: duchi_perturb(0.5, 1.0, eps, np.random.default_rng(0)),
+            lambda eps: piecewise_perturb(0.5, eps, np.random.default_rng(0)),
+            lambda eps: hybrid_perturb(0.5, 1.0, eps, np.random.default_rng(0)),
+            lambda eps: duchi_conditional_variance(0.5, 1.0, eps),
+            lambda eps: piecewise_conditional_variance(0.5, eps),
+            piecewise_params,
+        ],
+        ids=["duchi", "piecewise", "hybrid", "duchi_variance", "piecewise_variance", "params"],
+    )
+    def test_rejected_by_name(self, call):
+        with pytest.raises(ValueError, match=re.escape(f"eps = {self.EPS!r} is too small")):
+            call(self.EPS)
+
+    def test_laplace_still_perturbs(self):
+        assert math.isfinite(laplace_perturb(0.5, 1.0, self.EPS, np.random.default_rng(0)))
+
+    def test_smallest_eps_with_exp_above_one(self):
+        # exp(2^-52 / 2) rounds to 1.0, exp(2^-51 / 2) does not
+        assert math.exp(2.0**-53) == 1.0
+        eps = 2.0**-51
+        assert math.exp(eps / 2.0) > 1.0
+        c, _ = piecewise_params(eps)
+        assert math.isfinite(c) and c > 0.0
+        assert math.isfinite(duchi_conditional_variance(0.5, 1.0, eps))

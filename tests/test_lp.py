@@ -114,6 +114,20 @@ class TestHandExamples:
         assert sol.status == "iteration-limit"
         assert calls == ["highs"]  # only numerical failures are retried
 
+    def test_devex_pricing_and_dual_tolerance(self, monkeypatch):
+        seen = []
+
+        def linprog(c, method, options, **kwargs):
+            seen.append((method, options))
+            return OptimizeResult(status=0, x=np.zeros(1), fun=0.0, nit=1, message="ok")
+
+        monkeypatch.setattr(lplib, "linprog", linprog)
+        assert solve(LinearProgram([1.0])).status == "optimal"
+        assert seen == [
+            ("highs", {"dual_feasibility_tolerance": 1e-10,
+                       "simplex_dual_edge_weight_strategy": "devex"})
+        ]
+
     def test_zero_objective(self):
         lp = LinearProgram([0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
         sol = solve(lp)
