@@ -91,6 +91,15 @@ def tail_second_moment(m: int, r: float) -> float:
     return m * m / one + (2.0 * m - 1.0) * r / one**2 + 2.0 * r / one**3
 
 
+def _tail_factors(r: float, exponents) -> np.ndarray:
+    """r^p for each integer exponent p, one scalar pow per distinct p.
+    numpy's vectorized power can round the last bit differently; the LP,
+    privacy verification and noise_mass all read these same factors."""
+    distinct, index = np.unique(exponents, return_inverse=True)
+    powers = np.array([r ** int(p) for p in distinct])
+    return powers[index].reshape(np.shape(exponents))
+
+
 def _check_tail_args(m: int, r: float) -> None:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
@@ -161,11 +170,8 @@ def noise_mass(table: NoiseTable, i: int, j: int) -> float:
     if not 0 <= i <= table.domain.n_bins:
         raise ValueError("edge index out of range")
     m, r = table.shape.m, table.shape.r
-    if -m < j < m:
-        return float(table.q[i, j + m])
-    if j >= m:
-        return float(table.q[i, 2 * m] * r ** (j - m))
-    return float(table.q[i, 0] * r ** (-m - j))
+    cell = min(max(j, -m), m) + m
+    return float(table.q[i, cell] * _tail_factors(r, max(abs(j) - m, 0)))
 
 
 def _check_design(
@@ -232,10 +238,7 @@ def build_lp(
     ks = np.arange(-m, n + m + 1)
     j = ks[:, None] - np.arange(n + 1)[None, :]
     var = np.arange(n + 1) * width + np.clip(j, -m, m) + m
-    # one scalar pow per distinct exponent: numpy's vectorized power may
-    # round the last bit differently
-    powers = np.array([r**p for p in range(n + 1)])
-    coeff = powers[np.maximum(np.abs(j) - m, 0)]
+    coeff = _tail_factors(r, np.maximum(np.abs(j) - m, 0))
     t_k = np.broadcast_to((nq + ks + m)[:, None], var.shape)
     ub_cols = np.stack([var, t_k, var, t_k], axis=-1)
     ub_vals = np.stack(
@@ -389,15 +392,16 @@ def _certified(
     sum_i rho_i(k - i) q[i, k - i] >= t_k s(k), s(k) = sum_i min(rho_i,
     e^eps rho_i).  Hence objective(q) >= b.y + sum_k t_k min(s(k), 0).
 
-    On the kept outputs s(k) >= 0 is R(A)'s own dual feasibility, which
-    HiGHS meets to its dual tolerance: the map q = t_k + s takes the cone
-    {0 <= s <= expm1(eps) t} one to one onto the kept tube cone {t <= q <=
-    e^eps t}, so R(A) has the same equality duals over (t, s) as over
-    (q, t).  On every other integer output s(k) >= -tol is checked here
-    (_slack_minimum), tol = 1e-9 max(1, |objective|).  Since sum_k t_k <=
-    sum_k q[0, k] = 1, the tolerance lowers the bound by at most tol: no
-    such table costs less than b.y - tol, and b.y is R(A)'s optimum up to
-    HiGHS's duality gap.
+    On the kept outputs s(k) >= 0 is R(A)'s own dual feasibility: the map
+    q = t_k + s takes the cone {0 <= s <= expm1(eps) t} one to one onto
+    the kept tube cone {t <= q <= e^eps t}, so R(A) has the same equality
+    duals over (t, s) as over (q, t).  It is not checked here; HiGHS meets
+    it only to its 1e-10 dual tolerance in (t, s) coordinates, which lets
+    s(k) dip to about -(N + 1) e^eps 1e-10 there.  On every other integer
+    output s(k) >= -tol is checked (_slack_minimum), tol = 1e-9 max(1,
+    |objective|).  Since sum_k t_k <= sum_k q[0, k] = 1, no such table
+    costs less than b.y - max(tol, -min s(k) over the kept k), and b.y is
+    R(A)'s optimum up to HiGHS's duality gap.
     """
     tol = 1e-9 * max(1.0, abs(objective))
     return _slack_minimum(masses, sigma, y, a, eps)[1] >= -tol
@@ -514,7 +518,7 @@ def _density_from_q(
     j = ks[None, :] - np.arange(n + 1)[:, None]
     d = q[np.arange(n + 1)[:, None], np.clip(j, -m, m) + m]
     beyond = np.abs(j) >= m
-    d[beyond] *= r ** (np.abs(j[beyond]) - m).astype(float)
+    d[beyond] *= _tail_factors(r, np.abs(j[beyond]) - m)
     return d
 
 

@@ -3,7 +3,8 @@
 Subcommands: variance (expected-variance curves from a true pmf), estimate
 (end-to-end mean-estimation error), optimize (solve and dump one noise
 table), sweep (estimate repeated over a hyperparameter grid), multidim
-(attribute-sampled multidimensional estimation).
+(attribute-sampled multidimensional estimation).  estimate and sweep run
+the multidim experiment at d = k = 1.
 
 Every run is seeded: the stream for each (run, eps, purpose) triple is an
 independent counter-based generator keyed by the base seed, so outputs are
@@ -17,13 +18,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .adaptive import (
     NoiseShape,
-    run_protocol,
     save_table,
     solve_noise_table,
     verify_privacy,
@@ -42,12 +43,16 @@ from .data import (
     gen_bernoulli,
     gen_exponential_clipped,
     gen_gaussian_clipped,
-    load_csv,
     load_csv_matrix,
     true_pmf,
 )
 from .domain import make_domain, rescale_to
-from .multidim import MultiDataset, assign_attributes, run_multidim_protocol
+from .multidim import (
+    MultiDataset,
+    assign_attributes,
+    attribute_pools,
+    run_multidim_protocol,
+)
 
 ALL_MECHANISMS = ("adaptive", "duchi", "piecewise", "hybrid", "laplace")
 # stable stream ids so adding or removing mechanisms from a run never
@@ -60,8 +65,8 @@ SWEEP_PARAMETERS = ("split", "bin_size", "noise_range", "tail_ratio")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mechanisms: tuple = ALL_MECHANISMS
-    eps_grid: tuple = (0.5, 1.0, 2.0, 4.0)
+    mechanisms: tuple[str, ...] = ALL_MECHANISMS
+    eps_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
     beta: float = 1.0
     bins: int = 16
     noise_window: int | None = None  # M; defaults to 4 * bins
@@ -76,7 +81,7 @@ class ExperimentConfig:
     d: int = 1
     k: int = 1
     sweep_parameter: str | None = None
-    sweep_grid: tuple = ()
+    sweep_grid: tuple[float, ...] = ()
     out: str = "-"
 
     def __post_init__(self):
@@ -142,54 +147,50 @@ def _write_csv(config: ExperimentConfig, command: str, header: str, rows) -> str
     return text
 
 
-def _parse_dist(spec: str):
-    """A true-distribution spec: name[:key=value,...]."""
-    name, _, tail = spec.partition(":")
-    kwargs = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed distribution spec {spec!r}")
-            kwargs[key.strip()] = float(value)
-    name = name.strip().lower()
-    if name == "gaussian":
-        return TruncatedGaussian(mu=kwargs.get("mu", 0.0), sd=kwargs.get("sd", 0.1))
-    if name == "exponential":
-        return ShiftedExponential(rate=kwargs.get("rate", 6.0))
-    if name == "beta":
-        return BetaDistribution(a=kwargs.get("a", 0.5), b=kwargs.get("b", 0.5))
-    if name == "uniform":
-        return BetaDistribution(a=1.0, b=1.0)
-    raise ValueError(f"unknown distribution {name!r}")
+# A dataset spec is name[:key=value,...].  Each table maps a family name to
+# its builder and the defaults of the keys it accepts, in the order of the
+# builder's parameters.
+_DISTRIBUTIONS = {  # analytic densities, for variance and optimize
+    "gaussian": (TruncatedGaussian, {"mu": 0.0, "sd": 0.1}),
+    "exponential": (ShiftedExponential, {"rate": 6.0}),
+    "beta": (BetaDistribution, {"a": 0.5, "b": 0.5}),
+    "uniform": (lambda: BetaDistribution(1.0, 1.0), {}),
+}
+_GENERATORS = {  # sample generators (n, *values, rng), for the experiments
+    "gaussian": (
+        gen_gaussian_clipped, {"mean": 0.0, "sd": 1.0, "clip_lo": -5.0, "clip_hi": 5.0}
+    ),
+    "exponential": (gen_exponential_clipped, {"rate": 1.0, "clip_hi": 5.0}),
+    "bernoulli": (gen_bernoulli, {"p": 0.5}),
+}
 
 
-def _gen_samples(config: ExperimentConfig, rng: np.random.Generator, n=None, spec=None):
-    spec = config.dataset if spec is None else spec
-    n = config.n_samples if n is None else n
+def _parse_spec(spec: str, families: dict, kind: str):
+    """A dataset spec's builder and its values, the family's defaults
+    overridden by the spec's."""
     name, _, tail = spec.partition(":")
-    kwargs = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, value = item.partition("=")
-            kwargs[key.strip()] = float(value)
     name = name.strip().lower()
-    if name == "gaussian":
-        return gen_gaussian_clipped(
-            n,
-            kwargs.get("mean", 0.0),
-            kwargs.get("sd", 1.0),
-            kwargs.get("clip_lo", -5.0),
-            kwargs.get("clip_hi", 5.0),
-            rng,
-        ).values
-    if name == "exponential":
-        return gen_exponential_clipped(
-            n, kwargs.get("rate", 1.0), kwargs.get("clip_hi", 5.0), rng
-        ).values
-    if name == "bernoulli":
-        return gen_bernoulli(n, kwargs.get("p", 0.5), rng).values
-    raise ValueError(f"unknown sample generator {name!r}")
+    if name not in families:
+        raise ValueError(f"unknown {kind} {name!r}")
+    build, defaults = families[name]
+    values = dict(defaults)
+    for item in tail.split(",") if tail else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if not value:
+            raise ValueError(f"malformed {kind} spec {spec!r}")
+        if key not in defaults:
+            raise ValueError(
+                f"unknown key {key!r} in {kind} spec {spec!r}; "
+                f"{name} accepts {', '.join(defaults) or 'no keys'}"
+            )
+        values[key] = float(value)
+    return build, tuple(values.values())
+
+
+def _true_pmf(config: ExperimentConfig, domain):
+    build, values = _parse_spec(config.dataset, _DISTRIBUTIONS, "distribution")
+    return true_pmf(build(*values), domain)
 
 
 def _baseline_estimate(mechanism, xs, beta, eps, rng) -> float:
@@ -209,7 +210,7 @@ def _baseline_estimate(mechanism, xs, beta, eps, rng) -> float:
 def cmd_variance(config: ExperimentConfig) -> str:
     """Expected variance per (mechanism, eps) against an analytic pmf."""
     domain = make_domain(config.beta, config.bins)
-    pmf = true_pmf(_parse_dist(config.dataset), domain)
+    pmf = _true_pmf(config, domain)
     rows = []
     for mechanism in config.mechanisms:
         for eps in sorted(config.eps_grid):
@@ -222,70 +223,109 @@ def cmd_variance(config: ExperimentConfig) -> str:
     return _write_csv(config, "variance", "mechanism,eps,expected_variance", rows)
 
 
-def _estimate_runs(config: ExperimentConfig, domain, load_fixed):
-    """Yield (mechanism, eps, xs, mask, estimate, result) for every run,
-    mechanism and eps of the estimate experiment, runs outermost.
+def _rescaled(raw: np.ndarray, beta: float) -> np.ndarray:
+    """raw with each column mapped onto [-beta, beta]."""
+    return np.column_stack([rescale_to(col, beta)[0] for col in raw.T])
 
-    load_fixed is the rescaled CSV data, or None to draw a fresh synthetic
-    dataset per run.  Within a run every mechanism shares the same data xs
-    and split mask (True = phase 1); each mechanism consumes its own stream.
-    result is the adaptive mechanism's ProtocolResult, None for a baseline.
+
+def _experiment(config: ExperimentConfig, fixed: np.ndarray | None = None):
+    """Yield (mechanism, eps, truths, phase2, estimates, result) for every
+    run, mechanism and eps of the experiment, runs outermost.
+
+    Each run draws an (n, d) data matrix, or takes the fixed one, with each
+    column rescaled onto [-beta, beta]; truths are its column means.  It
+    assigns each client k of the d attributes (at k = d no stream is drawn)
+    and splits each dimension's clients once; phase2 holds each dimension's
+    phase-2 values.  Every mechanism shares that data and partition, draws
+    from its own stream and spends eps / k per attribute.  estimates holds
+    one mean estimate per dimension; result is the adaptive mechanism's
+    MultidimResult, None for a baseline.
     """
+    d = config.d
+    if fixed is None:
+        draw, values = _parse_spec(config.dataset, _GENERATORS, "sample generator")
+    else:
+        rows = _rescaled(fixed, config.beta)
+    bounds = np.full(d, config.beta)
     eps_sorted = sorted(config.eps_grid)
     for run in range(config.runs):
-        if load_fixed is None:
-            raw = _gen_samples(config, _stream(config.seed, run, 0, _P_DATA))
-            xs, _ = rescale_to(raw, config.beta)
-        else:
-            xs = load_fixed
-        mask = _stream(config.seed, run, 0, _P_SPLIT).random(xs.size) < config.split
-        phase2 = xs[~mask]
+        if fixed is None:
+            data_rng = _stream(config.seed, run, 0, _P_DATA)
+            raw = np.column_stack(
+                [draw(config.n_samples, *values, data_rng).values for _ in range(d)]
+            )
+            rows = _rescaled(raw, config.beta)
+        data = MultiDataset(rows, bounds)
+        truths = rows.mean(axis=0)
+        assignment = assign_attributes(
+            rows.shape[0], d, config.k, _stream(config.seed, run, 0, _P_ASSIGN)
+        )
+        pools = attribute_pools(assignment, d)
+        split_rng = _stream(config.seed, run, 0, _P_SPLIT)
+        masks = [split_rng.random(pool.size) < config.split for pool in pools]
+        phase2 = [rows[pool, dim][~masks[dim]] for dim, pool in enumerate(pools)]
         for mechanism in config.mechanisms:
             stream_id = _P_MECH + _MECH_STREAM_ID[mechanism]
             for eps_idx, eps in enumerate(eps_sorted):
                 rng = _stream(config.seed, run, eps_idx, stream_id)
                 if mechanism == "adaptive":
-                    res = run_protocol(
-                        xs, eps, config.split, config.shape, domain, rng,
-                        split_mask=mask,
+                    res = run_multidim_protocol(
+                        data, eps, config.split, config.k, config.shape, rng,
+                        n_bins=config.bins, assignment=assignment,
+                        split_masks=masks,
                     )
-                    yield mechanism, eps, xs, mask, res.mean_estimate, res
+                    yield mechanism, eps, truths, phase2, res.estimates, res
                 else:
-                    est = _baseline_estimate(mechanism, phase2, config.beta, eps, rng)
-                    yield mechanism, eps, xs, mask, est, None
+                    estimates = [
+                        _baseline_estimate(mechanism, xs, config.beta, eps / config.k, rng)
+                        for xs in phase2
+                    ]
+                    yield mechanism, eps, truths, phase2, estimates, None
 
 
-def _estimate_errors(config: ExperimentConfig, domain, load_fixed):
-    """Per-(mechanism, eps) squared errors of the estimate experiment over
-    the configured runs, against each run's full-data mean."""
-    errors = {
+def _mean_errors(config: ExperimentConfig, fixed: np.ndarray | None = None) -> dict:
+    """Per (mechanism, eps): the squared errors against each dimension's
+    full-data mean, summed over dimensions and averaged over runs."""
+    sums = {
         (mech, eps): [] for mech in config.mechanisms for eps in config.eps_grid
     }
-    for mechanism, eps, xs, _, est, _ in _estimate_runs(config, domain, load_fixed):
-        errors[(mechanism, eps)].append(squared_error(est, float(xs.mean())))
-    return errors, sorted(config.eps_grid)
+    for mechanism, eps, truths, _, estimates, _ in _experiment(config, fixed):
+        total = 0.0
+        for est, truth in zip(estimates, truths):
+            total += squared_error(est, truth)
+        sums[(mechanism, eps)].append(total)
+    return {key: float(np.mean(errors)) for key, errors in sums.items()}
+
+
+def _csv_column(config: ExperimentConfig) -> np.ndarray | None:
+    """The --csv column as a one-column matrix, None without --csv."""
+    if config.csv_path is None:
+        return None
+    return load_csv_matrix(config.csv_path, [config.csv_column])
+
+
+def _estimate_rows(config: ExperimentConfig, fixed: np.ndarray | None) -> list:
+    """(mechanism, eps, mse, runs, seed) per (mechanism, eps): the
+    experiment at d = k = 1, whatever config's d and k say."""
+    mse = _mean_errors(replace(config, d=1, k=1), fixed)
+    return [
+        (mech, eps, mse[(mech, eps)], config.runs, config.seed)
+        for mech in config.mechanisms
+        for eps in sorted(config.eps_grid)
+    ]
 
 
 def cmd_estimate(config: ExperimentConfig) -> str:
-    """Mean squared error of the end-to-end protocol per (mechanism, eps)."""
-    domain = make_domain(config.beta, config.bins)
-    fixed = None
-    if config.csv_path is not None:
-        raw = load_csv(config.csv_path, config.csv_column).values
-        fixed, _ = rescale_to(raw, config.beta)
-    errors, eps_sorted = _estimate_errors(config, domain, fixed)
-    rows = [
-        (mech, eps, float(np.mean(errors[(mech, eps)])), config.runs, config.seed)
-        for mech in config.mechanisms
-        for eps in eps_sorted
-    ]
+    """Mean squared error of the end-to-end protocol per (mechanism, eps):
+    the multidim experiment at d = k = 1, with --csv read as one column."""
+    rows = _estimate_rows(config, _csv_column(config))
     return _write_csv(config, "estimate", "mechanism,eps,mse,runs,seed", rows)
 
 
 def cmd_optimize(config: ExperimentConfig) -> str:
     """Solve one noise table at the first eps of the grid and dump it."""
     domain = make_domain(config.beta, config.bins)
-    pmf = true_pmf(_parse_dist(config.dataset), domain)
+    pmf = _true_pmf(config, domain)
     eps = sorted(config.eps_grid)[0]
     table = solve_noise_table(pmf, eps, config.shape, domain)
     path = config.out if config.out != "-" else "noise_table.txt"
@@ -315,6 +355,7 @@ def cmd_sweep(config: ExperimentConfig) -> str:
         )
     if not config.sweep_grid:
         raise ValueError("sweep grid is empty")
+    fixed = _csv_column(config)
     rows = []
     for value in sorted(config.sweep_grid):
         if config.sweep_parameter == "split":
@@ -326,25 +367,8 @@ def cmd_sweep(config: ExperimentConfig) -> str:
             sub = replace(config, noise_window=max(1, round(value * config.bins / 2)))
         else:
             sub = replace(config, tail_ratio=float(value))
-        domain = make_domain(sub.beta, sub.bins)
-        fixed = None
-        if sub.csv_path is not None:
-            raw = load_csv(sub.csv_path, sub.csv_column).values
-            fixed, _ = rescale_to(raw, sub.beta)
-        errors, eps_sorted = _estimate_errors(sub, domain, fixed)
-        for mech in sub.mechanisms:
-            for eps in eps_sorted:
-                rows.append(
-                    (
-                        config.sweep_parameter,
-                        float(value),
-                        mech,
-                        eps,
-                        float(np.mean(errors[(mech, eps)])),
-                        sub.runs,
-                        sub.seed,
-                    )
-                )
+        prefix = (config.sweep_parameter, float(value))
+        rows.extend(prefix + row for row in _estimate_rows(sub, fixed))
     return _write_csv(
         config, "sweep", "parameter,value,mechanism,eps,mse,runs,seed", rows
     )
@@ -354,74 +378,21 @@ def cmd_multidim(config: ExperimentConfig) -> str:
     """Attribute-sampled multidimensional estimation; error is the sum of
     per-dimension squared errors against each dimension's full-data mean.
     Every mechanism spends eps / k on each of a client's k attributes."""
-    fixed = None
-    d = config.d
-    if config.csv_path is not None:
-        fixed = load_csv_matrix(config.csv_path)
-        d = fixed.shape[1]
-    if not 1 <= config.k <= d:
-        raise ValueError(f"need 1 <= k <= d, got k={config.k}, d={d}")
-    sums = {
-        (mech, eps): [] for mech in config.mechanisms for eps in config.eps_grid
-    }
-    eps_sorted = sorted(config.eps_grid)
-    for run in range(config.runs):
-        if fixed is None:
-            data_rng = _stream(config.seed, run, 0, _P_DATA)
-            raw = np.column_stack(
-                [_gen_samples(config, data_rng) for _ in range(d)]
-            )
-        else:
-            raw = fixed
-        cols = []
-        for dim in range(raw.shape[1]):
-            scaled, _ = rescale_to(raw[:, dim], config.beta)
-            cols.append(scaled)
-        rows_mat = np.column_stack(cols)
-        mdata = MultiDataset(rows_mat, np.full(d, config.beta))
-        truths = rows_mat.mean(axis=0)
-        n = rows_mat.shape[0]
-        assignment = assign_attributes(
-            n, d, config.k, _stream(config.seed, run, 0, _P_ASSIGN)
-        )
-        pools = [
-            np.nonzero((assignment == dim).any(axis=1))[0] for dim in range(d)
-        ]
-        split_rng = _stream(config.seed, run, 0, _P_SPLIT)
-        masks = [split_rng.random(pool.size) < config.split for pool in pools]
-        for mechanism in config.mechanisms:
-            stream_id = _P_MECH + _MECH_STREAM_ID[mechanism]
-            for eps_idx, eps in enumerate(eps_sorted):
-                rng = _stream(config.seed, run, eps_idx, stream_id)
-                total = 0.0
-                if mechanism == "adaptive":
-                    res = run_multidim_protocol(
-                        mdata, eps, config.split, config.k, config.shape, rng,
-                        n_bins=config.bins, assignment=assignment,
-                        split_masks=masks,
-                    )
-                    for dim in range(d):
-                        total += squared_error(res.estimates[dim], truths[dim])
-                else:
-                    for dim in range(d):
-                        phase2 = rows_mat[pools[dim], dim][~masks[dim]]
-                        est = _baseline_estimate(
-                            mechanism, phase2, config.beta, eps / config.k, rng
-                        )
-                        total += squared_error(est, truths[dim])
-                sums[(mechanism, eps)].append(total)
+    fixed = None if config.csv_path is None else load_csv_matrix(config.csv_path)
+    d = config.d if fixed is None else fixed.shape[1]
+    sum_mse = _mean_errors(replace(config, d=d), fixed)
     rows = [
         (
             mech,
             eps,
-            float(np.mean(sums[(mech, eps)])),
+            sum_mse[(mech, eps)],
             d,
             config.k,
             config.runs,
             config.seed,
         )
         for mech in config.mechanisms
-        for eps in eps_sorted
+        for eps in sorted(config.eps_grid)
     ]
     return _write_csv(
         config, "multidim", "mechanism,eps,sum_mse,d,k,runs,seed", rows
@@ -467,28 +438,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TUPLE_FLOAT = ("eps_grid", "sweep_grid")
-_INT_FIELDS = ("bins", "noise_window", "runs", "seed", "n_samples",
-               "csv_column", "d", "k")
-_FLOAT_FIELDS = ("beta", "tail_ratio", "split")
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _coerce(name: str, value):
+    """value as the type of ExperimentConfig's field name; a string fills a
+    tuple field as a comma-separated list."""
     if value is None:
         return None
-    if name in _TUPLE_FLOAT:
+    kind = _FIELD_TYPES[name]
+    if typing.get_origin(kind) is tuple:
         if isinstance(value, str):
-            return tuple(float(v) for v in value.split(",") if v.strip())
-        return tuple(float(v) for v in value)
-    if name == "mechanisms":
-        if isinstance(value, str):
-            return tuple(m.strip() for m in value.split(",") if m.strip())
-        return tuple(value)
-    if name in _INT_FIELDS:
-        return int(value)
-    if name in _FLOAT_FIELDS:
-        return float(value)
-    return str(value)
+            value = [v.strip() for v in value.split(",") if v.strip()]
+        return tuple(typing.get_args(kind)[0](v) for v in value)
+    # an optional field (X | None) converts as X
+    return (typing.get_args(kind) or (kind,))[0](value)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:

@@ -63,6 +63,12 @@ def assign_attributes(
     return np.argsort(scores, axis=1, kind="stable")[:, :k]
 
 
+def attribute_pools(assignment: np.ndarray, d: int) -> list:
+    """The indices of the clients assigned each of the d dimensions, in
+    client order."""
+    return [np.nonzero((assignment == dim).any(axis=1))[0] for dim in range(d)]
+
+
 def run_multidim_protocol(
     data: MultiDataset,
     eps: float,
@@ -91,8 +97,7 @@ def run_multidim_protocol(
             raise ValueError("assignment shape does not match (n_clients, k)")
     results = []
     estimates = np.zeros(d)
-    for dim in range(d):
-        pool = np.nonzero((assignment == dim).any(axis=1))[0]
+    for dim, pool in enumerate(attribute_pools(assignment, d)):
         if pool.size < 2:
             raise ValueError(
                 f"dimension {dim} has {pool.size} assigned clients; need >= 2"

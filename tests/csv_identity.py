@@ -3,11 +3,15 @@
     python3 tests/csv_identity.py REV
 
 Exports REV with ``git archive`` into a temporary directory, runs the same
-fixed-seed ``estimate``, ``sweep --parameter split`` and ``multidim --k 1``
-commands with that tree's ``src/`` and with the working tree's, and compares
-the CSV bytes.  Prints one line per command and exits 1 if any differ.
-Each command takes a few seconds; clients are numerous enough that every
-sampler runs over several blocks.
+fixed-seed commands with that tree's ``src/`` and with the working tree's
+(a command's own flags override the common ones),
+and compares the output bytes.  The commands cover every path of the
+experiment loop: ``estimate`` on generated data and on a CSV column,
+``sweep`` over each of its four parameters, ``multidim`` at k = 1 and
+k = 2 and on a CSV matrix, and ``variance``.  The CSV inputs are written
+to the temporary directory from a fixed generator.  Prints one line per
+command and exits 1 if any differ.  Each command takes a few seconds;
+clients are numerous enough that every sampler runs over several blocks.
 """
 
 import difflib
@@ -19,20 +23,45 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 COMMON = ["--seed", "7", "--bins", "8", "--eps", "0.5,1,4", "--out", "-"]
-COMMANDS = {
-    "estimate": ["estimate", "--n", "60000", "--runs", "2"],
-    "sweep-split": ["sweep", "--parameter", "split", "--grid", "0.1,0.3",
-                    "--n", "60000", "--runs", "1"],
-    "multidim-k1": ["multidim", "--d", "3", "--k", "1", "--n", "60000", "--runs", "1"],
-}
+SWEEP = ["sweep", "--n", "30000", "--runs", "1", "--parameter"]
+
+
+def commands(data: Path) -> dict:
+    """The compared commands; data is the CSV matrix they read."""
+    return {
+        "estimate": ["estimate", "--n", "60000", "--runs", "2"],
+        "estimate-csv": ["estimate", "--csv", str(data), "--column", "1", "--runs", "2"],
+        "sweep-split": SWEEP + ["split", "--grid", "0.1,0.3"],
+        "sweep-bin_size": SWEEP + ["bin_size", "--grid", "0.25,0.5"],
+        "sweep-noise_range": SWEEP + ["noise_range", "--grid", "6,10"],
+        "sweep-tail_ratio": SWEEP + ["tail_ratio", "--grid", "0.3,0.5"],
+        "multidim-k1": ["multidim", "--d", "3", "--k", "1", "--n", "60000", "--runs", "1"],
+        # eps / k = 0.25 has no feasible table in the window M = 32
+        "multidim-k2": ["multidim", "--d", "3", "--k", "2", "--n", "60000", "--runs", "1",
+                        "--eps", "1,2,8"],
+        "multidim-csv": ["multidim", "--csv", str(data), "--k", "2", "--runs", "1",
+                         "--eps", "1,2,8"],
+        "variance": ["variance", "--dataset", "gaussian:sd=0.2"],
+    }
+
+
+def write_data(path: Path) -> None:
+    """A header and 40000 rows of three columns of different shapes."""
+    rng = np.random.default_rng(2024)
+    n = 40_000
+    cols = [rng.normal(3.0, 2.0, n), rng.exponential(0.5, n), rng.uniform(-4.0, 9.0, n)]
+    lines = ["a,b,c"] + [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def run(tree: Path, args: list[str]) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "ldpmean.cli", *args, *COMMON],
+        [sys.executable, "-m", "ldpmean.cli", *COMMON, *args],
         env=env, cwd=tree, check=True, capture_output=True,
     ).stdout
 
@@ -52,9 +81,11 @@ def main(argv: list[str]) -> int:
         return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        other = Path(tmp)
+        other = Path(tmp) / "tree"
         export(argv[0], other)
-        for name, args in COMMANDS.items():
+        data = Path(tmp) / "data.csv"
+        write_data(data)
+        for name, args in commands(data).items():
             theirs, ours = run(other, args), run(ROOT, args)
             same = theirs == ours
             differ += not same

@@ -45,7 +45,7 @@ from ldpmean.analysis import (
     adaptive_conditional_variance,
     baseline_conditional_variance,
 )
-from ldpmean.cli import ExperimentConfig, _estimate_runs, main as cli_main
+from ldpmean.cli import ExperimentConfig, _experiment, main as cli_main
 from ldpmean.freqest import build_rr_matrix
 from ldpmean.lp import solve as lp_solve
 from lp_oracle import random_bounded_program, vertex_enumeration_optimum
@@ -326,18 +326,16 @@ def test_criterion_09_end_to_end_protocol(capsys):
         n_samples=10_000,
         dataset="gaussian:mean=0.0,sd=1.0,clip_lo=-5.0,clip_hi=5.0",
     )
-    domain = make_domain(config.beta, config.bins)
     expected, realized = defaultdict(list), defaultdict(list)
-    for mech, eps, xs, mask, est, res in _estimate_runs(config, domain, None):
-        truth = float(xs.mean())
-        phase2 = xs[~mask]
+    for mech, eps, truths, phase2s, ests, res in _experiment(config):
+        truth, phase2 = float(truths[0]), phase2s[0]
         if res is None:
             cond = baseline_conditional_variance(mech, phase2, eps, config.beta)
         else:
-            cond = adaptive_conditional_variance(res.noise_table, phase2)
+            cond = adaptive_conditional_variance(res.per_dimension[0].noise_table, phase2)
         bias = float(phase2.mean()) - truth
         expected[(mech, eps)].append(bias**2 + cond.sum() / phase2.size**2)
-        realized[(mech, eps)].append((est - truth) ** 2)
+        realized[(mech, eps)].append((ests[0] - truth) ** 2)
     lines = []
     ok = True
     for eps in sorted(config.eps_grid):

@@ -487,6 +487,21 @@ class TestCertificate:
         # the self-contained duality gap c.x - b.y, with b = (1, 0) per input
         assert abs(sol.objective_value - y[0::2].sum()) <= tol
 
+    @pytest.mark.parametrize("name, n, eps", CERTIFICATE_CASES)
+    def test_kept_outputs_within_the_dual_tolerance(self, name, n, eps):
+        # _certified trusts s(k) >= 0 on the kept outputs to R(A)'s dual
+        # feasibility, which HiGHS holds to 1e-10 in (t, s) coordinates;
+        # the proven bound is b.y - max(tol, -min s(k)) over those k
+        domain = make_domain(1.0, n)
+        if name == "estimated":
+            pmf = rr_pmf(n, eps, seed=3, sd=0.1, clients=2000)
+        else:
+            pmf = true_pmf(DESIGN_PMFS[name], domain)
+        sol, a = certified_solve(pmf, eps, domain)
+        kept = _slack(pmf.masses, domain.sigma, sol.eq_duals, np.arange(-a, n + a + 1), eps)
+        scale = (n + 1) * math.exp(eps) * 1e-10 * max(1.0, abs(sol.objective_value))
+        assert kept.min() >= -scale
+
     def test_rejects_a_dip_beyond_the_brute_force_range(self):
         # rho_0(k) = curv (k - k0)^2 - 5 is negative on k0 +- 10, and the
         # other rho_i(k - i) = curv (k - k0 - 10)^2 + e_ are positive; their
@@ -563,6 +578,22 @@ def test_estimated_pmf_at_large_eps_is_private(n, eps):
     assert verify_privacy(table, eps).passed
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="the whole program's privacy rows hold only to HiGHS's 1e-7 primal "
+    "tolerance, so a tail output beyond the window can be left empty under one input",
+)
+@pytest.mark.parametrize("name", ["gaussian", "uniform"])
+def test_small_window_table_is_private(name):
+    # M = N + 1 leaves no restricted program, so the whole program is
+    # solved; the verdict fails at output k = -6, beyond the window
+    d4 = make_domain(1.0, 4)
+    pmf = true_pmf(DESIGN_PMFS[name], d4)
+    table = solve_noise_table(pmf, 7.61, NoiseShape(m=5, r=0.114), d4)
+    assert verify_privacy(table, 7.61).passed
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     n=st.integers(2, 12),
@@ -624,16 +655,17 @@ class TestVerifyPrivacy:
 
 
 def density_by_rows(q, n, m, r, ks):
-    """Reference for _density_from_q, one input row at a time."""
+    """Reference for _density_from_q, one input row at a time, with one
+    scalar pow per tail cell."""
     d = np.zeros((n + 1, ks.size))
     for i in range(n + 1):
         j = ks - i
         window = np.abs(j) < m
         d[i, window] = q[i, j[window] + m]
         right = j >= m
-        d[i, right] = q[i, 2 * m] * r ** (j[right] - m).astype(float)
+        d[i, right] = q[i, 2 * m] * np.array([r ** int(p) for p in j[right] - m])
         left = j <= -m
-        d[i, left] = q[i, 0] * r ** (-m - j[left]).astype(float)
+        d[i, left] = q[i, 0] * np.array([r ** int(p) for p in -m - j[left]])
     return d
 
 
@@ -701,6 +733,39 @@ class TestVectorizedVerification:
         report = verify_composite_privacy(table, 1.0, inputs=xs)
         expected = ratio_report_by_columns(mixture, ks, 1.0, 1e-6, labels=xs.tolist())
         assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
+
+
+def test_verification_reads_the_lp_tail_coefficients(monkeypatch):
+    # at N=4, M=6 the whole program is solved and every tail column holds
+    # mass; verification must judge exactly the densities the LP
+    # constrained, build_lp's coefficient times q, bit for bit
+    n, m, eps = 4, 6, 1.0
+    d4 = make_domain(1.0, n)
+    pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d4)
+    shape = NoiseShape(m=m, r=0.3)
+    table = solve_noise_table(pmf, eps, shape, d4)
+    seen = {}
+    report = adaptive._ratio_report
+
+    def spy(density, ks, *args):
+        seen.update(density=density, ks=ks)
+        return report(density, ks, *args)
+
+    monkeypatch.setattr(adaptive, "_ratio_report", spy)
+    assert verify_privacy(table, eps).passed
+    a_ub = build_lp(pmf, eps, shape, d4).A_ub.toarray()
+    checked = 0
+    for col, k in enumerate(seen["ks"]):
+        for i in range(n + 1):
+            j = int(k) - i
+            if abs(j) <= m or not -m <= k <= n + m:
+                continue
+            cell = int(np.clip(j, -m, m)) + m
+            # row 2((k + M)(N + 1) + i) is t_k - coeff q[i, cell] <= 0
+            coeff = -a_ub[2 * ((k + m) * (n + 1) + i), i * (2 * m + 1) + cell]
+            assert seen["density"][i, col] == coeff * table.q[i, cell]
+            checked += bool(table.q[i, cell] > 0.0)
+    assert checked >= 10
 
 
 class TestSampleNoise:

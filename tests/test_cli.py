@@ -8,7 +8,6 @@ from ldpmean import (
     load_table,
     make_domain,
     solve_noise_table,
-    true_pmf,
     verify_privacy,
 )
 from ldpmean.cli import ExperimentConfig, load_config
@@ -93,6 +92,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="no \\[experiment\\] section"):
             load_config(str(path), {})
 
+    def test_fields_take_the_dataclass_types(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            "[experiment]\nbeta = 2\nnoise_window = 9\nsplit = 0.25\n"
+            "grid = 0.1, 0.2,\nmechanisms = laplace, duchi\ncsv = data.csv\n"
+        )
+        config = load_config(str(path), {"bins": "4", "tail_ratio": "0.3"})
+        assert (config.beta, config.noise_window, config.split) == (2.0, 9, 0.25)
+        assert type(config.beta) is float and type(config.noise_window) is int
+        assert (config.bins, config.tail_ratio) == (4, 0.3)
+        assert config.sweep_grid == (0.1, 0.2)
+        assert config.mechanisms == ("laplace", "duchi")
+        assert config.csv_path == "data.csv"
+        assert load_config(None, {"eps_grid": [1, "2"]}).eps_grid == (1.0, 2.0)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read config file"):
             load_config(str(tmp_path / "nope.ini"), {})
@@ -112,7 +126,7 @@ class TestVarianceCommand:
         # laplace closed form is pmf independent: 8 beta^2 / eps^2
         assert values[("laplace", "1.0")] == 8.0
         domain = make_domain(1.0, 2)
-        pmf = true_pmf(cli._parse_dist("uniform"), domain)
+        pmf = cli._true_pmf(ExperimentConfig(dataset="uniform"), domain)
         table = solve_noise_table(pmf, 1.0, ExperimentConfig(bins=2).shape, domain)
         assert values[("adaptive", "1.0")] == table.lp_objective
 
@@ -316,6 +330,27 @@ class TestErrorPaths:
         )
         assert rc == 2
         assert "unknown sample generator" in err
+
+    @pytest.mark.parametrize(
+        "command, spec, accepted",
+        [
+            ("variance", "gaussian:sdd=0.3", "gaussian accepts mu, sd"),
+            ("variance", "uniform:a=2", "uniform accepts no keys"),
+            ("estimate", "gaussian:mu=0.5", "gaussian accepts mean, sd, clip_lo, clip_hi"),
+            ("estimate", "bernoulli:q=0.2", "bernoulli accepts p"),
+        ],
+    )
+    def test_unknown_spec_key(self, command, spec, accepted, capsys):
+        # each family keeps its own key names; a key it does not list is
+        # an error, not a silent default
+        rc, out, err = run_cli(
+            [command, "--mechanisms", "laplace", "--dataset", spec] + FAST, capsys
+        )
+        assert rc == 2
+        assert out == ""
+        key = spec.split(":")[1].split("=")[0]
+        assert f"unknown key {key!r}" in err
+        assert accepted in err
 
     def test_missing_csv(self, tmp_path, capsys):
         rc, out, err = run_cli(
