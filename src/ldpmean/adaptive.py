@@ -6,7 +6,9 @@ The noise law conditioned on edge x_i lives on the integer offsets j of the
 edge grid.  Offsets with |j| < M carry free masses q[i][j]; beyond the window
 the mass decays geometrically, p(j) = q[i][+-M] * r^{|j|-M}, which keeps the
 infinite support summable with the closed-form moments below and keeps every
-constraint linear in the q variables.
+constraint linear in the q variables.  _column_weights states that law once:
+the mass, mean and variance a unit of each window column puts on the whole
+line, which the LP, the row checks, the sampler and the variance all read.
 
 The optimizer minimizes the pmf-weighted conditional second moment subject
 to, per row, normalization and zero mean (both with exact tail corrections)
@@ -100,6 +102,20 @@ def _tail_factors(r: float, exponents) -> np.ndarray:
     return powers[index].reshape(np.shape(exponents))
 
 
+def _column_weights(m: int, r: float, sigma: float) -> tuple[np.ndarray, ...]:
+    """(norm, mean, cost) per window column j + M: the mass, mean and
+    variance that a unit of q[i, j + M] puts on the whole line.  Inside the
+    window they are 1, j and (sigma j)^2; each end column carries its whole
+    geometric tail, 1/(1-r), +-T1 and sigma^2 T2."""
+    offsets = np.arange(-m, m + 1)
+    inside = np.abs(offsets) < m
+    norm = np.where(inside, 1.0, 1.0 / (1.0 - r))
+    mean = np.where(inside, offsets, np.sign(offsets) * tail_first_moment(m, r))
+    cost = (sigma * offsets) ** 2
+    cost[0] = cost[-1] = sigma * sigma * tail_second_moment(m, r)
+    return norm, mean, cost
+
+
 def _check_tail_args(m: int, r: float) -> None:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
@@ -169,9 +185,8 @@ def noise_mass(table: NoiseTable, i: int, j: int) -> float:
     """Mass of noise offset j under edge i, tails extrapolated geometrically."""
     if not 0 <= i <= table.domain.n_bins:
         raise ValueError("edge index out of range")
-    m, r = table.shape.m, table.shape.r
-    cell = min(max(j, -m), m) + m
-    return float(table.q[i, cell] * _tail_factors(r, max(abs(j) - m, 0)))
+    n, m = table.domain.n_bins, table.shape.m
+    return float(_density_from_q(table.q, n, m, table.shape.r, np.array([i + j]))[i, 0])
 
 
 def _check_design(
@@ -204,27 +219,17 @@ def build_lp(
     eps = _check_design(pmf, eps, shape, domain)
     n = domain.n_bins
     m = shape.m
-    r = shape.r
-    sigma = domain.sigma
     width = 2 * m + 1
     nq = (n + 1) * width
     finite = math.isfinite(eps)
     n_aux = (n + 2 * m + 1) if finite else 0
     n_vars = nq + n_aux
 
-    t1 = tail_first_moment(m, r)
-    t2 = tail_second_moment(m, r)
-
-    window_cost = (sigma * np.arange(-m, m + 1)) ** 2
-    window_cost[0] = window_cost[-1] = sigma * sigma * t2
+    norm, mean, cost = _column_weights(m, shape.r, domain.sigma)
     objective = np.zeros(n_vars)
-    objective[:nq] = np.outer(pmf.masses, window_cost).ravel()
+    objective[:nq] = np.outer(pmf.masses, cost).ravel()
 
     # row 2i: normalization, row 2i+1: zero mean, both over q[i, :]
-    offsets = np.arange(-m, m + 1)
-    tail_norm = 1.0 / (1.0 - r)
-    norm = np.where(np.abs(offsets) < m, 1.0, tail_norm)
-    mean = np.where(np.abs(offsets) < m, offsets, np.sign(offsets) * t1)
     eq_cols = np.arange(nq).reshape(n + 1, 1, width).repeat(2, axis=1)
     eq_vals = np.broadcast_to(np.stack([norm, mean]), eq_cols.shape)
     eq_rhs = np.tile([1.0, 0.0], n + 1)
@@ -238,7 +243,7 @@ def build_lp(
     ks = np.arange(-m, n + m + 1)
     j = ks[:, None] - np.arange(n + 1)[None, :]
     var = np.arange(n + 1) * width + np.clip(j, -m, m) + m
-    coeff = _tail_factors(r, np.maximum(np.abs(j) - m, 0))
+    coeff = _tail_factors(shape.r, np.maximum(np.abs(j) - m, 0))
     t_k = np.broadcast_to((nq + ks + m)[:, None], var.shape)
     ub_cols = np.stack([var, t_k, var, t_k], axis=-1)
     ub_vals = np.stack(
@@ -453,27 +458,11 @@ def solve_noise_table(
             f"after {sol.iterations} iterations "
             f"(n_bins={domain.n_bins}, m={shape.m}, eps={eps}): {sol.message}"
         )
-    n, m = domain.n_bins, shape.m
     small_negative = (q < 0.0) & (q >= -_NEG_TOL)
     q[small_negative] = 0.0
     if np.any(q < 0.0):
         raise RuntimeError(f"solver returned negative mass {q.min()!r}")
-    # drop vertex dust so outputs the optimum leaves empty verify as empty.
-    # A cell is zeroed only when its whole output column sits at round-off
-    # scale, so the clip can empty a column but never unbalance one (a flat
-    # per-cell floor would break verification once a design's legitimate
-    # masses approach the floor, which happens as eps grows).
-    ks = np.arange(-m, n + m + 1)
-    safe = _density_from_q(q, n, m, shape.r, ks).max(axis=0) <= _DUST
-    for i in range(n + 1):
-        inner = q[i, 1:-1]
-        clip = safe[i + 1 : i + 2 * m] & (inner <= _DUST)
-        inner[clip] = 0.0
-        if q[i, 2 * m] <= _DUST and safe[i + 2 * m :].all():
-            q[i, 2 * m] = 0.0
-        if q[i, 0] <= _DUST and safe[: i + 1].all():
-            q[i, 0] = 0.0
-
+    q[_dust(q, domain.n_bins, shape.m, shape.r)] = 0.0
     table = NoiseTable(
         domain=domain, shape=shape, q=q, eps=eps, lp_objective=sol.objective_value
     )
@@ -489,32 +478,37 @@ def solve_noise_table(
     return table
 
 
+def _dust(q: np.ndarray, n: int, m: int, r: float) -> np.ndarray:
+    """The vertex dust of q, zeroed so that outputs the optimum leaves empty
+    verify as empty: the cells at or below _DUST whose every output column
+    sits at that scale under every input.  Cell (i, c) feeds output
+    k = i + c - M, and an end cell every output past it too.  So the clip
+    can empty a column but never unbalance one (a flat per-cell floor would
+    break verification once a design's legitimate masses approach the
+    floor, which happens as eps grows)."""
+    ks = np.arange(-m, n + m + 1)
+    safe = _density_from_q(q, n, m, r, ks).max(axis=0) <= _DUST
+    col = np.arange(n + 1)[:, None] + np.arange(2 * m + 1)  # k + M of each cell
+    clear = safe[col]
+    clear[:, 0] = np.logical_and.accumulate(safe)[col[:, 0]]
+    clear[:, -1] = np.logical_and.accumulate(safe[::-1])[::-1][col[:, -1]]
+    return clear & (q <= _DUST)
+
+
 def _check_row_invariants(table: NoiseTable) -> None:
-    m, r = table.shape.m, table.shape.r
-    q = table.q
-    window = q[:, 1:-1].sum(axis=1)
-    norm = window + (q[:, 0] + q[:, -1]) / (1.0 - r)
-    if np.max(np.abs(norm - 1.0)) > _ROW_TOL:
-        raise RuntimeError(
-            f"row normalization off by {np.max(np.abs(norm - 1.0))!r}"
-        )
-    js = np.arange(-m + 1, m)
-    t1 = tail_first_moment(m, r)
-    mean = q[:, 1:-1] @ js + t1 * (q[:, -1] - q[:, 0])
-    if np.max(np.abs(mean)) > _ROW_TOL:
-        raise RuntimeError(f"row zero-mean off by {np.max(np.abs(mean))!r}")
-
-
-def _density_matrix(table: NoiseTable, ks: np.ndarray) -> np.ndarray:
-    """d[i, idx] = noise mass of output grid index ks[idx] under input i."""
-    return _density_from_q(
-        table.q, table.domain.n_bins, table.shape.m, table.shape.r, ks
-    )
+    norm, mean, _ = _column_weights(table.shape.m, table.shape.r, table.domain.sigma)
+    off = np.max(np.abs(table.q @ norm - 1.0))
+    if off > _ROW_TOL:
+        raise RuntimeError(f"row normalization off by {off!r}")
+    off = np.max(np.abs(table.q @ mean))
+    if off > _ROW_TOL:
+        raise RuntimeError(f"row zero-mean off by {off!r}")
 
 
 def _density_from_q(
     q: np.ndarray, n: int, m: int, r: float, ks: np.ndarray
 ) -> np.ndarray:
+    """d[i, idx] = noise mass of output grid index ks[idx] under input i."""
     j = ks[None, :] - np.arange(n + 1)[:, None]
     d = q[np.arange(n + 1)[:, None], np.clip(j, -m, m) + m]
     beyond = np.abs(j) >= m
@@ -557,7 +551,7 @@ def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-6) -> PrivacyR
     eps = check_eps(eps, allow_inf=True)
     n, m = table.domain.n_bins, table.shape.m
     ks = np.arange(-m - 1, n + m + 2)
-    return _ratio_report(_density_matrix(table, ks), ks, eps, tol)
+    return _ratio_report(_density_from_q(table.q, n, m, table.shape.r, ks), ks, eps, tol)
 
 
 def verify_composite_privacy(
@@ -580,7 +574,7 @@ def verify_composite_privacy(
     xs = np.asarray(inputs, dtype=float)
     n, m = domain.n_bins, table.shape.m
     ks = np.arange(-m - 1, n + m + 2)
-    rows = _density_matrix(table, ks)
+    rows = _density_from_q(table.q, n, m, table.shape.r, ks)
     idx, w_left = rounding_weights_array(domain, xs)
     weights = np.zeros((xs.size, n + 1))
     weights[np.arange(xs.size), idx] = w_left
@@ -616,10 +610,7 @@ def _draw_offsets(table: NoiseTable, i: int, rng: np.random.Generator, out: np.n
     draws them, and each block's categories are written over its uniforms.
     """
     m, r = table.shape.m, table.shape.r
-    row = table.q[i]
-    probs = row.copy()
-    probs[0] = row[0] / (1.0 - r)
-    probs[-1] = row[-1] / (1.0 - r)
+    probs = table.q[i] * _column_weights(m, r, table.domain.sigma)[0]
     probs /= probs.sum()  # row invariants hold to 1e-7; renormalize exactly
     if not (probs >= 0).all():
         raise ValueError("probabilities are not non-negative")
@@ -648,7 +639,8 @@ def sample_noise(table: NoiseTable, i: int, rng: np.random.Generator, size=None)
     """Draw noise offsets j from row i of the table.
 
     Three-part mixture: the window masses |j| < M directly; each tail as its
-    total mass q[i][+-M]/(1-r) followed by a geometric offset beyond +-M.
+    total mass (q[i][+-M] times its _column_weights norm) followed by a
+    geometric offset beyond +-M.
     """
     if not 0 <= i <= table.domain.n_bins:
         raise ValueError("edge index out of range")

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .adaptive import NoiseTable, tail_second_moment
+from .adaptive import NoiseTable, _column_weights
 from .baselines import (
     check_eps,
     duchi_conditional_variance,
@@ -23,16 +23,10 @@ BASELINE_MECHANISMS = ("duchi", "piecewise", "laplace", "hybrid")
 
 
 def row_variances(table: NoiseTable) -> np.ndarray:
-    """Conditional noise variance of each row of a table, tails exact.
-
-    Per row: sum_{|j|<M} (sigma j)^2 q[i][j] + sigma^2 T2 (q[i][-M]+q[i][M]).
-    """
-    m, r = table.shape.m, table.shape.r
-    sigma = table.domain.sigma
-    js = np.arange(-m + 1, m)
-    window = table.q[:, 1:-1] @ (sigma * js) ** 2
-    tails = sigma * sigma * tail_second_moment(m, r) * (table.q[:, 0] + table.q[:, -1])
-    return window + tails
+    """Conditional noise variance of each row of a table, tails exact: q
+    times the variance each window column carries (the LP's objective
+    coefficients, adaptive._column_weights)."""
+    return table.q @ _column_weights(table.shape.m, table.shape.r, table.domain.sigma)[2]
 
 
 def expected_variance(table: NoiseTable, pmf: QuantizedPmf) -> float:

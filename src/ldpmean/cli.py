@@ -25,6 +25,7 @@ import numpy as np
 
 from .adaptive import (
     NoiseShape,
+    _first_half_width,
     save_table,
     solve_noise_table,
     verify_privacy,
@@ -69,7 +70,7 @@ class ExperimentConfig:
     eps_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
     beta: float = 1.0
     bins: int = 16
-    noise_window: int | None = None  # M; defaults to 4 * bins
+    noise_window: int | None = None  # M; derived by the m property when None
     tail_ratio: float = 0.5
     split: float = 0.1
     runs: int = 20
@@ -105,7 +106,13 @@ class ExperimentConfig:
 
     @property
     def m(self) -> int:
-        return 4 * self.bins if self.noise_window is None else self.noise_window
+        """The noise window M: noise_window, else 4 * bins widened until the
+        first restricted program at the smallest per-attribute budget
+        min(eps_grid) / k fits inside it (see adaptive._first_half_width)."""
+        if self.noise_window is not None:
+            return self.noise_window
+        a = _first_half_width(self.bins, min(self.eps_grid) / self.k)
+        return max(4 * self.bins, self.bins + a + 2)
 
     @property
     def shape(self) -> NoiseShape:
@@ -305,9 +312,9 @@ def _csv_column(config: ExperimentConfig) -> np.ndarray | None:
 
 
 def _estimate_rows(config: ExperimentConfig, fixed: np.ndarray | None) -> list:
-    """(mechanism, eps, mse, runs, seed) per (mechanism, eps): the
-    experiment at d = k = 1, whatever config's d and k say."""
-    mse = _mean_errors(replace(config, d=1, k=1), fixed)
+    """(mechanism, eps, mse, runs, seed) per (mechanism, eps) of the
+    experiment at config, which estimate and sweep set to d = k = 1."""
+    mse = _mean_errors(config, fixed)
     return [
         (mech, eps, mse[(mech, eps)], config.runs, config.seed)
         for mech in config.mechanisms
@@ -318,6 +325,7 @@ def _estimate_rows(config: ExperimentConfig, fixed: np.ndarray | None) -> list:
 def cmd_estimate(config: ExperimentConfig) -> str:
     """Mean squared error of the end-to-end protocol per (mechanism, eps):
     the multidim experiment at d = k = 1, with --csv read as one column."""
+    config = replace(config, d=1, k=1)
     rows = _estimate_rows(config, _csv_column(config))
     return _write_csv(config, "estimate", "mechanism,eps,mse,runs,seed", rows)
 
@@ -355,6 +363,7 @@ def cmd_sweep(config: ExperimentConfig) -> str:
         )
     if not config.sweep_grid:
         raise ValueError("sweep grid is empty")
+    config = replace(config, d=1, k=1)
     fixed = _csv_column(config)
     rows = []
     for value in sorted(config.sweep_grid):

@@ -40,6 +40,8 @@ class QuantizedPmf:
         m = np.asarray(self.masses, dtype=float)
         if m.ndim != 1 or m.size < 1:
             raise ValueError("pmf must be a nonempty vector")
+        if not np.isfinite(m).all():
+            raise ValueError("pmf has non-finite mass")
         if np.any(m < -1e-12):
             raise ValueError("pmf has negative mass")
         if abs(m.sum() - 1.0) > 1e-9:

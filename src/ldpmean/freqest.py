@@ -10,7 +10,6 @@ no linear-algebra dependency.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,8 @@ class PerturbedHistogram:
         c = np.asarray(self.counts, dtype=np.int64)
         if np.any(c < 0):
             raise ValueError("negative count")
+        if self.total < 1:
+            raise ValueError(f"histogram total must be >= 1, got {self.total!r}")
         if c.sum() != self.total:
             raise ValueError("counts do not sum to total")
         object.__setattr__(self, "counts", c)
@@ -91,16 +92,10 @@ def reconstruct_pmf(hist: PerturbedHistogram, matrix: RrMatrix) -> QuantizedPmf:
         e = math.exp(matrix.eps)
         # A^{-1} f = ((n + e) f - sum(f)) / (e - 1)
         v = ((n + e) * freq - freq.sum()) / (e - 1.0)
+    # the row sums of A^{-1} make sum(v) = sum(f) = 1 before clipping, and
+    # clipping only raises it
     v = np.clip(v, 0.0, None)
-    total = v.sum()
-    if total <= 0.0:
-        # cannot happen for a valid histogram (the row sums of A^{-1} force
-        # sum(v) = 1 before clipping) but keep a defensive uniform fallback
-        warnings.warn("degenerate reconstruction, falling back to uniform pmf")
-        v = np.full(matrix.size, 1.0 / matrix.size)
-    else:
-        v /= total
-    return QuantizedPmf(v)
+    return QuantizedPmf(v / v.sum())
 
 
 def relative_error_bound(p_true: QuantizedPmf, p_hat: QuantizedPmf) -> float:

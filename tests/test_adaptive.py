@@ -25,7 +25,9 @@ from ldpmean.adaptive import (
     verify_composite_privacy,
     verify_privacy,
     _certified,
+    _column_weights,
     _density_from_q,
+    _dust,
     _first_half_width,
     _ratio_report,
     _restrict,
@@ -35,6 +37,7 @@ from ldpmean.adaptive import (
 )
 from ldpmean import adaptive
 from ldpmean import lp as lplib
+from ldpmean.analysis import expected_variance, row_variances
 from ldpmean.baselines import piecewise_conditional_variance
 from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
 from ldpmean.domain import QuantizedPmf, make_domain, rounding_weights_array
@@ -766,6 +769,118 @@ def test_verification_reads_the_lp_tail_coefficients(monkeypatch):
             assert seen["density"][i, col] == coeff * table.q[i, cell]
             checked += bool(table.q[i, cell] > 0.0)
     assert checked >= 10
+
+
+class TestColumnWeights:
+    """The LP, the row checks, the sampler and the variance read one
+    statement of the window-plus-tails law, bit for bit."""
+
+    N, M, R, EPS = 4, 6, 0.3, 1.0  # the whole program is solved, tails loaded
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        domain = make_domain(1.0, self.N)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
+        shape = NoiseShape(m=self.M, r=self.R)
+        table = solve_noise_table(pmf, self.EPS, shape, domain)
+        assert np.min(table.q[:, [0, -1]].max(axis=1)) > 0.01
+        return pmf, shape, domain, table
+
+    def test_hand_values(self):
+        norm, mean, cost = _column_weights(2, 0.5, 0.5)
+        np.testing.assert_array_equal(norm, [2.0, 1.0, 1.0, 1.0, 2.0])
+        t1, t2 = tail_first_moment(2, 0.5), tail_second_moment(2, 0.5)
+        np.testing.assert_array_equal(mean, [-t1, -1.0, 0.0, 1.0, t1])
+        np.testing.assert_array_equal(cost, [0.25 * t2, 0.25, 0.0, 0.25, 0.25 * t2])
+
+    def test_lp_rows_and_objective(self, design):
+        pmf, shape, domain, _ = design
+        norm, mean, cost = _column_weights(self.M, self.R, domain.sigma)
+        program = build_lp(pmf, self.EPS, shape, domain)
+        a_eq = program.A_eq.toarray()
+        width = 2 * self.M + 1
+        for i in range(self.N + 1):
+            block = slice(i * width, (i + 1) * width)
+            np.testing.assert_array_equal(a_eq[2 * i, block], norm)
+            np.testing.assert_array_equal(a_eq[2 * i + 1, block], mean)
+            np.testing.assert_array_equal(program.objective[block], pmf.masses[i] * cost)
+
+    def test_variance_reads_the_objective_coefficients(self, design):
+        pmf, _, domain, table = design
+        cost = _column_weights(self.M, self.R, domain.sigma)[2]
+        np.testing.assert_array_equal(row_variances(table), table.q @ cost)
+        assert expected_variance(table, pmf) == pytest.approx(table.lp_objective, rel=1e-9)
+
+    def test_sampler_weights_rows_by_the_lp_norm(self, design, monkeypatch):
+        _, _, domain, table = design
+        norm = _column_weights(self.M, self.R, domain.sigma)[0]
+        seen = []
+        guide = adaptive._guide_table
+        monkeypatch.setattr(adaptive, "_guide_table", lambda cdf: seen.append(cdf) or guide(cdf))
+        for i in range(self.N + 1):
+            sample_noise(table, i, np.random.default_rng(i), size=10)
+            probs = table.q[i] * norm
+            probs /= probs.sum()
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            np.testing.assert_array_equal(seen[-1], cdf)
+
+
+def dust_by_rows(q, n, m, r):
+    """Reference for _dust: the cells the per-row loop zeroes."""
+    ks = np.arange(-m, n + m + 1)
+    safe = _density_from_q(q, n, m, r, ks).max(axis=0) <= adaptive._DUST
+    dust = np.zeros(q.shape, dtype=bool)
+    for i in range(n + 1):
+        dust[i, 1:-1] = safe[i + 1 : i + 2 * m] & (q[i, 1:-1] <= adaptive._DUST)
+        dust[i, -1] = q[i, -1] <= adaptive._DUST and safe[i + 2 * m :].all()
+        dust[i, 0] = q[i, 0] <= adaptive._DUST and safe[: i + 1].all()
+    return dust
+
+
+def raw_solution(pmf, eps, shape, domain):
+    """The solved window masses as solve_noise_table has them before the
+    dust is cleared."""
+    sol, q = adaptive._solve_restricted_first(pmf, eps, shape, domain)
+    assert sol.status == "optimal"
+    q[(q < 0.0) & (q >= -adaptive._NEG_TOL)] = 0.0
+    return q
+
+
+DUST_TABLES = (
+    [(name, 16, 64, 0.5, eps) for name in sorted(DESIGN_PMFS) for eps in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    + [("gaussian", 4, 6, 0.3, 1.0), ("gaussian", 8, 22, 0.3, 0.5),
+       ("gaussian", 8, 22, 0.7, 0.5), ("gaussian", 16, 40, 0.5, 0.5)]
+)
+
+
+class TestDust:
+    """The dust mask zeroes exactly the cells of the per-row loop."""
+
+    def test_solved_tables(self):
+        changed = 0
+        for name, n, m, r, eps in DUST_TABLES:
+            domain = make_domain(1.0, n)
+            q = raw_solution(true_pmf(DESIGN_PMFS[name], domain), eps, NoiseShape(m, r), domain)
+            mask = _dust(q, n, m, r)
+            np.testing.assert_array_equal(mask, dust_by_rows(q, n, m, r))
+            changed += bool(np.any(q[mask] > 0.0))
+        assert changed >= 1  # some table really carries dust
+
+    def test_random_dusty_tables(self):
+        rng = np.random.default_rng(11)
+        levels = np.array([0.0, 1e-12, 5e-11, 1e-10, 2e-10, 1e-3, 0.1])
+        ends = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            m = n + int(rng.integers(0, 5))
+            r = float(rng.uniform(0.05, 0.95))
+            p = rng.dirichlet(np.ones(levels.size) * 0.3)
+            q = rng.choice(levels, size=(n + 1, 2 * m + 1), p=p)
+            mask = _dust(q, n, m, r)
+            np.testing.assert_array_equal(mask, dust_by_rows(q, n, m, r))
+            ends += bool(mask[:, [0, -1]].any() and (~mask[:, [0, -1]]).any())
+        assert ends >= 30  # both outcomes at the end cells, often
 
 
 class TestSampleNoise:

@@ -47,6 +47,26 @@ class TestConfig:
 
     def test_noise_window_override(self):
         assert ExperimentConfig(noise_window=12).m == 12
+        assert ExperimentConfig(noise_window=12, d=3, k=3, eps_grid=(0.1,)).m == 12
+
+    @pytest.mark.parametrize(
+        "fields, m",
+        [
+            ({"d": 3, "k": 2}, 106),
+            ({"d": 3, "k": 3}, 154),
+            ({"eps_grid": (0.2,)}, 130),
+            ({"eps_grid": (0.1, 1.0)}, 250),
+            ({"bins": 4, "eps_grid": (0.5,)}, 19),
+            ({"bins": 8, "eps_grid": (0.5, 1.0, 4.0)}, 32),
+            ({"bins": 32, "eps_grid": (0.5,)}, 128),
+        ],
+    )
+    def test_default_window_fits_the_first_restricted_program(self, fields, m):
+        # M = max(4 N, N + A0 + 2) at the smallest per-attribute budget
+        config = ExperimentConfig(**fields)
+        eps = min(config.eps_grid) / config.k
+        a0 = cli._first_half_width(config.bins, eps)
+        assert config.m == m == max(4 * config.bins, config.bins + a0 + 2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
@@ -187,6 +207,26 @@ class TestEstimateCommand:
         for r in rows:
             assert float(r[2]) >= 0.0
 
+    def test_small_eps_widens_the_default_window(self, capsys):
+        rc, out, err = run_cli(
+            ["estimate", "--eps", "0.2", "--mechanisms", "adaptive",
+             "--n", "3000", "--runs", "1", "--out", "-"],
+            capsys,
+        )
+        assert rc == 0, err
+        assert out.splitlines()[0].endswith(" m=130")
+
+    def test_header_records_the_dimensions_it_runs_at(self, capsys):
+        # estimate runs at d = k = 1 whatever --d and --k say, and its
+        # window is derived at k = 1
+        rc, out, _ = run_cli(
+            ["estimate", "--d", "3", "--k", "2", "--mechanisms", "laplace"] + FAST,
+            capsys,
+        )
+        assert rc == 0
+        header = out.splitlines()[0]
+        assert " d=1 k=1 " in header and header.endswith(" m=9")
+
     def test_csv_input_is_deterministic(self, tmp_path):
         data = tmp_path / "values.csv"
         rng = np.random.default_rng(5)
@@ -280,6 +320,17 @@ class TestMultidimCommand:
         assert rc == 0
         _, body = read_rows(out.read_text())
         assert body[0][3] == "2"  # d inferred from the file
+
+    def test_default_window_follows_the_per_attribute_budget(self, capsys):
+        # eps / k = 0.25 at bins 16 has no feasible table in 4 * bins = 64;
+        # the derived window is 106
+        rc, out, err = run_cli(
+            ["multidim", "--d", "3", "--k", "2", "--mechanisms", "adaptive",
+             "--eps", "0.5", "--n", "3000", "--runs", "1", "--out", "-"],
+            capsys,
+        )
+        assert rc == 0, err
+        assert out.splitlines()[0].endswith(" m=106")
 
     def test_k_exceeding_d_rejected(self, capsys):
         rc, out, err = run_cli(

@@ -240,3 +240,11 @@ class TestQuantizedPmf:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             QuantizedPmf(masses=np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        # NaN passes both the sign and the total check
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantizedPmf(masses=np.array([1.0, bad, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantizedPmf(masses=np.full(5, bad))

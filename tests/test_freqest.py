@@ -185,3 +185,8 @@ class TestHistogramValidation:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             PerturbedHistogram(counts=np.array([-1, 9]), total=8)
+
+    def test_empty_histogram_rejected(self):
+        # an empty histogram used to reconstruct to five NaN masses
+        with pytest.raises(ValueError, match="total must be >= 1"):
+            PerturbedHistogram(counts=np.zeros(5, dtype=int), total=0)
