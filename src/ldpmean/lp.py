@@ -1,39 +1,78 @@
-"""Linear programs in sparse form, solved through scipy's HiGHS.
+"""Linear programs in sparse form, solved by HiGHS through scipy's binding.
 
 Standard form: minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
 x >= 0.  The constraint blocks are CSR arrays, built by the caller directly
 in that form; `solve` is the package's only call into a solver.
+
+`solve` hands the program to scipy's bundled HiGHS binding directly, with
+the model and options that `scipy.optimize.linprog(method="highs")` builds,
+so it returns linprog's solutions bit for bit.  It skips what linprog adds
+around that call: input checks (LinearProgram makes its own), option
+parsing, per-column bound marginals, and a recheck of the returned point at
+a tolerance of 3e-4, which can only relabel an optimum as a numerical
+failure.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.optimize
 from scipy import sparse
-from scipy.optimize import linprog
+
+# Imported on its own above, rather than only as the parent of the binding's
+# module below, scipy.optimize takes about 30 ms less to import (scipy
+# 1.17.1, Python 3.11, 2-core VM)
+try:
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        ObjSense,
+        _Highs,
+        kHighsInf,
+    )
+except ImportError as err:  # the binding is private to scipy
+    raise ImportError(
+        "ldpmean needs scipy>=1.17.1, whose scipy.optimize._highspy._core "
+        f"binding it calls HiGHS through; found scipy {scipy.__version__}"
+    ) from err
 
 # HiGHS stops once reduced costs are within this of dual feasibility.  At
 # its default (1e-7) restricted noise-design solves stop up to 2e-7
 # relative above the optimum, and their equality duals are what certifies
 # them (adaptive._certified)
 _DUAL_TOL = 1e-10
-# Price the dual simplex with devex rather than HiGHS's default steepest
-# edge, which costs more per iteration than it saves in iterations on the
-# noise-design programs: the first R(A) of 36 analytic cells (N in {8, 16,
-# 32}, eps in {0.5, 1, 2, 4}) took 2.8-3.4 s in all against 5.7 s, and that
-# of an N=32 randomized-response estimate at eps=0.5 0.6-0.8 s against
-# 3.6-4.0 s (2-core VM)
-_PRICING = "devex"
+# Price the dual simplex with devex (HiGHS's strategy 1) rather than its
+# default steepest edge, which costs more per iteration than it saves in
+# iterations on the noise-design programs: the first R(A) of 36 analytic
+# cells (N in {8, 16, 32}, eps in {0.5, 1, 2, 4}) took 2.8-3.4 s in all
+# against 5.7 s, and that of an N=32 randomized-response estimate at
+# eps=0.5 0.6-0.8 s against 3.6-4.0 s (2-core VM)
+_DEVEX = 1
 
-# scipy's linprog status codes; 4 covers every HiGHS model status that is not
-# a verdict on the program (solve error, unknown status, ...)
+# The options linprog(method="highs") passes to HiGHS when given the two
+# above, as HiGHS reads them; method "highs-ipm" adds solver = "ipm"
+_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual
+    "simplex_dual_edge_weight_strategy": _DEVEX,
+    "dual_feasibility_tolerance": _DUAL_TOL,
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+# HiGHS model statuses as linprog maps them; every other status (solve
+# error, Unknown, ...) is not a verdict on the program
 _STATUS = {
-    0: "optimal",
-    1: "iteration-limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "numerical-failure",
+    HighsModelStatus.kOptimal: "optimal",
+    HighsModelStatus.kIterationLimit: "iteration-limit",
+    HighsModelStatus.kTimeLimit: "iteration-limit",
+    HighsModelStatus.kInfeasible: "infeasible",
+    HighsModelStatus.kModelError: "infeasible",
+    HighsModelStatus.kUnbounded: "unbounded",
 }
 
 
@@ -93,29 +132,62 @@ class LpSolution:
     message: str  # HiGHS's own; after a retry, both methods' messages
     method: str  # the HiGHS method that produced this verdict
     eq_duals: np.ndarray  # HiGHS's d(objective)/d(b_eq); empty unless optimal
+    # what HiGHS received, and the seconds its run took (summed over a retry)
+    columns: int
+    rows: int
+    nonzeros: int
+    run_seconds: float
 
 
-def _linprog(program: LinearProgram, method: str) -> LpSolution:
-    res = linprog(
-        program.objective,
-        A_ub=program.A_ub,
-        b_ub=program.b_ub,
-        A_eq=program.A_eq,
-        b_eq=program.b_eq,
-        bounds=(0, None),
-        method=method,
-        options={
-            "dual_feasibility_tolerance": _DUAL_TOL,
-            "simplex_dual_edge_weight_strategy": _PRICING,
-        },
+def _solve_once(program: LinearProgram, method: str) -> LpSolution:
+    """One HiGHS solve: rows [A_ub; A_eq] as CSC, bounded by (-inf, b_ub]
+    and [b_eq, b_eq], columns by [0, inf)."""
+    n = program.num_vars
+    blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
+    a = sparse.vstack(blocks).tocsc() if blocks else sparse.csc_array((0, n))
+    a.sum_duplicates()  # as linprog's conversion does; HiGHS rejects duplicates
+    b_ub = np.zeros(0) if program.b_ub is None else program.b_ub
+    b_eq = np.zeros(0) if program.b_eq is None else program.b_eq
+    highs = _Highs()
+    for name, value in _OPTIONS.items():
+        highs.setOptionValue(name, value)
+    if method == "highs-ipm":
+        highs.setOptionValue("solver", "ipm")
+    # the array form of passModel copies each array in one piece; every
+    # column is marked continuous
+    passed = highs.passModel(
+        n, a.shape[0], a.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        program.objective, np.zeros(n), np.full(n, kHighsInf),
+        np.concatenate([np.full(b_ub.size, -kHighsInf), b_eq]),
+        np.concatenate([b_ub, b_eq]),
+        a.indptr, a.indices, a.data, np.zeros(n, dtype=np.int32),
     )
-    x = res.x if res.x is not None else np.zeros(program.num_vars)
-    optimal = res.status == 0
-    value = float(res.fun) if optimal else np.nan
-    eqlin = res.get("eqlin") if optimal else None
-    duals = np.zeros(0) if eqlin is None else np.asarray(eqlin.marginals)
+    run_seconds = 0.0
+    if passed == HighsStatus.kError:
+        model = HighsModelStatus.kModelError
+    else:
+        start = time.perf_counter()
+        highs.run()
+        run_seconds = time.perf_counter() - start
+        model = highs.getModelStatus()
+    info = highs.getInfo()
+    status = _STATUS.get(model, "numerical-failure")
+    message = (
+        f"model_status is {highs.modelStatusToString(model)}; primal_status is "
+        f"{highs.solutionStatusToString(info.primal_solution_status)}"
+    )
+    x, value, duals = np.zeros(n), np.nan, np.zeros(0)
+    if status == "optimal":
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        value = info.objective_function_value
+        duals = np.array(solution.row_dual[b_ub.size :])
+    iterations = 0  # HiGHS's counts are void when it stopped on an error
+    if info.valid:
+        iterations = info.simplex_iteration_count or info.ipm_iteration_count
     return LpSolution(
-        _STATUS[res.status], np.asarray(x), value, int(res.nit), res.message, method, duals
+        status, x, value, iterations, message, method, duals,
+        n, a.shape[0], a.nnz, run_seconds,
     )
 
 
@@ -129,12 +201,13 @@ def solve(program: LinearProgram) -> LpSolution:
     interior-point method solves.  After a retry the solution carries both
     HiGHS messages and the summed iterations.
     """
-    first = _linprog(program, "highs")
+    first = _solve_once(program, "highs")
     if first.status != "numerical-failure":
         return first
-    retry = _linprog(program, "highs-ipm")
+    retry = _solve_once(program, "highs-ipm")
     return replace(
         retry,
         iterations=first.iterations + retry.iterations,
+        run_seconds=first.run_seconds + retry.run_seconds,
         message=f"highs: {first.message}; highs-ipm: {retry.message}",
     )

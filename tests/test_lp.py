@@ -1,11 +1,21 @@
 """The LP layer: hand cases and statuses of `lp.solve`, container validation,
-and the vertex oracle."""
+the vertex oracle, and bit-for-bit agreement with scipy's linprog."""
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from ldpmean import lp as lplib
+from ldpmean.adaptive import NoiseShape, _first_half_width, _restrict, build_lp
+from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
+from ldpmean.domain import make_domain
+from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import LinearProgram, solve
 from lp_oracle import dense_system, random_bounded_program, vertex_enumeration_optimum
 
@@ -22,18 +32,50 @@ def check_feasible(lp, x, tol=1e-7):
             assert abs(v - b) <= tol * scale
 
 
-def fake_linprog(statuses):
-    """Stand-in for scipy's linprog answering with the given statuses in turn."""
+def recording_highs():
+    """HiGHS class that keeps every instance solve makes."""
+    made = []
+
+    class Highs(lplib._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    return Highs, made
+
+
+def fake_highs(statuses):
+    """HiGHS class whose solves end in the given model statuses in turn,
+    each after 7 simplex iterations; calls records each solve's solver
+    option ("choose" for HiGHS's default method)."""
     calls = []
 
-    def linprog(c, method, **kwargs):
-        status = statuses[len(calls)]
-        calls.append(method)
-        return OptimizeResult(
-            status=status, x=None, fun=0.0, nit=7, message=f"{method} status {status}"
-        )
+    class Highs(lplib._Highs):
+        def run(self):
+            calls.append(self.getOptionValue("solver")[1])
+            return super().run()
 
-    return linprog, calls
+        def getModelStatus(self):
+            return statuses[len(calls) - 1]
+
+        def getInfo(self):
+            info = super().getInfo()
+            info.simplex_iteration_count = 7
+            return info
+
+    return Highs, calls
+
+
+# model statuses that are a verdict on the program; every other one is a
+# numerical failure, retried once
+VERDICTS = {
+    HighsModelStatus.kOptimal: "optimal",
+    HighsModelStatus.kIterationLimit: "iteration-limit",
+    HighsModelStatus.kTimeLimit: "iteration-limit",
+    HighsModelStatus.kInfeasible: "infeasible",
+    HighsModelStatus.kModelError: "infeasible",
+    HighsModelStatus.kUnbounded: "unbounded",
+}
 
 
 class TestHandExamples:
@@ -57,14 +99,14 @@ class TestHandExamples:
         sol = solve(lp)
         assert sol.status == "infeasible"
         assert np.isnan(sol.objective_value)
-        assert "infeasible" in sol.message
+        assert sol.message == "model_status is Infeasible; primal_status is None"
 
     def test_unbounded(self):
         lp = LinearProgram([-1.0], A_ub=[[-1.0]], b_ub=[0.0])
         sol = solve(lp)
         assert sol.status == "unbounded"
         assert np.isnan(sol.objective_value)
-        assert "unbounded" in sol.message
+        assert sol.message.startswith("model_status is Unbounded; ")
 
     def test_unbounded_without_constraints(self):
         assert solve(LinearProgram([0.0, -1.0])).status == "unbounded"
@@ -108,25 +150,55 @@ class TestHandExamples:
         assert sol.objective_value == pytest.approx(-2.0)
 
     def test_iteration_limit_status(self, monkeypatch):
-        linprog, calls = fake_linprog([1])
-        monkeypatch.setattr(lplib, "linprog", linprog)
+        highs, calls = fake_highs([HighsModelStatus.kIterationLimit])
+        monkeypatch.setattr(lplib, "_Highs", highs)
         sol = solve(LinearProgram([1.0]))
         assert sol.status == "iteration-limit"
-        assert calls == ["highs"]  # only numerical failures are retried
+        assert calls == ["choose"]  # only numerical failures are retried
+        assert sol.iterations == 7
+        assert np.isnan(sol.objective_value) and sol.eq_duals.size == 0
+        assert sol.message.startswith("model_status is Iteration limit reached; ")
 
     def test_devex_pricing_and_dual_tolerance(self, monkeypatch):
-        seen = []
-
-        def linprog(c, method, options, **kwargs):
-            seen.append((method, options))
-            return OptimizeResult(status=0, x=np.zeros(1), fun=0.0, nit=1, message="ok")
-
-        monkeypatch.setattr(lplib, "linprog", linprog)
+        highs, made = recording_highs()
+        monkeypatch.setattr(lplib, "_Highs", highs)
         assert solve(LinearProgram([1.0])).status == "optimal"
-        assert seen == [
-            ("highs", {"dual_feasibility_tolerance": 1e-10,
-                       "simplex_dual_edge_weight_strategy": "devex"})
-        ]
+        (used,) = made
+        options = {name: used.getOptionValue(name)[1] for name in (
+            "dual_feasibility_tolerance", "simplex_dual_edge_weight_strategy",
+            "presolve", "simplex_strategy", "solver", "output_flag",
+        )}
+        assert options == {
+            "dual_feasibility_tolerance": 1e-10,
+            "simplex_dual_edge_weight_strategy": 1,  # devex
+            "presolve": "on",
+            "simplex_strategy": 1,  # dual
+            "solver": "choose",
+            "output_flag": False,
+        }
+
+    def test_model_error_is_infeasible(self):
+        # HiGHS refuses a coefficient of 1e16 when the model is passed, and
+        # linprog calls that infeasible; no iterations were made
+        sol = solve(LinearProgram([1.0], A_ub=[[1e16]], b_ub=[1.0]))
+        assert sol.status == "infeasible" and sol.iterations == 0
+        assert sol.message == "model_status is Model error; primal_status is None"
+
+    @pytest.mark.parametrize(
+        "model", list(HighsModelStatus.__members__.values()), ids=lambda m: m.name
+    )
+    def test_status_mapping(self, model, monkeypatch):
+        expected = VERDICTS.get(model, "numerical-failure")
+        highs, calls = fake_highs([model, model])
+        monkeypatch.setattr(lplib, "_Highs", highs)
+        sol = solve(LinearProgram([1.0]))
+        assert sol.status == expected
+        retried = expected == "numerical-failure"
+        assert calls == (["choose", "ipm"] if retried else ["choose"])
+        assert sol.iterations == (14 if retried else 7)
+        assert sol.method == ("highs-ipm" if retried else "highs")
+        name = lplib._Highs().modelStatusToString(model)
+        assert f"model_status is {name}; primal_status is " in sol.message
 
     def test_zero_objective(self):
         lp = LinearProgram([0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
@@ -146,21 +218,24 @@ class TestHandExamples:
 
 class TestNumericalFailure:
     def test_retried_with_interior_point(self, monkeypatch):
-        linprog, calls = fake_linprog([4, 0])
-        monkeypatch.setattr(lplib, "linprog", linprog)
+        highs, calls = fake_highs([HighsModelStatus.kUnknown, HighsModelStatus.kOptimal])
+        monkeypatch.setattr(lplib, "_Highs", highs)
         sol = solve(LinearProgram([1.0]))
-        assert calls == ["highs", "highs-ipm"]
+        assert calls == ["choose", "ipm"]
         assert sol.status == "optimal" and sol.method == "highs-ipm"
         assert sol.iterations == 14
+        assert sol.run_seconds > 0.0
+        assert sol.message.startswith("highs: model_status is Unknown; ")
+        assert "; highs-ipm: model_status is Optimal; " in sol.message
 
     def test_second_failure_carries_both_messages(self, monkeypatch):
-        linprog, calls = fake_linprog([4, 4])
-        monkeypatch.setattr(lplib, "linprog", linprog)
+        highs, calls = fake_highs([HighsModelStatus.kUnknown, HighsModelStatus.kSolveError])
+        monkeypatch.setattr(lplib, "_Highs", highs)
         sol = solve(LinearProgram([1.0]))
-        assert calls == ["highs", "highs-ipm"]
+        assert calls == ["choose", "ipm"]
         assert sol.status == "numerical-failure"
-        assert "highs status 4" in sol.message
-        assert "highs-ipm status 4" in sol.message
+        assert sol.message.startswith("highs: model_status is Unknown; primal_status is ")
+        assert "; highs-ipm: model_status is Solve error; primal_status is " in sol.message
 
 
 class TestValidation:
@@ -224,3 +299,104 @@ class TestVertexOracle:
             check_feasible(lp, sol.x)
             checked += 1
         assert checked > 60  # most random programs are feasible by design
+
+
+class TestBinding:
+    def test_missing_binding_names_the_scipy_floor(self, monkeypatch):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        floor = re.search(r'"(scipy>=[0-9.]+)"', pyproject).group(1)
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        spec = importlib.util.spec_from_file_location("lp_without_binding", lplib.__file__)
+        with pytest.raises(ImportError, match=re.escape(floor)):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+class TestSolveRecord:
+    """A solution records the program HiGHS received and its run time."""
+
+    def test_counts_equal_the_program_shapes(self):
+        d8 = make_domain(1.0, 8)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
+        restricted = _restrict(pmf, d8.sigma, _first_half_width(8, 1.0), 1.0)
+        whole = build_lp(pmf, 1.0, NoiseShape(m=32, r=0.5), d8)
+        unconstrained = LinearProgram([1.0, 2.0, 0.0])
+        for program in (restricted, whole, unconstrained):
+            blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
+            sol = solve(program)
+            assert sol.status == "optimal"
+            assert sol.columns == program.num_vars == sol.x.size
+            assert sol.rows == sum(a.shape[0] for a in blocks)
+            assert sol.nonzeros == sum(a.nnz for a in blocks)
+            assert sol.run_seconds > 0.0
+
+
+def linprog_reference(program):
+    """scipy's linprog(method="highs") with solve's options and its single
+    highs-ipm retry: (result, summed iterations, method)."""
+
+    def run(method):
+        return linprog(
+            program.objective, A_ub=program.A_ub, b_ub=program.b_ub,
+            A_eq=program.A_eq, b_eq=program.b_eq, bounds=(0, None), method=method,
+            options={"dual_feasibility_tolerance": 1e-10,
+                     "simplex_dual_edge_weight_strategy": "devex"},
+        )
+
+    first = run("highs")
+    if first.status != 4:
+        return first, first.nit, "highs"
+    retry = run("highs-ipm")
+    return retry, first.nit + retry.nit, "highs-ipm"
+
+
+def rr_pmf(n, eps, seed):
+    """The randomized-response estimate of 1000 clipped N(0, 0.2) clients."""
+    rng = np.random.default_rng(seed)
+    xs = np.clip(rng.normal(0.0, 0.2, 1000), -1.0, 1.0)
+    hist = collect_perturbed_histogram(make_domain(1.0, n), xs, eps, rng)
+    return reconstruct_pmf(hist, build_rr_matrix(n, eps))
+
+
+def golden_programs():
+    """(label, program): the 15 benchmark R(A) at N=16, restricted programs
+    of randomized-response estimates at N=8 and N=16, a whole program at
+    N=4, and the whole program that needs the interior-point retry."""
+    d16 = make_domain(1.0, 16)
+    dists = {
+        "gaussian": TruncatedGaussian(mu=0.0, sd=0.1),
+        "uniform": BetaDistribution(a=1.0, b=1.0),
+        "exponential": ShiftedExponential(rate=6.0),
+    }
+    for name, dist in dists.items():
+        pmf = true_pmf(dist, d16)
+        for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
+            a = _first_half_width(16, eps)
+            yield f"{name}-n16-eps{eps}", _restrict(pmf, d16.sigma, a, eps)
+    for n in (8, 16):
+        a = _first_half_width(n, 1.0)
+        yield f"rr-n{n}", _restrict(rr_pmf(n, 1.0, 5), make_domain(1.0, n).sigma, a, 1.0)
+    d4 = make_domain(1.0, 4)
+    pmf4 = true_pmf(dists["gaussian"], d4)
+    yield "whole-n4", build_lp(pmf4, 1.0, NoiseShape(m=16, r=0.5), d4)
+    pmf16 = true_pmf(dists["gaussian"], d16)
+    yield "whole-n16-ipm", build_lp(pmf16, 2.0, NoiseShape(m=38, r=0.1), d16)
+
+
+GOLDEN = list(golden_programs())
+
+
+class TestMatchesLinprog:
+    """solve calls scipy's private HiGHS binding with the model and options
+    linprog builds, so its answers are linprog's, bit for bit; a scipy
+    release that changes the binding fails here."""
+
+    @pytest.mark.parametrize("label, program", GOLDEN, ids=[n for n, _ in GOLDEN])
+    def test_bit_for_bit(self, label, program):
+        sol = solve(program)
+        ref, iterations, method = linprog_reference(program)
+        assert ref.status == 0 and sol.status == "optimal"
+        assert method == ("highs-ipm" if label.endswith("ipm") else "highs")
+        assert (sol.method, sol.iterations) == (method, iterations)
+        np.testing.assert_array_equal(sol.x, ref.x)
+        assert sol.objective_value == ref.fun
+        np.testing.assert_array_equal(sol.eq_duals, ref.eqlin.marginals)
