@@ -18,8 +18,6 @@ from .adaptive import (
     sample_noise,
     save_table,
     solve_noise_table,
-    tail_first_moment,
-    tail_second_moment,
     verify_composite_privacy,
     verify_privacy,
 )

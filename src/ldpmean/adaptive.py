@@ -1,28 +1,18 @@
-"""Distribution-adaptive additive mechanism: LP construction and solution of
-the noise table, exact privacy verification, sampling, and the two-phase
-protocol.
+"""Distribution-adaptive additive mechanism: the noise-design LP, exact
+privacy verification, sampling, and the two-phase protocol.
 
-The noise law conditioned on edge x_i lives on the integer offsets j of the
-edge grid.  Offsets with |j| < M carry free masses q[i][j]; beyond the window
-the mass decays geometrically, p(j) = q[i][+-M] * r^{|j|-M}, which keeps the
-infinite support summable with the closed-form moments below and keeps every
-constraint linear in the q variables.  _column_weights states that law once:
-the mass, mean and variance a unit of each window column puts on the whole
-line, which the LP, the row checks, the sampler and the variance all read.
+The noise law conditioned on edge x_i puts mass q[i][j + M] on each integer
+offset j of the edge grid with |j| <= M, and nothing beyond.  The optimizer
+minimizes the pmf-weighted conditional second moment subject to, per row,
+normalization and zero mean and, per output grid index k = i + j, pure
+eps-LDP: max_i d_i(k) <= e^eps min_i d_i(k), where d_i(k) is the mass the
+table gives output k under input i.  An output outside [N - M, M] is out of
+reach for some input, so eps-LDP empties it for every input: the program
+over the window is the restricted program R(M - N) below.
 
-The optimizer minimizes the pmf-weighted conditional second moment subject
-to, per row, normalization and zero mean (both with exact tail corrections)
-and, per output grid index k = i + j, a privacy tube
-t_k <= d_i(k) <= e^eps * t_k across all inputs i, where d_i(k) is the noise
-mass the table assigns to output index k under input i.  One auxiliary t_k
-per output replaces the quadratic number of pairwise ratio constraints; the
-tube is feasible exactly when max_i d_i(k) <= e^eps * min_i d_i(k).  Beyond
-k = -M and k = N+M every d_i(k) scales by the same factor r per step, so the
-end indices pin the two asymptotic tail regimes.
-
-solve_noise_table solves the restricted program R(A) over the outputs k in
-[-A, N+A], assembled directly as a staircase: each kept mass is t_k + s
-with 0 <= s <= expm1(eps) t_k.  Its equality duals y certify it by weak
+build_lp assembles R(A), the program over the outputs k in [-A, N+A],
+directly as a staircase: each kept mass is t_k + s with
+0 <= s <= expm1(eps) t_k.  Its equality duals y certify it by weak
 duality.  With rho_i(j) = p_i sigma^2 j^2 - y_norm,i - y_mean,i j, any
 integer-offset eps-LDP table q whose rows have finite variance costs
 b.y + sum_k sum_i rho_i(k - i) q_ik (finite variance makes the sums
@@ -31,13 +21,11 @@ lies in [t_k, e^eps t_k], t_k = min_i q_ik, so output k adds at least
 t_k s(k), s(k) = sum_i min(rho_i, e^eps rho_i).  On the kept outputs
 s(k) >= 0 is R(A)'s own dual feasibility; s(k) >= -tol at every other
 integer k, found exactly in closed form, therefore proves R(A)'s optimum
-optimal to tol, since sum_k t_k <= 1.  That covers
-the window-plus-tails program below, which is solved whole only when no
-R(A) with N + A < M - 1 is certified, or at eps = inf.
+optimal to tol, since sum_k t_k <= 1.  solve_noise_table grows A until
+R(A) is certified or A reaches M - N, where R(A) is the window's program.
 
 Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
-for the categories, exactly as rng.choice(p=...) would, then one geometric
-array for the right-tail draws and one for the left-tail draws.
+for the offsets, exactly as rng.choice(p=...) would.
 adaptive_perturb_array rounds the clients (round_randomized_array), then
 draws the noise of each edge group with clients in edge order.  The
 category of a uniform u is cdf.searchsorted(u, side="right"), found
@@ -61,6 +49,7 @@ from .domain import (
     QuantizedDomain,
     QuantizedPmf,
     _blocks,
+    make_domain,
     round_randomized_array,
     rounding_weights_array,
 )
@@ -80,69 +69,27 @@ _DUST = 1e-10
 _GUIDE_BUCKETS = 1 << 12
 
 
-def tail_first_moment(m: int, r: float) -> float:
-    """T1 = sum_{g>=0} (m+g) r^g = m/(1-r) + r/(1-r)^2."""
-    _check_tail_args(m, r)
-    return m / (1.0 - r) + r / (1.0 - r) ** 2
-
-
-def tail_second_moment(m: int, r: float) -> float:
-    """T2 = sum_{g>=0} (m+g)^2 r^g = m^2/(1-r) + (2m-1)r/(1-r)^2 + 2r/(1-r)^3."""
-    _check_tail_args(m, r)
-    one = 1.0 - r
-    return m * m / one + (2.0 * m - 1.0) * r / one**2 + 2.0 * r / one**3
-
-
-def _tail_factors(r: float, exponents) -> np.ndarray:
-    """r^p for each integer exponent p, one scalar pow per distinct p.
-    numpy's vectorized power can round the last bit differently; the LP,
-    privacy verification and noise_mass all read these same factors."""
-    distinct, index = np.unique(exponents, return_inverse=True)
-    powers = np.array([r ** int(p) for p in distinct])
-    return powers[index].reshape(np.shape(exponents))
-
-
-def _column_weights(m: int, r: float, sigma: float) -> tuple[np.ndarray, ...]:
-    """(norm, mean, cost) per window column j + M: the mass, mean and
-    variance that a unit of q[i, j + M] puts on the whole line.  Inside the
-    window they are 1, j and (sigma j)^2; each end column carries its whole
-    geometric tail, 1/(1-r), +-T1 and sigma^2 T2."""
-    offsets = np.arange(-m, m + 1)
-    inside = np.abs(offsets) < m
-    norm = np.where(inside, 1.0, 1.0 / (1.0 - r))
-    mean = np.where(inside, offsets, np.sign(offsets) * tail_first_moment(m, r))
-    cost = (sigma * offsets) ** 2
-    cost[0] = cost[-1] = sigma * sigma * tail_second_moment(m, r)
-    return norm, mean, cost
-
-
-def _check_tail_args(m: int, r: float) -> None:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m!r}")
-    if not (0.0 <= r):
-        raise ValueError(f"r must be in [0, 1), got {r!r}")
-    if r >= 1.0:
-        raise ValueError(f"geometric tail diverges for r = {r!r}")
-
-
 @dataclass(frozen=True)
 class NoiseShape:
-    """Explicit window half-width M and geometric tail ratio r."""
+    """The window half-width M: a table's noise offsets lie in [-M, M].
+
+    r is the ratio of the geometric tails that tables once carried beyond
+    the window.  Nothing reads it or checks it; it remains so that callers
+    written for those tables still construct a shape and read shape.r.
+    """
 
     m: int
-    r: float
+    r: float = 0.0
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not (0.0 < self.r < 1.0):
-            raise ValueError("r must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class NoiseTable:
     """Conditional noise law: q[i][j+M] is the mass of offset j under edge i
-    for |j| <= M; offsets beyond +-M decay geometrically with ratio r."""
+    for |j| <= M; no offset beyond +-M has mass."""
 
     domain: QuantizedDomain
     shape: NoiseShape
@@ -182,79 +129,11 @@ class ProtocolResult:
 
 
 def noise_mass(table: NoiseTable, i: int, j: int) -> float:
-    """Mass of noise offset j under edge i, tails extrapolated geometrically."""
+    """Mass of noise offset j under edge i; 0 beyond the window."""
     if not 0 <= i <= table.domain.n_bins:
         raise ValueError("edge index out of range")
-    n, m = table.domain.n_bins, table.shape.m
-    return float(_density_from_q(table.q, n, m, table.shape.r, np.array([i + j]))[i, 0])
-
-
-def _check_design(
-    pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
-) -> float:
-    """The validated eps of a noise-design program."""
-    eps = check_eps(eps, allow_inf=True)
-    n = domain.n_bins
-    if len(pmf) != n + 1:
-        raise ValueError("pmf size does not match domain")
-    if shape.m < n:
-        raise ValueError(f"noise window m = {shape.m} must be >= n_bins = {n}")
-    return eps
-
-
-def build_lp(
-    pmf: QuantizedPmf,
-    eps: float,
-    shape: NoiseShape,
-    domain: QuantizedDomain,
-) -> lplib.LinearProgram:
-    """Assemble the noise-design LP over the q variables plus one t_k per
-    output grid index k in {-M, ..., N+M} (no auxiliaries at eps = inf).
-
-    Equality rows are (normalization, zero mean) for each input i.  Privacy
-    rows are (lower, upper) for each (k, i), k-major: t_k <= d_i(k) and
-    d_i(k) / e^eps <= t_k, where d_i(k) is the q variable of offset
-    clip(k - i, -M, M) times the tail factor r^max(|k - i| - M, 0).
-    """
-    eps = _check_design(pmf, eps, shape, domain)
-    n = domain.n_bins
-    m = shape.m
-    width = 2 * m + 1
-    nq = (n + 1) * width
-    finite = math.isfinite(eps)
-    n_aux = (n + 2 * m + 1) if finite else 0
-    n_vars = nq + n_aux
-
-    norm, mean, cost = _column_weights(m, shape.r, domain.sigma)
-    objective = np.zeros(n_vars)
-    objective[:nq] = np.outer(pmf.masses, cost).ravel()
-
-    # row 2i: normalization, row 2i+1: zero mean, both over q[i, :]
-    eq_cols = np.arange(nq).reshape(n + 1, 1, width).repeat(2, axis=1)
-    eq_vals = np.broadcast_to(np.stack([norm, mean]), eq_cols.shape)
-    eq_rhs = np.tile([1.0, 0.0], n + 1)
-    a_eq = _csr(eq_cols, eq_vals, (2 * (n + 1), n_vars))
-    if not finite:
-        return lplib.LinearProgram(objective, A_eq=a_eq, b_eq=eq_rhs)
-
-    # row 2((k + M)(N + 1) + i): t_k - coeff q <= 0; the next row:
-    # coeff / e^eps q - t_k <= 0.  Dividing the upper row by e^eps keeps its
-    # coefficients O(1) at large eps.
-    ks = np.arange(-m, n + m + 1)
-    j = ks[:, None] - np.arange(n + 1)[None, :]
-    var = np.arange(n + 1) * width + np.clip(j, -m, m) + m
-    coeff = _tail_factors(shape.r, np.maximum(np.abs(j) - m, 0))
-    t_k = np.broadcast_to((nq + ks + m)[:, None], var.shape)
-    ub_cols = np.stack([var, t_k, var, t_k], axis=-1)
-    ub_vals = np.stack(
-        [-coeff, np.ones_like(coeff), coeff / math.exp(eps), -np.ones_like(coeff)],
-        axis=-1,
-    )
-    n_ub = 2 * ks.size * (n + 1)
-    a_ub = _csr(ub_cols, ub_vals, (n_ub, n_vars))
-    return lplib.LinearProgram(
-        objective, A_ub=a_ub, b_ub=np.zeros(n_ub), A_eq=a_eq, b_eq=eq_rhs
-    )
+    m = table.shape.m
+    return float(table.q[i, j + m]) if abs(j) <= m else 0.0
 
 
 def _csr(cols: np.ndarray, vals: np.ndarray, shape: tuple) -> sparse.csr_array:
@@ -267,29 +146,36 @@ def _csr(cols: np.ndarray, vals: np.ndarray, shape: tuple) -> sparse.csr_array:
     return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def _first_half_width(n: int, eps: float) -> int:
-    """First restricted half-width A to try.
+def _min_half_width(n: int, eps: float) -> int:
+    """The least A at which R(A) is feasible.
 
     Two laws with means 0 and N on L consecutive outputs whose ratio is
     bounded by e^eps satisfy N <= (L - 1) tanh(eps/2).  Rows 0 and N of a
     table are such laws on the outputs k of R(A), L = N + 2A + 1, so R(A)
-    is infeasible below A = N (coth(eps/2) - 1) / 2.  The optimum reaches
-    further than the edge of feasibility; starting half again past it
-    settles most programs in one solve.
+    is infeasible below A = N (coth(eps/2) - 1) / 2.  From there on it is
+    feasible: randomized response between the two end outputs meets the
+    bound, and row i mixes rows 0 and N in the ratio (N - i) : i.
     """
-    a_min = math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
-    return math.ceil(1.5 * a_min + 2.0)
+    return math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
 
 
-def _restrict(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.LinearProgram:
+def _first_half_width(n: int, eps: float) -> int:
+    """First restricted half-width A to try.  The optimum reaches further
+    than the edge of feasibility (_min_half_width); starting half again
+    past it settles most programs in one solve."""
+    return math.ceil(1.5 * _min_half_width(n, eps) + 2.0)
+
+
+def build_lp(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.LinearProgram:
     """R(A): the noise-design program over the outputs k in [-A, N+A] only,
     over z = (s, t): each kept mass is q[i, k - i] = t_k + s, s >= 0.
 
     The lower tube row t_k <= q is then the bound s >= 0, and the upper row
-    q <= e^eps t_k is s / expm1(eps) - t_k <= 0 (divided like build_lp's,
-    so it stays O(1) at large eps): one row per kept cell.  Per input i the
-    equality rows are normalization (row 2i) and zero mean (row 2i + 1), as
-    in build_lp; every other mass is 0.  The s are input-major, then the t.
+    q <= e^eps t_k is s / expm1(eps) - t_k <= 0 (divided by expm1(eps), so
+    it stays O(1) at large eps, and empty at eps = inf): one row per kept
+    cell (i, k), input-major.  Per input i the equality rows are
+    normalization (row 2i) and zero mean (row 2i + 1); every other mass is
+    0.  The s are input-major, then the t.
     """
     n = len(pmf) - 1
     ks = np.arange(-a, n + a + 1)
@@ -316,8 +202,8 @@ def _restrict(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.Line
 
 def _scatter(z: np.ndarray, n: int, m: int, a: int) -> np.ndarray:
     """The window masses q of R(A)'s point z: q[i, k - i] = t_k + s on the
-    kept outputs, 0 elsewhere.  Needs N + A < M, so that no kept output
-    reaches a tail."""
+    kept outputs, 0 elsewhere.  Needs N + A <= M, so that every kept offset
+    lies in the window."""
     ks = np.arange(-a, n + a + 1)
     cells = (n + 1) * ks.size
     q = np.zeros((n + 1, 2 * m + 1))
@@ -386,7 +272,7 @@ def _certified(
 ) -> bool:
     """Whether R(A)'s optimum, of value objective and with equality duals
     y, is optimal among all integer-offset eps-LDP noise tables whose rows
-    have finite variance, and so for the window-plus-tails program.
+    have finite variance, and so for the window program of every M.
 
     Weak duality.  Let q be any such table, and rho_i(j) = p_i sigma^2 j^2
     - y[2i] - y[2i + 1] j.  Each row has total mass 1 and mean 0, so
@@ -416,25 +302,24 @@ def _solve_restricted_first(
     pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
 ) -> tuple[lplib.LpSolution, np.ndarray | None]:
     """Solve the noise-design program through restricted programs R(A);
-    return the solution and its window masses q.
+    return the solution and its window masses q, None unless optimal.
 
-    Grows A by half whenever R(A) is infeasible or its optimum is not
-    certified (see _certified); once N + A reaches M - 1 (or at eps = inf,
-    where there is no tube) it solves the whole program of build_lp.
+    A starts at _first_half_width, past the least feasible A, and grows by
+    half, up to M - N, while R(A)'s optimum is not certified (see
+    _certified).  R(M - N) is the window's own program, so its optimum is
+    returned whether certified or not.
     """
     n, m = domain.n_bins, shape.m
-    a = _first_half_width(n, eps) if math.isfinite(eps) else m
-    while n + a < m - 1:
-        sol = lplib.solve(_restrict(pmf, domain.sigma, a, eps))
-        if sol.status == "optimal" and _certified(
+    a = min(_first_half_width(n, eps), m - n)
+    while True:
+        sol = lplib.solve(build_lp(pmf, domain.sigma, a, eps))
+        if sol.status != "optimal":
+            return sol, None
+        if a == m - n or _certified(
             pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, a, eps
         ):
             return sol, _scatter(sol.x, n, m, a)
-        if sol.status not in ("optimal", "infeasible"):
-            return sol, None
-        a = math.ceil(1.5 * a)
-    sol = lplib.solve(build_lp(pmf, eps, shape, domain))
-    return sol, sol.x[: (n + 1) * (2 * m + 1)].reshape(n + 1, 2 * m + 1).copy()
+        a = min(math.ceil(1.5 * a), m - n)
 
 
 def solve_noise_table(
@@ -446,73 +331,83 @@ def solve_noise_table(
     """Solve the noise-design LP and package the optimum as a NoiseTable.
 
     The program is solved over the outputs near the domain first and grown
-    until a dual certificate proves the result optimal (see _certified).
-    The solved table is checked against its three invariants (row
-    normalization, row zero mean, exact privacy); any violation raises.
+    until a dual certificate proves the result optimal (see _certified), or
+    until it fills the window.  At eps = inf there is no tube, and the
+    optimum adds no noise.  The solved table is checked against its three
+    invariants (row normalization, row zero mean, exact privacy); any
+    violation raises.
     """
-    eps = _check_design(pmf, eps, shape, domain)
+    eps = check_eps(eps, allow_inf=True)
+    n, m = domain.n_bins, shape.m
+    if len(pmf) != n + 1:
+        raise ValueError("pmf size does not match domain")
+    if m < n:
+        raise ValueError(f"noise window m = {m} must be >= n_bins = {n}")
+    if not math.isfinite(eps):
+        q = np.zeros((n + 1, 2 * m + 1))
+        q[:, m] = 1.0
+        return NoiseTable(domain=domain, shape=shape, q=q, eps=eps, lp_objective=0.0)
     sol, q = _solve_restricted_first(pmf, eps, shape, domain)
     if sol.status != "optimal":
+        hint = ""
+        if sol.status == "infeasible":
+            hint = (
+                "; no window below m = n_bins + ceil(n_bins (coth(eps/2) - 1) / 2)"
+                f" = {n + _min_half_width(n, eps)} has an eps-LDP table"
+            )
         raise RuntimeError(
             f"noise-table LP did not solve: status={sol.status} "
             f"after {sol.iterations} iterations "
-            f"(n_bins={domain.n_bins}, m={shape.m}, eps={eps}): {sol.message}"
+            f"(n_bins={n}, m={m}, eps={eps}): {sol.message}{hint}"
         )
     small_negative = (q < 0.0) & (q >= -_NEG_TOL)
     q[small_negative] = 0.0
     if np.any(q < 0.0):
         raise RuntimeError(f"solver returned negative mass {q.min()!r}")
-    q[_dust(q, domain.n_bins, shape.m, shape.r)] = 0.0
+    q[_dust(q, n, m)] = 0.0
     table = NoiseTable(
         domain=domain, shape=shape, q=q, eps=eps, lp_objective=sol.objective_value
     )
     _check_row_invariants(table)
-    if math.isfinite(eps):
-        report = verify_privacy(table, eps)
-        if not report.passed:
-            raise RuntimeError(
-                f"solved table fails privacy verification: "
-                f"max_ratio={report.max_ratio!r} > bound={report.bound!r} "
-                f"at {report.worst_pair}"
-            )
+    report = verify_privacy(table, eps)
+    if not report.passed:
+        raise RuntimeError(
+            f"solved table fails privacy verification: "
+            f"max_ratio={report.max_ratio!r} > bound={report.bound!r} "
+            f"at {report.worst_pair}"
+        )
     return table
 
 
-def _dust(q: np.ndarray, n: int, m: int, r: float) -> np.ndarray:
+def _dust(q: np.ndarray, n: int, m: int) -> np.ndarray:
     """The vertex dust of q, zeroed so that outputs the optimum leaves empty
-    verify as empty: the cells at or below _DUST whose every output column
-    sits at that scale under every input.  Cell (i, c) feeds output
-    k = i + c - M, and an end cell every output past it too.  So the clip
-    can empty a column but never unbalance one (a flat per-cell floor would
-    break verification once a design's legitimate masses approach the
-    floor, which happens as eps grows)."""
+    verify as empty: the cells at or below _DUST whose output column sits
+    at that scale under every input.  Cell (i, c) feeds output
+    k = i + c - M alone.  So the clip can empty a column but never
+    unbalance one (a flat per-cell floor would break verification once a
+    design's legitimate masses approach the floor, which happens as eps
+    grows)."""
     ks = np.arange(-m, n + m + 1)
-    safe = _density_from_q(q, n, m, r, ks).max(axis=0) <= _DUST
+    safe = _density_from_q(q, n, m, ks).max(axis=0) <= _DUST
     col = np.arange(n + 1)[:, None] + np.arange(2 * m + 1)  # k + M of each cell
-    clear = safe[col]
-    clear[:, 0] = np.logical_and.accumulate(safe)[col[:, 0]]
-    clear[:, -1] = np.logical_and.accumulate(safe[::-1])[::-1][col[:, -1]]
-    return clear & (q <= _DUST)
+    return safe[col] & (q <= _DUST)
 
 
 def _check_row_invariants(table: NoiseTable) -> None:
-    norm, mean, _ = _column_weights(table.shape.m, table.shape.r, table.domain.sigma)
-    off = np.max(np.abs(table.q @ norm - 1.0))
+    m = table.shape.m
+    off = np.max(np.abs(table.q.sum(axis=1) - 1.0))
     if off > _ROW_TOL:
         raise RuntimeError(f"row normalization off by {off!r}")
-    off = np.max(np.abs(table.q @ mean))
+    off = np.max(np.abs(table.q @ np.arange(-m, m + 1)))
     if off > _ROW_TOL:
         raise RuntimeError(f"row zero-mean off by {off!r}")
 
 
-def _density_from_q(
-    q: np.ndarray, n: int, m: int, r: float, ks: np.ndarray
-) -> np.ndarray:
+def _density_from_q(q: np.ndarray, n: int, m: int, ks: np.ndarray) -> np.ndarray:
     """d[i, idx] = noise mass of output grid index ks[idx] under input i."""
     j = ks[None, :] - np.arange(n + 1)[:, None]
     d = q[np.arange(n + 1)[:, None], np.clip(j, -m, m) + m]
-    beyond = np.abs(j) >= m
-    d[beyond] *= _tail_factors(r, np.abs(j[beyond]) - m)
+    d[np.abs(j) > m] = 0.0
     return d
 
 
@@ -542,16 +437,14 @@ def _ratio_report(density: np.ndarray, ks: np.ndarray, eps: float, tol: float, l
 def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-6) -> PrivacyReport:
     """Exact enumeration of the density-ratio bound over the output grid.
 
-    Covers every output index k in {-M, ..., N+M} plus one representative
-    beyond each end; past the ends all densities scale by the same factor r
-    per step, so those two representatives pin the asymptotic tail regimes.
-    A column where some input has zero mass while another has positive mass
+    Covers every output index k in {-M, ..., N+M}, the outputs any input
+    reaches.  A column where some input has zero mass while another has positive mass
     is disjoint support: ratio inf (pure eps-LDP cannot hold there).
     """
     eps = check_eps(eps, allow_inf=True)
     n, m = table.domain.n_bins, table.shape.m
-    ks = np.arange(-m - 1, n + m + 2)
-    return _ratio_report(_density_from_q(table.q, n, m, table.shape.r, ks), ks, eps, tol)
+    ks = np.arange(-m, n + m + 1)
+    return _ratio_report(_density_from_q(table.q, n, m, ks), ks, eps, tol)
 
 
 def verify_composite_privacy(
@@ -573,8 +466,8 @@ def verify_composite_privacy(
         inputs = np.linspace(-domain.beta, domain.beta, 201)
     xs = np.asarray(inputs, dtype=float)
     n, m = domain.n_bins, table.shape.m
-    ks = np.arange(-m - 1, n + m + 2)
-    rows = _density_from_q(table.q, n, m, table.shape.r, ks)
+    ks = np.arange(-m, n + m + 1)
+    rows = _density_from_q(table.q, n, m, ks)
     idx, w_left = rounding_weights_array(domain, xs)
     weights = np.zeros((xs.size, n + 1))
     weights[np.arange(xs.size), idx] = w_left
@@ -609,9 +502,9 @@ def _draw_offsets(table: NoiseTable, i: int, rng: np.random.Generator, out: np.n
     The uniforms are drawn into out's own memory, as rng.choice(p=...)
     draws them, and each block's categories are written over its uniforms.
     """
-    m, r = table.shape.m, table.shape.r
-    probs = table.q[i] * _column_weights(m, r, table.domain.sigma)[0]
-    probs /= probs.sum()  # row invariants hold to 1e-7; renormalize exactly
+    m = table.shape.m
+    row = table.q[i]
+    probs = row / row.sum()  # row invariants hold to 1e-7; renormalize exactly
     if not (probs >= 0).all():
         raise ValueError("probabilities are not non-negative")
     # the cdf exactly as rng.choice(p=probs) builds it
@@ -620,28 +513,13 @@ def _draw_offsets(table: NoiseTable, i: int, rng: np.random.Generator, out: np.n
     guide = _guide_table(cdf)
     u = out.view(np.float64)
     rng.random(out=u)
-    # a tail of zero mass is never drawn: its cdf step is empty
-    n_right = n_left = 0
     for block in _blocks(out.size):
-        cats = _cdf_index(cdf, guide, u[block])
-        if probs[-1] > 0:
-            n_right += np.count_nonzero(cats == 2 * m)
-        if probs[0] > 0:
-            n_left += np.count_nonzero(cats == 0)
-        np.subtract(cats, m, out=out[block])
-    if n_right:
-        out[out == m] = m + rng.geometric(1.0 - r, size=n_right) - 1
-    if n_left:
-        out[out == -m] = -m - (rng.geometric(1.0 - r, size=n_left) - 1)
+        np.subtract(_cdf_index(cdf, guide, u[block]), m, out=out[block])
 
 
 def sample_noise(table: NoiseTable, i: int, rng: np.random.Generator, size=None):
-    """Draw noise offsets j from row i of the table.
-
-    Three-part mixture: the window masses |j| < M directly; each tail as its
-    total mass (q[i][+-M] times its _column_weights norm) followed by a
-    geometric offset beyond +-M.
-    """
+    """Draw noise offsets j from row i of the table, |j| <= M, with the
+    row's masses renormalized to sum to 1."""
     if not 0 <= i <= table.domain.n_bins:
         raise ValueError("edge index out of range")
     j = np.empty(1 if size is None else int(size), dtype=np.int64)
@@ -738,36 +616,34 @@ def run_protocol(
 
 
 def save_table(table: NoiseTable, path) -> None:
-    """Plain-text dump: one header line (beta, N, M, r, eps), then N+1 rows
+    """Plain-text dump: one header line (beta, N, M, eps), then N+1 rows
     of 2M+1 window masses.  repr round-trips floats bit-exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"{table.domain.beta!r} {table.domain.n_bins} "
-            f"{table.shape.m} {table.shape.r!r} {table.eps!r}\n"
+            f"{table.domain.beta!r} {table.domain.n_bins} {table.shape.m} {table.eps!r}\n"
         )
         for row in table.q:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_table(path) -> NoiseTable:
-    from .domain import make_domain
-
+    """Read a save_table file.  A file of the former format, whose header
+    also holds a tail ratio r (beta, N, M, r, eps), reads only if no row
+    has mass at +-M: there the tails held nothing and r changed nothing."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 5:
+        if len(header) not in (4, 5):
             raise ValueError(f"malformed noise-table header in {path}")
-        beta, n, m, r, eps = (
-            float(header[0]),
-            int(header[1]),
-            int(header[2]),
-            float(header[3]),
-            float(header[4]),
-        )
+        beta, n, m, eps = float(header[0]), int(header[1]), int(header[2]), float(header[-1])
         q = np.loadtxt(fh, ndmin=2)
     if q.shape != (n + 1, 2 * m + 1):
         raise ValueError(
             f"noise-table body is {q.shape}, expected {(n + 1, 2 * m + 1)}"
         )
-    return NoiseTable(
-        domain=make_domain(beta, n), shape=NoiseShape(m=m, r=r), q=q, eps=eps
-    )
+    if len(header) == 5 and q[:, [0, -1]].any():
+        raise ValueError(
+            f"{path} holds a table with geometric tails beyond the window "
+            f"(header beta N M r eps), which noise tables no longer carry; "
+            f"its masses at +-M do not mean the same law"
+        )
+    return NoiseTable(domain=make_domain(beta, n), shape=NoiseShape(m=m), q=q, eps=eps)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .adaptive import NoiseTable, _column_weights
+from .adaptive import NoiseTable
 from .baselines import (
     check_eps,
     duchi_conditional_variance,
@@ -23,10 +23,10 @@ BASELINE_MECHANISMS = ("duchi", "piecewise", "laplace", "hybrid")
 
 
 def row_variances(table: NoiseTable) -> np.ndarray:
-    """Conditional noise variance of each row of a table, tails exact: q
-    times the variance each window column carries (the LP's objective
-    coefficients, adaptive._column_weights)."""
-    return table.q @ _column_weights(table.shape.m, table.shape.r, table.domain.sigma)[2]
+    """Conditional noise variance of each row of a table: q times the
+    variance (sigma j)^2 of each offset j, the LP's objective coefficients."""
+    m = table.shape.m
+    return table.q @ (table.domain.sigma * np.arange(-m, m + 1)) ** 2
 
 
 def expected_variance(table: NoiseTable, pmf: QuantizedPmf) -> float:

@@ -61,7 +61,7 @@ ALL_MECHANISMS = ("adaptive", "duchi", "piecewise", "hybrid", "laplace")
 _MECH_STREAM_ID = {m: i for i, m in enumerate(ALL_MECHANISMS)}
 _P_DATA, _P_ASSIGN, _P_SPLIT, _P_MECH = 0, 1, 2, 10
 
-SWEEP_PARAMETERS = ("split", "bin_size", "noise_range", "tail_ratio")
+SWEEP_PARAMETERS = ("split", "bin_size", "noise_range")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class ExperimentConfig:
     beta: float = 1.0
     bins: int = 16
     noise_window: int | None = None  # M; derived by the m property when None
-    tail_ratio: float = 0.5
     split: float = 0.1
     runs: int = 20
     seed: int = 0
@@ -116,7 +115,7 @@ class ExperimentConfig:
 
     @property
     def shape(self) -> NoiseShape:
-        return NoiseShape(m=self.m, r=self.tail_ratio)
+        return NoiseShape(m=self.m)
 
     def describe(self) -> str:
         pairs = []
@@ -354,7 +353,7 @@ def cmd_sweep(config: ExperimentConfig) -> str:
 
     bin_size values are bin widths sigma (bins = round(2 beta / sigma));
     noise_range values are the window ratio 2M/N (M = round(value * N / 2));
-    split and tail_ratio are used directly.
+    split values are used directly.
     """
     if config.sweep_parameter not in SWEEP_PARAMETERS:
         raise ValueError(
@@ -372,10 +371,8 @@ def cmd_sweep(config: ExperimentConfig) -> str:
         elif config.sweep_parameter == "bin_size":
             bins = max(1, round(2.0 * config.beta / value))
             sub = replace(config, bins=bins)
-        elif config.sweep_parameter == "noise_range":
-            sub = replace(config, noise_window=max(1, round(value * config.bins / 2)))
         else:
-            sub = replace(config, tail_ratio=float(value))
+            sub = replace(config, noise_window=max(1, round(value * config.bins / 2)))
         prefix = (config.sweep_parameter, float(value))
         rows.extend(prefix + row for row in _estimate_rows(sub, fixed))
     return _write_csv(
@@ -429,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--beta", type=float)
     parser.add_argument("--bins", type=int)
     parser.add_argument("--noise-window", type=int, dest="noise_window")
-    parser.add_argument("--tail-ratio", type=float, dest="tail_ratio")
     parser.add_argument("--split", type=float)
     parser.add_argument("--runs", type=int)
     parser.add_argument("--seed", type=int)

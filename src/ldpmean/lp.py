@@ -10,13 +10,16 @@ so it returns linprog's solutions bit for bit.  It skips what linprog adds
 around that call: input checks (LinearProgram makes its own), option
 parsing, per-column bound marginals, and a recheck of the returned point at
 a tolerance of 3e-4, which can only relabel an optimum as a numerical
-failure.
+failure.  Each program costs one HiGHS call: a numerical failure is
+reported as such, not retried with another method.  Statuses are named as
+linprog names them, except that a model HiGHS refuses to load is a
+model-error, where linprog says infeasible.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -54,7 +57,7 @@ _DUAL_TOL = 1e-10
 _DEVEX = 1
 
 # The options linprog(method="highs") passes to HiGHS when given the two
-# above, as HiGHS reads them; method "highs-ipm" adds solver = "ipm"
+# above, as HiGHS reads them
 _OPTIONS = {
     "presolve": "on",
     "simplex_strategy": 1,  # dual
@@ -64,14 +67,15 @@ _OPTIONS = {
     "log_to_console": False,
 }
 
-# HiGHS model statuses as linprog maps them; every other status (solve
-# error, Unknown, ...) is not a verdict on the program
+# HiGHS model statuses as linprog maps them, except that a model HiGHS
+# refuses to load is a model error, not a verdict of infeasibility; every
+# other status (solve error, Unknown, ...) is not a verdict on the program
 _STATUS = {
     HighsModelStatus.kOptimal: "optimal",
     HighsModelStatus.kIterationLimit: "iteration-limit",
     HighsModelStatus.kTimeLimit: "iteration-limit",
     HighsModelStatus.kInfeasible: "infeasible",
-    HighsModelStatus.kModelError: "infeasible",
+    HighsModelStatus.kModelError: "model-error",
     HighsModelStatus.kUnbounded: "unbounded",
 }
 
@@ -124,24 +128,28 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    # optimal | infeasible | unbounded | iteration-limit | numerical-failure
+    # optimal | infeasible | unbounded | iteration-limit | model-error |
+    # numerical-failure
     status: str
     x: np.ndarray
     objective_value: float
     iterations: int
-    message: str  # HiGHS's own; after a retry, both methods' messages
-    method: str  # the HiGHS method that produced this verdict
+    message: str  # HiGHS's own
     eq_duals: np.ndarray  # HiGHS's d(objective)/d(b_eq); empty unless optimal
-    # what HiGHS received, and the seconds its run took (summed over a retry)
+    # what HiGHS received, and the seconds its run took
     columns: int
     rows: int
     nonzeros: int
     run_seconds: float
 
 
-def _solve_once(program: LinearProgram, method: str) -> LpSolution:
-    """One HiGHS solve: rows [A_ub; A_eq] as CSC, bounded by (-inf, b_ub]
-    and [b_eq, b_eq], columns by [0, inf)."""
+def solve(program: LinearProgram) -> LpSolution:
+    """Solve with one call to HiGHS's default method at a dual feasibility
+    tolerance of 1e-10, its dual simplex priced with devex.
+
+    The model is the rows [A_ub; A_eq] as CSC, bounded by (-inf, b_ub] and
+    [b_eq, b_eq], and the columns by [0, inf).
+    """
     n = program.num_vars
     blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
     a = sparse.vstack(blocks).tocsc() if blocks else sparse.csc_array((0, n))
@@ -151,8 +159,6 @@ def _solve_once(program: LinearProgram, method: str) -> LpSolution:
     highs = _Highs()
     for name, value in _OPTIONS.items():
         highs.setOptionValue(name, value)
-    if method == "highs-ipm":
-        highs.setOptionValue("solver", "ipm")
     # the array form of passModel copies each array in one piece; every
     # column is marked continuous
     passed = highs.passModel(
@@ -186,28 +192,6 @@ def _solve_once(program: LinearProgram, method: str) -> LpSolution:
     if info.valid:
         iterations = info.simplex_iteration_count or info.ipm_iteration_count
     return LpSolution(
-        status, x, value, iterations, message, method, duals,
-        n, a.shape[0], a.nnz, run_seconds,
+        status, x, value, iterations, message, duals, n, a.shape[0], a.nnz, run_seconds
     )
 
-
-def solve(program: LinearProgram) -> LpSolution:
-    """Solve with HiGHS's default method at a dual feasibility tolerance
-    of 1e-10, its dual simplex priced with devex.
-
-    A numerical failure is retried once with the interior-point method
-    (with crossover): where the coefficients span many orders of magnitude,
-    HiGHS's simplex can stop with model status Unknown on a program the
-    interior-point method solves.  After a retry the solution carries both
-    HiGHS messages and the summed iterations.
-    """
-    first = _solve_once(program, "highs")
-    if first.status != "numerical-failure":
-        return first
-    retry = _solve_once(program, "highs-ipm")
-    return replace(
-        retry,
-        iterations=first.iterations + retry.iterations,
-        run_seconds=first.run_seconds + retry.run_seconds,
-        message=f"highs: {first.message}; highs-ipm: {retry.message}",
-    )

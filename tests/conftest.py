@@ -1,8 +1,8 @@
 """Shared fixtures: solved noise tables are expensive, so build them once.
 
-The table suite fixes n_bins=8, m=32 (the harness default window ratio),
-r=0.5, and five quantized pmfs of different character.  Narrower windows make
-the program infeasible at eps=0.5, so every table here uses the 4x window.
+The table suite fixes n_bins=8, m=32 (the harness default window ratio)
+and five quantized pmfs of different character.  Narrower windows make the
+program infeasible at eps=0.5, so every table here uses the 4x window.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ def suite_pmfs(domain8):
 @pytest.fixture(scope="session")
 def solved_tables(domain8, suite_pmfs):
     """NoiseTable per (pmf name, eps) over the full grid; ~20 LP solves."""
-    shape = NoiseShape(m=32, r=0.5)
+    shape = NoiseShape(m=32)
     tables = {}
     for name, pmf in suite_pmfs.items():
         for eps in EPS_GRID:

@@ -32,14 +32,18 @@ from ldpmean import (
     reconstruct_pmf,
     rounding_weights,
     solve_noise_table,
-    tail_first_moment,
-    tail_second_moment,
     true_pmf,
     variance_relative_error,
     verify_composite_privacy,
     verify_privacy,
 )
-from ldpmean.adaptive import adaptive_perturb_array
+from ldpmean.adaptive import (
+    _certified,
+    _min_half_width,
+    _solve_restricted_first,
+    adaptive_perturb_array,
+    build_lp,
+)
 from ldpmean.analysis import (
     BASELINE_MECHANISMS,
     adaptive_conditional_variance,
@@ -69,7 +73,7 @@ def test_criterion_01_expected_variance_dominance(capsys):
     """
     domain = make_domain(1.0, 25)
     pmf = true_pmf(TruncatedGaussian(0.0, 0.1), domain)
-    table = solve_noise_table(pmf, 1.0, NoiseShape(m=100, r=0.5), domain)
+    table = solve_noise_table(pmf, 1.0, NoiseShape(m=100), domain)
     variance = expected_variance(table, pmf)
     best = min(
         baseline_expected_variance(mech, pmf, 1.0, 1.0)
@@ -147,14 +151,10 @@ def test_criterion_03_exact_privacy(capsys, solved_tables):
 
 
 def _row_means(table) -> np.ndarray:
-    """Per-row output means with both geometric tails summed in closed form."""
-    m, r = table.shape.m, table.shape.r
-    inner_j = np.arange(-m + 1, m, dtype=float)
-    offset = table.q[:, 1:-1] @ inner_j
-    t1 = tail_first_moment(m, r)
-    offset += (table.q[:, -1] - table.q[:, 0]) * t1
-    mass = table.q[:, 1:-1].sum(axis=1)
-    mass += (table.q[:, 0] + table.q[:, -1]) / (1.0 - r)
+    """Per-row output means over the window's offsets."""
+    m = table.shape.m
+    offset = table.q @ np.arange(-m, m + 1, dtype=float)
+    mass = table.q.sum(axis=1)
     return table.domain.edges * mass + table.domain.sigma * offset
 
 
@@ -191,24 +191,47 @@ def test_criterion_04_unbiasedness(capsys, domain8, solved_tables):
     assert ok
 
 
-def test_criterion_05_tail_closed_forms(capsys):
-    """T1/T2 vs 1e4-term truncated sums across m in 1..64, five ratios."""
-    g = np.arange(10_000, dtype=float)
-    worst = 0.0
-    for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-        decay = r**g
-        for m in range(1, 65):
-            t1 = float(((m + g) * decay).sum())
-            t2 = float((((m + g) ** 2) * decay).sum())
-            worst = max(worst, abs(tail_first_moment(m, r) - t1) / t1)
-            worst = max(worst, abs(tail_second_moment(m, r) - t2) / t2)
-    ok = worst <= 1e-9
+def test_criterion_05_window_free_optimality(capsys, domain8, suite_pmfs):
+    """Certified tables against wider and narrower programs, 5 pmfs x 4 eps.
+
+    Each table of the suite (N=8, M=32) is certified optimal among all
+    integer-offset eps-LDP tables.  So R(A') over more than twice the
+    outputs, A' = 2A + N, must not cost less than it, and the window
+    program R(A'') of every narrower window, A'' in [A_min, A), must cost
+    at least as much, or be infeasible; both to the certificate's
+    tolerance 1e-9 max(1, |objective|).
+    """
+    shape = NoiseShape(m=32)
+    worst_gain, least_excess, programs = 0.0, math.inf, 0
+    for name, pmf in suite_pmfs.items():
+        for eps in EPS_GRID:
+            sol, _ = _solve_restricted_first(pmf, eps, shape, domain8)
+            a = (sol.columns // 10 - 9) // 2  # (N + 2)(N + 2A + 1) columns
+            value = sol.objective_value
+            tol = 1e-9 * max(1.0, abs(value))
+            assert _certified(pmf.masses, domain8.sigma, sol.eq_duals, value, a, eps), (
+                name, eps, a,
+            )
+            wider = lp_solve(build_lp(pmf, domain8.sigma, 2 * a + 8, eps))
+            assert wider.status == "optimal"
+            worst_gain = max(worst_gain, (value - wider.objective_value) / tol)
+            for narrow in range(_min_half_width(8, eps), a):
+                window = lp_solve(build_lp(pmf, domain8.sigma, narrow, eps))
+                programs += 1
+                if window.status == "infeasible":
+                    continue
+                assert window.status == "optimal", (name, eps, narrow, window.status)
+                least_excess = min(least_excess, (window.objective_value - value) / tol)
+            programs += 1
+    ok = worst_gain <= 1.0 and least_excess >= -1.0
     report(
         capsys,
         "criterion 5",
         ok,
-        f"tail closed forms: worst relative gap {worst:.2e} over 320 "
-        f"(m, r) pairs, required <= 1e-9",
+        f"window-free optimality: {len(suite_pmfs) * len(EPS_GRID)} certified tables, "
+        f"{programs} wider and narrower programs; largest gain of a wider "
+        f"program {worst_gain:.2e} tol, least excess of a narrower window "
+        f"{least_excess:.2e} tol (required <= 1 and >= -1)",
     )
     assert ok
 
@@ -222,7 +245,7 @@ def test_criterion_06_variance_error_bound(capsys):
     variances then use the same per-row costs.
     """
     domain = make_domain(1.0, 4)
-    shape = NoiseShape(m=16, r=0.5)
+    shape = NoiseShape(m=16)
     worst_phi = 0.0
     for psi_idx, psi in enumerate((0.05, 0.1, 0.2)):
         lo, hi = claim3_bound(psi)

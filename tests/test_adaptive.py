@@ -20,17 +20,13 @@ from ldpmean.adaptive import (
     sample_noise,
     save_table,
     solve_noise_table,
-    tail_first_moment,
-    tail_second_moment,
     verify_composite_privacy,
     verify_privacy,
     _certified,
-    _column_weights,
     _density_from_q,
     _dust,
     _first_half_width,
     _ratio_report,
-    _restrict,
     _scatter,
     _slack,
     _slack_minimum,
@@ -45,76 +41,38 @@ from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, recons
 from ldpmean.lp import solve as lp_solve
 
 D2 = make_domain(1.0, 2)
-SHAPE2 = NoiseShape(m=4, r=0.5)
+SHAPE2 = NoiseShape(m=4)
 SYM2 = QuantizedPmf(masses=np.array([0.25, 0.5, 0.25]))
 
 
-def truncated_tail_sum(m, r, power, terms=10_000):
-    g = np.arange(terms)
-    return float(np.sum((m + g) ** power * r**g))
-
-
 def row_mean(table, i):
-    m, r = table.shape.m, table.shape.r
-    js = np.arange(-m + 1, m)
-    q = table.q[i]
-    return float(q[1:-1] @ js + tail_first_moment(m, r) * (q[-1] - q[0]))
+    m = table.shape.m
+    return float(table.q[i] @ np.arange(-m, m + 1))
 
 
 def geometric_reference_table(n_bins, m, rho):
-    """Identical rows, two-sided geometric with per-step ratio rho.
+    """Rows c rho^|j| on the outputs k = i + j that every row reaches,
+    k in [N - M, M], and 0 elsewhere (the rows are not normalized).
 
-    The full density at offset j is c*rho^|j| for every j, so the table is
-    exactly eps'-private for eps' = n_bins * ln(1/rho) and no less.
+    At any output two rows differ by the factor rho^(|k - i| - |k - i'|),
+    at most rho^-N (at k <= 0 or k >= N), so the table is exactly
+    eps'-private for eps' = N ln(1/rho) and no less.
     """
     d = make_domain(1.0, n_bins)
-    c = (1.0 - rho) / (1.0 + rho)
-    row = c * rho ** np.abs(np.arange(-m, m + 1, dtype=float))
-    q = np.tile(row, (n_bins + 1, 1))
+    j = np.arange(-m, m + 1)
+    k = np.arange(n_bins + 1)[:, None] + j
+    reached = (k >= n_bins - m) & (k <= m)
+    q = np.where(reached, (1.0 - rho) / (1.0 + rho) * rho ** np.abs(j.astype(float)), 0.0)
     eps_prime = n_bins * math.log(1.0 / rho)
-    return NoiseTable(
-        domain=d, shape=NoiseShape(m=m, r=rho), q=q, eps=eps_prime
-    ), eps_prime
-
-
-class TestTailMoments:
-    def test_hand_values(self):
-        assert tail_second_moment(1, 0.5) == pytest.approx(12.0)
-        assert tail_second_moment(3, 0.5) == pytest.approx(36.0)
-        assert tail_first_moment(1, 0.5) == pytest.approx(4.0)
-        assert tail_first_moment(2, 0.5) == pytest.approx(6.0)
-
-    def test_r_zero_single_term(self):
-        assert tail_second_moment(7, 0.0) == 49.0
-        assert tail_first_moment(7, 0.0) == 7.0
-
-    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9])
-    def test_against_truncated_sums(self, r):
-        for m in range(1, 65):
-            t1 = truncated_tail_sum(m, r, 1)
-            t2 = truncated_tail_sum(m, r, 2)
-            assert tail_first_moment(m, r) == pytest.approx(t1, rel=1e-9)
-            assert tail_second_moment(m, r) == pytest.approx(t2, rel=1e-9)
-
-    def test_divergent_r_rejected(self):
-        with pytest.raises(ValueError):
-            tail_second_moment(3, 1.0)
-        with pytest.raises(ValueError):
-            tail_first_moment(3, 1.5)
-
-    def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            tail_second_moment(0, 0.5)
+    return NoiseTable(domain=d, shape=NoiseShape(m=m), q=q, eps=eps_prime), eps_prime
 
 
 class TestNoiseShapeAndTable:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            NoiseShape(m=0, r=0.5)
-        with pytest.raises(ValueError):
-            NoiseShape(m=4, r=1.0)
-        with pytest.raises(ValueError):
-            NoiseShape(m=4, r=0.0)
+            NoiseShape(m=0)
+        # r is kept for callers that still pass it; nothing reads it
+        assert NoiseShape(m=4, r=0.5).r == 0.5 and NoiseShape(m=4).r == 0.0
 
     def test_table_shape_validation(self):
         with pytest.raises(ValueError):
@@ -130,10 +88,10 @@ class TestNoiseShapeAndTable:
 
 class TestNoiseMass:
     def test_tail_extrapolation(self):
+        # nothing beyond the window: the tail past +-M is empty
         table, _ = geometric_reference_table(2, 4, 0.5)
-        seed = table.q[0, -1]
-        assert noise_mass(table, 0, 6) == pytest.approx(seed * 0.25)
-        assert noise_mass(table, 0, 4) == seed
+        assert noise_mass(table, 0, 4) == table.q[0, -1] > 0.0
+        assert noise_mass(table, 0, 5) == noise_mass(table, 0, -40) == 0.0
 
     def test_point_table_center(self):
         q = np.zeros((3, 9))
@@ -143,101 +101,89 @@ class TestNoiseMass:
         assert noise_mass(table, 1, 3) == 0.0
 
     def test_total_mass_geometric_remainder(self):
+        # the geometric rows leave no remainder past the window: a row's
+        # total mass over the whole line is its window mass
         table, _ = geometric_reference_table(2, 4, 0.5)
-        m, r = 4, 0.5
-        total = sum(noise_mass(table, 0, j) for j in range(-10 * m, 10 * m + 1))
-        assert abs(total - 1.0) < r ** (9 * m) / (1.0 - r)
+        for i in range(3):
+            masses = [noise_mass(table, i, j) for j in range(-40, 41)]
+            assert sum(masses) == pytest.approx(table.q[i].sum(), rel=1e-15)
 
 
-def row_by_row_lp(pmf, eps, shape, domain):
-    """Reference construction of the noise-design constraints, one dense row
-    at a time, in build_lp's row order: (A_eq, A_ub)."""
-    n, m, r = domain.n_bins, shape.m, shape.r
-    width = 2 * m + 1
-    nq = (n + 1) * width
-    n_vars = nq + (n + 2 * m + 1 if math.isfinite(eps) else 0)
-    t1 = tail_first_moment(m, r)
-
-    def qi(i, j):
-        return i * width + j + m
-
-    eq = []
+def row_by_row_lp(pmf, sigma, a, eps):
+    """Reference construction of R(A), one dense row at a time, in
+    build_lp's row and column order: (objective, A_eq, A_ub).  Cell (i, k)
+    holds q = t_k + s_ik; its column s_ik comes input-major, then the t_k."""
+    n = len(pmf) - 1
+    ks = range(-a, n + a + 1)
+    cells = (n + 1) * len(ks)
+    n_vars = cells + len(ks)
+    objective = np.zeros(n_vars)
+    eq, ub = [], []
     for i in range(n + 1):
         norm, mean = np.zeros(n_vars), np.zeros(n_vars)
-        for j in range(-m + 1, m):
-            norm[qi(i, j)], mean[qi(i, j)] = 1.0, float(j)
-        norm[qi(i, -m)] = norm[qi(i, m)] = 1.0 / (1.0 - r)
-        mean[qi(i, -m)], mean[qi(i, m)] = -t1, t1
+        for c, k in enumerate(ks):
+            s, t, j = i * len(ks) + c, cells + c, k - i
+            objective[s] = pmf.masses[i] * (sigma * j) ** 2
+            norm[s] = norm[t] = 1.0
+            mean[s] = mean[t] = float(j)
+            upper = np.zeros(n_vars)
+            upper[s], upper[t] = 1.0 / math.expm1(eps), -1.0
+            ub.append(upper)
         eq += [norm, mean]
-    ub = []
-    for k in range(-m, n + m + 1) if math.isfinite(eps) else ():
-        for i in range(n + 1):
-            j = k - i
-            if -m < j < m:
-                var, coeff = qi(i, j), 1.0
-            elif j >= m:
-                var, coeff = qi(i, m), r ** (j - m)
-            else:
-                var, coeff = qi(i, -m), r ** (-m - j)
-            lower, upper = np.zeros(n_vars), np.zeros(n_vars)
-            lower[nq + k + m], lower[var] = 1.0, -coeff
-            upper[var], upper[nq + k + m] = coeff / math.exp(eps), -1.0
-            ub += [lower, upper]
-    return np.array(eq), np.array(ub)
+    for c in range(len(ks)):
+        objective[cells + c] = sum(objective[i * len(ks) + c] for i in range(n + 1))
+    return objective, np.array(eq), np.array(ub)
 
 
 class TestBuildLp:
     @pytest.mark.parametrize("eps", [1.5, math.inf])
     def test_matches_row_by_row_reference(self, eps):
+        # at eps = inf the upper rows keep only -t_k <= 0: no tube
         d3 = make_domain(1.0, 3)
         pmf = QuantizedPmf(masses=np.array([0.1, 0.2, 0.3, 0.4]))
-        shape = NoiseShape(m=5, r=0.3)
-        prog = build_lp(pmf, eps, shape, d3)
-        eq, ub = row_by_row_lp(pmf, eps, shape, d3)
+        prog = build_lp(pmf, d3.sigma, 2, eps)
+        objective, eq, ub = row_by_row_lp(pmf, d3.sigma, 2, eps)
+        np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(prog.A_eq.toarray(), eq)
         np.testing.assert_array_equal(prog.b_eq, np.tile([1.0, 0.0], 4))
-        if math.isfinite(eps):
-            np.testing.assert_array_equal(prog.A_ub.toarray(), ub)
-            np.testing.assert_array_equal(prog.b_ub, np.zeros(len(ub)))
-        else:
-            assert prog.A_ub is None
+        np.testing.assert_array_equal(prog.A_ub.toarray(), ub)
+        np.testing.assert_array_equal(prog.b_ub, np.zeros(len(ub)))
 
     def test_variable_count(self):
         d4 = make_domain(1.0, 4)
         pmf = QuantizedPmf(masses=np.full(5, 0.2))
-        prog = build_lp(pmf, 1.0, NoiseShape(m=8, r=0.5), d4)
-        assert prog.num_vars == 5 * 17 + (4 + 2 * 8 + 1)  # 85 q + 21 aux
+        prog = build_lp(pmf, d4.sigma, 4, 1.0)
+        assert prog.num_vars == 5 * 13 + 13  # 65 cells s + 13 outputs t
 
     def test_infinite_eps_drops_privacy(self):
-        prog = build_lp(SYM2, math.inf, SHAPE2, D2)
-        assert prog.num_vars == 3 * 9  # no auxiliaries
+        prog = build_lp(SYM2, D2.sigma, 2, math.inf)
         sol = lp_solve(prog)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
-        q = sol.x.reshape(3, 9)
+        q = _scatter(sol.x, 2, 4, 2)
         np.testing.assert_allclose(q[:, 4], 1.0, atol=1e-9)
+
+    # build_lp sizes R(A) from the pmf alone; the window and the pmf are
+    # checked where they meet the domain, in solve_noise_table
 
     def test_window_narrower_than_domain_rejected(self):
         d4 = make_domain(1.0, 4)
         pmf = QuantizedPmf(masses=np.full(5, 0.2))
-        with pytest.raises(ValueError):
-            build_lp(pmf, 1.0, NoiseShape(m=2, r=0.5), d4)
+        with pytest.raises(ValueError, match="must be >= n_bins"):
+            solve_noise_table(pmf, 1.0, NoiseShape(m=2), d4)
 
     def test_pmf_size_mismatch(self):
-        with pytest.raises(ValueError):
-            build_lp(QuantizedPmf(masses=np.array([0.5, 0.5])), 1.0, SHAPE2, D2)
+        with pytest.raises(ValueError, match="pmf size"):
+            solve_noise_table(QuantizedPmf(masses=np.array([0.5, 0.5])), 1.0, SHAPE2, D2)
 
 
 class TestSolveNoiseTable:
     def test_invariants_hold(self):
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
-        m, r = table.shape.m, table.shape.r
-        q = table.q
-        norm = q[:, 1:-1].sum(axis=1) + (q[:, 0] + q[:, -1]) / (1.0 - r)
-        np.testing.assert_allclose(norm, 1.0, atol=1e-7)
+        np.testing.assert_allclose(table.q.sum(axis=1), 1.0, atol=1e-7)
         for i in range(3):
             assert abs(row_mean(table, i)) < 1e-7
-        assert np.all(q >= 0.0)
+        assert np.all(table.q >= 0.0)
 
     def test_mirror_objective_invariance(self):
         asym = QuantizedPmf(masses=np.array([0.7, 0.2, 0.1]))
@@ -260,60 +206,91 @@ class TestSolveNoiseTable:
         assert table.lp_objective < 8.0 / 16.0
 
     def test_narrow_window_infeasible_is_diagnosed(self):
-        # the privacy tube cannot carry the mean swing at small eps
-        with pytest.raises(RuntimeError, match="infeasible"):
+        # the privacy tube cannot carry the mean swing at small eps: rows 0
+        # and N need N + 2A + 1 >= N coth(eps/2) + 1 outputs, A = M - N
+        with pytest.raises(RuntimeError, match=r"infeasible.* = 6 has an eps-LDP table"):
             solve_noise_table(SYM2, 0.5, SHAPE2, D2)
+        solve_noise_table(SYM2, 0.5, NoiseShape(m=6), D2)
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_least_window_is_sharp(self, n, eps):
+        # feasibility does not depend on the pmf; the named bound is the
+        # least window with an eps-LDP table
+        domain = make_domain(1.0, n)
+        pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
+        least = n + math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
+        with pytest.raises(RuntimeError, match=f"infeasible.* = {least} has an eps-LDP"):
+            solve_noise_table(pmf, eps, NoiseShape(m=least - 1), domain)
+        assert verify_privacy(solve_noise_table(pmf, eps, NoiseShape(m=least), domain), eps).passed
+
+    def test_infinite_eps_is_the_zero_noise_table(self, monkeypatch):
+        # no tube, so the optimum adds no noise; no LP is solved
+        monkeypatch.setattr(lplib, "solve", None)
+        table = solve_noise_table(SYM2, math.inf, SHAPE2, D2)
+        expected = np.zeros((3, 9))
+        expected[:, 4] = 1.0
+        np.testing.assert_array_equal(table.q, expected)
+        assert table.lp_objective == 0.0 and table.eps == math.inf
+
+    def test_model_error_raises_without_growing(self, monkeypatch):
+        # a model HiGHS refuses says nothing of feasibility: no wider R(A)
+        # is tried
+        calls = []
+        refused = lp_solve(lplib.LinearProgram([1.0], A_ub=[[1e16]], b_ub=[1.0]))
+        monkeypatch.setattr(lplib, "solve", lambda program: calls.append(1) or refused)
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        with pytest.raises(RuntimeError, match="status=model-error"):
+            solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
+        assert calls == [1]
+
+    def test_growth_stops_at_the_window(self, monkeypatch):
+        # uniform at eps = 2 rejects its first A = 7; half again is 11, past
+        # M - N = 9, so the second program is the window's own, R(9)
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(BetaDistribution(a=1.0, b=1.0), d16)
+        sizes = []
+        solve = lplib.solve
+        monkeypatch.setattr(
+            lplib, "solve", lambda program: sizes.append(program.num_vars) or solve(program)
+        )
+        table = solve_noise_table(pmf, 2.0, NoiseShape(m=25), d16)
+        assert sizes == [build_lp(pmf, d16.sigma, a, 2.0).num_vars for a in (7, 9)]
+        window = lp_solve(build_lp(pmf, d16.sigma, 9, 2.0))
+        assert table.lp_objective == window.objective_value
 
     @pytest.mark.parametrize("m", [36, 40])
-    def test_numerical_failure_recovered(self, m):
-        # the whole program's coefficients span r^N / e^eps ~ 2e-12 to 80,
-        # where HiGHS's default method can stop with model status Unknown;
-        # the restricted program has no tail coefficients, and both must
-        # reach the wide-window optimum
+    def test_window_holding_the_optimum_matches_a_wide_one(self, m):
+        # the optimum at eps = 1 is certified at A = 17 < M - N, so its
+        # offsets stay within +-(N + A) = +-33 and the narrower window gives
+        # the same table
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        shape = NoiseShape(m=m, r=0.2)
-        wide = solve_noise_table(pmf, 1.0, NoiseShape(m=64, r=0.2), d16)
-        table = solve_noise_table(pmf, 1.0, shape, d16)
-        whole = lp_solve(build_lp(pmf, 1.0, shape, d16))
-        assert whole.status == "optimal"
-        assert table.lp_objective == pytest.approx(wide.lp_objective, rel=1e-9)
-        assert whole.objective_value == pytest.approx(wide.lp_objective, rel=1e-9)
+        wide = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
+        table = solve_noise_table(pmf, 1.0, NoiseShape(m=m), d16)
+        np.testing.assert_array_equal(table.q, wide.q[:, 64 - m : 64 + m + 1])
+        assert table.lp_objective == wide.lp_objective
         assert verify_privacy(table, 1.0).passed
 
-    @pytest.mark.parametrize(
-        "r, eps, m",
-        [(0.05, 1.0, 29), (0.05, 2.0, 47), (0.1, 1.0, 29), (0.1, 2.0, 35), (0.1, 2.0, 41)],
-    )
-    def test_small_tail_ratios_solve(self, r, eps, m):
-        # at HiGHS's default dual tolerance (1e-7) the whole programs end in
-        # a numerical failure after the retry, or in a table with an empty
-        # output column; M=29 at eps=1 is solved whole, the rest restricted
+    @pytest.mark.parametrize("eps, m", [(1.0, 29), (2.0, 35), (2.0, 41), (2.0, 47)])
+    def test_narrow_windows_solve_their_window_program(self, eps, m):
+        # at M = 29 and eps = 1 the window binds, and R(M - N) itself is
+        # the answer; the wider windows hold a certified R(A)
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        table = assert_matches_whole_program(pmf, eps, NoiseShape(m=m, r=r), d16)
+        table = assert_matches_whole_program(pmf, eps, NoiseShape(m=m), d16)
         assert verify_privacy(table, eps).passed
-
-    def test_whole_program_retried_with_interior_point(self):
-        # r = 0.1 puts r^N / e^eps near 1e-17 beside O(1) entries; the
-        # default method stops with model status Unknown on the whole
-        # program, the interior-point retry solves it, and the restricted
-        # solve never meets those coefficients
-        d16 = make_domain(1.0, 16)
-        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        shape = NoiseShape(m=38, r=0.1)
-        whole = lp_solve(build_lp(pmf, 2.0, shape, d16))
-        assert whole.status == "optimal" and whole.method == "highs-ipm"
-        assert "model_status is Unknown" in whole.message
-        table = solve_noise_table(pmf, 2.0, shape, d16)
-        assert table.lp_objective == pytest.approx(whole.objective_value, rel=1e-9)
 
 
 def assert_matches_whole_program(pmf, eps, shape, domain):
+    """The table costs what the window's whole program, R(M - N), costs, to
+    the certificate's tolerance 1e-9 max(1, |objective|)."""
     table = solve_noise_table(pmf, eps, shape, domain)
-    whole = lp_solve(build_lp(pmf, eps, shape, domain))
+    whole = lp_solve(build_lp(pmf, domain.sigma, shape.m - domain.n_bins, eps))
     assert whole.status == "optimal"
-    assert table.lp_objective == pytest.approx(whole.objective_value, rel=1e-9)
+    gap = abs(table.lp_objective - whole.objective_value)
+    assert gap <= 1e-9 * max(1.0, abs(table.lp_objective))
     return table
 
 
@@ -321,12 +298,21 @@ def certified(pmf, domain, sol, a, eps):
     return _certified(pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, a, eps)
 
 
-def whole_point(z, n, m, a):
-    """build_lp's variables (q, t) of R(A)'s point z = (s, t)."""
-    ks = np.arange(-a, n + a + 1)
-    t = np.zeros(n + 2 * m + 1)
-    t[ks + m] = z[(n + 1) * ks.size :]
-    return np.concatenate([_scatter(z, n, m, a).ravel(), t])
+def half_width(sol, n):
+    """The A of an R(A) solution, from its (N + 2)(N + 2A + 1) columns."""
+    return (sol.columns // (n + 2) - n - 1) // 2
+
+
+def whole_point(z, n, a, wide):
+    """R(wide)'s variables (s, t) of R(A)'s point z = (s, t): the cells and
+    outputs R(A) leaves out hold 0."""
+    ks, ks_wide = n + 2 * a + 1, n + 2 * wide + 1
+    cells = (n + 1) * ks_wide
+    x = np.zeros(cells + ks_wide)
+    s = x[:cells].reshape(n + 1, ks_wide)
+    s[:, wide - a : wide + a + n + 1] = z[: (n + 1) * ks].reshape(n + 1, ks)
+    x[cells + wide - a : cells + wide + a + n + 1] = z[(n + 1) * ks :]
+    return x
 
 
 DESIGN_PMFS = {
@@ -339,21 +325,38 @@ DESIGN_PMFS = {
 class TestRestrictedSolve:
     """solve_noise_table solves over the outputs near the domain first and
     accepts that optimum only with a dual certificate; it must reach the
-    whole program's optimum."""
+    optimum of the window's whole program, R(M - N)."""
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0, 8.0])
     @pytest.mark.parametrize("name", sorted(DESIGN_PMFS))
     def test_design_cells(self, name, eps):
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(DESIGN_PMFS[name], d16)
-        assert_matches_whole_program(pmf, eps, NoiseShape(m=64, r=0.5), d16)
+        assert_matches_whole_program(pmf, eps, NoiseShape(m=64), d16)
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n", [4, 8, 25])
-    def test_domain_sizes(self, n, eps):
+    def test_domain_sizes(self, n, eps, monkeypatch):
+        # the returned solve is certified, and its own duality gap
+        # c.x - b.y, with b = (1, 0) per input, is within the certificate's
+        # tolerance
         domain = make_domain(1.0, n)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
-        assert_matches_whole_program(pmf, eps, NoiseShape(m=4 * n, r=0.5), domain)
+        solved = []
+        solve = lplib.solve
+
+        def record(program):
+            solved.append((program, solve(program)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(lplib, "solve", record)
+        table = solve_noise_table(pmf, eps, NoiseShape(m=4 * n), domain)
+        program, sol = solved[-1]
+        a = half_width(sol, n)
+        assert certified(pmf, domain, sol, a, eps)
+        tol = 1e-9 * max(1.0, abs(sol.objective_value))
+        assert abs(program.objective @ sol.x - sol.eq_duals[0::2].sum()) <= tol
+        assert table.lp_objective == sol.objective_value
 
     @pytest.mark.parametrize("eps", [1.0, 2.0])
     def test_estimated_pmf_with_zero_cells(self, eps):
@@ -363,19 +366,19 @@ class TestRestrictedSolve:
         hist = collect_perturbed_histogram(d16, xs, eps, rng)
         pmf = reconstruct_pmf(hist, build_rr_matrix(16, eps))
         assert np.count_nonzero(pmf.masses == 0.0) >= 3
-        assert_matches_whole_program(pmf, eps, NoiseShape(m=64, r=0.5), d16)
+        assert_matches_whole_program(pmf, eps, NoiseShape(m=64), d16)
 
     def test_certificate_rejects_a_suboptimal_restriction(self):
         # outputs [-27, 43] are feasible at eps = 0.5 but too few for the
         # optimum, which reaches offsets +-33
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        whole = lp_solve(build_lp(pmf, 0.5, NoiseShape(m=64, r=0.5), d16))
-        short = lp_solve(_restrict(pmf, d16.sigma, 27, 0.5))
+        whole = lp_solve(build_lp(pmf, d16.sigma, 48, 0.5))
+        short = lp_solve(build_lp(pmf, d16.sigma, 27, 0.5))
         assert short.status == "optimal"
         assert short.objective_value > whole.objective_value + 0.1
         assert not certified(pmf, d16, short, 27, 0.5)
-        wide = lp_solve(_restrict(pmf, d16.sigma, 40, 0.5))
+        wide = lp_solve(build_lp(pmf, d16.sigma, 40, 0.5))
         assert wide.objective_value == pytest.approx(whole.objective_value, rel=1e-9)
         assert certified(pmf, d16, wide, 40, 0.5)
 
@@ -384,13 +387,15 @@ class TestRestrictedSolve:
         [("gaussian", 16, 0.5), ("uniform", 16, 2.0), ("exponential", 16, 8.0), ("gaussian", 4, 1.0)],
     )
     def test_back_map_is_feasible_for_the_whole_program(self, name, n, eps):
+        # R(A)'s optimum, extended by zeros, is a point of the window
+        # program R(M - N) at M = 4N with the same cost
         domain = make_domain(1.0, n)
         pmf = true_pmf(DESIGN_PMFS[name], domain)
-        program = build_lp(pmf, eps, NoiseShape(m=4 * n, r=0.5), domain)
+        program = build_lp(pmf, domain.sigma, 3 * n, eps)
         a = _first_half_width(n, eps)
-        sol = lp_solve(_restrict(pmf, domain.sigma, a, eps))
+        sol = lp_solve(build_lp(pmf, domain.sigma, a, eps))
         assert sol.status == "optimal"
-        x = whole_point(sol.x, n, 4 * n, a)
+        x = whole_point(sol.x, n, a, 3 * n)
         np.testing.assert_allclose(program.A_eq @ x, program.b_eq, rtol=0.0, atol=1e-9)
         assert np.max(program.A_ub @ x) <= 1e-9
         assert program.objective @ x == pytest.approx(sol.objective_value, rel=1e-12)
@@ -398,53 +403,58 @@ class TestRestrictedSolve:
     @pytest.mark.parametrize("eps", [0.7, 3.0])
     @pytest.mark.parametrize("n, a", [(4, 3), (3, 0)])
     def test_is_the_whole_program_composed_with_the_back_map(self, n, a, eps):
-        # R(A) assembled directly has the objective and equality rows of
-        # build_lp's program composed with x = T z
+        # R(A) has the objective and equality rows of the window program
+        # R(A + 2) composed with the embedding x = T z
         domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.arange(1.0, n + 2) / ((n + 1) * (n + 2) / 2))
-        m = n + a + 2
-        program = build_lp(pmf, eps, NoiseShape(m=m, r=0.5), domain)
-        sub = _restrict(pmf, domain.sigma, a, eps)
-        embed = np.column_stack([whole_point(z, n, m, a) for z in np.eye(sub.num_vars)])
+        program = build_lp(pmf, domain.sigma, a + 2, eps)
+        sub = build_lp(pmf, domain.sigma, a, eps)
+        embed = np.column_stack([whole_point(z, n, a, a + 2) for z in np.eye(sub.num_vars)])
         np.testing.assert_allclose(sub.objective, embed.T @ program.objective, rtol=1e-15)
         np.testing.assert_array_equal(sub.A_eq.toarray(), program.A_eq @ embed)
         np.testing.assert_array_equal(sub.b_eq, program.b_eq)
 
-    @pytest.mark.parametrize("n, m, a", [(16, 64, 40), (4, 16, 3), (8, 32, 0)])
+    @pytest.mark.parametrize("n, m, a", [(16, 64, 40), (4, 16, 3), (8, 32, 0), (4, 7, 3)])
     def test_one_tube_row_per_kept_cell(self, n, m, a):
         domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
-        sub = _restrict(pmf, domain.sigma, a, 1.0)
+        sub = build_lp(pmf, domain.sigma, a, 1.0)
         cells = (n + 1) * (n + 2 * a + 1)
         assert sub.A_ub.shape[0] == cells
         assert np.all(np.diff(sub.A_ub.indptr) == 2)  # one s and its t_k
         assert sub.num_vars == cells + n + 2 * a + 1
         q = _scatter(np.ones(sub.num_vars), n, m, a)
-        assert not q[:, [0, -1]].any()  # no tail column
+        assert q[:, [0, -1]].any() == (n + a == m)  # the edges only for R(M - N)
         assert np.count_nonzero(q) == cells
 
     def test_tail_mass_solves_whole_program(self, monkeypatch):
-        # at M=40, eps=0.5 the optimum needs mass beyond the window, which
-        # no restricted program holds
-        d16 = make_domain(1.0, 16)
-        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        shape = NoiseShape(m=40, r=0.5)
-        sizes = []
+        # at N=8, M=24, eps=0.5 the first A is past M - N = 16: the window
+        # program R(16) is solved whole, once, and its optimum puts 0.142
+        # on the window's edges.  It is not certified: a wider window
+        # costs less
+        d8 = make_domain(1.0, 8)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
+        shape = NoiseShape(m=24)
+        solved = []
         solve = lplib.solve
         monkeypatch.setattr(
-            lplib, "solve", lambda program: sizes.append(program.num_vars) or solve(program)
+            lplib, "solve", lambda program: solved.append(solve(program)) or solved[-1]
         )
-        table = assert_matches_whole_program(pmf, 0.5, shape, d16)
-        assert sizes == [build_lp(pmf, 0.5, shape, d16).num_vars]
+        table = assert_matches_whole_program(pmf, 0.5, shape, d8)
+        (sol,) = solved
+        assert sol.columns == build_lp(pmf, d8.sigma, 16, 0.5).num_vars
+        assert not certified(pmf, d8, sol, 16, 0.5)
         assert np.max(table.q[:, [0, -1]]) > 0.1
         assert verify_privacy(table, 0.5).passed
+        wider = solve_noise_table(pmf, 0.5, NoiseShape(m=64), d8)
+        assert wider.lp_objective < table.lp_objective - 1e-3
 
 
 def certified_solve(pmf, eps, domain):
     """R(A)'s optimum at the first A where it is certified, and that A."""
     a = _first_half_width(domain.n_bins, eps)
     while True:
-        sol = lp_solve(_restrict(pmf, domain.sigma, a, eps))
+        sol = lp_solve(build_lp(pmf, domain.sigma, a, eps))
         if sol.status == "optimal" and certified(pmf, domain, sol, a, eps):
             return sol, a
         a = math.ceil(1.5 * a)
@@ -537,7 +547,7 @@ class TestCertificate:
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         a = _first_half_width(16, 20.0)
-        sol = lp_solve(_restrict(pmf, d16.sigma, a, 20.0))
+        sol = lp_solve(build_lp(pmf, d16.sigma, a, 20.0))
         assert sol.status == "optimal"
         tracemalloc.start()
         try:
@@ -550,8 +560,8 @@ class TestCertificate:
 
 
 def test_design_cells_take_one_solve_each(monkeypatch):
-    # one HiGHS solve of R(A) per table, and no whole program assembled;
-    # uniform eps=2 rejects its first A
+    # one HiGHS solve of R(A) per table, each assembled once; uniform eps=2
+    # rejects its first A
     solves, builds = [], []
     solve, build = lplib.solve, adaptive.build_lp
     monkeypatch.setattr(lplib, "solve", lambda program: solves.append(1) or solve(program))
@@ -561,11 +571,11 @@ def test_design_cells_take_one_solve_each(monkeypatch):
     for name in sorted(DESIGN_PMFS):
         for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
             before = len(solves)
-            solve_noise_table(true_pmf(DESIGN_PMFS[name], d16), eps, NoiseShape(m=64, r=0.5), d16)
+            solve_noise_table(true_pmf(DESIGN_PMFS[name], d16), eps, NoiseShape(m=64), d16)
             counts[name, eps] = len(solves) - before
     assert sum(counts.values()) == 16
     assert [cell for cell, count in counts.items() if count != 1] == [("uniform", 2.0)]
-    assert builds == []
+    assert len(builds) == 16
 
 
 @pytest.mark.xfail(
@@ -581,19 +591,12 @@ def test_estimated_pmf_at_large_eps_is_private(n, eps):
     assert verify_privacy(table, eps).passed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeError,
-    reason="the whole program's privacy rows hold only to HiGHS's 1e-7 primal "
-    "tolerance, so a tail output beyond the window can be left empty under one input",
-)
 @pytest.mark.parametrize("name", ["gaussian", "uniform"])
 def test_small_window_table_is_private(name):
-    # M = N + 1 leaves no restricted program, so the whole program is
-    # solved; the verdict fails at output k = -6, beyond the window
+    # M = N + 1 leaves one restricted program, R(1), the window's own
     d4 = make_domain(1.0, 4)
     pmf = true_pmf(DESIGN_PMFS[name], d4)
-    table = solve_noise_table(pmf, 7.61, NoiseShape(m=5, r=0.114), d4)
+    table = solve_noise_table(pmf, 7.61, NoiseShape(m=5), d4)
     assert verify_privacy(table, 7.61).passed
 
 
@@ -601,20 +604,25 @@ def test_small_window_table_is_private(name):
 @given(
     n=st.integers(2, 12),
     eps=st.floats(0.5, 8.0),
-    r=st.floats(0.1, 0.8),
     extra=st.integers(0, 16),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_restricted_solve_matches_whole_program(n, eps, r, extra, seed):
-    # windows wide enough that the restricted programs are tried first
+def test_restricted_solve_matches_whole_program(n, eps, extra, seed):
+    # windows wide enough that R(A) is certified before it fills them; the
+    # certified optimum is that of a program over more than twice as many
+    # outputs, R(A') with A' = 2A + N
     domain = make_domain(1.0, n)
     pmf = QuantizedPmf(masses=np.random.default_rng(seed).dirichlet(np.ones(n + 1)))
-    shape = NoiseShape(m=n + _first_half_width(n, eps) + 2 + extra, r=r)
+    shape = NoiseShape(m=n + 3 * _first_half_width(n, eps) + extra)
     table = solve_noise_table(pmf, eps, shape, domain)
-    whole = lp_solve(build_lp(pmf, eps, shape, domain))
-    assert whole.status == "optimal"
-    gap = abs(table.lp_objective - whole.objective_value)
-    assert gap <= 1e-9 * max(1.0, abs(whole.objective_value))
+    sol, _ = adaptive._solve_restricted_first(pmf, eps, shape, domain)
+    a = half_width(sol, n)
+    assert a < shape.m - n and certified(pmf, domain, sol, a, eps)
+    assert table.lp_objective == sol.objective_value
+    wider = lp_solve(build_lp(pmf, domain.sigma, 2 * a + n, eps))
+    assert wider.status == "optimal"
+    gap = abs(table.lp_objective - wider.objective_value)
+    assert gap <= 1e-9 * max(1.0, abs(table.lp_objective))
 
 
 def disjoint_table():
@@ -644,6 +652,14 @@ class TestVerifyPrivacy:
         assert report.max_ratio == math.inf
         assert report.worst_pair == (0, 0, 1)  # first such column
 
+    def test_output_out_of_reach_is_disjoint(self):
+        # output k = -M is reached by row 0 alone (offset -M), so any mass
+        # there is disjoint support
+        q = np.full((3, 9), 1.0 / 9.0)
+        report = verify_privacy(NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=1.0), 1.0)
+        assert report.max_ratio == math.inf
+        assert report.worst_pair == (-4, 0, 1)
+
     def test_infinite_eps_always_passes(self):
         q = np.zeros((3, 9))
         q[:, 4] = 1.0
@@ -657,18 +673,13 @@ class TestVerifyPrivacy:
         assert report.max_ratio <= math.exp(2.0) * (1.0 + 1e-6)
 
 
-def density_by_rows(q, n, m, r, ks):
-    """Reference for _density_from_q, one input row at a time, with one
-    scalar pow per tail cell."""
+def density_by_rows(q, n, m, ks):
+    """Reference for _density_from_q, one input row at a time."""
     d = np.zeros((n + 1, ks.size))
     for i in range(n + 1):
         j = ks - i
-        window = np.abs(j) < m
+        window = np.abs(j) <= m
         d[i, window] = q[i, j[window] + m]
-        right = j >= m
-        d[i, right] = q[i, 2 * m] * np.array([r ** int(p) for p in j[right] - m])
-        left = j <= -m
-        d[i, left] = q[i, 0] * np.array([r ** int(p) for p in -m - j[left]])
     return d
 
 
@@ -695,6 +706,14 @@ def ratio_report_by_columns(density, ks, eps, tol, labels=None):
     return max_ratio, worst, bound, passed
 
 
+def edge_loaded_table():
+    """The window program's table at N=8, M=24, eps=0.5, whose optimum puts
+    0.142 on the window's edges."""
+    d8 = make_domain(1.0, 8)
+    pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
+    return pmf, solve_noise_table(pmf, 0.5, NoiseShape(m=24), d8)
+
+
 class TestVectorizedVerification:
     """The array forms of the density and the ratio report reproduce the
     loop forms exactly."""
@@ -704,8 +723,8 @@ class TestVectorizedVerification:
         d16 = make_domain(1.0, 16)
         gaussian = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         return {
-            "solved": solve_noise_table(gaussian, 1.0, NoiseShape(m=64, r=0.5), d16),
-            "tail-loaded": solve_noise_table(gaussian, 0.5, NoiseShape(m=40, r=0.5), d16),
+            "solved": solve_noise_table(gaussian, 1.0, NoiseShape(m=64), d16),
+            "tail-loaded": edge_loaded_table()[1],  # mass at the window's edges
             "geometric": geometric_reference_table(4, 8, 0.8)[0],
             "disjoint": disjoint_table(),
             "empty": NoiseTable(domain=D2, shape=SHAPE2, q=np.zeros((3, 9)), eps=1.0),
@@ -714,127 +733,95 @@ class TestVectorizedVerification:
     @pytest.mark.parametrize("name", ["solved", "tail-loaded", "geometric", "disjoint", "empty"])
     def test_matches_loop_reference(self, tables, name):
         table = tables[name]
-        n, m, r = table.domain.n_bins, table.shape.m, table.shape.r
-        ks = np.arange(-m - 1, n + m + 2)
-        density = _density_from_q(table.q, n, m, r, ks)
-        np.testing.assert_array_equal(density, density_by_rows(table.q, n, m, r, ks))
+        n, m = table.domain.n_bins, table.shape.m
+        ks = np.arange(-m - 3, n + m + 4)  # a few outputs past the ends too
+        density = _density_from_q(table.q, n, m, ks)
+        np.testing.assert_array_equal(density, density_by_rows(table.q, n, m, ks))
         for eps in (table.eps, 0.5 * table.eps, math.inf):
             report = _ratio_report(density, ks, eps, 1e-6)
             expected = ratio_report_by_columns(density, ks, eps, 1e-6)
             assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
+        report = verify_privacy(table, table.eps)
+        expected = ratio_report_by_columns(density, ks, table.eps, 1e-6)
+        assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
 
     def test_composite_report_matches_loop_reference(self, tables):
         table = tables["solved"]
         n, m = table.domain.n_bins, table.shape.m
         xs = np.linspace(-1.0, 1.0, 41)
-        ks = np.arange(-m - 1, n + m + 2)
+        ks = np.arange(-m, n + m + 1)
         idx, w_left = rounding_weights_array(table.domain, xs)
         weights = np.zeros((xs.size, n + 1))
         weights[np.arange(xs.size), idx] = w_left
         weights[np.arange(xs.size), np.minimum(idx + 1, n)] += 1.0 - w_left
-        mixture = weights @ density_by_rows(table.q, n, m, table.shape.r, ks)
+        mixture = weights @ density_by_rows(table.q, n, m, ks)
         report = verify_composite_privacy(table, 1.0, inputs=xs)
         expected = ratio_report_by_columns(mixture, ks, 1.0, 1e-6, labels=xs.tolist())
         assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
 
 
-def test_verification_reads_the_lp_tail_coefficients(monkeypatch):
-    # at N=4, M=6 the whole program is solved and every tail column holds
-    # mass; verification must judge exactly the densities the LP
-    # constrained, build_lp's coefficient times q, bit for bit
-    n, m, eps = 4, 6, 1.0
-    d4 = make_domain(1.0, n)
-    pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d4)
-    shape = NoiseShape(m=m, r=0.3)
-    table = solve_noise_table(pmf, eps, shape, d4)
-    seen = {}
-    report = adaptive._ratio_report
-
-    def spy(density, ks, *args):
-        seen.update(density=density, ks=ks)
-        return report(density, ks, *args)
-
-    monkeypatch.setattr(adaptive, "_ratio_report", spy)
-    assert verify_privacy(table, eps).passed
-    a_ub = build_lp(pmf, eps, shape, d4).A_ub.toarray()
-    checked = 0
-    for col, k in enumerate(seen["ks"]):
-        for i in range(n + 1):
-            j = int(k) - i
-            if abs(j) <= m or not -m <= k <= n + m:
-                continue
-            cell = int(np.clip(j, -m, m)) + m
-            # row 2((k + M)(N + 1) + i) is t_k - coeff q[i, cell] <= 0
-            coeff = -a_ub[2 * ((k + m) * (n + 1) + i), i * (2 * m + 1) + cell]
-            assert seen["density"][i, col] == coeff * table.q[i, cell]
-            checked += bool(table.q[i, cell] > 0.0)
-    assert checked >= 10
-
-
 class TestColumnWeights:
-    """The LP, the row checks, the sampler and the variance read one
-    statement of the window-plus-tails law, bit for bit."""
+    """The LP, the row checks, the sampler and the variance read one law:
+    column c of q is the offset j = c - M, and a unit of it carries mass 1,
+    mean j and variance (sigma j)^2, bit for bit."""
 
-    N, M, R, EPS = 4, 6, 0.3, 1.0  # the whole program is solved, tails loaded
+    N, M, EPS = 8, 24, 0.5  # the window program is solved, its edges loaded
 
     @pytest.fixture(scope="class")
     def design(self):
-        domain = make_domain(1.0, self.N)
-        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
-        shape = NoiseShape(m=self.M, r=self.R)
-        table = solve_noise_table(pmf, self.EPS, shape, domain)
-        assert np.min(table.q[:, [0, -1]].max(axis=1)) > 0.01
-        return pmf, shape, domain, table
+        pmf, table = edge_loaded_table()
+        assert np.max(table.q[:, [0, -1]]) > 0.1
+        return pmf, table.domain, table
 
     def test_hand_values(self):
-        norm, mean, cost = _column_weights(2, 0.5, 0.5)
-        np.testing.assert_array_equal(norm, [2.0, 1.0, 1.0, 1.0, 2.0])
-        t1, t2 = tail_first_moment(2, 0.5), tail_second_moment(2, 0.5)
-        np.testing.assert_array_equal(mean, [-t1, -1.0, 0.0, 1.0, t1])
-        np.testing.assert_array_equal(cost, [0.25 * t2, 0.25, 0.0, 0.25, 0.25 * t2])
+        domain = make_domain(1.0, 4)  # sigma = 0.5
+        q = np.array([[0.25, 0.0, 0.5, 0.0, 0.25]] * 5)
+        table = NoiseTable(domain=domain, shape=NoiseShape(m=2), q=q, eps=math.inf)
+        np.testing.assert_array_equal(row_variances(table), np.full(5, 0.5))
+        masses = [noise_mass(table, 0, j) for j in range(-3, 4)]
+        assert masses == [0.0, 0.25, 0.0, 0.5, 0.0, 0.25, 0.0]
 
     def test_lp_rows_and_objective(self, design):
-        pmf, shape, domain, _ = design
-        norm, mean, cost = _column_weights(self.M, self.R, domain.sigma)
-        program = build_lp(pmf, self.EPS, shape, domain)
+        pmf, domain, _ = design
+        a = self.M - self.N
+        program = build_lp(pmf, domain.sigma, a, self.EPS)
         a_eq = program.A_eq.toarray()
-        width = 2 * self.M + 1
+        width = self.N + 2 * a + 1
         for i in range(self.N + 1):
-            block = slice(i * width, (i + 1) * width)
-            np.testing.assert_array_equal(a_eq[2 * i, block], norm)
-            np.testing.assert_array_equal(a_eq[2 * i + 1, block], mean)
-            np.testing.assert_array_equal(program.objective[block], pmf.masses[i] * cost)
+            block = slice(i * width, (i + 1) * width)  # the s of input i's cells
+            j = np.arange(-a, self.N + a + 1) - i
+            np.testing.assert_array_equal(a_eq[2 * i, block], np.ones(width))
+            np.testing.assert_array_equal(a_eq[2 * i + 1, block], j)
+            np.testing.assert_array_equal(
+                program.objective[block], pmf.masses[i] * (domain.sigma * j) ** 2
+            )
 
     def test_variance_reads_the_objective_coefficients(self, design):
-        pmf, _, domain, table = design
-        cost = _column_weights(self.M, self.R, domain.sigma)[2]
+        pmf, domain, table = design
+        cost = (domain.sigma * np.arange(-self.M, self.M + 1)) ** 2
         np.testing.assert_array_equal(row_variances(table), table.q @ cost)
         assert expected_variance(table, pmf) == pytest.approx(table.lp_objective, rel=1e-9)
 
     def test_sampler_weights_rows_by_the_lp_norm(self, design, monkeypatch):
-        _, _, domain, table = design
-        norm = _column_weights(self.M, self.R, domain.sigma)[0]
+        _, _, table = design
         seen = []
         guide = adaptive._guide_table
         monkeypatch.setattr(adaptive, "_guide_table", lambda cdf: seen.append(cdf) or guide(cdf))
         for i in range(self.N + 1):
             sample_noise(table, i, np.random.default_rng(i), size=10)
-            probs = table.q[i] * norm
-            probs /= probs.sum()
+            probs = table.q[i] / table.q[i].sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
             np.testing.assert_array_equal(seen[-1], cdf)
 
 
-def dust_by_rows(q, n, m, r):
+def dust_by_rows(q, n, m):
     """Reference for _dust: the cells the per-row loop zeroes."""
     ks = np.arange(-m, n + m + 1)
-    safe = _density_from_q(q, n, m, r, ks).max(axis=0) <= adaptive._DUST
+    safe = _density_from_q(q, n, m, ks).max(axis=0) <= adaptive._DUST
     dust = np.zeros(q.shape, dtype=bool)
     for i in range(n + 1):
-        dust[i, 1:-1] = safe[i + 1 : i + 2 * m] & (q[i, 1:-1] <= adaptive._DUST)
-        dust[i, -1] = q[i, -1] <= adaptive._DUST and safe[i + 2 * m :].all()
-        dust[i, 0] = q[i, 0] <= adaptive._DUST and safe[: i + 1].all()
+        dust[i] = safe[i : i + 2 * m + 1] & (q[i] <= adaptive._DUST)
     return dust
 
 
@@ -848,9 +835,9 @@ def raw_solution(pmf, eps, shape, domain):
 
 
 DUST_TABLES = (
-    [(name, 16, 64, 0.5, eps) for name in sorted(DESIGN_PMFS) for eps in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    + [("gaussian", 4, 6, 0.3, 1.0), ("gaussian", 8, 22, 0.3, 0.5),
-       ("gaussian", 8, 22, 0.7, 0.5), ("gaussian", 16, 40, 0.5, 0.5)]
+    [(name, 16, 64, eps) for name in sorted(DESIGN_PMFS) for eps in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    + [("gaussian", 4, 8, 1.0), ("gaussian", 8, 22, 0.5), ("gaussian", 8, 24, 0.5),
+       ("gaussian", 16, 41, 0.5)]
 )
 
 
@@ -859,11 +846,11 @@ class TestDust:
 
     def test_solved_tables(self):
         changed = 0
-        for name, n, m, r, eps in DUST_TABLES:
+        for name, n, m, eps in DUST_TABLES:
             domain = make_domain(1.0, n)
-            q = raw_solution(true_pmf(DESIGN_PMFS[name], domain), eps, NoiseShape(m, r), domain)
-            mask = _dust(q, n, m, r)
-            np.testing.assert_array_equal(mask, dust_by_rows(q, n, m, r))
+            q = raw_solution(true_pmf(DESIGN_PMFS[name], domain), eps, NoiseShape(m), domain)
+            mask = _dust(q, n, m)
+            np.testing.assert_array_equal(mask, dust_by_rows(q, n, m))
             changed += bool(np.any(q[mask] > 0.0))
         assert changed >= 1  # some table really carries dust
 
@@ -874,11 +861,10 @@ class TestDust:
         for _ in range(300):
             n = int(rng.integers(1, 7))
             m = n + int(rng.integers(0, 5))
-            r = float(rng.uniform(0.05, 0.95))
             p = rng.dirichlet(np.ones(levels.size) * 0.3)
             q = rng.choice(levels, size=(n + 1, 2 * m + 1), p=p)
-            mask = _dust(q, n, m, r)
-            np.testing.assert_array_equal(mask, dust_by_rows(q, n, m, r))
+            mask = _dust(q, n, m)
+            np.testing.assert_array_equal(mask, dust_by_rows(q, n, m))
             ends += bool(mask[:, [0, -1]].any() and (~mask[:, [0, -1]]).any())
         assert ends >= 30  # both outcomes at the end cells, often
 
@@ -892,18 +878,14 @@ class TestSampleNoise:
         draws = sample_noise(table, 0, rng, size=1000)
         assert np.all(draws == 0)
 
-    def test_right_tail_geometric_law(self):
-        m, r = 4, 0.5
+    def test_window_edges_are_drawn_and_not_passed(self):
         q = np.zeros((3, 9))
-        q[:, -1] = 1.0 - r  # total right-tail mass (1-r)/(1-r) = 1
-        table = NoiseTable(domain=D2, shape=NoiseShape(m=m, r=r), q=q, eps=math.inf)
+        q[:, 0], q[:, -1] = 0.25, 0.75
+        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         rng = np.random.default_rng(51)
         draws = sample_noise(table, 1, rng, size=1_000_000)
-        assert np.all(draws >= m)
-        for g in range(5):
-            frac = np.mean(draws == m + g)
-            expected = (1.0 - r) * r**g
-            assert frac == pytest.approx(expected, abs=0.002), f"g={g}"
+        assert set(np.unique(draws)) == {-4, 4}
+        assert np.mean(draws == 4) == pytest.approx(0.75, abs=0.002)
 
     def test_solved_row_mean_is_zero(self):
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
@@ -1027,7 +1009,6 @@ class TestSerialization:
         assert loaded.domain.beta == table.domain.beta
         assert loaded.domain.n_bins == table.domain.n_bins
         assert loaded.shape.m == table.shape.m
-        assert loaded.shape.r == table.shape.r
         assert loaded.eps == table.eps
         assert loaded.lp_objective is None
 
@@ -1036,6 +1017,35 @@ class TestSerialization:
         path = tmp_path / "table.txt"
         save_table(table, path)
         assert verify_privacy(load_table(path), 2.0).passed
+
+    def test_header_holds_beta_n_m_eps(self, tmp_path):
+        table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        assert path.read_text().splitlines()[0] == "1.0 2 4 1.0"
+
+    def test_former_header_reads_without_edge_mass(self, tmp_path):
+        # the former format also held the tail ratio r; with no mass at
+        # +-M its tails were empty, so the table is the same law
+        table = solve_noise_table(SYM2, 1.0, NoiseShape(m=8), D2)
+        assert not table.q[:, [0, -1]].any()
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        body = path.read_text().splitlines()[1:]
+        path.write_text("\n".join(["1.0 2 8 0.5 1.0", *body]) + "\n")
+        loaded = load_table(path)
+        np.testing.assert_array_equal(loaded.q, table.q)
+        assert (loaded.shape.m, loaded.eps) == (8, 1.0)
+
+    def test_former_header_with_edge_mass_is_refused(self, tmp_path):
+        table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
+        assert table.q[:, [0, -1]].any()
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        body = path.read_text().splitlines()[1:]
+        path.write_text("\n".join(["1.0 2 4 0.5 1.0", *body]) + "\n")
+        with pytest.raises(ValueError, match="geometric tails beyond the window"):
+            load_table(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"

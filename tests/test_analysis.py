@@ -15,7 +15,6 @@ from ldpmean import (
     make_domain,
     solve_noise_table,
 )
-from ldpmean.adaptive import tail_second_moment
 from ldpmean.analysis import (
     BASELINE_MECHANISMS,
     baseline_expected_variance,
@@ -36,7 +35,7 @@ def uniform_pmf(n_bins: int) -> QuantizedPmf:
 class TestExpectedVariance:
     def test_zero_noise_table_has_zero_variance(self):
         domain = make_domain(beta=1.0, n_bins=4)
-        shape = NoiseShape(m=4, r=0.5)
+        shape = NoiseShape(m=4)
         q = np.zeros((5, 9))
         q[:, 4] = 1.0  # all mass on offset j = 0
         table = NoiseTable(domain=domain, shape=shape, q=q, eps=math.inf)
@@ -45,7 +44,7 @@ class TestExpectedVariance:
     def test_symmetric_two_point_rows(self):
         # mass 1/2 on offsets -1 and +1, sigma = 0.5: variance (sigma*1)^2
         domain = make_domain(beta=1.0, n_bins=4)
-        shape = NoiseShape(m=4, r=0.5)
+        shape = NoiseShape(m=4)
         q = np.zeros((5, 9))
         q[:, 3] = 0.5
         q[:, 5] = 0.5
@@ -54,35 +53,32 @@ class TestExpectedVariance:
             0.25, rel=1e-12
         )
 
-    def test_tail_only_rows_use_second_tail_moment(self):
-        # rows put (1-r)/2 on each end cell; normalization holds because
-        # (q_left + q_right) / (1 - r) = 1, and the variance is
-        # sigma^2 * T2(m, r) * (1 - r) = 0.25 * 12 * 0.5 at m=1, r=0.5
+    def test_edge_only_rows_stop_at_the_window(self):
+        # rows put 1/2 on each end cell, offsets -+M, and nothing beyond,
+        # so the variance is sigma^2 M^2 = 0.25 * 9 at M=3
         domain = make_domain(beta=1.0, n_bins=4)
-        shape = NoiseShape(m=1, r=0.5)
-        q = np.zeros((5, 3))
-        q[:, 0] = 0.25
-        q[:, 2] = 0.25
+        shape = NoiseShape(m=3)
+        q = np.zeros((5, 7))
+        q[:, 0] = 0.5
+        q[:, -1] = 0.5
         table = NoiseTable(domain=domain, shape=shape, q=q, eps=math.inf)
-        assert tail_second_moment(1, 0.5) == pytest.approx(12.0, rel=1e-12)
         assert expected_variance(table, uniform_pmf(4)) == pytest.approx(
-            0.25 * 12.0 * 0.5, rel=1e-12
+            0.25 * 9.0, rel=1e-12
         )
 
     def test_row_weighting_follows_pmf(self):
         # distinct per-row variances weighted by an asymmetric pmf
         domain = make_domain(beta=1.0, n_bins=2)
-        shape = NoiseShape(m=2, r=0.5)
+        shape = NoiseShape(m=2)
         q = np.zeros((3, 5))
         q[0, 2] = 1.0  # zero variance row
         q[1, 1] = 0.5
         q[1, 3] = 0.5  # variance sigma^2 = 1.0
-        q[2, 0] = 0.25
-        q[2, 4] = 0.25  # tails: sigma^2 * T2(2, 0.5) * 0.5
+        q[2, 0] = 0.5
+        q[2, 4] = 0.5  # the window edges: sigma^2 M^2 = 4.0
         table = NoiseTable(domain=domain, shape=shape, q=q, eps=math.inf)
         pmf = QuantizedPmf(masses=[0.5, 0.3, 0.2])
-        t2 = tail_second_moment(2, 0.5)
-        expected = 0.3 * 1.0 + 0.2 * t2 * 0.5
+        expected = 0.3 * 1.0 + 0.2 * 4.0
         assert expected_variance(table, pmf) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_lp_objective_on_solved_tables(self, solved_tables, suite_pmfs):
@@ -228,7 +224,7 @@ class TestVarianceErrorBoundEmpirical:
         # bounds (v - v_hat) / v_hat (how far the realized variance strays
         # from the advertised one) whenever every bin is off by at most psi.
         domain = make_domain(beta=1.0, n_bins=4)
-        shape = NoiseShape(m=16, r=0.5)
+        shape = NoiseShape(m=16)
         rng = np.random.default_rng(20240817)
         lo, hi = claim3_bound(psi)
         for trial in range(100):

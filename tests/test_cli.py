@@ -106,6 +106,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(str(path), {})
 
+    def test_tail_ratio_is_unknown(self, tmp_path, capsys):
+        # noise tables carry no geometric tails, so there is no ratio to set
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\ntail_ratio = 0.5\n")
+        with pytest.raises(ValueError, match="unknown config key 'tail_ratio'"):
+            load_config(str(path), {})
+        with pytest.raises(SystemExit):
+            cli.main(["estimate", "--tail-ratio", "0.5"])
+        assert "unrecognized arguments: --tail-ratio" in capsys.readouterr().err
+        assert "tail_ratio" not in cli.SWEEP_PARAMETERS
+
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[other]\nruns = 1\n")
@@ -118,10 +129,10 @@ class TestConfig:
             "[experiment]\nbeta = 2\nnoise_window = 9\nsplit = 0.25\n"
             "grid = 0.1, 0.2,\nmechanisms = laplace, duchi\ncsv = data.csv\n"
         )
-        config = load_config(str(path), {"bins": "4", "tail_ratio": "0.3"})
+        config = load_config(str(path), {"bins": "4", "n_samples": "300"})
         assert (config.beta, config.noise_window, config.split) == (2.0, 9, 0.25)
         assert type(config.beta) is float and type(config.noise_window) is int
-        assert (config.bins, config.tail_ratio) == (4, 0.3)
+        assert (config.bins, config.n_samples) == (4, 300)
         assert config.sweep_grid == (0.1, 0.2)
         assert config.mechanisms == ("laplace", "duchi")
         assert config.csv_path == "data.csv"

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from ldpmean import lp as lplib
-from ldpmean.adaptive import NoiseShape, _first_half_width, _restrict, build_lp
+from ldpmean.adaptive import _first_half_width, build_lp
 from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
 from ldpmean.domain import make_domain
 from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
@@ -66,14 +66,14 @@ def fake_highs(statuses):
     return Highs, calls
 
 
-# model statuses that are a verdict on the program; every other one is a
-# numerical failure, retried once
+# model statuses with a name of their own; every other one is a numerical
+# failure
 VERDICTS = {
     HighsModelStatus.kOptimal: "optimal",
     HighsModelStatus.kIterationLimit: "iteration-limit",
     HighsModelStatus.kTimeLimit: "iteration-limit",
     HighsModelStatus.kInfeasible: "infeasible",
-    HighsModelStatus.kModelError: "infeasible",
+    HighsModelStatus.kModelError: "model-error",
     HighsModelStatus.kUnbounded: "unbounded",
 }
 
@@ -154,7 +154,7 @@ class TestHandExamples:
         monkeypatch.setattr(lplib, "_Highs", highs)
         sol = solve(LinearProgram([1.0]))
         assert sol.status == "iteration-limit"
-        assert calls == ["choose"]  # only numerical failures are retried
+        assert calls == ["choose"]  # one HiGHS call per program
         assert sol.iterations == 7
         assert np.isnan(sol.objective_value) and sol.eq_duals.size == 0
         assert sol.message.startswith("model_status is Iteration limit reached; ")
@@ -178,10 +178,11 @@ class TestHandExamples:
         }
 
     def test_model_error_is_infeasible(self):
-        # HiGHS refuses a coefficient of 1e16 when the model is passed, and
-        # linprog calls that infeasible; no iterations were made
+        # HiGHS refuses a coefficient of 1e16 when the model is passed;
+        # linprog calls that infeasible, but nothing was solved, so it is a
+        # model error, and no iterations were made
         sol = solve(LinearProgram([1.0], A_ub=[[1e16]], b_ub=[1.0]))
-        assert sol.status == "infeasible" and sol.iterations == 0
+        assert sol.status == "model-error" and sol.iterations == 0
         assert sol.message == "model_status is Model error; primal_status is None"
 
     @pytest.mark.parametrize(
@@ -189,14 +190,11 @@ class TestHandExamples:
     )
     def test_status_mapping(self, model, monkeypatch):
         expected = VERDICTS.get(model, "numerical-failure")
-        highs, calls = fake_highs([model, model])
+        highs, calls = fake_highs([model])
         monkeypatch.setattr(lplib, "_Highs", highs)
         sol = solve(LinearProgram([1.0]))
         assert sol.status == expected
-        retried = expected == "numerical-failure"
-        assert calls == (["choose", "ipm"] if retried else ["choose"])
-        assert sol.iterations == (14 if retried else 7)
-        assert sol.method == ("highs-ipm" if retried else "highs")
+        assert calls == ["choose"] and sol.iterations == 7
         name = lplib._Highs().modelStatusToString(model)
         assert f"model_status is {name}; primal_status is " in sol.message
 
@@ -217,25 +215,23 @@ class TestHandExamples:
 
 
 class TestNumericalFailure:
-    def test_retried_with_interior_point(self, monkeypatch):
+    def test_reported_without_retry(self, monkeypatch):
         highs, calls = fake_highs([HighsModelStatus.kUnknown, HighsModelStatus.kOptimal])
         monkeypatch.setattr(lplib, "_Highs", highs)
         sol = solve(LinearProgram([1.0]))
-        assert calls == ["choose", "ipm"]
-        assert sol.status == "optimal" and sol.method == "highs-ipm"
-        assert sol.iterations == 14
+        assert calls == ["choose"]
+        assert sol.status == "numerical-failure" and sol.iterations == 7
+        assert np.isnan(sol.objective_value) and sol.eq_duals.size == 0
         assert sol.run_seconds > 0.0
-        assert sol.message.startswith("highs: model_status is Unknown; ")
-        assert "; highs-ipm: model_status is Optimal; " in sol.message
+        assert sol.message.startswith("model_status is Unknown; primal_status is ")
 
-    def test_second_failure_carries_both_messages(self, monkeypatch):
-        highs, calls = fake_highs([HighsModelStatus.kUnknown, HighsModelStatus.kSolveError])
+    def test_solve_error_carries_the_highs_message(self, monkeypatch):
+        highs, calls = fake_highs([HighsModelStatus.kSolveError])
         monkeypatch.setattr(lplib, "_Highs", highs)
         sol = solve(LinearProgram([1.0]))
-        assert calls == ["choose", "ipm"]
+        assert calls == ["choose"]
         assert sol.status == "numerical-failure"
-        assert sol.message.startswith("highs: model_status is Unknown; primal_status is ")
-        assert "; highs-ipm: model_status is Solve error; primal_status is " in sol.message
+        assert sol.message.startswith("model_status is Solve error; primal_status is ")
 
 
 class TestValidation:
@@ -317,10 +313,10 @@ class TestSolveRecord:
     def test_counts_equal_the_program_shapes(self):
         d8 = make_domain(1.0, 8)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
-        restricted = _restrict(pmf, d8.sigma, _first_half_width(8, 1.0), 1.0)
-        whole = build_lp(pmf, 1.0, NoiseShape(m=32, r=0.5), d8)
+        restricted = build_lp(pmf, d8.sigma, _first_half_width(8, 1.0), 1.0)
+        window = build_lp(pmf, d8.sigma, 32 - 8, 1.0)  # the window program at M=32
         unconstrained = LinearProgram([1.0, 2.0, 0.0])
-        for program in (restricted, whole, unconstrained):
+        for program in (restricted, window, unconstrained):
             blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
             sol = solve(program)
             assert sol.status == "optimal"
@@ -331,22 +327,13 @@ class TestSolveRecord:
 
 
 def linprog_reference(program):
-    """scipy's linprog(method="highs") with solve's options and its single
-    highs-ipm retry: (result, summed iterations, method)."""
-
-    def run(method):
-        return linprog(
-            program.objective, A_ub=program.A_ub, b_ub=program.b_ub,
-            A_eq=program.A_eq, b_eq=program.b_eq, bounds=(0, None), method=method,
-            options={"dual_feasibility_tolerance": 1e-10,
-                     "simplex_dual_edge_weight_strategy": "devex"},
-        )
-
-    first = run("highs")
-    if first.status != 4:
-        return first, first.nit, "highs"
-    retry = run("highs-ipm")
-    return retry, first.nit + retry.nit, "highs-ipm"
+    """scipy's linprog(method="highs") with solve's options."""
+    return linprog(
+        program.objective, A_ub=program.A_ub, b_ub=program.b_ub,
+        A_eq=program.A_eq, b_eq=program.b_eq, bounds=(0, None), method="highs",
+        options={"dual_feasibility_tolerance": 1e-10,
+                 "simplex_dual_edge_weight_strategy": "devex"},
+    )
 
 
 def rr_pmf(n, eps, seed):
@@ -359,8 +346,9 @@ def rr_pmf(n, eps, seed):
 
 def golden_programs():
     """(label, program): the 15 benchmark R(A) at N=16, restricted programs
-    of randomized-response estimates at N=8 and N=16, a whole program at
-    N=4, and the whole program that needs the interior-point retry."""
+    of randomized-response estimates at N=8 and N=16, and two window
+    programs R(M - N): at N=4, M=16, and at N=8, M=24, eps=0.5, whose
+    optimum puts mass on the window's edges."""
     d16 = make_domain(1.0, 16)
     dists = {
         "gaussian": TruncatedGaussian(mu=0.0, sd=0.1),
@@ -371,15 +359,14 @@ def golden_programs():
         pmf = true_pmf(dist, d16)
         for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
             a = _first_half_width(16, eps)
-            yield f"{name}-n16-eps{eps}", _restrict(pmf, d16.sigma, a, eps)
+            yield f"{name}-n16-eps{eps}", build_lp(pmf, d16.sigma, a, eps)
     for n in (8, 16):
         a = _first_half_width(n, 1.0)
-        yield f"rr-n{n}", _restrict(rr_pmf(n, 1.0, 5), make_domain(1.0, n).sigma, a, 1.0)
-    d4 = make_domain(1.0, 4)
-    pmf4 = true_pmf(dists["gaussian"], d4)
-    yield "whole-n4", build_lp(pmf4, 1.0, NoiseShape(m=16, r=0.5), d4)
-    pmf16 = true_pmf(dists["gaussian"], d16)
-    yield "whole-n16-ipm", build_lp(pmf16, 2.0, NoiseShape(m=38, r=0.1), d16)
+        yield f"rr-n{n}", build_lp(rr_pmf(n, 1.0, 5), make_domain(1.0, n).sigma, a, 1.0)
+    for n, m, eps in ((4, 16, 1.0), (8, 24, 0.5)):
+        domain = make_domain(1.0, n)
+        program = build_lp(true_pmf(dists["gaussian"], domain), domain.sigma, m - n, eps)
+        yield f"window-n{n}-m{m}", program
 
 
 GOLDEN = list(golden_programs())
@@ -393,10 +380,9 @@ class TestMatchesLinprog:
     @pytest.mark.parametrize("label, program", GOLDEN, ids=[n for n, _ in GOLDEN])
     def test_bit_for_bit(self, label, program):
         sol = solve(program)
-        ref, iterations, method = linprog_reference(program)
+        ref = linprog_reference(program)
         assert ref.status == 0 and sol.status == "optimal"
-        assert method == ("highs-ipm" if label.endswith("ipm") else "highs")
-        assert (sol.method, sol.iterations) == (method, iterations)
+        assert sol.iterations == ref.nit
         np.testing.assert_array_equal(sol.x, ref.x)
         assert sol.objective_value == ref.fun
         np.testing.assert_array_equal(sol.eq_duals, ref.eqlin.marginals)

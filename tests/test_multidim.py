@@ -12,7 +12,7 @@ from ldpmean import (
     run_protocol,
 )
 
-SHAPE = NoiseShape(m=8, r=0.5)
+SHAPE = NoiseShape(m=8)
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -139,7 +139,7 @@ class TestRunMultidimProtocol:
         )
         data = MultiDataset(rows=rows, bounds=[1.0, 1.0])
         res = run_multidim_protocol(
-            data, 2.0, 0.3, 2, NoiseShape(m=32, r=0.5), rng_for(14), n_bins=8
+            data, 2.0, 0.3, 2, NoiseShape(m=32), rng_for(14), n_bins=8
         )
         assert abs(res.estimates[0] - 0.5) < 0.2
         assert abs(res.estimates[1] + 0.5) < 0.2

@@ -100,21 +100,8 @@ def ref_round_randomized(dom, x, rng):
 
 
 def ref_sample_noise(table, i, rng, size):
-    m, r = table.shape.m, table.shape.r
-    row = table.q[i]
-    probs = row.copy()
-    probs[0] = row[0] / (1.0 - r)
-    probs[-1] = row[-1] / (1.0 - r)
-    probs /= probs.sum()
-    cats = rng.choice(probs.size, size=size, p=probs)
-    j = cats - m
-    right = cats == 2 * m
-    left = cats == 0
-    if right.any():
-        j[right] = m + rng.geometric(1.0 - r, size=int(right.sum())) - 1
-    if left.any():
-        j[left] = -m - (rng.geometric(1.0 - r, size=int(left.sum())) - 1)
-    return j
+    probs = table.q[i] / table.q[i].sum()
+    return rng.choice(probs.size, size=size, p=probs) - table.shape.m
 
 
 def ref_adaptive_perturb(table, dom, xs, rng):
@@ -145,22 +132,22 @@ def inputs(n, beta=1.0, seed=0):
     return xs
 
 
-def hand_table(n_bins=8, m=6, r=0.5):
-    """Binary-fraction masses with both tails, so the geometric draws run."""
+def hand_table(n_bins=8, m=6):
+    """Binary-fraction masses, with mass at both window edges."""
     i, j = np.meshgrid(np.arange(n_bins + 1), np.arange(2 * m + 1), indexing="ij")
     q = ((3 * i + 5 * j) % 7) / 64.0  # zero masses inside every row
     q[:, [0, -1]] += 1.0 / 32.0
     dom = make_domain(1.0, n_bins)
-    return NoiseTable(domain=dom, shape=NoiseShape(m=m, r=r), q=q, eps=1.0)
+    return NoiseTable(domain=dom, shape=NoiseShape(m=m), q=q, eps=1.0)
 
 
 @pytest.fixture(scope="module")
 def tail_table():
-    """The whole-program table at N=16, M=40, eps=0.5, whose largest
-    window-edge mass q[i][+-M] is 0.176: that row's tail holds 0.352."""
-    d16 = make_domain(1.0, 16)
-    pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-    return adaptive.solve_noise_table(pmf, 0.5, NoiseShape(m=40, r=0.5), d16)
+    """The window program's table at N=8, M=24, eps=0.5, whose offsets
+    reach the window's edges: q[0][+M] and q[8][-M] hold 0.142 each."""
+    d8 = make_domain(1.0, 8)
+    pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
+    return adaptive.solve_noise_table(pmf, 0.5, NoiseShape(m=24), d8)
 
 
 def assert_same(got, expected, rng_got, rng_expected):
@@ -260,10 +247,12 @@ def test_sample_noise(n, tail_table):
 
 
 def test_tail_table_draws_its_tails(tail_table):
-    assert np.max(tail_table.q[:, [0, -1]]) == pytest.approx(0.176, abs=0.001)
+    # the offsets reach +-M and stop there
+    assert np.max(tail_table.q[:, [0, -1]]) == pytest.approx(0.142, abs=0.001)
     right = adaptive.sample_noise(tail_table, 0, stream(4), size=3 * B + 7)
-    left = adaptive.sample_noise(tail_table, 16, stream(4), size=3 * B + 7)
-    assert np.any(right > 40) and np.any(left < -40)
+    left = adaptive.sample_noise(tail_table, 8, stream(4), size=3 * B + 7)
+    assert right.max() == 24 and left.min() == -24
+    assert np.abs(np.concatenate([right, left])).max() == 24
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -279,7 +268,7 @@ def test_protocol_matches_reference(monkeypatch):
     and phase 2 through the reference forms give the same estimate."""
     dom = make_domain(1.0, 8)
     xs = inputs(3 * B + 7)
-    shape = NoiseShape(m=32, r=0.5)
+    shape = NoiseShape(m=32)
     got = adaptive.run_protocol(xs, 1.0, 0.2, shape, dom, stream(5))
     monkeypatch.setattr(adaptive, "adaptive_perturb_array", ref_adaptive_perturb)
     monkeypatch.setattr(freqest, "round_randomized_array", ref_round_randomized)
