@@ -18,7 +18,6 @@ from .adaptive import (
     sample_noise,
     save_table,
     solve_noise_table,
-    verify_composite_privacy,
     verify_privacy,
 )
 from .analysis import (

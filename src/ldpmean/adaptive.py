@@ -24,6 +24,14 @@ integer k, found exactly in closed form, therefore proves R(A)'s optimum
 optimal to tol, since sum_k t_k <= 1.  solve_noise_table grows A until
 R(A) is certified or A reaches M - N, where R(A) is the window's program.
 
+HiGHS holds the tube only to its tolerances, so the table is the solved
+point projected onto the tube in the same coordinates: t = max(t, 0),
+s = clip(s, 0, expm1(eps) t), q = t + s.  Every mass of output k is then
+at least t_k: all are 0 where t_k = 0 and all positive where t_k > 0, so
+no output has disjoint support, and their ratio is at most
+(t_k + expm1(eps) t_k) / t_k = e^eps up to rounding.  verify_privacy
+confirms it; no tolerance decides which masses are zero.
+
 Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
 for the offsets, exactly as rng.choice(p=...) would.
 adaptive_perturb_array rounds the clients (round_randomized_array), then
@@ -51,17 +59,11 @@ from .domain import (
     _blocks,
     make_domain,
     round_randomized_array,
-    rounding_weights_array,
 )
 from .freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
 
-# invariant tolerances for solved tables
+# invariant tolerance for solved tables' rows
 _ROW_TOL = 1e-7
-_NEG_TOL = 1e-9
-# solver round-off floor: solved masses at or below this are vertex dust
-# (true basic values are either exactly zero or structurally positive), and
-# ratios of dust would poison the exact privacy enumeration
-_DUST = 1e-10
 # Buckets of the guide table that sample_noise uses in place of a binary
 # search over the row's cdf.  A power of two, so u * K is exact; 2^12
 # entries fit in L1 cache, and at most 2M of them (one per cdf point) fall
@@ -104,8 +106,8 @@ class NoiseTable:
             raise ValueError(
                 f"q must be ({n + 1}, {2 * m + 1}), got {q.shape}"
             )
-        if np.any(q < -_NEG_TOL):
-            raise ValueError("noise table has negative mass")
+        if not np.all(np.isfinite(q) & (q >= 0.0)):
+            raise ValueError("noise table masses must be finite and >= 0")
         object.__setattr__(self, "q", q)
         q.setflags(write=False)
 
@@ -200,15 +202,21 @@ def build_lp(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.Linea
     )
 
 
-def _scatter(z: np.ndarray, n: int, m: int, a: int) -> np.ndarray:
-    """The window masses q of R(A)'s point z: q[i, k - i] = t_k + s on the
-    kept outputs, 0 elsewhere.  Needs N + A <= M, so that every kept offset
-    lies in the window."""
+def _scatter(z: np.ndarray, n: int, m: int, a: int, eps: float) -> np.ndarray:
+    """The window masses q of R(A)'s point z, projected onto the tube:
+    t = max(t, 0), s = clip(s, 0, expm1(eps) t), and q[i, k - i] = t_k + s
+    on the kept outputs, 0 elsewhere.  At eps = inf s has no upper bound
+    (and inf * 0 would be NaN).  Needs N + A <= M, so that every kept
+    offset lies in the window."""
     ks = np.arange(-a, n + a + 1)
     cells = (n + 1) * ks.size
+    t = np.maximum(z[cells:], 0.0)
+    s = np.maximum(z[:cells].reshape(n + 1, ks.size), 0.0)
+    if math.isfinite(eps):
+        s = np.minimum(s, math.expm1(eps) * t)
     q = np.zeros((n + 1, 2 * m + 1))
     rows = np.arange(n + 1)[:, None]
-    q[rows, ks - rows + m] = z[:cells].reshape(n + 1, ks.size) + z[cells:]
+    q[rows, ks - rows + m] = s + t
     return q
 
 
@@ -302,7 +310,8 @@ def _solve_restricted_first(
     pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
 ) -> tuple[lplib.LpSolution, np.ndarray | None]:
     """Solve the noise-design program through restricted programs R(A);
-    return the solution and its window masses q, None unless optimal.
+    return the solution and its window masses q (projected onto the tube,
+    see _scatter), None unless optimal.
 
     A starts at _first_half_width, past the least feasible A, and grows by
     half, up to M - N, while R(A)'s optimum is not certified (see
@@ -318,7 +327,7 @@ def _solve_restricted_first(
         if a == m - n or _certified(
             pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, a, eps
         ):
-            return sol, _scatter(sol.x, n, m, a)
+            return sol, _scatter(sol.x, n, m, a, eps)
         a = min(math.ceil(1.5 * a), m - n)
 
 
@@ -332,10 +341,10 @@ def solve_noise_table(
 
     The program is solved over the outputs near the domain first and grown
     until a dual certificate proves the result optimal (see _certified), or
-    until it fills the window.  At eps = inf there is no tube, and the
-    optimum adds no noise.  The solved table is checked against its three
-    invariants (row normalization, row zero mean, exact privacy); any
-    violation raises.
+    until it fills the window, and its point is projected onto the tube
+    (see _scatter).  At eps = inf there is no tube, and the optimum adds no
+    noise.  The solved table is checked against its three invariants (row
+    normalization, row zero mean, exact privacy); any violation raises.
     """
     eps = check_eps(eps, allow_inf=True)
     n, m = domain.n_bins, shape.m
@@ -360,11 +369,6 @@ def solve_noise_table(
             f"after {sol.iterations} iterations "
             f"(n_bins={n}, m={m}, eps={eps}): {sol.message}{hint}"
         )
-    small_negative = (q < 0.0) & (q >= -_NEG_TOL)
-    q[small_negative] = 0.0
-    if np.any(q < 0.0):
-        raise RuntimeError(f"solver returned negative mass {q.min()!r}")
-    q[_dust(q, n, m)] = 0.0
     table = NoiseTable(
         domain=domain, shape=shape, q=q, eps=eps, lp_objective=sol.objective_value
     )
@@ -379,28 +383,14 @@ def solve_noise_table(
     return table
 
 
-def _dust(q: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The vertex dust of q, zeroed so that outputs the optimum leaves empty
-    verify as empty: the cells at or below _DUST whose output column sits
-    at that scale under every input.  Cell (i, c) feeds output
-    k = i + c - M alone.  So the clip can empty a column but never
-    unbalance one (a flat per-cell floor would break verification once a
-    design's legitimate masses approach the floor, which happens as eps
-    grows)."""
-    ks = np.arange(-m, n + m + 1)
-    safe = _density_from_q(q, n, m, ks).max(axis=0) <= _DUST
-    col = np.arange(n + 1)[:, None] + np.arange(2 * m + 1)  # k + M of each cell
-    return safe[col] & (q <= _DUST)
-
-
 def _check_row_invariants(table: NoiseTable) -> None:
     m = table.shape.m
     off = np.max(np.abs(table.q.sum(axis=1) - 1.0))
     if off > _ROW_TOL:
-        raise RuntimeError(f"row normalization off by {off!r}")
+        raise RuntimeError(f"row normalization off by {float(off)!r}")
     off = np.max(np.abs(table.q @ np.arange(-m, m + 1)))
     if off > _ROW_TOL:
-        raise RuntimeError(f"row zero-mean off by {off!r}")
+        raise RuntimeError(f"row zero-mean off by {float(off)!r}")
 
 
 def _density_from_q(q: np.ndarray, n: int, m: int, ks: np.ndarray) -> np.ndarray:
@@ -411,10 +401,24 @@ def _density_from_q(q: np.ndarray, n: int, m: int, ks: np.ndarray) -> np.ndarray
     return d
 
 
-def _ratio_report(density: np.ndarray, ks: np.ndarray, eps: float, tol: float, labels=None):
-    """Worst max/min column ratio of a (inputs x outputs) density matrix:
-    the first column reaching it, with the inputs of its max and min.
-    Columns where no input puts mass compare nothing and count as 0."""
+def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-6) -> PrivacyReport:
+    """Exact enumeration of the density-ratio bound over the output grid.
+
+    Covers every output index k in {-M, ..., N+M}, the outputs any input
+    reaches, and reports the first column of the worst max/min ratio with
+    the inputs of its max and min.  A column where no input puts mass
+    compares nothing and counts as 0; one where some input has zero mass
+    while another has positive mass is disjoint support: ratio inf (pure
+    eps-LDP cannot hold there).
+
+    The rounding step needs no check of its own: the output law of a real
+    input is a mixture of two rows, so at every output it lies between the
+    rows' least and greatest mass, and its ratios are bounded by these.
+    """
+    eps = check_eps(eps, allow_inf=True)
+    n, m = table.domain.n_bins, table.shape.m
+    ks = np.arange(-m, n + m + 1)
+    density = _density_from_q(table.q, n, m, ks)
     top = density.max(axis=0)
     bottom = density.min(axis=0)
     ratios = np.divide(top, bottom, out=np.full(ks.size, math.inf), where=bottom > 0.0)
@@ -423,57 +427,10 @@ def _ratio_report(density: np.ndarray, ks: np.ndarray, eps: float, tol: float, l
     max_ratio = float(ratios[col])
     worst = None
     if max_ratio > 0.0:
-        i_max = int(density[:, col].argmax())
-        i_min = int(density[:, col].argmin())
-        if labels is not None:
-            worst = (int(ks[col]), labels[i_max], labels[i_min])
-        else:
-            worst = (int(ks[col]), i_max, i_min)
+        worst = (int(ks[col]), int(density[:, col].argmax()), int(density[:, col].argmin()))
     bound = math.exp(eps) * (1.0 + tol) if math.isfinite(eps) else math.inf
     passed = (not math.isfinite(eps)) or max_ratio <= bound
     return PrivacyReport(max_ratio=max_ratio, worst_pair=worst, bound=bound, passed=passed)
-
-
-def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-6) -> PrivacyReport:
-    """Exact enumeration of the density-ratio bound over the output grid.
-
-    Covers every output index k in {-M, ..., N+M}, the outputs any input
-    reaches.  A column where some input has zero mass while another has positive mass
-    is disjoint support: ratio inf (pure eps-LDP cannot hold there).
-    """
-    eps = check_eps(eps, allow_inf=True)
-    n, m = table.domain.n_bins, table.shape.m
-    ks = np.arange(-m, n + m + 1)
-    return _ratio_report(_density_from_q(table.q, n, m, ks), ks, eps, tol)
-
-
-def verify_composite_privacy(
-    table: NoiseTable,
-    eps: float,
-    inputs=None,
-    tol: float = 1e-6,
-) -> PrivacyReport:
-    """Privacy check on the full mechanism including randomized rounding.
-
-    The output law for a real input x is the tent-weighted mixture of its two
-    neighbouring rows; the mixture densities are evaluated exactly from the
-    table at every output grid index and compared pairwise across a dense
-    grid of real inputs.
-    """
-    eps = check_eps(eps, allow_inf=True)
-    domain = table.domain
-    if inputs is None:
-        inputs = np.linspace(-domain.beta, domain.beta, 201)
-    xs = np.asarray(inputs, dtype=float)
-    n, m = domain.n_bins, table.shape.m
-    ks = np.arange(-m, n + m + 1)
-    rows = _density_from_q(table.q, n, m, ks)
-    idx, w_left = rounding_weights_array(domain, xs)
-    weights = np.zeros((xs.size, n + 1))
-    weights[np.arange(xs.size), idx] = w_left
-    weights[np.arange(xs.size), np.minimum(idx + 1, n)] += 1.0 - w_left
-    mixture = weights @ rows
-    return _ratio_report(mixture, ks, eps, tol, labels=[float(v) for v in xs])
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:

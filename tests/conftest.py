@@ -27,18 +27,22 @@ def domain8():
     return make_domain(beta=1.0, n_bins=8)
 
 
-@pytest.fixture(scope="session")
-def suite_pmfs(domain8):
-    """Five pmfs: a point mass plus four spread shapes."""
-    point = np.zeros(9)
+def suite_pmf_shapes(domain):
+    """Five pmfs on the domain: a point mass plus four spread shapes."""
+    point = np.zeros(domain.n_bins + 1)
     point[0] = 1.0
     return {
         "point": QuantizedPmf(masses=point),
-        "uniform": true_pmf(BetaDistribution(1.0, 1.0), domain8),
-        "gaussian": true_pmf(TruncatedGaussian(0.0, 0.1), domain8),
-        "shifted_exp": true_pmf(ShiftedExponential(6.0), domain8),
-        "u_shape": true_pmf(BetaDistribution(0.5, 0.5), domain8),
+        "uniform": true_pmf(BetaDistribution(1.0, 1.0), domain),
+        "gaussian": true_pmf(TruncatedGaussian(0.0, 0.1), domain),
+        "shifted_exp": true_pmf(ShiftedExponential(6.0), domain),
+        "u_shape": true_pmf(BetaDistribution(0.5, 0.5), domain),
     }
+
+
+@pytest.fixture(scope="session")
+def suite_pmfs(domain8):
+    return suite_pmf_shapes(domain8)
 
 
 @pytest.fixture(scope="session")

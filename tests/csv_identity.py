@@ -8,8 +8,9 @@ fixed-seed commands with that tree's ``src/`` and with the working tree's
 and compares the output bytes.  The commands cover every path of the
 experiment loop: ``estimate`` on generated data and on a CSV column,
 ``sweep`` over each of its three parameters, ``multidim`` at k = 1 and
-k = 2 and on a CSV matrix, and ``variance``.  The CSV inputs are written
-to the temporary directory from a fixed generator.  Prints one line per
+k = 2 and on a CSV matrix, ``variance``, and ``optimize``, whose table
+file is compared after its printed summary.  The CSV inputs and the table
+file are written to the temporary directory.  Prints one line per
 command, "identical", "data identical" where only the leading
 configuration line differs, or "DIFFERENT" with a diff, and exits 1 if any
 output differs at all.  Each command takes a few seconds; clients are
@@ -32,8 +33,9 @@ COMMON = ["--seed", "7", "--bins", "8", "--eps", "0.5,1,4", "--out", "-"]
 SWEEP = ["sweep", "--n", "30000", "--runs", "1", "--parameter"]
 
 
-def commands(data: Path) -> dict:
-    """The compared commands; data is the CSV matrix they read."""
+def commands(data: Path, table: Path) -> dict:
+    """The compared commands; data is the CSV matrix they read, table the
+    file optimize writes."""
     return {
         "estimate": ["estimate", "--n", "60000", "--runs", "2"],
         "estimate-csv": ["estimate", "--csv", str(data), "--column", "1", "--runs", "2"],
@@ -48,6 +50,7 @@ def commands(data: Path) -> dict:
         "multidim-csv": ["multidim", "--csv", str(data), "--k", "2", "--runs", "1",
                          "--eps", "1,2,8"],
         "variance": ["variance", "--dataset", "gaussian:sd=0.2"],
+        "optimize": ["optimize", "--eps", "1", "--out", str(table)],
     }
 
 
@@ -60,12 +63,17 @@ def write_data(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def run(tree: Path, args: list[str]) -> bytes:
+def run(tree: Path, args: list[str], table: Path) -> bytes:
+    """The command's output, followed by the table file if it wrote one."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-m", "ldpmean.cli", *COMMON, *args],
         env=env, cwd=tree, check=True, capture_output=True,
     ).stdout
+    if table.exists():
+        out += table.read_bytes()
+        table.unlink()
+    return out
 
 
 def export(rev: str, into: Path) -> None:
@@ -85,10 +93,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp) / "tree"
         export(argv[0], other)
-        data = Path(tmp) / "data.csv"
+        data, table = Path(tmp) / "data.csv", Path(tmp) / "noise_table.txt"
         write_data(data)
-        for name, args in commands(data).items():
-            theirs, ours = run(other, args), run(ROOT, args)
+        for name, args in commands(data, table).items():
+            theirs, ours = run(other, args, table), run(ROOT, args, table)
             same = theirs == ours
             data_same = theirs.split(b"\n", 1)[1] == ours.split(b"\n", 1)[1]
             differ += not same
