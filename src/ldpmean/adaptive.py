@@ -24,13 +24,15 @@ integer k, found exactly in closed form, therefore proves R(A)'s optimum
 optimal to tol, since sum_k t_k <= 1.  solve_noise_table grows A until
 R(A) is certified or A reaches M - N, where R(A) is the window's program.
 
-HiGHS holds the tube only to its tolerances, so the table is the solved
-point projected onto the tube in the same coordinates: t = max(t, 0),
-s = clip(s, 0, expm1(eps) t), q = t + s.  Every mass of output k is then
-at least t_k: all are 0 where t_k = 0 and all positive where t_k > 0, so
-no output has disjoint support, and their ratio is at most
-(t_k + expm1(eps) t_k) / t_k = e^eps up to rounding.  verify_privacy
-confirms it; no tolerance decides which masses are zero.
+HiGHS holds the tube only to its tolerances (the upper row to 1e-7 after
+division by expm1(eps)), so the table is the solved point projected onto
+the tube in the same coordinates: s = max(s, 0), t_k = max(t_k, 0,
+max_i s_ik / expm1(eps)), s = min(s, expm1(eps) t), q = t + s.  Lifting
+t_k keeps the mass that cutting s would take from the rows at large eps.
+Every mass of output k is then at least t_k: all are 0 where t_k = 0 and
+all positive where t_k > 0, so no output has disjoint support, and their
+ratio is at most (t_k + expm1(eps) t_k) / t_k = e^eps up to a few ulps.
+verify_privacy confirms it; no tolerance decides which masses are zero.
 
 Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
 for the offsets, exactly as rng.choice(p=...) would.
@@ -204,15 +206,17 @@ def build_lp(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.Linea
 
 def _scatter(z: np.ndarray, n: int, m: int, a: int, eps: float) -> np.ndarray:
     """The window masses q of R(A)'s point z, projected onto the tube:
-    t = max(t, 0), s = clip(s, 0, expm1(eps) t), and q[i, k - i] = t_k + s
-    on the kept outputs, 0 elsewhere.  At eps = inf s has no upper bound
-    (and inf * 0 would be NaN).  Needs N + A <= M, so that every kept
-    offset lies in the window."""
+    s = max(s, 0), t = max(t, 0, max_i s / expm1(eps)) (the lift),
+    s = min(s, expm1(eps) t) (the rounding of the lift), and
+    q[i, k - i] = t_k + s on the kept outputs, 0 elsewhere.  At eps = inf
+    s has no upper bound (and inf * 0 would be NaN).  Needs N + A <= M, so
+    that every kept offset lies in the window."""
     ks = np.arange(-a, n + a + 1)
     cells = (n + 1) * ks.size
-    t = np.maximum(z[cells:], 0.0)
     s = np.maximum(z[:cells].reshape(n + 1, ks.size), 0.0)
+    t = np.maximum(z[cells:], 0.0)
     if math.isfinite(eps):
+        t = np.maximum(t, s.max(axis=0) / math.expm1(eps))
         s = np.minimum(s, math.expm1(eps) * t)
     q = np.zeros((n + 1, 2 * m + 1))
     rows = np.arange(n + 1)[:, None]
@@ -383,14 +387,15 @@ def solve_noise_table(
     return table
 
 
-def _check_row_invariants(table: NoiseTable) -> None:
+def _check_row_invariants(table: NoiseTable, error=RuntimeError) -> None:
+    """Raise error unless every row sums to 1 and has mean 0, to _ROW_TOL."""
     m = table.shape.m
     off = np.max(np.abs(table.q.sum(axis=1) - 1.0))
     if off > _ROW_TOL:
-        raise RuntimeError(f"row normalization off by {float(off)!r}")
+        raise error(f"row normalization off by {float(off)!r}")
     off = np.max(np.abs(table.q @ np.arange(-m, m + 1)))
     if off > _ROW_TOL:
-        raise RuntimeError(f"row zero-mean off by {float(off)!r}")
+        raise error(f"row zero-mean off by {float(off)!r}")
 
 
 def _density_from_q(q: np.ndarray, n: int, m: int, ks: np.ndarray) -> np.ndarray:
@@ -401,7 +406,7 @@ def _density_from_q(q: np.ndarray, n: int, m: int, ks: np.ndarray) -> np.ndarray
     return d
 
 
-def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-6) -> PrivacyReport:
+def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-14) -> PrivacyReport:
     """Exact enumeration of the density-ratio bound over the output grid.
 
     Covers every output index k in {-M, ..., N+M}, the outputs any input
@@ -409,7 +414,9 @@ def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-6) -> PrivacyR
     the inputs of its max and min.  A column where no input puts mass
     compares nothing and counts as 0; one where some input has zero mass
     while another has positive mass is disjoint support: ratio inf (pure
-    eps-LDP cannot hold there).
+    eps-LDP cannot hold there).  The default slack tol = 1e-14 is the
+    bound _scatter guarantees: the greatest mass is fl(t + s) with
+    s <= fl(expm1(eps) t), and the least is at least t.
 
     The rounding step needs no check of its own: the output law of a real
     input is a mixture of two rows, so at every output it lies between the
@@ -573,20 +580,24 @@ def run_protocol(
 
 
 def save_table(table: NoiseTable, path) -> None:
-    """Plain-text dump: one header line (beta, N, M, eps), then N+1 rows
-    of 2M+1 window masses.  repr round-trips floats bit-exactly."""
+    """Plain-text dump to a file name or an open text stream: one header
+    line (beta, N, M, eps), then N+1 rows of 2M+1 window masses.  repr
+    round-trips floats bit-exactly."""
+    lines = [f"{table.domain.beta!r} {table.domain.n_bins} {table.shape.m} {table.eps!r}"]
+    lines.extend(" ".join(repr(float(v)) for v in row) for row in table.q)
+    text = "\n".join(lines) + "\n"
+    if hasattr(path, "write"):
+        path.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{table.domain.beta!r} {table.domain.n_bins} {table.shape.m} {table.eps!r}\n"
-        )
-        for row in table.q:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(text)
 
 
 def load_table(path) -> NoiseTable:
-    """Read a save_table file.  A file of the former format, whose header
-    also holds a tail ratio r (beta, N, M, r, eps), reads only if no row
-    has mass at +-M: there the tails held nothing and r changed nothing."""
+    """Read a save_table file; rows that do not sum to 1 with mean 0 raise
+    ValueError.  A file of the former format, whose header also holds a
+    tail ratio r (beta, N, M, r, eps), reads only if no row has mass at
+    +-M: there the tails held nothing and r changed nothing."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) not in (4, 5):
@@ -603,4 +614,6 @@ def load_table(path) -> NoiseTable:
             f"(header beta N M r eps), which noise tables no longer carry; "
             f"its masses at +-M do not mean the same law"
         )
-    return NoiseTable(domain=make_domain(beta, n), shape=NoiseShape(m=m), q=q, eps=eps)
+    table = NoiseTable(domain=make_domain(beta, n), shape=NoiseShape(m=m), q=q, eps=eps)
+    _check_row_invariants(table, ValueError)
+    return table

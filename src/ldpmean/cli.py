@@ -4,7 +4,13 @@ Subcommands: variance (expected-variance curves from a true pmf), estimate
 (end-to-end mean-estimation error), optimize (solve and dump one noise
 table), sweep (estimate repeated over a hyperparameter grid), multidim
 (attribute-sampled multidimensional estimation).  estimate and sweep run
-the multidim experiment at d = k = 1.
+the multidim experiment at d = k = 1, and every mechanism of the
+experiment runs through its one per-attribute loop (_experiment).
+
+Each field of ExperimentConfig is a flag and a config-file key: its name,
+or the short name _FLAG_NAMES gives it (--eps sets eps_grid).  Values are
+converted to the field's type in load_config, so a malformed one is an
+error that names its flag or key.
 
 Every run is seeded: the stream for each (run, eps, purpose) triple is an
 independent counter-based generator keyed by the base seed, so outputs are
@@ -19,6 +25,7 @@ import argparse
 import configparser
 import sys
 import typing
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -26,17 +33,13 @@ import numpy as np
 from .adaptive import (
     NoiseShape,
     _first_half_width,
+    run_protocol,
     save_table,
     solve_noise_table,
     verify_privacy,
 )
 from .analysis import baseline_expected_variance, squared_error
-from .baselines import (
-    duchi_perturb,
-    hybrid_perturb,
-    laplace_perturb,
-    piecewise_perturb,
-)
+from .baselines import duchi_perturb, hybrid_perturb, laplace_perturb, piecewise_perturb
 from .data import (
     BetaDistribution,
     ShiftedExponential,
@@ -48,12 +51,7 @@ from .data import (
     true_pmf,
 )
 from .domain import make_domain, rescale_to
-from .multidim import (
-    MultiDataset,
-    assign_attributes,
-    attribute_pools,
-    run_multidim_protocol,
-)
+from .multidim import assign_attributes, attribute_pools
 
 ALL_MECHANISMS = ("adaptive", "duchi", "piecewise", "hybrid", "laplace")
 # stable stream ids so adding or removing mechanisms from a run never
@@ -135,15 +133,9 @@ def _stream(seed: int, run: int, eps_idx: int, purpose: int) -> np.random.Genera
     return np.random.Generator(np.random.Philox(key))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(config: ExperimentConfig, command: str, header: str, rows) -> str:
     lines = [f"# ldpmean {command} {config.describe()}", header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)  # str(float) is its repr
     text = "\n".join(lines) + "\n"
     if config.out == "-":
         sys.stdout.write(text)
@@ -199,18 +191,13 @@ def _true_pmf(config: ExperimentConfig, domain):
     return true_pmf(build(*values), domain)
 
 
-def _baseline_estimate(mechanism, xs, beta, eps, rng) -> float:
-    if mechanism == "laplace":
-        ys = laplace_perturb(xs, beta, eps, rng)
-    elif mechanism == "duchi":
-        ys = duchi_perturb(xs, beta, eps, rng)
-    elif mechanism == "piecewise":
-        ys = beta * piecewise_perturb(xs / beta, eps, rng)
-    elif mechanism == "hybrid":
-        ys = hybrid_perturb(xs, beta, eps, rng)
-    else:
-        raise ValueError(f"unknown baseline {mechanism!r}")
-    return float(np.mean(ys))
+# baseline perturbers (xs, beta, eps, rng); piecewise works on [-1, 1]
+_PERTURBERS = {
+    "duchi": duchi_perturb,
+    "piecewise": lambda xs, beta, eps, rng: beta * piecewise_perturb(xs / beta, eps, rng),
+    "hybrid": hybrid_perturb,
+    "laplace": laplace_perturb,
+}
 
 
 def cmd_variance(config: ExperimentConfig) -> str:
@@ -235,24 +222,25 @@ def _rescaled(raw: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _experiment(config: ExperimentConfig, fixed: np.ndarray | None = None):
-    """Yield (mechanism, eps, truths, phase2, estimates, result) for every
+    """Yield (mechanism, eps, truths, phase2, estimates, results) for every
     run, mechanism and eps of the experiment, runs outermost.
 
     Each run draws an (n, d) data matrix, or takes the fixed one, with each
     column rescaled onto [-beta, beta]; truths are its column means.  It
     assigns each client k of the d attributes (at k = d no stream is drawn)
     and splits each dimension's clients once; phase2 holds each dimension's
-    phase-2 values.  Every mechanism shares that data and partition, draws
-    from its own stream and spends eps / k per attribute.  estimates holds
-    one mean estimate per dimension; result is the adaptive mechanism's
-    MultidimResult, None for a baseline.
+    phase-2 values.  Every mechanism shares that partition, draws from its
+    own stream and spends eps / k per attribute, dimensions in index order:
+    adaptive runs run_protocol on each dimension (results holds its
+    ProtocolResults), a baseline perturbs phase2 (results is None).
+    estimates holds one mean estimate per dimension.
     """
-    d = config.d
+    d, k = config.d, config.k
     if fixed is None:
         draw, values = _parse_spec(config.dataset, _GENERATORS, "sample generator")
     else:
         rows = _rescaled(fixed, config.beta)
-    bounds = np.full(d, config.beta)
+    domain = make_domain(config.beta, config.bins)
     eps_sorted = sorted(config.eps_grid)
     for run in range(config.runs):
         if fixed is None:
@@ -261,90 +249,83 @@ def _experiment(config: ExperimentConfig, fixed: np.ndarray | None = None):
                 [draw(config.n_samples, *values, data_rng).values for _ in range(d)]
             )
             rows = _rescaled(raw, config.beta)
-        data = MultiDataset(rows, bounds)
         truths = rows.mean(axis=0)
         assignment = assign_attributes(
-            rows.shape[0], d, config.k, _stream(config.seed, run, 0, _P_ASSIGN)
+            rows.shape[0], d, k, _stream(config.seed, run, 0, _P_ASSIGN)
         )
-        pools = attribute_pools(assignment, d)
         split_rng = _stream(config.seed, run, 0, _P_SPLIT)
-        masks = [split_rng.random(pool.size) < config.split for pool in pools]
-        phase2 = [rows[pool, dim][~masks[dim]] for dim, pool in enumerate(pools)]
+        parts = [
+            (rows[pool, dim], split_rng.random(pool.size) < config.split)
+            for dim, pool in enumerate(attribute_pools(assignment, d))
+        ]
+        phase2 = [xs[~mask] for xs, mask in parts]
         for mechanism in config.mechanisms:
             stream_id = _P_MECH + _MECH_STREAM_ID[mechanism]
             for eps_idx, eps in enumerate(eps_sorted):
                 rng = _stream(config.seed, run, eps_idx, stream_id)
                 if mechanism == "adaptive":
-                    res = run_multidim_protocol(
-                        data, eps, config.split, config.k, config.shape, rng,
-                        n_bins=config.bins, assignment=assignment,
-                        split_masks=masks,
-                    )
-                    yield mechanism, eps, truths, phase2, res.estimates, res
-                else:
-                    estimates = [
-                        _baseline_estimate(mechanism, xs, config.beta, eps / config.k, rng)
-                        for xs in phase2
+                    results = [
+                        run_protocol(xs, eps / k, config.split, config.shape, domain, rng,
+                                     split_mask=mask)
+                        for xs, mask in parts
                     ]
-                    yield mechanism, eps, truths, phase2, estimates, None
+                    estimates = [res.mean_estimate for res in results]
+                else:
+                    results = None
+                    perturb = _PERTURBERS[mechanism]
+                    estimates = [
+                        float(np.mean(perturb(xs, config.beta, eps / k, rng))) for xs in phase2
+                    ]
+                yield mechanism, eps, truths, phase2, estimates, results
 
 
-def _mean_errors(config: ExperimentConfig, fixed: np.ndarray | None = None) -> dict:
-    """Per (mechanism, eps): the squared errors against each dimension's
-    full-data mean, summed over dimensions and averaged over runs."""
-    sums = {
-        (mech, eps): [] for mech in config.mechanisms for eps in config.eps_grid
-    }
+def _error_rows(config: ExperimentConfig, fixed: np.ndarray | None, *extra) -> list:
+    """(mechanism, eps, error, *extra, runs, seed) per (mechanism, eps) of
+    the experiment at config, eps ascending within each mechanism: error is
+    the squared error against each dimension's full-data mean, summed over
+    dimensions and averaged over runs."""
+    errors = defaultdict(list)
     for mechanism, eps, truths, _, estimates, _ in _experiment(config, fixed):
-        total = 0.0
-        for est, truth in zip(estimates, truths):
-            total += squared_error(est, truth)
-        sums[(mechanism, eps)].append(total)
-    return {key: float(np.mean(errors)) for key, errors in sums.items()}
-
-
-def _csv_column(config: ExperimentConfig) -> np.ndarray | None:
-    """The --csv column as a one-column matrix, None without --csv."""
-    if config.csv_path is None:
-        return None
-    return load_csv_matrix(config.csv_path, [config.csv_column])
-
-
-def _estimate_rows(config: ExperimentConfig, fixed: np.ndarray | None) -> list:
-    """(mechanism, eps, mse, runs, seed) per (mechanism, eps) of the
-    experiment at config, which estimate and sweep set to d = k = 1."""
-    mse = _mean_errors(config, fixed)
+        errors[mechanism, eps].append(
+            sum(squared_error(est, truth) for est, truth in zip(estimates, truths))
+        )
     return [
-        (mech, eps, mse[(mech, eps)], config.runs, config.seed)
+        (mech, eps, float(np.mean(errors[mech, eps])), *extra, config.runs, config.seed)
         for mech in config.mechanisms
         for eps in sorted(config.eps_grid)
     ]
+
+
+def _csv_data(config: ExperimentConfig, columns=None) -> np.ndarray | None:
+    """The --csv file's columns (all by default) as a matrix, None without --csv."""
+    return None if config.csv_path is None else load_csv_matrix(config.csv_path, columns)
 
 
 def cmd_estimate(config: ExperimentConfig) -> str:
     """Mean squared error of the end-to-end protocol per (mechanism, eps):
     the multidim experiment at d = k = 1, with --csv read as one column."""
     config = replace(config, d=1, k=1)
-    rows = _estimate_rows(config, _csv_column(config))
+    rows = _error_rows(config, _csv_data(config, [config.csv_column]))
     return _write_csv(config, "estimate", "mechanism,eps,mse,runs,seed", rows)
 
 
 def cmd_optimize(config: ExperimentConfig) -> str:
-    """Solve one noise table at the first eps of the grid and dump it."""
+    """Solve one noise table at the first eps of the grid and dump it to
+    --out with a summary on stdout; with --out -, to stdout and stderr."""
     domain = make_domain(config.beta, config.bins)
     pmf = _true_pmf(config, domain)
     eps = sorted(config.eps_grid)[0]
     table = solve_noise_table(pmf, eps, config.shape, domain)
-    path = config.out if config.out != "-" else "noise_table.txt"
-    save_table(table, path)
+    to_stdout = config.out == "-"
+    save_table(table, sys.stdout if to_stdout else config.out)
     report = verify_privacy(table, eps)
     summary = (
-        f"table written to {path}\n"
+        f"table written to {'stdout' if to_stdout else config.out}\n"
         f"lp_objective {table.lp_objective!r}\n"
         f"privacy max_ratio {float(report.max_ratio)!r} bound {float(report.bound)!r} "
         f"passed {report.passed}\n"
     )
-    sys.stdout.write(summary)
+    (sys.stderr if to_stdout else sys.stdout).write(summary)
     return summary
 
 
@@ -363,46 +344,28 @@ def cmd_sweep(config: ExperimentConfig) -> str:
     if not config.sweep_grid:
         raise ValueError("sweep grid is empty")
     config = replace(config, d=1, k=1)
-    fixed = _csv_column(config)
+    fixed = _csv_data(config, [config.csv_column])
     rows = []
     for value in sorted(config.sweep_grid):
         if config.sweep_parameter == "split":
             sub = replace(config, split=float(value))
         elif config.sweep_parameter == "bin_size":
-            bins = max(1, round(2.0 * config.beta / value))
-            sub = replace(config, bins=bins)
+            sub = replace(config, bins=max(1, round(2.0 * config.beta / value)))
         else:
             sub = replace(config, noise_window=max(1, round(value * config.bins / 2)))
         prefix = (config.sweep_parameter, float(value))
-        rows.extend(prefix + row for row in _estimate_rows(sub, fixed))
-    return _write_csv(
-        config, "sweep", "parameter,value,mechanism,eps,mse,runs,seed", rows
-    )
+        rows.extend(prefix + row for row in _error_rows(sub, fixed))
+    return _write_csv(config, "sweep", "parameter,value,mechanism,eps,mse,runs,seed", rows)
 
 
 def cmd_multidim(config: ExperimentConfig) -> str:
     """Attribute-sampled multidimensional estimation; error is the sum of
     per-dimension squared errors against each dimension's full-data mean.
     Every mechanism spends eps / k on each of a client's k attributes."""
-    fixed = None if config.csv_path is None else load_csv_matrix(config.csv_path)
+    fixed = _csv_data(config)
     d = config.d if fixed is None else fixed.shape[1]
-    sum_mse = _mean_errors(replace(config, d=d), fixed)
-    rows = [
-        (
-            mech,
-            eps,
-            sum_mse[(mech, eps)],
-            d,
-            config.k,
-            config.runs,
-            config.seed,
-        )
-        for mech in config.mechanisms
-        for eps in sorted(config.eps_grid)
-    ]
-    return _write_csv(
-        config, "multidim", "mechanism,eps,sum_mse,d,k,runs,seed", rows
-    )
+    rows = _error_rows(replace(config, d=d), fixed, d, config.k)
+    return _write_csv(config, "multidim", "mechanism,eps,sum_mse,d,k,runs,seed", rows)
 
 
 _COMMANDS = {
@@ -414,85 +377,80 @@ _COMMANDS = {
 }
 
 
+# The flag and config-file key of each field whose name is not its own;
+# the config file also accepts the field names.
+_FLAG_NAMES = {
+    "eps_grid": "eps", "n_samples": "n", "csv_path": "csv", "csv_column": "column",
+    "sweep_parameter": "parameter", "sweep_grid": "grid", "noise_window": "noise-window",
+}
+_HELP = {
+    "eps_grid": "comma-separated privacy budgets",
+    "mechanisms": "comma-separated mechanism names",
+    "dataset": "generator or distribution spec",
+    "sweep_parameter": "sweep parameter: " + ", ".join(SWEEP_PARAMETERS),
+    "sweep_grid": "comma-separated sweep values",
+    "out": "output path, - for stdout",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The command, --config and one string flag per ExperimentConfig field."""
     parser = argparse.ArgumentParser(
         prog="ldpmean",
         description="Locally differentially private mean estimation experiments",
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="INI file with an [experiment] section")
-    parser.add_argument("--eps", help="comma-separated privacy budgets")
-    parser.add_argument("--mechanisms", help="comma-separated mechanism names")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--bins", type=int)
-    parser.add_argument("--noise-window", type=int, dest="noise_window")
-    parser.add_argument("--split", type=float)
-    parser.add_argument("--runs", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--n", type=int, dest="n_samples")
-    parser.add_argument("--dataset", help="generator or distribution spec")
-    parser.add_argument("--csv", dest="csv_path")
-    parser.add_argument("--column", type=int, dest="csv_column")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--parameter", dest="sweep_parameter",
-                        help="sweep parameter: " + ", ".join(SWEEP_PARAMETERS))
-    parser.add_argument("--grid", dest="sweep_grid",
-                        help="comma-separated sweep values")
-    parser.add_argument("--out", help="output path, - for stdout")
+    for f in fields(ExperimentConfig):
+        flag = "--" + _FLAG_NAMES.get(f.name, f.name)
+        parser.add_argument(flag, dest=f.name, help=_HELP.get(f.name))
     return parser
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _coerce(name: str, value):
+def _coerce(name: str, value, source: str):
     """value as the type of ExperimentConfig's field name; a string fills a
-    tuple field as a comma-separated list."""
-    if value is None:
-        return None
+    tuple field as a comma-separated list.  A value that does not convert
+    raises ValueError naming source, the flag or key that gave it."""
     kind = _FIELD_TYPES[name]
-    if typing.get_origin(kind) is tuple:
-        if isinstance(value, str):
-            value = [v.strip() for v in value.split(",") if v.strip()]
-        return tuple(typing.get_args(kind)[0](v) for v in value)
-    # an optional field (X | None) converts as X
-    return (typing.get_args(kind) or (kind,))[0](value)
+    try:
+        if typing.get_origin(kind) is tuple:
+            if isinstance(value, str):
+                value = [v.strip() for v in value.split(",") if v.strip()]
+            return tuple(typing.get_args(kind)[0](v) for v in value)
+        # an optional field (X | None) converts as X
+        return (typing.get_args(kind) or (kind,))[0](value)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    """Defaults, then the config file's [experiment] section, then flags."""
+    """Defaults, then the config file's [experiment] section, then
+    overrides, a value (or None) per field name, as the flags give them."""
     values = {}
     if path is not None:
         ini = configparser.ConfigParser()
-        read = ini.read(path)
-        if not read:
+        if not ini.read(path):
             raise ValueError(f"cannot read config file {path!r}")
         if not ini.has_section("experiment"):
             raise ValueError(f"{path!r} has no [experiment] section")
-        known = {f.name for f in fields(ExperimentConfig)}
-        alias = {"eps": "eps_grid", "n": "n_samples", "csv": "csv_path",
-                 "column": "csv_column", "grid": "sweep_grid",
-                 "parameter": "sweep_parameter"}
+        by_key = {f.name: f.name for f in fields(ExperimentConfig)}
+        by_key.update((key, name) for name, key in _FLAG_NAMES.items())
         for key, raw in ini.items("experiment"):
-            name = alias.get(key, key)
-            if name not in known:
+            if key not in by_key:
                 raise ValueError(f"unknown config key {key!r} in {path!r}")
-            values[name] = _coerce(name, raw)
+            values[by_key[key]] = _coerce(by_key[key], raw, f"{key!r} in {path!r}")
     for name, raw in overrides.items():
         if raw is not None:
-            values[name] = _coerce(name, raw)
+            values[name] = _coerce(name, raw, "--" + _FLAG_NAMES.get(name, name))
     return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    for f in fields(ExperimentConfig):
-        if hasattr(args, f.name):
-            overrides[f.name] = getattr(args, f.name)
-    if args.eps is not None:
-        overrides["eps_grid"] = args.eps
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     try:
         config = load_config(args.config, overrides)
         _COMMANDS[args.command](config)

@@ -5,6 +5,10 @@ one-dimensional two-phase pipeline for each drawn dimension at budget
 eps / k, so by sequential composition each client's report is eps-LDP
 (the attribute-sampling scheme of Wang et al., "Collecting and Analyzing
 Multidimensional Data with Local Differential Privacy", ICDE 2019).
+
+run_multidim_protocol draws its own assignment and splits.  The CLI's
+experiment (cli._experiment) runs the same per-attribute loop itself, over
+one partition that every mechanism of a run shares.
 """
 
 from __future__ import annotations
@@ -77,42 +81,24 @@ def run_multidim_protocol(
     shape: NoiseShape,
     rng: np.random.Generator,
     n_bins: int = 16,
-    assignment: np.ndarray | None = None,
-    split_masks: list | None = None,
 ) -> MultidimResult:
     """Per-dimension two-phase protocol over the clients assigned to it, at
     budget eps / k per attribute.
 
-    Dimensions are processed in index order against the single supplied
-    stream, so d = 1 with k = 1 consumes the stream exactly as run_protocol
-    does.  A precomputed assignment and per-dimension split masks can be
-    passed so several mechanisms share one partition.
+    The assignment and then each dimension's split are drawn from the
+    single supplied stream, dimensions in index order, so d = 1 with k = 1
+    consumes the stream exactly as run_protocol does.  Every dimension
+    needs at least two assigned clients, one per phase.
     """
     n, d = data.rows.shape
-    if assignment is None:
-        assignment = assign_attributes(n, d, k, rng)
-    else:
-        assignment = np.asarray(assignment)
-        if assignment.shape != (n, k):
-            raise ValueError("assignment shape does not match (n_clients, k)")
-    results = []
-    estimates = np.zeros(d)
-    for dim, pool in enumerate(attribute_pools(assignment, d)):
+    pools = attribute_pools(assign_attributes(n, d, k, rng), d)
+    for dim, pool in enumerate(pools):
         if pool.size < 2:
-            raise ValueError(
-                f"dimension {dim} has {pool.size} assigned clients; need >= 2"
-            )
-        domain = make_domain(float(data.bounds[dim]), n_bins)
-        mask = None if split_masks is None else split_masks[dim]
-        res = run_protocol(
-            data.rows[pool, dim],
-            eps / k,
-            split_ratio,
-            shape,
-            domain,
-            rng,
-            split_mask=mask,
-        )
-        results.append(res)
-        estimates[dim] = res.mean_estimate
+            raise ValueError(f"dimension {dim} has {pool.size} assigned clients; need >= 2")
+    results = [
+        run_protocol(data.rows[pool, dim], eps / k, split_ratio, shape,
+                     make_domain(float(data.bounds[dim]), n_bins), rng)
+        for dim, pool in enumerate(pools)
+    ]
+    estimates = np.array([res.mean_estimate for res in results])
     return MultidimResult(estimates=estimates, per_dimension=results)

@@ -6,11 +6,12 @@ Exports REV with ``git archive`` into a temporary directory, runs the same
 fixed-seed commands with that tree's ``src/`` and with the working tree's
 (a command's own flags override the common ones),
 and compares the output bytes.  The commands cover every path of the
-experiment loop: ``estimate`` on generated data and on a CSV column,
-``sweep`` over each of its three parameters, ``multidim`` at k = 1 and
-k = 2 and on a CSV matrix, ``variance``, and ``optimize``, whose table
-file is compared after its printed summary.  The CSV inputs and the table
-file are written to the temporary directory.  Prints one line per
+experiment loop: ``estimate`` on generated data, on a CSV column and
+configured by an INI file alone (``estimate-ini``, whose keys no flag
+overrides), ``sweep`` over each of its three parameters, ``multidim`` at
+k = 1 and k = 2 and on a CSV matrix, ``variance``, and ``optimize``, whose
+table file is compared after its printed summary.  The CSV inputs, the INI
+file and the table file are written to the temporary directory.  Prints one line per
 command, "identical", "data identical" where only the leading
 configuration line differs, or "DIFFERENT" with a diff, and exits 1 if any
 output differs at all.  Each command takes a few seconds; clients are
@@ -31,13 +32,26 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 COMMON = ["--seed", "7", "--bins", "8", "--eps", "0.5,1,4", "--out", "-"]
 SWEEP = ["sweep", "--n", "30000", "--runs", "1", "--parameter"]
+# what estimate reads, set by file keys; the short keys are flag names
+INI = """[experiment]
+eps = 0.5,1,4
+n = 40000
+runs = 2
+seed = 11
+bins = 8
+mechanisms = laplace,adaptive,piecewise,duchi,hybrid
+split = 0.2
+dataset = gaussian:mean=0.3,sd=0.5
+"""
 
 
-def commands(data: Path, table: Path) -> dict:
-    """The compared commands; data is the CSV matrix they read, table the
-    file optimize writes."""
+def commands(data: Path, table: Path, ini: Path) -> dict:
+    """The compared commands, each run after COMMON except estimate-ini,
+    which takes no flag but --config; data is the CSV matrix they read,
+    table the file optimize writes, ini the INI file estimate-ini reads."""
     return {
         "estimate": ["estimate", "--n", "60000", "--runs", "2"],
+        "estimate-ini": ["estimate", "--config", str(ini)],
         "estimate-csv": ["estimate", "--csv", str(data), "--column", "1", "--runs", "2"],
         "sweep-split": SWEEP + ["split", "--grid", "0.1,0.3"],
         "sweep-bin_size": SWEEP + ["bin_size", "--grid", "0.25,0.5"],
@@ -66,8 +80,9 @@ def write_data(path: Path) -> None:
 def run(tree: Path, args: list[str], table: Path) -> bytes:
     """The command's output, followed by the table file if it wrote one."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    common = [] if "--config" in args else COMMON
     out = subprocess.run(
-        [sys.executable, "-m", "ldpmean.cli", *COMMON, *args],
+        [sys.executable, "-m", "ldpmean.cli", *common, *args],
         env=env, cwd=tree, check=True, capture_output=True,
     ).stdout
     if table.exists():
@@ -94,8 +109,10 @@ def main(argv: list[str]) -> int:
         other = Path(tmp) / "tree"
         export(argv[0], other)
         data, table = Path(tmp) / "data.csv", Path(tmp) / "noise_table.txt"
+        ini = Path(tmp) / "estimate.ini"
         write_data(data)
-        for name, args in commands(data, table).items():
+        ini.write_text(INI)
+        for name, args in commands(data, table, ini).items():
             theirs, ours = run(other, args, table), run(ROOT, args, table)
             same = theirs == ours
             data_same = theirs.split(b"\n", 1)[1] == ours.split(b"\n", 1)[1]

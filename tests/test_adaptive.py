@@ -1,5 +1,6 @@
 """Noise-table optimization, sampling, perturbation, and privacy checks."""
 
+import io
 import math
 import tracemalloc
 
@@ -591,16 +592,11 @@ def test_design_cells_take_one_solve_each(monkeypatch):
     assert len(builds) == 16
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeError,
-    reason="the upper tube row s / expm1(eps) - t_k <= 0 meets HiGHS's 1e-7 primal "
-    "tolerance only after division by expm1(eps), so s can stay positive at t_k = 0; "
-    "the projection onto the tube drops that s, and the row sum falls short "
-    "(row normalization off by 1.4e-4 at N=8, eps=12)",
-)
 @pytest.mark.parametrize("n, eps", [(8, 12.0), (8, 16.0), (16, 12.0), (16, 16.0), (16, 20.0)])
 def test_estimated_pmf_at_large_eps_is_private(n, eps):
+    # HiGHS holds s / expm1(eps) - t_k <= 0 to 1e-7, so s stands above
+    # expm1(eps) t_k (1.4e-4 at t_k = 0, N=8, eps=12); the projection lifts
+    # t_k to keep that mass, and the rows still sum to 1
     pmf = rr_pmf(n, eps, seed=5, sd=0.2, clients=1000)
     table = solve_noise_table(pmf, eps, NoiseShape(m=4 * n, r=0.5), make_domain(1.0, n))
     assert verify_privacy(table, eps).passed
@@ -865,17 +861,20 @@ def grid_tables():
 
 
 def scatter_by_cells(z, n, m, a, eps):
-    """Reference for _scatter: the tube projection, one cell at a time."""
+    """Reference for _scatter: the tube projection, one output at a time:
+    t lifted to the output's greatest s / expm1(eps), then each s clipped
+    to expm1(eps) t."""
     ks = range(-a, n + a + 1)
     cells = (n + 1) * len(ks)
     q = np.zeros((n + 1, 2 * m + 1))
-    for i in range(n + 1):
-        for c, k in enumerate(ks):
-            t = max(z[cells + c], 0.0)
-            s = max(z[i * len(ks) + c], 0.0)
-            if math.isfinite(eps):
-                s = min(s, math.expm1(eps) * t)
-            q[i, k - i + m] = s + t
+    for c, k in enumerate(ks):
+        s = [max(z[i * len(ks) + c], 0.0) for i in range(n + 1)]
+        t = max(z[cells + c], 0.0)
+        if math.isfinite(eps):
+            t = max(t, max(s) / math.expm1(eps))
+            s = [min(v, math.expm1(eps) * t) for v in s]
+        for i in range(n + 1):
+            q[i, k - i + m] = s[i] + t
     return q
 
 
@@ -904,30 +903,34 @@ class TestDust:
         assert round_off >= 1  # the grid reaches tables that carry round-off
 
     def test_random_dusty_tables(self):
-        # LP points with round-off negatives and dust-level masses: the
-        # projection matches the cell loop bit for bit, and its tables are
-        # empty-or-full whatever the point
+        # LP points with round-off negatives and dust-level masses, each
+        # scaled by a random factor so that s / expm1(eps) rounds both ways:
+        # the projection matches the output loop bit for bit, and its
+        # tables are empty-or-full whatever the point
         rng = np.random.default_rng(11)
         levels = np.array([-1e-10, -1e-12, 0.0, 1e-12, 5e-11, 1e-10, 2e-10, 1e-3, 0.1])
-        zeroed = clipped = 0
+        lifted = clipped = 0
         for _ in range(300):
             n = int(rng.integers(1, 7))
             m = n + int(rng.integers(0, 5))
             a = m - n
             eps = float(rng.choice([0.25, 1.0, 4.0, math.inf]))
             p = rng.dirichlet(np.ones(levels.size) * 0.3)
-            z = rng.choice(levels, size=(n + 2) * (n + 2 * a + 1), p=p)
+            size = (n + 2) * (n + 2 * a + 1)
+            z = rng.choice(levels, size=size, p=p) * rng.uniform(0.5, 2.0, size)
             q = _scatter(z, n, m, a, eps)
             np.testing.assert_array_equal(q, scatter_by_cells(z, n, m, a, eps))
-            cells = (n + 1) * (n + 2 * a + 1)
-            s = z[:cells].reshape(n + 1, -1)
-            t = np.maximum(z[cells:], 0.0)
-            zeroed += bool(np.any((s > 0.0) & (t == 0.0)))
             if math.isfinite(eps):
                 table = NoiseTable(domain=make_domain(1.0, n), shape=NoiseShape(m), q=q, eps=eps)
                 assert_columns_empty_or_full(table)
-                clipped += bool(np.any((t > 0.0) & (s > math.expm1(eps) * t)))
-        assert zeroed >= 30 and clipped >= 30  # both repairs happen, often
+                cells = (n + 1) * (n + 2 * a + 1)
+                s = np.maximum(z[:cells].reshape(n + 1, -1), 0.0)
+                t = np.maximum(z[cells:], 0.0)
+                top = s.max(axis=0) / math.expm1(eps)
+                lifted += bool(np.any(top > t))
+                t = np.maximum(t, top)
+                clipped += bool(np.any(s > math.expm1(eps) * t))
+        assert lifted >= 30 and clipped >= 30  # the lift and its rounding clip, often
 
 
 def tent_mixture(table, idx, w_left):
@@ -1173,6 +1176,32 @@ class TestSerialization:
         path.write_text("\n".join([header, "nan " + first.split(" ", 1)[1], *rest]) + "\n")
         with pytest.raises(ValueError, match="finite and >= 0"):
             load_table(path)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("short", "row normalization off by 0.5"), ("biased", "row zero-mean off by 0.5")],
+    )
+    def test_row_invariants_checked(self, tmp_path, defect, message):
+        # a file whose rows are not noise laws (a row of mass 0.5, or one of
+        # mean 0.5) is refused, not renormalized into another mechanism
+        q = np.zeros((3, 9))
+        q[:, 4] = 1.0
+        if defect == "short":
+            q[1, 4] = 0.5
+        else:
+            q[1, 4], q[1, 5] = 0.5, 0.5
+        path = tmp_path / "table.txt"
+        save_table(NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=1.0), path)
+        with pytest.raises(ValueError, match=message):
+            load_table(path)
+
+    def test_save_to_stream(self, tmp_path):
+        table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        stream = io.StringIO()
+        save_table(table, stream)
+        assert stream.getvalue() == path.read_text()
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"

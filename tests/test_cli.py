@@ -1,5 +1,7 @@
 """End-to-end checks of the experiment runner."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,78 @@ class TestConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read config file"):
             load_config(str(tmp_path / "nope.ini"), {})
+
+
+# per field: its flag and config-file key, a value as text, the value it
+# sets, and a malformed value for a numeric field
+FIELD_INPUTS = {
+    "mechanisms": ("mechanisms", "laplace, duchi", ("laplace", "duchi"), None),
+    "eps_grid": ("eps", "0.5,3", (0.5, 3.0), "0.5,x"),
+    "beta": ("beta", "2", 2.0, "two"),
+    "bins": ("bins", "4", 4, "4.5"),
+    "noise_window": ("noise-window", "9", 9, "x"),
+    "split": ("split", "0.25", 0.25, "x"),
+    "runs": ("runs", "3", 3, "x"),
+    "seed": ("seed", "5", 5, "x"),
+    "n_samples": ("n", "300", 300, "1e3"),
+    "dataset": ("dataset", "uniform", "uniform", None),
+    "csv_path": ("csv", "data.csv", "data.csv", None),
+    "csv_column": ("column", "2", 2, "x"),
+    "d": ("d", "3", 3, "x"),
+    "k": ("k", "2", 2, "x"),
+    "sweep_parameter": ("parameter", "split", "split", None),
+    "sweep_grid": ("grid", "0.1,0.2", (0.1, 0.2), "0.1,,y"),
+    "out": ("out", "x.csv", "x.csv", None),
+}
+
+
+class TestFlagsAndKeys:
+    """Every ExperimentConfig field is a flag and a config-file key."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "estimate", seen.append)
+        return seen
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_set_by_flag_and_key(self, name, configs, tmp_path):
+        key, text, value, _ = FIELD_INPUTS[name]
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\n{key} = {text}\n")
+        assert cli.main(["estimate", f"--{key}", text]) == 0
+        assert cli.main(["estimate", "--config", str(path)]) == 0
+        assert getattr(configs[0], name) == value == getattr(configs[1], name)
+        assert type(getattr(configs[0], name)) is type(value)
+        # the field name is a config-file key too
+        path.write_text(f"[experiment]\n{name} = {text}\n")
+        assert load_config(str(path), {}) == configs[1]
+
+    @pytest.mark.parametrize(
+        "name", [name for name, inputs in FIELD_INPUTS.items() if inputs[3] is not None]
+    )
+    def test_malformed_value_names_its_flag(self, name, configs, tmp_path, capsys):
+        key, _, _, bad = FIELD_INPUTS[name]
+        assert cli.main(["estimate", f"--{key}", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{key}: ") and "Traceback" not in err
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\n{key} = {bad}\n")
+        assert cli.main(["estimate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key!r} in {str(path)!r}: ")
+        assert configs == []
+
+    def test_help_lists_every_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        out = capsys.readouterr().out
+        for key, *_ in FIELD_INPUTS.values():
+            assert f"--{key} " in out
+        for text in ("INI file with an [experiment] section", "comma-separated privacy budgets",
+                     "comma-separated mechanism names", "generator or distribution spec",
+                     "sweep parameter: split, bin_size, noise_range",
+                     "comma-separated sweep values", "output path, - for stdout"):
+            assert text in " ".join(out.split())
 
 
 class TestVarianceCommand:
@@ -374,6 +448,21 @@ class TestOptimizeCommand:
             if line.startswith("lp_objective")
         )
         assert float(objective) > 0.0
+
+
+    def test_stdout_by_default(self, tmp_path, monkeypatch, capsys):
+        # --out - (the default) writes the table to stdout and the summary
+        # to stderr, and leaves no file in the working directory
+        monkeypatch.chdir(tmp_path)
+        rc, stdout, err = run_cli(["optimize", "--dataset", "uniform"] + FAST, capsys)
+        assert rc == 0
+        assert list(tmp_path.iterdir()) == []
+        assert err.startswith("table written to stdout\n") and "passed True" in err
+        saved = tmp_path / "table.txt"
+        saved.write_text(stdout)
+        table = load_table(saved)
+        assert (table.domain.n_bins, table.eps) == (2, 1.0)
+        assert verify_privacy(table, 1.0).passed
 
 
 class TestErrorPaths:

@@ -151,30 +151,8 @@ class TestRunMultidimProtocol:
         np.testing.assert_array_equal(a.estimates, b.estimates)
 
     def test_starved_dimension_rejected(self):
+        # three clients, one attribute each of two: some dimension has at
+        # most one client, too few for two phases, whatever the draw
         data = small_matrix(3, 2, 17)
-        assignment = np.zeros((3, 1), dtype=int)  # nobody draws dimension 1
-        with pytest.raises(ValueError, match="dimension 1 has 0"):
-            run_multidim_protocol(
-                data,
-                1.0,
-                0.4,
-                1,
-                SHAPE,
-                rng_for(18),
-                n_bins=4,
-                assignment=assignment,
-            )
-
-    def test_assignment_shape_checked(self):
-        data = small_matrix(10, 2, 19)
-        with pytest.raises(ValueError, match="assignment shape"):
-            run_multidim_protocol(
-                data,
-                1.0,
-                0.4,
-                1,
-                SHAPE,
-                rng_for(20),
-                n_bins=4,
-                assignment=np.zeros((10, 2), dtype=int),
-            )
+        with pytest.raises(ValueError, match="dimension [01] has [01] assigned clients"):
+            run_multidim_protocol(data, 1.0, 0.4, 1, SHAPE, rng_for(18), n_bins=4)
