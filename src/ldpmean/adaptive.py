@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import lp as lplib
 from .baselines import check_eps
@@ -140,16 +139,6 @@ def noise_mass(table: NoiseTable, i: int, j: int) -> float:
     return float(table.q[i, j + m]) if abs(j) <= m else 0.0
 
 
-def _csr(cols: np.ndarray, vals: np.ndarray, shape: tuple) -> sparse.csr_array:
-    """CSR array from per-row column and value blocks (leading axes = rows,
-    in row order); zero coefficients are left out."""
-    cols = cols.reshape(shape[0], -1)
-    vals = vals.reshape(shape[0], -1)
-    rows = np.broadcast_to(np.arange(shape[0])[:, None], cols.shape)
-    keep = vals != 0.0
-    return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
-
-
 def _min_half_width(n: int, eps: float) -> int:
     """The least A at which R(A) is feasible.
 
@@ -187,16 +176,15 @@ def build_lp(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.Linea
     cells = j.size
     cost = pmf.masses[:, None] * (sigma * j) ** 2
     objective = np.concatenate([cost.ravel(), cost.sum(axis=0)])
-    n_z = cells + ks.size
     s_col = np.arange(cells).reshape(n + 1, ks.size)
     t_col = np.broadcast_to(cells + np.arange(ks.size), s_col.shape)
     # rows 2i and 2i + 1 over the s and t_k of input i's cells
-    eq_cols = np.concatenate([s_col, t_col], axis=1)[:, None, :].repeat(2, axis=1)
-    eq_vals = np.stack([np.ones(eq_cols.shape[::2]), np.tile(j, 2)], axis=1)
-    a_eq = _csr(eq_cols, eq_vals, (2 * (n + 1), n_z))
+    eq_cols = np.concatenate([s_col, t_col], axis=1).repeat(2, axis=0)
+    eq_vals = np.stack([np.ones(s_col.shape), j], axis=1).reshape(2 * (n + 1), -1)
+    a_eq = lplib.csr_from_rows(eq_cols, np.tile(eq_vals, 2))
     upper_vals = [np.full(cells, 1.0 / math.expm1(eps)), -np.ones(cells)]
-    upper = _csr(
-        np.stack([s_col.ravel(), t_col.ravel()], -1), np.stack(upper_vals, -1), (cells, n_z)
+    upper = lplib.csr_from_rows(
+        np.stack([s_col.ravel(), t_col.ravel()], -1), np.stack(upper_vals, -1)
     )
     return lplib.LinearProgram(
         objective, A_ub=upper, b_ub=np.zeros(cells),

@@ -232,7 +232,8 @@ def _experiment(config: ExperimentConfig, fixed: np.ndarray | None = None):
     phase-2 values.  Every mechanism shares that partition, draws from its
     own stream and spends eps / k per attribute, dimensions in index order:
     adaptive runs run_protocol on each dimension (results holds its
-    ProtocolResults), a baseline perturbs phase2 (results is None).
+    ProtocolResults), a baseline perturbs phase2 (results is None) and
+    refuses a dimension whose phase2 is empty, as run_protocol does.
     estimates holds one mean estimate per dimension.
     """
     d, k = config.d, config.k
@@ -271,6 +272,11 @@ def _experiment(config: ExperimentConfig, fixed: np.ndarray | None = None):
                     ]
                     estimates = [res.mean_estimate for res in results]
                 else:
+                    for dim, xs in enumerate(phase2):
+                        if xs.size == 0:
+                            raise ValueError(
+                                f"degenerate split: no phase-2 clients in dimension {dim}"
+                            )
                     results = None
                     perturb = _PERTURBERS[mechanism]
                     estimates = [

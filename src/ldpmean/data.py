@@ -3,7 +3,8 @@ ingestion.
 
 true_pmf applies the tent-weight expectation to an analytic density: each
 mass is the integral of the truncated, renormalized density against the tent
-functions, evaluated with adaptive quadrature per half-tent segment.
+functions, evaluated with adaptive quadrature (scipy.integrate.quad, loaded
+on true_pmf's first call) per half-tent segment.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .domain import QuantizedDomain, QuantizedPmf
 
@@ -137,6 +137,10 @@ def true_pmf(dist, domain: QuantizedDomain) -> QuantizedPmf:
     total is the truncation normalizer, so the returned masses sum to 1 to
     machine precision.
     """
+    # imported here, its one use, so that importing the package does not
+    # load scipy.integrate
+    from scipy import integrate
+
     beta = domain.beta
     edges = domain.edges
     sigma = domain.sigma

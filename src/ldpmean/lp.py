@@ -1,8 +1,9 @@
 """Linear programs in sparse form, solved by HiGHS through scipy's binding.
 
 Standard form: minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
-x >= 0.  The constraint blocks are CSR arrays, built by the caller directly
-in that form; `solve` is the package's only call into a solver.
+x >= 0.  The constraint blocks are CSR triples of numpy arrays, built by
+the caller directly in that form; `solve` is the package's only call into a
+solver.
 
 `solve` hands the program to scipy's bundled HiGHS binding directly, with
 the model and options that `scipy.optimize.linprog(method="highs")` builds,
@@ -14,33 +15,66 @@ failure.  Each program costs one HiGHS call: a numerical failure is
 reported as such, not retried with another method.  Statuses are named as
 linprog names them, except that a model HiGHS refuses to load is a
 model-error, where linprog says infeasible.
+
+The binding is loaded from its file in scipy's tree under its own module
+name, without importing scipy, scipy.optimize or scipy.sparse, which would
+take most of the package's import time; scipy.optimize, imported before or
+after, reuses the same module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
-from scipy import sparse
 
-# Imported on its own above, rather than only as the parent of the binding's
-# module below, scipy.optimize takes about 30 ms less to import (scipy
-# 1.17.1, Python 3.11, 2-core VM)
-try:
-    from scipy.optimize._highspy._core import (
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        ObjSense,
-        _Highs,
-        kHighsInf,
-    )
-except ImportError as err:  # the binding is private to scipy
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding():
+    """HiGHS's binding: its sys.modules entry, or else the module loaded
+    from its file in scipy's tree and registered there, where scipy's own
+    import of it finds it.  Raises ImportError when the entry is None or
+    the file is absent."""
+    if _BINDING in sys.modules:
+        if sys.modules[_BINDING] is None:
+            raise ImportError(f"import of {_BINDING} halted; None in sys.modules")
+        return sys.modules[_BINDING]
+    scipy_spec = importlib.util.find_spec("scipy")  # runs no scipy code
+    if scipy_spec is None:
+        raise ImportError("no scipy found")
+    stem = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy", "_core")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no {_BINDING} extension at {stem}")
+    loader = importlib.machinery.ExtensionFileLoader(_BINDING, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_BINDING, loader))
+    sys.modules[_BINDING] = module
+    loader.exec_module(module)
+    return module
+
+
+try:  # the binding is private to scipy
+    _core = _load_binding()
+    HighsModelStatus = _core.HighsModelStatus
+    HighsStatus = _core.HighsStatus
+    MatrixFormat = _core.MatrixFormat
+    ObjSense = _core.ObjSense
+    _Highs = _core._Highs
+    kHighsInf = _core.kHighsInf
+except (ImportError, AttributeError) as err:
+    import importlib.metadata
+
     raise ImportError(
-        "ldpmean needs scipy>=1.17.1, whose scipy.optimize._highspy._core "
-        f"binding it calls HiGHS through; found scipy {scipy.__version__}"
+        f"ldpmean needs scipy>=1.17.1, whose {_BINDING} binding it calls HiGHS "
+        f"through; found scipy {importlib.metadata.version('scipy')}"
     ) from err
 
 # HiGHS stops once reduced costs are within this of dual feasibility.  At
@@ -80,19 +114,65 @@ _STATUS = {
 }
 
 
+class Csr(NamedTuple):
+    """A constraint block in compressed sparse rows: row r has the
+    coefficients data[indptr[r]:indptr[r + 1]] in the columns indices[same],
+    no column twice.  The row count is indptr.size - 1."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def csr_from_rows(cols: np.ndarray, vals: np.ndarray) -> Csr:
+    """Csr of the rows r of 2-D blocks, with the coefficients vals[r] in the
+    columns cols[r]; zero coefficients are left out."""
+    keep = vals != 0.0
+    return Csr(np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], vals[keep])
+
+
+def _as_csr(a, n: int, name: str) -> Csr:
+    """Csr of a block given as a Csr, as any object with tocsr() (a scipy
+    sparse matrix, for one; duplicates summed) or as dense rows, checked
+    against n columns."""
+    if hasattr(a, "tocsr"):
+        a = a.tocsr()
+        a.sum_duplicates()
+        if a.shape[1] != n:
+            raise ValueError(f"{name} has shape {a.shape}, expected (rows, {n})")
+        a = Csr(a.indptr, a.indices, a.data)
+    elif not isinstance(a, Csr):
+        rows = np.asarray(a, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError(f"{name} has shape {rows.shape}, expected (rows, {n})")
+        a = csr_from_rows(np.broadcast_to(np.arange(n), rows.shape), rows)
+    indptr, indices = np.asarray(a.indptr), np.asarray(a.indices)
+    data = np.asarray(a.data, dtype=float)
+    if not (
+        indptr.ndim == 1 and indptr.size >= 1 and indptr[0] == 0
+        and np.all(np.diff(indptr) >= 0) and indptr[-1] == indices.size == data.size
+    ):
+        raise ValueError(f"{name} is not a CSR triple")
+    if indices.size and not (0 <= indices.min() and indices.max() < n):
+        raise ValueError(f"{name} has a column index outside [0, {n})")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"non-finite coefficient in {name}")
+    return Csr(indptr, indices, data)
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min objective . x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
-    A constraint block left as None has no rows.  Matrices may be given in
-    any form scipy.sparse accepts, dense rows included; they are stored as
-    CSR arrays.
+    A constraint block left as None has no rows.  A block may be given as
+    a Csr, as any object with tocsr() such as a scipy sparse matrix, or as
+    dense rows; it is stored as a Csr.
     """
 
     objective: np.ndarray
-    A_ub: sparse.csr_array | None = None
+    A_ub: Csr | None = None
     b_ub: np.ndarray | None = None
-    A_eq: sparse.csr_array | None = None
+    A_eq: Csr | None = None
     b_eq: np.ndarray | None = None
 
     def __post_init__(self):
@@ -108,16 +188,12 @@ class LinearProgram:
                 continue
             if a is None or b is None:
                 raise ValueError(f"{a_name} and {b_name} must be given together")
-            a = sparse.csr_array(a, dtype=float)
+            a = _as_csr(a, objective.size, a_name)
             b = np.asarray(b, dtype=float)
-            if a.ndim != 2 or a.shape[1] != objective.size:
-                raise ValueError(
-                    f"{a_name} has shape {a.shape}, expected (rows, {objective.size})"
-                )
-            if b.shape != (a.shape[0],):
+            if b.shape != (a.indptr.size - 1,):
                 raise ValueError(f"{b_name} length does not match the rows of {a_name}")
-            if not (np.all(np.isfinite(a.data)) and np.all(np.isfinite(b))):
-                raise ValueError(f"non-finite coefficient in {a_name} or {b_name}")
+            if not np.all(np.isfinite(b)):
+                raise ValueError(f"non-finite coefficient in {b_name}")
             object.__setattr__(self, a_name, a)
             object.__setattr__(self, b_name, b)
 
@@ -143,6 +219,20 @@ class LpSolution:
     run_seconds: float
 
 
+def _stacked_csc(blocks: list, n: int) -> tuple:
+    """(indptr, row indices, data) of the blocks' rows stacked, as CSC with
+    int32 indices.  A stable sort by column keeps each column's rows
+    ascending: the arrays scipy's vstack(blocks).tocsc() holds."""
+    row_sizes = np.concatenate([np.zeros(0, dtype=int)] + [np.diff(a.indptr) for a in blocks])
+    cols = np.concatenate([np.zeros(0, dtype=int)] + [a.indices for a in blocks])
+    data = np.concatenate([np.zeros(0)] + [a.data for a in blocks])
+    order = np.argsort(cols, kind="stable")
+    rows = np.repeat(np.arange(row_sizes.size, dtype=np.int32), row_sizes)[order]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return indptr, rows, data[order]
+
+
 def solve(program: LinearProgram) -> LpSolution:
     """Solve with one call to HiGHS's default method at a dual feasibility
     tolerance of 1e-10, its dual simplex priced with devex.
@@ -152,21 +242,21 @@ def solve(program: LinearProgram) -> LpSolution:
     """
     n = program.num_vars
     blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
-    a = sparse.vstack(blocks).tocsc() if blocks else sparse.csc_array((0, n))
-    a.sum_duplicates()  # as linprog's conversion does; HiGHS rejects duplicates
+    indptr, rows, data = _stacked_csc(blocks, n)
     b_ub = np.zeros(0) if program.b_ub is None else program.b_ub
     b_eq = np.zeros(0) if program.b_eq is None else program.b_eq
+    m = b_ub.size + b_eq.size
     highs = _Highs()
     for name, value in _OPTIONS.items():
         highs.setOptionValue(name, value)
     # the array form of passModel copies each array in one piece; every
     # column is marked continuous
     passed = highs.passModel(
-        n, a.shape[0], a.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        n, m, data.size, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
         program.objective, np.zeros(n), np.full(n, kHighsInf),
         np.concatenate([np.full(b_ub.size, -kHighsInf), b_eq]),
         np.concatenate([b_ub, b_eq]),
-        a.indptr, a.indices, a.data, np.zeros(n, dtype=np.int32),
+        indptr, rows, data, np.zeros(n, dtype=np.int32),
     )
     run_seconds = 0.0
     if passed == HighsStatus.kError:
@@ -192,6 +282,6 @@ def solve(program: LinearProgram) -> LpSolution:
     if info.valid:
         iterations = info.simplex_iteration_count or info.ipm_iteration_count
     return LpSolution(
-        status, x, value, iterations, message, duals, n, a.shape[0], a.nnz, run_seconds
+        status, x, value, iterations, message, duals, n, m, data.size, run_seconds
     )
 

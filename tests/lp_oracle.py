@@ -8,6 +8,7 @@ For programs with a handful of variables we can afford to try every subset.
 import itertools
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from ldpmean.lp import LinearProgram
 
@@ -16,9 +17,18 @@ EQUAL = "="
 GREATER_EQUAL = ">="
 
 
+def as_csr(lp: LinearProgram, name: str):
+    """The constraint block name ("A_ub" or "A_eq") of lp as a scipy CSR
+    array, None when lp has none."""
+    a = getattr(lp, name)
+    if a is None:
+        return None
+    return csr_array((a.data, a.indices, a.indptr), shape=(a.indptr.size - 1, lp.num_vars))
+
+
 def dense_system(lp: LinearProgram):
     """(rows, senses, rhs): the A_ub rows as <=, then the A_eq rows as =."""
-    blocks = [(lp.A_ub, lp.b_ub, LESS_EQUAL), (lp.A_eq, lp.b_eq, EQUAL)]
+    blocks = [(as_csr(lp, "A_ub"), lp.b_ub, LESS_EQUAL), (as_csr(lp, "A_eq"), lp.b_eq, EQUAL)]
     blocks = [(a.toarray(), b, s) for a, b, s in blocks if a is not None]
     rows = np.vstack([a for a, _, _ in blocks])
     senses = [s for a, _, s in blocks for _ in range(a.shape[0])]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import suite_pmf_shapes
+from lp_oracle import as_csr
 from ldpmean.adaptive import (
     NoiseShape,
     NoiseTable,
@@ -158,9 +159,9 @@ class TestBuildLp:
         prog = build_lp(pmf, d3.sigma, 2, eps)
         objective, eq, ub = row_by_row_lp(pmf, d3.sigma, 2, eps)
         np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
-        np.testing.assert_array_equal(prog.A_eq.toarray(), eq)
+        np.testing.assert_array_equal(as_csr(prog, "A_eq").toarray(), eq)
         np.testing.assert_array_equal(prog.b_eq, np.tile([1.0, 0.0], 4))
-        np.testing.assert_array_equal(prog.A_ub.toarray(), ub)
+        np.testing.assert_array_equal(as_csr(prog, "A_ub").toarray(), ub)
         np.testing.assert_array_equal(prog.b_ub, np.zeros(len(ub)))
 
     def test_variable_count(self):
@@ -410,8 +411,8 @@ class TestRestrictedSolve:
         sol = lp_solve(build_lp(pmf, domain.sigma, a, eps))
         assert sol.status == "optimal"
         x = whole_point(sol.x, n, a, 3 * n)
-        np.testing.assert_allclose(program.A_eq @ x, program.b_eq, rtol=0.0, atol=1e-9)
-        assert np.max(program.A_ub @ x) <= 1e-9
+        np.testing.assert_allclose(as_csr(program, "A_eq") @ x, program.b_eq, rtol=0.0, atol=1e-9)
+        assert np.max(as_csr(program, "A_ub") @ x) <= 1e-9
         assert program.objective @ x == pytest.approx(sol.objective_value, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.7, 3.0])
@@ -425,7 +426,9 @@ class TestRestrictedSolve:
         sub = build_lp(pmf, domain.sigma, a, eps)
         embed = np.column_stack([whole_point(z, n, a, a + 2) for z in np.eye(sub.num_vars)])
         np.testing.assert_allclose(sub.objective, embed.T @ program.objective, rtol=1e-15)
-        np.testing.assert_array_equal(sub.A_eq.toarray(), program.A_eq @ embed)
+        np.testing.assert_array_equal(
+            as_csr(sub, "A_eq").toarray(), as_csr(program, "A_eq") @ embed
+        )
         np.testing.assert_array_equal(sub.b_eq, program.b_eq)
 
     @pytest.mark.parametrize("n, m, a", [(16, 64, 40), (4, 16, 3), (8, 32, 0), (4, 7, 3)])
@@ -434,8 +437,8 @@ class TestRestrictedSolve:
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
         sub = build_lp(pmf, domain.sigma, a, 1.0)
         cells = (n + 1) * (n + 2 * a + 1)
-        assert sub.A_ub.shape[0] == cells
-        assert np.all(np.diff(sub.A_ub.indptr) == 2)  # one s and its t_k
+        assert as_csr(sub, "A_ub").shape[0] == cells
+        assert np.all(np.diff(as_csr(sub, "A_ub").indptr) == 2)  # one s and its t_k
         assert sub.num_vars == cells + n + 2 * a + 1
         q = _scatter(np.ones(sub.num_vars), n, m, a, 1.0)
         assert q[:, [0, -1]].any() == (n + a == m)  # the edges only for R(M - N)
@@ -802,7 +805,7 @@ class TestColumnWeights:
         pmf, domain, _ = design
         a = self.M - self.N
         program = build_lp(pmf, domain.sigma, a, self.EPS)
-        a_eq = program.A_eq.toarray()
+        a_eq = as_csr(program, "A_eq").toarray()
         width = self.N + 2 * a + 1
         for i in range(self.N + 1):
             block = slice(i * width, (i + 1) * width)  # the s of input i's cells

@@ -1,5 +1,6 @@
 """End-to-end checks of the experiment runner."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -425,6 +426,19 @@ class TestMultidimCommand:
         )
         assert rc == 2
         assert "1 <= k <= d" in err
+
+    def test_baseline_refuses_a_dimension_without_clients(self, capsys):
+        # three clients over three dimensions at k = 1: dimension 1 draws none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(
+                ["multidim", "--d", "3", "--k", "1", "--n", "3", "--mechanisms", "laplace",
+                 "--runs", "1", "--eps", "1", "--bins", "2", "--seed", "1"],
+                capsys,
+            )
+        assert rc == 2
+        assert out == ""
+        assert "degenerate split: no phase-2 clients in dimension 1" in err
 
 
 class TestOptimizeCommand:

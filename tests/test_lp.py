@@ -1,13 +1,17 @@
 """The LP layer: hand cases and statuses of `lp.solve`, container validation,
 the vertex oracle, and bit-for-bit agreement with scipy's linprog."""
 
+import importlib.machinery
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
@@ -17,7 +21,7 @@ from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian
 from ldpmean.domain import make_domain
 from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import LinearProgram, solve
-from lp_oracle import dense_system, random_bounded_program, vertex_enumeration_optimum
+from lp_oracle import as_csr, dense_system, random_bounded_program, vertex_enumeration_optimum
 
 
 def check_feasible(lp, x, tol=1e-7):
@@ -209,7 +213,7 @@ class TestHandExamples:
         rows = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
         dense = LinearProgram([-1.0, -1.0, -1.0], A_ub=rows, b_ub=[4.0, 3.0])
         sparse = LinearProgram(
-            [-1.0, -1.0, -1.0], A_ub=dense.A_ub.tocoo(), b_ub=[4.0, 3.0]
+            [-1.0, -1.0, -1.0], A_ub=as_csr(dense, "A_ub").tocoo(), b_ub=[4.0, 3.0]
         )
         np.testing.assert_array_equal(solve(dense).x, solve(sparse).x)
 
@@ -297,14 +301,65 @@ class TestVertexOracle:
         assert checked > 60  # most random programs are feasible by design
 
 
+BINDING = "scipy.optimize._highspy._core"
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports ldpmean from src/ and
+    the test helpers from tests/."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestBinding:
-    def test_missing_binding_names_the_scipy_floor(self, monkeypatch):
+    def test_missing_binding_names_the_scipy_floor(self, monkeypatch, tmp_path):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         floor = re.search(r'"(scipy>=[0-9.]+)"', pyproject).group(1)
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
         spec = importlib.util.spec_from_file_location("lp_without_binding", lplib.__file__)
+        # a None entry in sys.modules
+        monkeypatch.setitem(sys.modules, BINDING, None)
         with pytest.raises(ImportError, match=re.escape(floor)):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        # no entry, and a scipy tree without the binding's file
+        monkeypatch.delitem(sys.modules, BINDING)
+        tree = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        tree.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: tree)
+        with pytest.raises(ImportError, match=re.escape(floor)):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    def test_import_loads_only_the_binding_from_scipy(self):
+        # scipy.integrate comes with true_pmf's first call
+        run_fresh(f"""
+import sys
+import ldpmean, ldpmean.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert all(m == {BINDING!r} or m.startswith({BINDING + "."!r}) for m in loaded), loaded
+pmf = ldpmean.true_pmf(ldpmean.TruncatedGaussian(0.0, 0.1), ldpmean.make_domain(1.0, 4))
+assert abs(pmf.masses.sum() - 1.0) < 1e-12
+""")
+
+    @pytest.mark.parametrize("first", ["ldpmean", "scipy.optimize"])
+    def test_scipy_optimize_shares_the_binding(self, first):
+        run_fresh(f"""
+import sys
+import {first}
+import numpy as np
+from ldpmean import lp
+from test_lp import GOLDEN, linprog_reference
+
+assert lp._Highs is sys.modules[{BINDING!r}]._Highs
+program = dict(GOLDEN)["gaussian-n16-eps1.0"]
+ref = linprog_reference(program)
+np.testing.assert_array_equal(lp.solve(program).x, ref.x)
+""")
 
 
 class TestSolveRecord:
@@ -317,7 +372,8 @@ class TestSolveRecord:
         window = build_lp(pmf, d8.sigma, 32 - 8, 1.0)  # the window program at M=32
         unconstrained = LinearProgram([1.0, 2.0, 0.0])
         for program in (restricted, window, unconstrained):
-            blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
+            blocks = [as_csr(program, name) for name in ("A_ub", "A_eq")]
+            blocks = [a for a in blocks if a is not None]
             sol = solve(program)
             assert sol.status == "optimal"
             assert sol.columns == program.num_vars == sol.x.size
@@ -329,8 +385,8 @@ class TestSolveRecord:
 def linprog_reference(program):
     """scipy's linprog(method="highs") with solve's options."""
     return linprog(
-        program.objective, A_ub=program.A_ub, b_ub=program.b_ub,
-        A_eq=program.A_eq, b_eq=program.b_eq, bounds=(0, None), method="highs",
+        program.objective, A_ub=as_csr(program, "A_ub"), b_ub=program.b_ub,
+        A_eq=as_csr(program, "A_eq"), b_eq=program.b_eq, bounds=(0, None), method="highs",
         options={"dual_feasibility_tolerance": 1e-10,
                  "simplex_dual_edge_weight_strategy": "devex"},
     )
@@ -386,3 +442,42 @@ class TestMatchesLinprog:
         np.testing.assert_array_equal(sol.x, ref.x)
         assert sol.objective_value == ref.fun
         np.testing.assert_array_equal(sol.eq_duals, ref.eqlin.marginals)
+
+
+def model_programs():
+    """(label, program): the golden programs, and R(A) at the first A for
+    N in {4, 8, 16} and eps in {0.5, 2, 8}."""
+    yield from GOLDEN
+    for n in (4, 8, 16):
+        domain = make_domain(1.0, n)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
+        for eps in (0.5, 2.0, 8.0):
+            a = _first_half_width(n, eps)
+            yield f"build-n{n}-eps{eps}", build_lp(pmf, domain.sigma, a, eps)
+
+
+MODEL_PROGRAMS = list(model_programs())
+
+
+class TestModelIdentity:
+    """solve stacks the blocks into the CSC arrays that scipy's vstack and
+    tocsc, duplicates summed, make of them: linprog's model."""
+
+    @pytest.mark.parametrize("label, program", MODEL_PROGRAMS, ids=[n for n, _ in MODEL_PROGRAMS])
+    def test_csc_arrays(self, label, program, monkeypatch):
+        passed = []
+
+        class Highs(lplib._Highs):
+            def passModel(self, *args):
+                passed.append(args)
+                return super().passModel(*args)
+
+        monkeypatch.setattr(lplib, "_Highs", Highs)
+        solve(program)
+        ref = sparse.vstack([as_csr(program, "A_ub"), as_csr(program, "A_eq")]).tocsc()
+        ref.sum_duplicates()
+        indptr, indices, data = passed[0][11:14]
+        assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+        for got, want in ((indptr, ref.indptr), (indices, ref.indices), (data, ref.data)):
+            np.testing.assert_array_equal(got, want)
+        assert passed[0][1:3] == (ref.shape[0], ref.nnz)
