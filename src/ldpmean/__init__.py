@@ -31,6 +31,7 @@ from .baselines import (
     duchi_conditional_variance,
     duchi_perturb,
     generalized_rr,
+    hybrid_conditional_variance,
     hybrid_perturb,
     laplace_perturb,
     laplace_variance,
@@ -64,10 +65,6 @@ from .freqest import (
     reconstruct_pmf,
     relative_error_bound,
 )
-from .multidim import (
-    MultiDataset,
-    assign_attributes,
-    run_multidim_protocol,
-)
+from .multidim import assign_attributes, attribute_pools
 
 __version__ = "0.1.0"

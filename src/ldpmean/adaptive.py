@@ -582,25 +582,20 @@ def save_table(table: NoiseTable, path) -> None:
 
 
 def load_table(path) -> NoiseTable:
-    """Read a save_table file; rows that do not sum to 1 with mean 0 raise
-    ValueError.  A file of the former format, whose header also holds a
-    tail ratio r (beta, N, M, r, eps), reads only if no row has mass at
-    +-M: there the tails held nothing and r changed nothing."""
+    """Read a save_table file: a header line (beta, N, M, eps), then N+1 rows
+    of 2M+1 masses.  Any other header, and rows that do not sum to 1 with
+    mean 0, raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) not in (4, 5):
-            raise ValueError(f"malformed noise-table header in {path}")
-        beta, n, m, eps = float(header[0]), int(header[1]), int(header[2]), float(header[-1])
+        if len(header) != 4:
+            raise ValueError(
+                f"malformed noise-table header in {path}: expected 'beta N M eps'"
+            )
+        beta, n, m, eps = float(header[0]), int(header[1]), int(header[2]), float(header[3])
         q = np.loadtxt(fh, ndmin=2)
     if q.shape != (n + 1, 2 * m + 1):
         raise ValueError(
             f"noise-table body is {q.shape}, expected {(n + 1, 2 * m + 1)}"
-        )
-    if len(header) == 5 and q[:, [0, -1]].any():
-        raise ValueError(
-            f"{path} holds a table with geometric tails beyond the window "
-            f"(header beta N M r eps), which noise tables no longer carry; "
-            f"its masses at +-M do not mean the same law"
         )
     table = NoiseTable(domain=make_domain(beta, n), shape=NoiseShape(m=m), q=q, eps=eps)
     _check_row_invariants(table, ValueError)

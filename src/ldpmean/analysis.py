@@ -5,21 +5,13 @@ metric of the end-to-end experiments."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .adaptive import NoiseTable
-from .baselines import (
-    check_eps,
-    duchi_conditional_variance,
-    hybrid_alpha,
-    laplace_variance,
-    piecewise_conditional_variance,
-)
+from .baselines import BASELINES, check_eps
 from .domain import QuantizedPmf, rounding_weights_array
 
-BASELINE_MECHANISMS = ("duchi", "piecewise", "laplace", "hybrid")
+BASELINE_MECHANISMS = tuple(BASELINES)
 
 
 def row_variances(table: NoiseTable) -> np.ndarray:
@@ -72,23 +64,11 @@ def claim3_bound(psi: float) -> tuple[float, float]:
 def baseline_conditional_variance(mechanism: str, xs, eps: float, beta: float):
     """Var[Y | X=x] of a baseline mechanism for inputs x in [-beta, beta]."""
     check_eps(eps)
-    xs = np.asarray(xs, dtype=float)
-    if mechanism == "laplace":
-        return np.full(xs.size, laplace_variance(beta, eps))
-    if mechanism == "duchi":
-        return duchi_conditional_variance(xs, beta, eps)
-    if mechanism == "piecewise":
-        return beta * beta * piecewise_conditional_variance(xs / beta, eps)
-    if mechanism == "hybrid":
-        # both branches are unbiased at every x, so the conditional variance
-        # of the mixture is the mixture of conditional variances
-        alpha = hybrid_alpha(eps)
-        return alpha * beta * beta * piecewise_conditional_variance(
-            xs / beta, eps
-        ) + (1.0 - alpha) * duchi_conditional_variance(xs, beta, eps)
-    raise ValueError(
-        f"unknown mechanism {mechanism!r}; expected one of {BASELINE_MECHANISMS}"
-    )
+    if mechanism not in BASELINES:
+        raise ValueError(
+            f"unknown mechanism {mechanism!r}; expected one of {BASELINE_MECHANISMS}"
+        )
+    return BASELINES[mechanism][1](np.asarray(xs, dtype=float), beta, eps)
 
 
 def baseline_expected_variance(

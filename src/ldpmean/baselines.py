@@ -282,6 +282,36 @@ def hybrid_perturb(x, beta: float, eps: float, rng: np.random.Generator):
     return _shaped(out, x)
 
 
+def hybrid_conditional_variance(x, beta: float, eps: float):
+    """Var[Y | X=x] of the hybrid mechanism for x in [-beta, beta].
+
+    Both branches are unbiased at every x, so the conditional variance of
+    the mixture is the mixture of the branches' conditional variances.
+    """
+    alpha = hybrid_alpha(eps)
+    xs = np.asarray(x, dtype=float)
+    return alpha * beta * beta * piecewise_conditional_variance(xs / beta, eps) + (
+        1.0 - alpha
+    ) * duchi_conditional_variance(xs, beta, eps)
+
+
+# the baseline mechanisms by name: (perturber (xs, beta, eps, rng),
+# conditional variance (xs, beta, eps)), both on [-beta, beta];
+# piecewise works on [-1, 1], so its input is scaled in and out by beta
+BASELINES = {
+    "duchi": (duchi_perturb, duchi_conditional_variance),
+    "piecewise": (
+        lambda xs, beta, eps, rng: beta * piecewise_perturb(xs / beta, eps, rng),
+        lambda xs, beta, eps: beta * beta * piecewise_conditional_variance(xs / beta, eps),
+    ),
+    "hybrid": (hybrid_perturb, hybrid_conditional_variance),
+    "laplace": (
+        laplace_perturb,
+        lambda xs, beta, eps: np.full(np.size(xs), laplace_variance(beta, eps)),
+    ),
+}
+
+
 def _check_index(idx: np.ndarray, n_categories: int) -> None:
     """Every index a whole number in [0, n_categories), none NaN."""
     if idx.size and not (idx.min() >= 0 and idx.max() < n_categories):

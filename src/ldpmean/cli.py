@@ -39,7 +39,7 @@ from .adaptive import (
     verify_privacy,
 )
 from .analysis import baseline_expected_variance, squared_error
-from .baselines import duchi_perturb, hybrid_perturb, laplace_perturb, piecewise_perturb
+from .baselines import BASELINES
 from .data import (
     BetaDistribution,
     ShiftedExponential,
@@ -53,7 +53,7 @@ from .data import (
 from .domain import make_domain, rescale_to
 from .multidim import assign_attributes, attribute_pools
 
-ALL_MECHANISMS = ("adaptive", "duchi", "piecewise", "hybrid", "laplace")
+ALL_MECHANISMS = ("adaptive", *BASELINES)
 # stable stream ids so adding or removing mechanisms from a run never
 # changes the draws any other mechanism sees
 _MECH_STREAM_ID = {m: i for i, m in enumerate(ALL_MECHANISMS)}
@@ -191,15 +191,6 @@ def _true_pmf(config: ExperimentConfig, domain):
     return true_pmf(build(*values), domain)
 
 
-# baseline perturbers (xs, beta, eps, rng); piecewise works on [-1, 1]
-_PERTURBERS = {
-    "duchi": duchi_perturb,
-    "piecewise": lambda xs, beta, eps, rng: beta * piecewise_perturb(xs / beta, eps, rng),
-    "hybrid": hybrid_perturb,
-    "laplace": laplace_perturb,
-}
-
-
 def cmd_variance(config: ExperimentConfig) -> str:
     """Expected variance per (mechanism, eps) against an analytic pmf."""
     domain = make_domain(config.beta, config.bins)
@@ -278,7 +269,7 @@ def _experiment(config: ExperimentConfig, fixed: np.ndarray | None = None):
                                 f"degenerate split: no phase-2 clients in dimension {dim}"
                             )
                     results = None
-                    perturb = _PERTURBERS[mechanism]
+                    perturb = BASELINES[mechanism][0]
                     estimates = [
                         float(np.mean(perturb(xs, config.beta, eps / k, rng))) for xs in phase2
                     ]

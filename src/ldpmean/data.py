@@ -22,15 +22,10 @@ _QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
 class Dataset:
     values: np.ndarray
     provenance: str
-    beta_after_rescale: float | None = None
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", v)
-        if self.beta_after_rescale is not None and np.any(
-            np.abs(v) > self.beta_after_rescale
-        ):
-            raise ValueError("rescaled values exceed the stated range")
 
 
 def gen_gaussian_clipped(

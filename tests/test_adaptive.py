@@ -605,6 +605,25 @@ def test_estimated_pmf_at_large_eps_is_private(n, eps):
     assert verify_privacy(table, eps).passed
 
 
+# the lift adds each column's upper-row violation (up to HiGHS's 1e-7) to
+# every row, and a row crosses many columns: at these eps its sum or mean
+# misses the 1e-7 row check by 1.1e-7 to 8.0e-7 (ROADMAP open item 1)
+_ROW_CHECK_MISSED = pytest.mark.xfail(
+    strict=True, raises=RuntimeError, reason="row sum or mean off by more than 1e-7"
+)
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [pytest.param(eps, marks=_ROW_CHECK_MISSED) for eps in (10.0, 14.0, 16.0, 18.0, 20.0)]
+    + [12.0],
+)
+def test_analytic_pmf_at_large_eps_is_private(eps):
+    d16 = make_domain(1.0, 16)
+    table = solve_noise_table(true_pmf(DESIGN_PMFS["gaussian"], d16), eps, NoiseShape(m=64), d16)
+    assert verify_privacy(table, eps).passed
+
+
 @pytest.mark.parametrize("name", ["gaussian", "uniform"])
 def test_small_window_table_is_private(name):
     # M = N + 1 leaves one restricted program, R(1), the window's own
@@ -1149,27 +1168,15 @@ class TestSerialization:
         save_table(table, path)
         assert path.read_text().splitlines()[0] == "1.0 2 4 1.0"
 
-    def test_former_header_reads_without_edge_mass(self, tmp_path):
-        # the former format also held the tail ratio r; with no mass at
-        # +-M its tails were empty, so the table is the same law
+    def test_five_field_header_is_refused(self, tmp_path):
+        # tables once carried a tail ratio r in the header (beta N M r eps);
+        # save_table writes four fields, and load_table reads only those
         table = solve_noise_table(SYM2, 1.0, NoiseShape(m=8), D2)
-        assert not table.q[:, [0, -1]].any()
         path = tmp_path / "table.txt"
         save_table(table, path)
         body = path.read_text().splitlines()[1:]
         path.write_text("\n".join(["1.0 2 8 0.5 1.0", *body]) + "\n")
-        loaded = load_table(path)
-        np.testing.assert_array_equal(loaded.q, table.q)
-        assert (loaded.shape.m, loaded.eps) == (8, 1.0)
-
-    def test_former_header_with_edge_mass_is_refused(self, tmp_path):
-        table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
-        assert table.q[:, [0, -1]].any()
-        path = tmp_path / "table.txt"
-        save_table(table, path)
-        body = path.read_text().splitlines()[1:]
-        path.write_text("\n".join(["1.0 2 4 0.5 1.0", *body]) + "\n")
-        with pytest.raises(ValueError, match="geometric tails beyond the window"):
+        with pytest.raises(ValueError, match="expected 'beta N M eps'"):
             load_table(path)
 
     def test_nan_mass_is_refused(self, tmp_path):

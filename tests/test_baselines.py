@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ldpmean.baselines import (
+    BASELINES,
     HYBRID_EPS_STAR,
     duchi_conditional_variance,
     duchi_perturb,
@@ -285,6 +286,21 @@ class TestUnbiasednessGrid:
             else:
                 draws = hybrid_perturb(xs, 1.0, 1.0, rng)
             assert empirical_mean_ok(draws, x, 1_000_000), f"{name} at x={x}"
+
+
+class TestBaselineTable:
+    """BASELINES pairs each mechanism's sampler with its conditional
+    variance, both on [-beta, beta]."""
+
+    @pytest.mark.parametrize("name", ["duchi", "piecewise", "hybrid", "laplace"])
+    def test_variance_matches_sampler(self, name):
+        # beta = 2 exercises the scaling; eps = 3 mixes both hybrid branches
+        perturb, variance = BASELINES[name]
+        rng = np.random.default_rng(31)
+        for x in (-1.5, 0.0, 2.0):
+            draws = perturb(np.full(400_000, x), 2.0, 3.0, rng)
+            expected = variance(np.array([x]), 2.0, 3.0)[0]
+            assert np.mean((draws - x) ** 2) == pytest.approx(expected, rel=0.02), x
 
 
 class TestNonFiniteInput:

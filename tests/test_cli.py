@@ -43,6 +43,11 @@ def read_rows(text):
 
 
 class TestConfig:
+    def test_mechanism_order_fixes_stream_ids(self):
+        # each mechanism's stream id is its index here, so this order is
+        # part of the CLI's fixed-seed output
+        assert cli.ALL_MECHANISMS == ("adaptive", "duchi", "piecewise", "hybrid", "laplace")
+
     def test_defaults_resolve(self):
         config = ExperimentConfig()
         assert config.m == 64
@@ -439,6 +444,17 @@ class TestMultidimCommand:
         assert rc == 2
         assert out == ""
         assert "degenerate split: no phase-2 clients in dimension 1" in err
+
+    def test_adaptive_refuses_a_starved_dimension(self, capsys):
+        # the same draw: no dimension has a client for each of the two phases
+        rc, out, err = run_cli(
+            ["multidim", "--d", "3", "--k", "1", "--n", "3", "--mechanisms", "adaptive",
+             "--runs", "1", "--eps", "1", "--bins", "2", "--seed", "1"],
+            capsys,
+        )
+        assert rc == 2
+        assert out == ""
+        assert "degenerate split" in err
 
 
 class TestOptimizeCommand:

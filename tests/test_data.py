@@ -108,12 +108,6 @@ class TestDataset:
         data = Dataset(3.0, "unit")
         assert data.values.shape == (1,)
 
-    def test_rescale_range_enforced(self):
-        with pytest.raises(ValueError, match="exceed"):
-            Dataset([0.5, 1.5], "unit", beta_after_rescale=1.0)
-        ok = Dataset([0.5, -1.0], "unit", beta_after_rescale=1.0)
-        assert ok.beta_after_rescale == 1.0
-
 
 class TestTruePmf:
     def test_uniform_small_grid(self):
