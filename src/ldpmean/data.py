@@ -2,20 +2,26 @@
 ingestion.
 
 true_pmf applies the tent-weight expectation to an analytic density: each
-mass is the integral of the truncated, renormalized density against the tent
-functions, evaluated with adaptive quadrature (scipy.integrate.quad, loaded
-on true_pmf's first call) per half-tent segment.
+mass is the integral of the truncated, renormalized density against a tent
+function.  On each segment between two edges the tents are linear, so the
+masses follow from two moments of the density there, which every law
+gives in closed form from math and numpy: erf and erfc for the Gaussian,
+exp for the exponential, the regularized incomplete beta function (a
+continued fraction) for the Beta law.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import QuantizedDomain, QuantizedPmf
 
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+# _betainc's continued fraction takes about sqrt(max(a, b)) steps at the
+# midpoint: 10 at a = b = 0.5, 17 at a = b = 30, 115 at a = b = 1e4
+_BETAINC_TERMS = 1000
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,31 @@ class TruncatedGaussian:
         if self.sd <= 0:
             raise ValueError("sd must be positive")
 
-    def unnormalized(self, x: np.ndarray, beta: float) -> np.ndarray:
-        z = (np.asarray(x) - self.mu) / self.sd
-        return np.exp(-0.5 * z * z)
+    def tent_moments(self, edges: np.ndarray):
+        """m0, m1 of g(x) = exp(-z^2 / 2), z = (x - mu) / sd, per segment:
+        m0 = sd sqrt(pi/2) (erf(z_hi/sqrt 2) - erf(z_lo/sqrt 2)) and
+        m1 = sd^2 (g_lo - g_hi) + (mu - lo) m0."""
+        d = edges - self.mu
+        y = d / (self.sd * math.sqrt(2.0))
+        m0 = self.sd * math.sqrt(math.pi / 2.0) * np.array(
+            [_erf_difference(lo, hi) for lo, hi in zip(y[:-1], y[1:])]
+        )
+        g = np.exp(-y * y)
+        # g_lo - g_hi as the larger of the two times expm1 of minus the
+        # exponents' gap, which keeps its digits when sd dwarfs the segment
+        gap = (d[1:] - d[:-1]) * (d[1:] + d[:-1]) / (2.0 * self.sd * self.sd)
+        g_drop = np.where(gap <= 0.0, g[1:], -g[:-1]) * np.expm1(-np.abs(gap))
+        return m0, self.sd * self.sd * g_drop - d[:-1] * m0
 
-    def interior_points(self, beta: float):
-        return (self.mu,)
+
+def _erf_difference(lo: float, hi: float) -> float:
+    """erf(hi) - erf(lo) for lo <= hi, from erfc when both lie in one tail,
+    where erf is within an ulp of +-1 and erfc keeps the digits."""
+    if lo > 0.5:
+        return math.erfc(lo) - math.erfc(hi)
+    if hi < -0.5:
+        return math.erfc(-hi) - math.erfc(-lo)
+    return math.erf(hi) - math.erf(lo)
 
 
 @dataclass(frozen=True)
@@ -97,11 +122,15 @@ class ShiftedExponential:
         if self.rate <= 0:
             raise ValueError("rate must be positive")
 
-    def unnormalized(self, x: np.ndarray, beta: float) -> np.ndarray:
-        return np.exp(-self.rate * (np.asarray(x) + beta))
-
-    def interior_points(self, beta: float):
-        return ()
+    def tent_moments(self, edges: np.ndarray):
+        """m0, m1 of g(x) = exp(-rate (x + beta)) per segment: with
+        a = rate (hi - lo), m0 = g_lo (1 - e^-a) / rate and
+        m1 = g_lo (1 - e^-a - a e^-a) / rate^2."""
+        g = np.exp(-self.rate * (edges[:-1] - edges[0]))
+        a = self.rate * np.diff(edges)
+        rise = -np.expm1(-a)
+        m0 = g * rise / self.rate
+        return m0, g * (rise - a * np.exp(-a)) / (self.rate * self.rate)
 
 
 @dataclass(frozen=True)
@@ -115,47 +144,73 @@ class BetaDistribution:
         if self.a <= 0 or self.b <= 0:
             raise ValueError("beta shape parameters must be positive")
 
-    def unnormalized(self, x: np.ndarray, beta: float) -> np.ndarray:
-        u = (np.asarray(x) + beta) / (2.0 * beta)
-        u = np.clip(u, 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            return u ** (self.a - 1.0) * (1.0 - u) ** (self.b - 1.0)
+    def tent_moments(self, edges: np.ndarray):
+        """m0, m1 of the Beta density in u = (x + beta) / 2 beta per
+        segment: m0 = I_hi(a, b) - I_lo(a, b) and, since
+        u g(u) = a / (a + b) times the Beta(a + 1, b) density,
+        m1 = 2 beta (a / (a + b) (I_hi(a + 1, b) - I_lo(a + 1, b)) - u_lo m0)."""
+        span = edges[-1] - edges[0]
+        u = (edges - edges[0]) / span
+        m0 = np.diff([_betainc(self.a, self.b, v) for v in u])
+        m1 = np.diff([_betainc(self.a + 1.0, self.b, v) for v in u])
+        return m0, span * (self.a / (self.a + self.b) * m1 - u[:-1] * m0)
 
-    def interior_points(self, beta: float):
-        return ()
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta function I_x(a, b).
+
+    Evaluates the continued fraction of I_x(a, b) by the modified Lentz
+    method where it converges fast, x < (a + 1) / (a + b + 2), and uses
+    I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere.  Its absolute error is a few
+    1e-15 for shapes up to 30 and grows with the lgamma values in the
+    prefactor, to 1.2e-12 at a = b = 1000.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    # I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) f with the continued fraction
+    # f = 1 / (1 + e_1 / (1 + e_2 / (1 + ...))), built up as the product of
+    # the ratios c d of successive convergents; tiny stands in for a zero
+    # denominator
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = f = 1.0 / (d if abs(d) > tiny else tiny)
+    for m in range(1, _BETAINC_TERMS):
+        for e in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + e * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + e / c
+            c = c if abs(c) > tiny else tiny
+            f *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            log_front = (
+                a * math.log(x) + b * math.log1p(-x)
+                + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            )
+            return math.exp(log_front) * f / a
+    raise ArithmeticError(f"I_{x}({a}, {b}): continued fraction did not converge")
 
 
 def true_pmf(dist, domain: QuantizedDomain) -> QuantizedPmf:
     """Quantized pmf of an analytic density: masses[i] = E[w_i(X)].
 
-    The unnormalized tent integrals are computed segment by segment; their
+    On each segment [x_i, x_i + sigma] the density's tent_moments give
+    m0 = int g and m1 = int (x - x_i) g; the up tent takes m1 / sigma to
+    edge i + 1 and the down tent the rest, m0 - m1 / sigma, to edge i.  The
     total is the truncation normalizer, so the returned masses sum to 1 to
     machine precision.
     """
-    # imported here, its one use, so that importing the package does not
-    # load scipy.integrate
-    from scipy import integrate
-
-    beta = domain.beta
-    edges = domain.edges
-    sigma = domain.sigma
-    n = domain.n_bins
-    raw = np.zeros(n + 1)
-    interior = [p for p in dist.interior_points(beta) if -beta < p < beta]
-    for seg in range(n):
-        lo, hi = edges[seg], edges[seg + 1]
-        points = [p for p in interior if lo < p < hi] or None
-
-        def down(x, lo=lo):  # weight of the left edge: 1 at lo, 0 at hi
-            return (1.0 - (x - lo) / sigma) * dist.unnormalized(x, beta)
-
-        def up(x, lo=lo):
-            return ((x - lo) / sigma) * dist.unnormalized(x, beta)
-
-        left, _ = integrate.quad(down, lo, hi, points=points, **_QUAD_OPTS)
-        right, _ = integrate.quad(up, lo, hi, points=points, **_QUAD_OPTS)
-        raw[seg] += left
-        raw[seg + 1] += right
+    m0, m1 = dist.tent_moments(domain.edges)
+    up = m1 / domain.sigma
+    raw = np.zeros(domain.n_bins + 1)
+    raw[:-1] += m0 - up
+    raw[1:] += up
     total = raw.sum()
     if not np.isfinite(total) or total <= 1e-300:
         raise ValueError("density has no mass on the domain")

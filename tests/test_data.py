@@ -1,9 +1,12 @@
 """Synthetic generators, analytic quantized pmfs, and CSV ingestion."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from ldpmean import (
     BetaDistribution,
@@ -17,7 +20,11 @@ from ldpmean import (
     make_domain,
     true_pmf,
 )
-from ldpmean.data import load_csv_matrix
+from ldpmean.data import _betainc, load_csv_matrix
+
+REFERENCE_CELLS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "true_pmf_mpmath.json").read_text()
+)
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -184,6 +191,58 @@ class TestTruePmf:
             ShiftedExponential(0.0)
         with pytest.raises(ValueError, match="positive"):
             BetaDistribution(0.0, 1.0)
+
+    def test_narrow_gaussian_in_one_bin_is_exact(self):
+        # the law's mass sits at -0.5, a quarter of the way across [-1, 1]
+        pmf = true_pmf(TruncatedGaussian(-0.5, 1e-4), make_domain(1.0, 1))
+        np.testing.assert_allclose(pmf.masses, [0.75, 0.25], rtol=0, atol=1e-12)
+
+    def test_narrow_gaussian_on_an_edge_feeds_its_neighbours(self):
+        # with mu on edge 3, each half of the law gives its outer neighbour
+        # int (x - mu) g / sigma over the half, sd / (sqrt(2 pi) sigma) in all
+        domain = make_domain(1.0, 4)
+        sd = 1e-4
+        pmf = true_pmf(TruncatedGaussian(domain.edges[3], sd), domain)
+        side = sd / (math.sqrt(2.0 * math.pi) * domain.sigma)
+        np.testing.assert_allclose(
+            pmf.masses, [0.0, 0.0, side, 1.0 - 2.0 * side, side], rtol=0, atol=1e-12
+        )
+
+
+def reference_law(cell):
+    if cell["law"] == "gaussian":
+        return TruncatedGaussian(cell["mu"], cell["sd"])
+    if cell["law"] == "exponential":
+        return ShiftedExponential(cell["rate"])
+    return BetaDistribution(cell["a"], cell["b"])
+
+
+@pytest.mark.parametrize(
+    "cell", REFERENCE_CELLS,
+    ids=lambda c: f"{reference_law(c)}-N{c['n_bins']}",
+)
+class TestTruePmfReference:
+    """true_pmf against 40-digit masses (tests/true_pmf_reference.py)."""
+
+    def test_masses_match(self, cell):
+        pmf = true_pmf(reference_law(cell), make_domain(1.0, cell["n_bins"]))
+        np.testing.assert_allclose(pmf.masses, cell["masses"], rtol=0, atol=1e-13)
+        assert np.all(pmf.masses >= 0.0)
+
+    def test_mean_is_the_laws(self, cell):
+        # the tents interpolate x linearly, so sum p_i x_i = E[X]
+        domain = make_domain(1.0, cell["n_bins"])
+        pmf = true_pmf(reference_law(cell), domain)
+        assert float(pmf.masses @ domain.edges) == pytest.approx(cell["mean"], abs=1e-14)
+
+
+def test_betainc_matches_scipy():
+    shapes = (0.3, 0.5, 1.0, 2.5, 7.5, 30.0)
+    grid = np.linspace(0.0, 1.0, 65)
+    for a in shapes:
+        for b in shapes:
+            ours = [_betainc(a, b, x) for x in grid]
+            np.testing.assert_allclose(ours, betainc(a, b, grid), rtol=0, atol=5e-14)
 
 
 class TestLoadCsv:

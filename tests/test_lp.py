@@ -336,14 +336,27 @@ class TestBinding:
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
     def test_import_loads_only_the_binding_from_scipy(self):
-        # scipy.integrate comes with true_pmf's first call
+        # the binding is the package's one scipy module: importing it, the
+        # analytic pmfs (closed forms in math and numpy) and the variance
+        # and optimize commands that solve against them load no other
         run_fresh(f"""
 import sys
 import ldpmean, ldpmean.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert all(m == {BINDING!r} or m.startswith({BINDING + "."!r}) for m in loaded), loaded
-pmf = ldpmean.true_pmf(ldpmean.TruncatedGaussian(0.0, 0.1), ldpmean.make_domain(1.0, 4))
-assert abs(pmf.masses.sum() - 1.0) < 1e-12
+
+def only_the_binding():
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert all(m == {BINDING!r} or m.startswith({BINDING + "."!r}) for m in loaded), loaded
+
+only_the_binding()
+domain = ldpmean.make_domain(1.0, 4)
+for law in (ldpmean.TruncatedGaussian(0.0, 0.1), ldpmean.ShiftedExponential(6.0),
+            ldpmean.BetaDistribution(0.5, 0.5)):
+    assert abs(ldpmean.true_pmf(law, domain).masses.sum() - 1.0) < 1e-12
+only_the_binding()
+common = ["--bins", "4", "--eps", "1", "--out", "-"]
+ldpmean.cli.main(["variance", "--dataset", "gaussian", "--mechanisms", "adaptive,duchi", *common])
+ldpmean.cli.main(["optimize", "--dataset", "beta", *common])
+only_the_binding()
 """)
 
     @pytest.mark.parametrize("first", ["ldpmean", "scipy.optimize"])
