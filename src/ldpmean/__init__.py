@@ -10,10 +10,8 @@ from .adaptive import (
     NoiseShape,
     NoiseTable,
     ProtocolResult,
-    adaptive_perturb,
     build_lp,
     load_table,
-    noise_mass,
     run_protocol,
     sample_noise,
     save_table,
@@ -46,7 +44,6 @@ from .data import (
     gen_bernoulli,
     gen_exponential_clipped,
     gen_gaussian_clipped,
-    load_csv,
     true_pmf,
 )
 from .domain import (
@@ -56,11 +53,8 @@ from .domain import (
     empirical_quantized_pmf,
     make_domain,
     rescale_to,
-    round_randomized,
-    rounding_weights,
 )
 from .freqest import (
-    build_rr_matrix,
     collect_perturbed_histogram,
     reconstruct_pmf,
     relative_error_bound,

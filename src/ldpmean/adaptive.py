@@ -61,7 +61,7 @@ from .domain import (
     make_domain,
     round_randomized_array,
 )
-from .freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
+from .freqest import collect_perturbed_histogram, reconstruct_pmf
 
 # invariant tolerance for solved tables' rows
 _ROW_TOL = 1e-7
@@ -128,15 +128,6 @@ class ProtocolResult:
     noise_table: NoiseTable
     phase1_count: int
     phase2_count: int
-    lp_objective: float
-
-
-def noise_mass(table: NoiseTable, i: int, j: int) -> float:
-    """Mass of noise offset j under edge i; 0 beyond the window."""
-    if not 0 <= i <= table.domain.n_bins:
-        raise ValueError("edge index out of range")
-    m = table.shape.m
-    return float(table.q[i, j + m]) if abs(j) <= m else 0.0
 
 
 def _min_half_width(n: int, eps: float) -> int:
@@ -456,9 +447,10 @@ def _draw_offsets(table: NoiseTable, i: int, rng: np.random.Generator, out: np.n
     """
     m = table.shape.m
     row = table.q[i]
-    probs = row / row.sum()  # row invariants hold to 1e-7; renormalize exactly
-    if not (probs >= 0).all():
-        raise ValueError("probabilities are not non-negative")
+    total = row.sum()
+    if not total > 0.0:
+        raise ValueError(f"row {i} of the noise table has no mass")
+    probs = row / total  # row invariants hold to 1e-7; renormalize exactly
     # the cdf exactly as rng.choice(p=probs) builds it
     cdf = probs.cumsum()
     cdf /= cdf[-1]
@@ -479,18 +471,12 @@ def sample_noise(table: NoiseTable, i: int, rng: np.random.Generator, size=None)
     return int(j[0]) if size is None else j
 
 
-def adaptive_perturb(
-    table: NoiseTable, domain: QuantizedDomain, x: float, rng: np.random.Generator
-) -> float:
-    """Perturb one value: randomized-round to an edge, add table noise."""
-    return float(adaptive_perturb_array(table, domain, [x], rng)[0])
-
-
 def adaptive_perturb_array(
     table: NoiseTable, domain: QuantizedDomain, xs, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized perturbation; clients are processed in data order, with
-    noise drawn per rounded-edge group in fixed edge order (deterministic
+    """Perturb each value: randomized-round it to an edge and add noise
+    drawn from that edge's row.  Noise is drawn per rounded-edge group in
+    fixed edge order, clients in data order within a group (deterministic
     for a given stream)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     idx = round_randomized_array(domain, xs, rng).ravel()
@@ -553,8 +539,7 @@ def run_protocol(
         raise ValueError(
             f"degenerate split: {phase1.size} phase-1 / {phase2.size} phase-2 clients"
         )
-    hist = collect_perturbed_histogram(domain, phase1, eps, rng)
-    pmf_hat = reconstruct_pmf(hist, build_rr_matrix(domain.n_bins, eps))
+    pmf_hat = reconstruct_pmf(collect_perturbed_histogram(domain, phase1, eps, rng), eps)
     table = solve_noise_table(pmf_hat, eps, shape, domain)
     reports = adaptive_perturb_array(table, domain, phase2, rng)
     return ProtocolResult(
@@ -563,7 +548,6 @@ def run_protocol(
         noise_table=table,
         phase1_count=int(phase1.size),
         phase2_count=int(phase2.size),
-        lp_objective=table.lp_objective,
     )
 
 

@@ -27,7 +27,6 @@ _BETAINC_TERMS = 1000
 @dataclass(frozen=True)
 class Dataset:
     values: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -47,7 +46,7 @@ def gen_gaussian_clipped(
         raise ValueError("stddev must be nonnegative")
     draws = mean + stddev * rng.standard_normal(n)
     np.clip(draws, clip_lo, clip_hi, out=draws)
-    return Dataset(draws, f"gaussian(mean={mean},sd={stddev})clip[{clip_lo},{clip_hi}]")
+    return Dataset(draws)
 
 
 def gen_exponential_clipped(
@@ -62,7 +61,7 @@ def gen_exponential_clipped(
         raise ValueError("clip_hi must be nonnegative")
     draws = rng.exponential(scale=1.0 / rate, size=n)
     np.clip(draws, 0.0, clip_hi, out=draws)
-    return Dataset(draws, f"exponential(rate={rate})clip[0,{clip_hi}]")
+    return Dataset(draws)
 
 
 def gen_bernoulli(n: int, p: float, rng: np.random.Generator) -> Dataset:
@@ -71,7 +70,7 @@ def gen_bernoulli(n: int, p: float, rng: np.random.Generator) -> Dataset:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     draws = (rng.random(n) < p).astype(float)
-    return Dataset(draws, f"bernoulli(p={p})")
+    return Dataset(draws)
 
 
 @dataclass(frozen=True)
@@ -217,23 +216,13 @@ def true_pmf(dist, domain: QuantizedDomain) -> QuantizedPmf:
     return QuantizedPmf(raw / total)
 
 
-def load_csv(path, column_index: int = 0) -> Dataset:
-    """One numeric column of a comma-separated file.
+def load_csv_matrix(path, column_indices=None) -> np.ndarray:
+    """Numeric columns of a comma-separated file as an (n, d) array; all
+    columns when column_indices is None.
 
-    A single leading header row is skipped when its selected field is not
+    A single leading header row is skipped when a selected field is not
     numeric; any later non-numeric field is an error citing its line number.
     """
-    values = _load_columns(path, [column_index])[:, 0]
-    return Dataset(values, f"{path}[col={column_index}]")
-
-
-def load_csv_matrix(path, column_indices=None) -> np.ndarray:
-    """Several numeric columns of a CSV as an (n, d) array; all columns when
-    column_indices is None."""
-    return _load_columns(path, column_indices)
-
-
-def _load_columns(path, column_indices) -> np.ndarray:
     import csv
 
     rows = []

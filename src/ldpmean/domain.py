@@ -124,20 +124,14 @@ def _rounding_block(domain: QuantizedDomain, xs: np.ndarray):
     return idx, w_left
 
 
-def rounding_weights(domain: QuantizedDomain, x: float) -> tuple[int, float]:
-    """Left edge index and its tent weight for x.
-
-    x exactly on an interior edge is assigned to that edge with weight 1;
-    x = +beta lands in the last bin with left weight 0.  Both rules keep the
-    weights deterministic at boundaries.
-    """
-    idx, w = rounding_weights_array(domain, [x])
-    return int(idx[0]), float(w[0])
-
-
 def rounding_weights_array(domain: QuantizedDomain, x) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rounding_weights: arrays of left indices and left weights,
-    shaped like x.  Raises ValueError on a value outside the domain or NaN."""
+    """Left edge index and its tent weight for each value of x, as arrays
+    shaped like x.  Raises ValueError on a value outside the domain or NaN.
+
+    A value exactly on an interior edge is assigned to that edge with
+    weight 1; x = +beta lands in the last bin with left weight 0.  Both
+    rules keep the weights deterministic at boundaries.
+    """
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     idx = np.empty(flat.size, dtype=np.int64)
@@ -147,14 +141,10 @@ def rounding_weights_array(domain: QuantizedDomain, x) -> tuple[np.ndarray, np.n
     return idx.reshape(xs.shape), w_left.reshape(xs.shape)
 
 
-def round_randomized(domain: QuantizedDomain, x: float, rng: np.random.Generator) -> int:
-    """Round x to a neighbouring edge index, left with probability w_left."""
-    return int(round_randomized_array(domain, [x], rng)[0])
-
-
 def round_randomized_array(domain, x, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized round_randomized, at least 1-d.  Draws rng.random(n) for
-    n values; the edge indices are written over the draws' buffer."""
+    """Round each value of x to a neighbouring edge index, the left one with
+    probability its tent weight; at least 1-d.  Draws rng.random(n) for n
+    values; the edge indices are written over the draws' buffer."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     flat = xs.ravel()
     u = rng.random(flat.size)

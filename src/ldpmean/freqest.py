@@ -1,8 +1,10 @@
 """Phase-1 frequency estimation: randomized response over the edge grid plus
-matrix inversion to recover the quantized pmf.
+channel inversion to recover the quantized pmf.
 
-The perturbation matrix A has e^eps/(N + e^eps) on the diagonal and
-1/(N + e^eps) elsewhere, so its inverse is the closed form
+Phase 1 is counts in, pmf out: collect_perturbed_histogram tallies the
+reported edge indices, and reconstruct_pmf(counts, eps) inverts the
+channel.  The perturbation matrix A has e^eps/(N + e^eps) on the diagonal
+and 1/(N + e^eps) elsewhere, so its inverse is the closed form
 A^{-1} = ((N + e^eps) I - J) / (e^eps - 1); reconstruction is O(N) and needs
 no linear-algebra dependency.
 """
@@ -10,86 +12,49 @@ no linear-algebra dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import generalized_rr
+from .baselines import _exp_above_one, check_eps, generalized_rr
 from .domain import QuantizedDomain, QuantizedPmf, round_randomized_array
-
-
-@dataclass(frozen=True)
-class RrMatrix:
-    """Randomized-response channel over the N+1 edge indices."""
-
-    size: int  # N + 1
-    eps: float
-    diagonal: float
-    off_diagonal: float
-
-    def as_array(self) -> np.ndarray:
-        a = np.full((self.size, self.size), self.off_diagonal)
-        np.fill_diagonal(a, self.diagonal)
-        return a
-
-
-@dataclass(frozen=True)
-class PerturbedHistogram:
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 0):
-            raise ValueError("negative count")
-        if self.total < 1:
-            raise ValueError(f"histogram total must be >= 1, got {self.total!r}")
-        if c.sum() != self.total:
-            raise ValueError("counts do not sum to total")
-        object.__setattr__(self, "counts", c)
-        c.setflags(write=False)
-
-
-def build_rr_matrix(n_bins: int, eps: float) -> RrMatrix:
-    """RR matrix over N+1 categories at budget eps (eps = inf -> identity)."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    eps = float(eps)
-    if math.isnan(eps) or eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    if math.isinf(eps):
-        diag, off = 1.0, 0.0
-    else:
-        e = math.exp(eps)
-        diag = e / (n_bins + e)
-        off = 1.0 / (n_bins + e)
-    return RrMatrix(size=n_bins + 1, eps=eps, diagonal=diag, off_diagonal=off)
 
 
 def collect_perturbed_histogram(
     domain: QuantizedDomain, data, eps: float, rng: np.random.Generator
-) -> PerturbedHistogram:
+) -> np.ndarray:
     """Randomized-round every sample to an edge, perturb the index with
-    randomized response, and tally the reported indices."""
+    randomized response, and return the int64 count of each of the N+1
+    reported indices."""
     xs = np.atleast_1d(np.asarray(data, dtype=float))
     if xs.size == 0:
         raise ValueError("data must be nonempty")
     idx = round_randomized_array(domain, xs, rng)
     reported = generalized_rr(idx, domain.n_bins + 1, eps, rng)
-    counts = np.bincount(reported, minlength=domain.n_bins + 1)
-    return PerturbedHistogram(counts=counts, total=int(xs.size))
+    return np.bincount(reported, minlength=domain.n_bins + 1)
 
 
-def reconstruct_pmf(hist: PerturbedHistogram, matrix: RrMatrix) -> QuantizedPmf:
-    """Invert the RR channel, clip negative entries to 0, renormalize."""
-    if hist.counts.size != matrix.size:
-        raise ValueError("histogram / matrix size mismatch")
-    freq = hist.counts / hist.total
-    if math.isinf(matrix.eps):
-        v = freq.astype(float)
+def reconstruct_pmf(counts, eps: float) -> QuantizedPmf:
+    """Invert the RR channel over the len(counts) edge indices at budget
+    eps (inf: the identity), clip negative entries to 0, renormalize.
+
+    counts must be a 1-D integer vector, all >= 0, with a positive total.
+    eps = 0, the uniform channel, has no inverse and raises ValueError.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be a 1-D integer vector, got {counts.dtype} {counts.shape}")
+    if np.any(counts < 0):
+        raise ValueError("counts must be >= 0")
+    total = counts.sum()
+    if not total > 0:
+        raise ValueError("counts must have a positive total")
+    eps = check_eps(eps, allow_inf=True)
+    freq = counts / total
+    if math.isinf(eps):
+        v = freq
     else:
-        n = matrix.size - 1
-        e = math.exp(matrix.eps)
+        n = counts.size - 1
+        e = _exp_above_one(eps, math.exp(eps))
         # A^{-1} f = ((n + e) f - sum(f)) / (e - 1)
         v = ((n + e) * freq - freq.sum()) / (e - 1.0)
     # the row sums of A^{-1} make sum(v) = sum(f) = 1 before clipping, and

@@ -131,21 +131,11 @@ def csr_from_rows(cols: np.ndarray, vals: np.ndarray) -> Csr:
     return Csr(np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], vals[keep])
 
 
-def _as_csr(a, n: int, name: str) -> Csr:
-    """Csr of a block given as a Csr, as any object with tocsr() (a scipy
-    sparse matrix, for one; duplicates summed) or as dense rows, checked
-    against n columns."""
-    if hasattr(a, "tocsr"):
-        a = a.tocsr()
-        a.sum_duplicates()
-        if a.shape[1] != n:
-            raise ValueError(f"{name} has shape {a.shape}, expected (rows, {n})")
-        a = Csr(a.indptr, a.indices, a.data)
-    elif not isinstance(a, Csr):
-        rows = np.asarray(a, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise ValueError(f"{name} has shape {rows.shape}, expected (rows, {n})")
-        a = csr_from_rows(np.broadcast_to(np.arange(n), rows.shape), rows)
+def _as_csr(a: Csr, n: int, name: str) -> Csr:
+    """The Csr block a, its arrays as numpy arrays, checked against n
+    columns.  Raises TypeError for a block of any other type."""
+    if not isinstance(a, Csr):
+        raise TypeError(f"{name} must be an lp.Csr, got {type(a).__name__}")
     indptr, indices = np.asarray(a.indptr), np.asarray(a.indices)
     data = np.asarray(a.data, dtype=float)
     if not (
@@ -164,9 +154,8 @@ def _as_csr(a, n: int, name: str) -> Csr:
 class LinearProgram:
     """min objective . x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
-    A constraint block left as None has no rows.  A block may be given as
-    a Csr, as any object with tocsr() such as a scipy sparse matrix, or as
-    dense rows; it is stored as a Csr.
+    A constraint block left as None has no rows; any other block is a Csr
+    (csr_from_rows builds one from 2-D blocks of columns and coefficients).
     """
 
     objective: np.ndarray

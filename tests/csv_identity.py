@@ -6,7 +6,8 @@ Exports REV with ``git archive`` into a temporary directory, runs the same
 fixed-seed commands with that tree's ``src/`` and with the working tree's
 (a command's own flags override the common ones),
 and compares the output bytes.  The commands cover every path of the
-experiment loop: ``estimate`` on generated data, on a CSV column and
+experiment loop: ``estimate`` on data from each of the three generators
+(gaussian, exponential, bernoulli), on a CSV column and
 configured by an INI file alone (``estimate-ini``, whose keys no flag
 overrides), ``sweep`` over each of its three parameters, ``multidim`` at
 k = 1 and k = 2 and on a CSV matrix, ``variance``, and ``optimize``, whose
@@ -51,6 +52,10 @@ def commands(data: Path, table: Path, ini: Path) -> dict:
     table the file optimize writes, ini the INI file estimate-ini reads."""
     return {
         "estimate": ["estimate", "--n", "60000", "--runs", "2"],
+        "estimate-exponential": ["estimate", "--n", "60000", "--runs", "2",
+                                 "--dataset", "exponential"],
+        "estimate-bernoulli": ["estimate", "--n", "60000", "--runs", "2",
+                               "--dataset", "bernoulli:p=0.3"],
         "estimate-ini": ["estimate", "--config", str(ini)],
         "estimate-csv": ["estimate", "--csv", str(data), "--column", "1", "--runs", "2"],
         "sweep-split": SWEEP + ["split", "--grid", "0.1,0.3"],

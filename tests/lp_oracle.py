@@ -10,11 +10,18 @@ import itertools
 import numpy as np
 from scipy.sparse import csr_array
 
-from ldpmean.lp import LinearProgram
+from ldpmean.lp import Csr, LinearProgram, csr_from_rows
 
 LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
+
+
+def csr(rows) -> Csr:
+    """The lp.Csr of a block written out as dense rows, zeros left out:
+    LinearProgram takes its blocks only as Csr."""
+    rows = np.asarray(rows, dtype=float)
+    return csr_from_rows(np.broadcast_to(np.arange(rows.shape[1]), rows.shape), rows)
 
 
 def as_csr(lp: LinearProgram, name: str):
@@ -102,8 +109,8 @@ def random_bounded_program(rng: np.random.Generator) -> LinearProgram:
     ub_rhs.extend([float(x0.max()) + 5.0] * n)
     return LinearProgram(
         objective,
-        A_ub=np.asarray(ub_rows),
+        A_ub=csr(ub_rows),
         b_ub=ub_rhs,
-        A_eq=np.asarray(eq_rows) if eq_rows else None,
+        A_eq=csr(eq_rows) if eq_rows else None,
         b_eq=eq_rhs if eq_rows else None,
     )

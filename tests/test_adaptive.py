@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import suite_pmf_shapes
-from lp_oracle import as_csr
+from lp_oracle import as_csr, csr
 from ldpmean.adaptive import (
     NoiseShape,
     NoiseTable,
-    adaptive_perturb,
     adaptive_perturb_array,
     build_lp,
     load_table,
-    noise_mass,
     run_protocol,
     sample_noise,
     save_table,
@@ -36,8 +35,8 @@ from ldpmean import lp as lplib
 from ldpmean.analysis import expected_variance, row_variances
 from ldpmean.baselines import piecewise_conditional_variance
 from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
-from ldpmean.domain import QuantizedPmf, make_domain, rounding_weights, rounding_weights_array
-from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
+from ldpmean.domain import QuantizedPmf, make_domain, rounding_weights_array
+from ldpmean.freqest import collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import solve as lp_solve
 
 D2 = make_domain(1.0, 2)
@@ -48,6 +47,13 @@ SYM2 = QuantizedPmf(masses=np.array([0.25, 0.5, 0.25]))
 def row_mean(table, i):
     m = table.shape.m
     return float(table.q[i] @ np.arange(-m, m + 1))
+
+
+def offset_masses(table, i, js):
+    """Masses of the noise offsets js under edge i: the densities of the
+    outputs i + js under input i, 0 beyond the window."""
+    n, m = table.domain.n_bins, table.shape.m
+    return _density_from_q(table.q, n, m, i + np.asarray(js))[i]
 
 
 def geometric_reference_table(n_bins, m, rho):
@@ -105,23 +111,23 @@ class TestNoiseMass:
     def test_tail_extrapolation(self):
         # nothing beyond the window: the tail past +-M is empty
         table, _ = geometric_reference_table(2, 4, 0.5)
-        assert noise_mass(table, 0, 4) == table.q[0, -1] > 0.0
-        assert noise_mass(table, 0, 5) == noise_mass(table, 0, -40) == 0.0
+        masses = offset_masses(table, 0, [4, 5, -40])
+        assert masses[0] == table.q[0, -1] > 0.0
+        assert masses[1] == masses[2] == 0.0
 
     def test_point_table_center(self):
         q = np.zeros((3, 9))
         q[:, 4] = 1.0
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
-        assert noise_mass(table, 1, 0) == 1.0
-        assert noise_mass(table, 1, 3) == 0.0
+        assert offset_masses(table, 1, [0, 3]).tolist() == [1.0, 0.0]
 
     def test_total_mass_geometric_remainder(self):
         # the geometric rows leave no remainder past the window: a row's
         # total mass over the whole line is its window mass
         table, _ = geometric_reference_table(2, 4, 0.5)
         for i in range(3):
-            masses = [noise_mass(table, i, j) for j in range(-40, 41)]
-            assert sum(masses) == pytest.approx(table.q[i].sum(), rel=1e-15)
+            masses = offset_masses(table, i, range(-40, 41))
+            assert masses.sum() == pytest.approx(table.q[i].sum(), rel=1e-15)
 
 
 def row_by_row_lp(pmf, sigma, a, eps):
@@ -252,7 +258,7 @@ class TestSolveNoiseTable:
         # a model HiGHS refuses says nothing of feasibility: no wider R(A)
         # is tried
         calls = []
-        refused = lp_solve(lplib.LinearProgram([1.0], A_ub=[[1e16]], b_ub=[1.0]))
+        refused = lp_solve(lplib.LinearProgram([1.0], A_ub=csr([[1e16]]), b_ub=[1.0]))
         monkeypatch.setattr(lplib, "solve", lambda program: calls.append(1) or refused)
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
@@ -378,8 +384,7 @@ class TestRestrictedSolve:
         d16 = make_domain(1.0, 16)
         rng = np.random.default_rng(3)
         xs = np.clip(rng.normal(0.0, 0.1, 2000), -1.0, 1.0)
-        hist = collect_perturbed_histogram(d16, xs, eps, rng)
-        pmf = reconstruct_pmf(hist, build_rr_matrix(16, eps))
+        pmf = reconstruct_pmf(collect_perturbed_histogram(d16, xs, eps, rng), eps)
         assert np.count_nonzero(pmf.masses == 0.0) >= 3
         assert_matches_whole_program(pmf, eps, NoiseShape(m=64), d16)
 
@@ -481,8 +486,7 @@ def rr_pmf(n, eps, seed, sd, clients):
     """The randomized-response estimate of clipped N(0, sd) clients."""
     rng = np.random.default_rng(seed)
     xs = np.clip(rng.normal(0.0, sd, clients), -1.0, 1.0)
-    hist = collect_perturbed_histogram(make_domain(1.0, n), xs, eps, rng)
-    return reconstruct_pmf(hist, build_rr_matrix(n, eps))
+    return reconstruct_pmf(collect_perturbed_histogram(make_domain(1.0, n), xs, eps, rng), eps)
 
 
 CERTIFICATE_CASES = (
@@ -778,9 +782,9 @@ class TestVectorizedVerification:
             assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
 
     def test_composite_report_matches_loop_reference(self, tables):
-        # the array form of the tent mixtures (rounding_weights_array, one
-        # weight matrix) against one real input at a time (rounding_weights,
-        # two rows blended); a matrix product may sum in another order, so
+        # the array form of the tent mixtures (rounding_weights_array over
+        # all inputs, one weight matrix) against one real input at a time
+        # (two rows blended); a matrix product may sum in another order, so
         # the masses agree to 1 ulp and the reports to 4
         table = tables["solved"]
         n, m = table.domain.n_bins, table.shape.m
@@ -789,7 +793,7 @@ class TestVectorizedVerification:
         density = density_by_rows(table.q, n, m, ks)
         by_inputs = np.zeros((xs.size, ks.size))
         for row, x in enumerate(xs):
-            i, w = rounding_weights(table.domain, float(x))
+            i, w = rounding_weights_array(table.domain, float(x))
             by_inputs[row] = w * density[i] + (1.0 - w) * density[min(i + 1, n)]
         mixture = tent_mixture(table, *rounding_weights_array(table.domain, xs))
         np.testing.assert_allclose(mixture, by_inputs, rtol=2**-52, atol=0.0)
@@ -817,7 +821,7 @@ class TestColumnWeights:
         q = np.array([[0.25, 0.0, 0.5, 0.0, 0.25]] * 5)
         table = NoiseTable(domain=domain, shape=NoiseShape(m=2), q=q, eps=math.inf)
         np.testing.assert_array_equal(row_variances(table), np.full(5, 0.5))
-        masses = [noise_mass(table, 0, j) for j in range(-3, 4)]
+        masses = offset_masses(table, 0, range(-3, 4)).tolist()
         assert masses == [0.0, 0.25, 0.0, 0.5, 0.0, 0.25, 0.0]
 
     def test_lp_rows_and_objective(self, design):
@@ -1048,6 +1052,18 @@ class TestSampleNoise:
         with pytest.raises(ValueError):
             sample_noise(table, 5, np.random.default_rng(0))
 
+    def test_row_without_mass_is_named(self):
+        # a table may hold an all-zero row (masses are finite and >= 0);
+        # drawing from it fails with the row's index, not with 0 / 0
+        q = np.zeros((3, 9))
+        q[[0, 2], 4] = 1.0
+        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row 1 of the noise table has no mass"):
+                sample_noise(table, 1, np.random.default_rng(0), size=10)
+            assert sample_noise(table, 2, np.random.default_rng(0), size=3).tolist() == [0] * 3
+
 
 class TestPerturb:
     def test_edge_with_zero_noise_is_identity(self):
@@ -1055,7 +1071,7 @@ class TestPerturb:
         q[:, 4] = 1.0
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         rng = np.random.default_rng(54)
-        assert adaptive_perturb(table, D2, 0.0, rng) == 0.0
+        assert adaptive_perturb_array(table, D2, [0.0], rng).tolist() == [0.0]
 
     def test_midpoint_with_zero_noise_splits(self):
         q = np.zeros((3, 9))
@@ -1071,9 +1087,7 @@ class TestPerturb:
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
         means = np.array([row_mean(table, i) for i in range(3)])
         for x in np.linspace(-1.0, 1.0, 21):
-            from ldpmean.domain import rounding_weights
-
-            i, w = rounding_weights(D2, float(x))
+            i, w = rounding_weights_array(D2, x)
             expected = (
                 w * (D2.edges[i] + D2.sigma * means[i])
                 + (1.0 - w) * (D2.edges[min(i + 1, 2)] + D2.sigma * means[min(i + 1, 2)])
@@ -1091,7 +1105,7 @@ class TestPerturb:
     def test_out_of_domain(self):
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
         with pytest.raises(ValueError):
-            adaptive_perturb(table, D2, 1.5, np.random.default_rng(0))
+            adaptive_perturb_array(table, D2, [0.0, 1.5], np.random.default_rng(0))
 
     def test_non_finite_rejected(self):
         q = np.zeros((3, 9))

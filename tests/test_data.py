@@ -16,7 +16,6 @@ from ldpmean import (
     gen_bernoulli,
     gen_exponential_clipped,
     gen_gaussian_clipped,
-    load_csv,
     make_domain,
     true_pmf,
 )
@@ -112,7 +111,7 @@ class TestBernoulli:
 
 class TestDataset:
     def test_scalar_promoted_to_array(self):
-        data = Dataset(3.0, "unit")
+        data = Dataset(3.0)
         assert data.values.shape == (1,)
 
 
@@ -245,60 +244,65 @@ def test_betainc_matches_scipy():
             np.testing.assert_allclose(ours, betainc(a, b, grid), rtol=0, atol=5e-14)
 
 
+def load_column(path, column_index=0):
+    """One column of a CSV, as load_csv_matrix reads it."""
+    return load_csv_matrix(path, [column_index])[:, 0]
+
+
 class TestLoadCsv:
     def test_plain_column(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("1.5\n2.5\n-0.5\n")
-        data = load_csv(path)
-        np.testing.assert_array_equal(data.values, [1.5, 2.5, -0.5])
+        values = load_column(path)
+        np.testing.assert_array_equal(values, [1.5, 2.5, -0.5])
 
     def test_header_row_skipped(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("income\n1.0\n2.0\n")
-        data = load_csv(path)
-        np.testing.assert_array_equal(data.values, [1.0, 2.0])
+        values = load_column(path)
+        np.testing.assert_array_equal(values, [1.0, 2.0])
 
     def test_second_column(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("a,b\n1,2\n3,4\n")
-        data = load_csv(path, column_index=1)
-        np.testing.assert_array_equal(data.values, [2.0, 4.0])
+        values = load_column(path, column_index=1)
+        np.testing.assert_array_equal(values, [2.0, 4.0])
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("1.0\n\n2.0\n")
-        data = load_csv(path)
-        np.testing.assert_array_equal(data.values, [1.0, 2.0])
+        values = load_column(path)
+        np.testing.assert_array_equal(values, [1.0, 2.0])
 
     def test_non_numeric_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0\noops\n3.0\n")
         with pytest.raises(ValueError, match=":2:"):
-            load_csv(path)
+            load_column(path)
 
     def test_short_row_cites_line(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("1,2\n3\n")
         with pytest.raises(ValueError, match=":2:"):
-            load_csv(path, column_index=1)
+            load_column(path, column_index=1)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="no numeric rows"):
-            load_csv(path)
+            load_column(path)
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "only_header.csv"
         path.write_text("name\n")
         with pytest.raises(ValueError, match="no numeric rows"):
-            load_csv(path)
+            load_column(path)
 
     def test_negative_column_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("1.0\n")
         with pytest.raises(ValueError, match="nonnegative"):
-            load_csv(path, column_index=-1)
+            load_column(path, column_index=-1)
 
     def test_matrix_all_columns(self, tmp_path):
         path = tmp_path / "matrix.csv"

@@ -15,11 +15,15 @@ from ldpmean.domain import (
     empirical_quantized_pmf,
     make_domain,
     rescale_to,
-    round_randomized,
     round_randomized_array,
-    rounding_weights,
     rounding_weights_array,
 )
+
+
+def weights_of(d, x):
+    """(left index, left weight) of the single value x."""
+    idx, w = rounding_weights_array(d, x)
+    return int(idx), float(w)
 
 
 class TestMakeDomain:
@@ -52,32 +56,35 @@ class TestRoundingWeights:
     def test_hand_example(self):
         # sigma=0.5, x_1=-0.5: w_left = 1 - (-0.3 - -0.5)/0.5 = 0.6
         d = make_domain(beta=1.0, n_bins=4)
-        i, w = rounding_weights(d, -0.3)
+        i, w = weights_of(d, -0.3)
         assert i == 1
         assert w == pytest.approx(0.6, abs=1e-12)
 
     def test_interior_edge_is_deterministic(self):
         d = make_domain(beta=1.0, n_bins=4)
-        assert rounding_weights(d, 0.0) == (2, 1.0)
+        assert weights_of(d, 0.0) == (2, 1.0)
 
     def test_midpoint(self):
         d = make_domain(beta=1.0, n_bins=4)
-        i, w = rounding_weights(d, 0.25)
+        i, w = weights_of(d, 0.25)
         assert i == 2
         assert w == pytest.approx(0.5, abs=1e-12)
 
     def test_right_endpoint_belongs_to_last_bin(self):
         d = make_domain(beta=1.0, n_bins=4)
-        i, w = rounding_weights(d, 1.0)
+        i, w = weights_of(d, 1.0)
         assert i == 3
         assert w == 0.0
+        # also as the last of many values, past the first block
+        idx, wl = rounding_weights_array(d, np.linspace(-1.0, 1.0, 40_001))
+        assert (idx[-1], wl[-1]) == (3, 0.0) and (idx[0], wl[0]) == (0, 1.0)
 
     def test_out_of_domain(self):
         d = make_domain(beta=1.0, n_bins=4)
         with pytest.raises(ValueError):
-            rounding_weights(d, 1.0001)
+            rounding_weights_array(d, 1.0001)
         with pytest.raises(ValueError):
-            rounding_weights(d, -1.0001)
+            rounding_weights_array(d, [0.0, -1.0001])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -90,9 +97,9 @@ class TestRoundingWeights:
             warnings.simplefilter("error")
             for call in (
                 lambda: rounding_weights_array(d, xs),
-                lambda: rounding_weights(d, bad),
+                lambda: rounding_weights_array(d, bad),
                 lambda: round_randomized_array(d, xs, np.random.default_rng(0)),
-                lambda: round_randomized(d, bad, np.random.default_rng(0)),
+                lambda: round_randomized_array(d, bad, np.random.default_rng(0)),
             ):
                 with pytest.raises(ValueError, match=message):
                     call()
@@ -104,27 +111,28 @@ class TestRoundingWeights:
     @settings(max_examples=200, deadline=None)
     def test_weights_are_convex_and_reconstruct_x(self, x, n_bins):
         d = make_domain(beta=1.0, n_bins=n_bins)
-        i, w = rounding_weights(d, x)
+        i, w = weights_of(d, x)
         assert 0 <= i < n_bins
         assert 0.0 <= w <= 1.0
         expected = w * d.edges[i] + (1.0 - w) * d.edges[i + 1]
         assert expected == pytest.approx(x, abs=1e-9)
 
     def test_array_variant_matches_scalar(self):
+        # one call over many values, in any shape, gives each value what a
+        # call on that value alone gives
         d = make_domain(beta=1.0, n_bins=8)
         xs = np.linspace(-1.0, 1.0, 41)
-        idx, wl = rounding_weights_array(d, xs)
+        idx, wl = rounding_weights_array(d, xs.reshape(1, 41))
+        assert idx.shape == wl.shape == (1, 41)
         for k, x in enumerate(xs):
-            i, w = rounding_weights(d, float(x))
-            assert idx[k] == i
-            assert wl[k] == pytest.approx(w, abs=1e-12)
+            assert (idx[0, k], wl[0, k]) == weights_of(d, float(x))
 
 
 class TestRoundRandomized:
     def test_edge_input_is_deterministic(self):
         d = make_domain(beta=1.0, n_bins=4)
         rng = np.random.default_rng(0)
-        assert all(round_randomized(d, -0.5, rng) == 1 for _ in range(50))
+        assert all(round_randomized_array(d, -0.5, rng) == [1] for _ in range(50))
 
     def test_midpoint_split(self):
         d = make_domain(beta=1.0, n_bins=4)

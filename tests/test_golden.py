@@ -10,6 +10,7 @@ declares new CLI output.
 """
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,9 @@ ESTIMATE_CSV = GOLDEN / "estimate_baselines.csv"
 # SHA-256 of adaptive_perturb_sample(): the reports' float64 bytes, then
 # the generator's next uniform
 ADAPTIVE_SHA256 = "bae52169a2e1cc930b60185190884c78bede8b7964f96ad066564faf6de3aeff"
+# SHA-256 of phase1_sample(): the pmf float64 bytes per eps, then the
+# generator's next uniform
+PHASE1_SHA256 = "dff79f60a121530b3875f1daebc2558cc7b6390f9c607001292189ffa9fe5fbd"
 
 
 def estimate_csv() -> bytes:
@@ -63,6 +67,28 @@ def adaptive_perturb_sample() -> bytes:
     return reports.tobytes() + np.float64(rng.random()).tobytes()
 
 
+def phase1_sample() -> bytes:
+    """collect_perturbed_histogram, then reconstruct_pmf, at N = 8 and
+    eps 0.5, 4 and inf, on one stream.
+
+    3 * 2^14 + 7 clipped N(0.3, 0.25) clients, the first nine on the edges,
+    cross several blocks; at eps = 0.5 the inversion sends two masses
+    negative, so the clip and the renormalization are pinned too.
+    """
+    from ldpmean.domain import make_domain
+    from ldpmean.freqest import collect_perturbed_histogram, reconstruct_pmf
+
+    domain = make_domain(1.0, 8)
+    rng = np.random.Generator(np.random.Philox(2024))
+    xs = np.clip(rng.normal(0.3, 0.25, 3 * 2**14 + 7), -1.0, 1.0)
+    xs[:9] = domain.edges
+    out = b""
+    for eps in (0.5, 4.0, math.inf):
+        counts = collect_perturbed_histogram(domain, xs, eps, rng)
+        out += reconstruct_pmf(counts, eps).masses.tobytes()
+    return out + np.float64(rng.random()).tobytes()
+
+
 def test_estimate_baselines_csv():
     assert estimate_csv() == ESTIMATE_CSV.read_bytes()
 
@@ -71,7 +97,12 @@ def test_adaptive_perturb_digest():
     assert hashlib.sha256(adaptive_perturb_sample()).hexdigest() == ADAPTIVE_SHA256
 
 
+def test_phase1_digest():
+    assert hashlib.sha256(phase1_sample()).hexdigest() == PHASE1_SHA256
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     ESTIMATE_CSV.write_bytes(estimate_csv())
     print("adaptive sha256", hashlib.sha256(adaptive_perturb_sample()).hexdigest())
+    print("phase-1 sha256", hashlib.sha256(phase1_sample()).hexdigest())

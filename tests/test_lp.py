@@ -19,9 +19,9 @@ from ldpmean import lp as lplib
 from ldpmean.adaptive import _first_half_width, build_lp
 from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
 from ldpmean.domain import make_domain
-from ldpmean.freqest import build_rr_matrix, collect_perturbed_histogram, reconstruct_pmf
+from ldpmean.freqest import collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import LinearProgram, solve
-from lp_oracle import as_csr, dense_system, random_bounded_program, vertex_enumeration_optimum
+from lp_oracle import as_csr, csr, dense_system, random_bounded_program, vertex_enumeration_optimum
 
 
 def check_feasible(lp, x, tol=1e-7):
@@ -85,28 +85,28 @@ VERDICTS = {
 class TestHandExamples:
     def test_minimize_above_floor(self):
         # x >= 1 as -x <= -1
-        lp = LinearProgram([1.0], A_ub=[[-1.0]], b_ub=[-1.0])
+        lp = LinearProgram([1.0], A_ub=csr([[-1.0]]), b_ub=[-1.0])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0)
         assert sol.x[0] == pytest.approx(1.0)
 
     def test_simplex_vertex(self):
-        lp = LinearProgram([-1.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0])
+        lp = LinearProgram([-1.0, -1.0], A_ub=csr([[1.0, 1.0]]), b_ub=[1.0])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-1.0)
         check_feasible(lp, sol.x)
 
     def test_infeasible(self):
-        lp = LinearProgram([1.0], A_ub=[[1.0]], b_ub=[-1.0])
+        lp = LinearProgram([1.0], A_ub=csr([[1.0]]), b_ub=[-1.0])
         sol = solve(lp)
         assert sol.status == "infeasible"
         assert np.isnan(sol.objective_value)
         assert sol.message == "model_status is Infeasible; primal_status is None"
 
     def test_unbounded(self):
-        lp = LinearProgram([-1.0], A_ub=[[-1.0]], b_ub=[0.0])
+        lp = LinearProgram([-1.0], A_ub=csr([[-1.0]]), b_ub=[0.0])
         sol = solve(lp)
         assert sol.status == "unbounded"
         assert np.isnan(sol.objective_value)
@@ -118,7 +118,7 @@ class TestHandExamples:
     def test_equality_constraints(self):
         # x + y = 2, x - y = 0 -> (1, 1)
         lp = LinearProgram(
-            [1.0, 2.0], A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0]
+            [1.0, 2.0], A_eq=csr([[1.0, 1.0], [1.0, -1.0]]), b_eq=[2.0, 0.0]
         )
         sol = solve(lp)
         assert sol.status == "optimal"
@@ -128,7 +128,7 @@ class TestHandExamples:
         # min x + 2y s.t. x + y = 2, x - y = 0: the rows are priced at 1.5
         # and -0.5, and b . y is the optimum
         lp = LinearProgram(
-            [1.0, 2.0], A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0]
+            [1.0, 2.0], A_eq=csr([[1.0, 1.0], [1.0, -1.0]]), b_eq=[2.0, 0.0]
         )
         sol = solve(lp)
         np.testing.assert_allclose(sol.eq_duals, [1.5, -0.5], atol=1e-9)
@@ -136,7 +136,7 @@ class TestHandExamples:
 
     def test_redundant_equality(self):
         lp = LinearProgram(
-            [1.0, 1.0], A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0]
+            [1.0, 1.0], A_eq=csr([[1.0, 1.0], [2.0, 2.0]]), b_eq=[2.0, 4.0]
         )
         sol = solve(lp)
         assert sol.status == "optimal"
@@ -146,7 +146,7 @@ class TestHandExamples:
         # three constraints meet at the optimum
         lp = LinearProgram(
             [-1.0, -1.0],
-            A_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            A_ub=csr([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
             b_ub=[1.0, 1.0, 2.0],
         )
         sol = solve(lp)
@@ -185,7 +185,7 @@ class TestHandExamples:
         # HiGHS refuses a coefficient of 1e16 when the model is passed;
         # linprog calls that infeasible, but nothing was solved, so it is a
         # model error, and no iterations were made
-        sol = solve(LinearProgram([1.0], A_ub=[[1e16]], b_ub=[1.0]))
+        sol = solve(LinearProgram([1.0], A_ub=csr([[1e16]]), b_ub=[1.0]))
         assert sol.status == "model-error" and sol.iterations == 0
         assert sol.message == "model_status is Model error; primal_status is None"
 
@@ -203,19 +203,12 @@ class TestHandExamples:
         assert f"model_status is {name}; primal_status is " in sol.message
 
     def test_zero_objective(self):
-        lp = LinearProgram([0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        lp = LinearProgram([0.0, 0.0], A_eq=csr([[1.0, 1.0]]), b_eq=[1.0])
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0)
         check_feasible(lp, sol.x)
 
-    def test_sparse_and_dense_rows_agree(self):
-        rows = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-        dense = LinearProgram([-1.0, -1.0, -1.0], A_ub=rows, b_ub=[4.0, 3.0])
-        sparse = LinearProgram(
-            [-1.0, -1.0, -1.0], A_ub=as_csr(dense, "A_ub").tocoo(), b_ub=[4.0, 3.0]
-        )
-        np.testing.assert_array_equal(solve(dense).x, solve(sparse).x)
 
 
 class TestNumericalFailure:
@@ -243,18 +236,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="together"):
             LinearProgram([1.0], b_ub=[1.0])
         with pytest.raises(ValueError, match="together"):
-            LinearProgram([1.0], A_eq=[[1.0]])
+            LinearProgram([1.0], A_eq=csr([[1.0]]))
+
+    def test_only_csr_blocks(self):
+        # dense rows, a scipy sparse matrix and a bare triple are refused
+        rows = [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]]
+        triple = tuple(csr(rows))
+        for block in (rows, np.array(rows), sparse.csr_array(rows), triple):
+            with pytest.raises(TypeError, match="A_ub must be an lp.Csr"):
+                LinearProgram([-1.0, -1.0, -1.0], A_ub=block, b_ub=[4.0, 3.0])
+            with pytest.raises(TypeError, match="A_eq must be an lp.Csr"):
+                LinearProgram([-1.0, -1.0, -1.0], A_eq=block, b_eq=[4.0, 3.0])
+        assert LinearProgram([-1.0, -1.0, -1.0], A_ub=csr(rows), b_ub=[4.0, 3.0])
 
     def test_index_out_of_range(self):
         # a coefficient on variable 2 of a two-variable program
         with pytest.raises(ValueError):
-            LinearProgram([1.0, 1.0], A_ub=[[0.0, 0.0, 1.0]], b_ub=[1.0])
+            LinearProgram([1.0, 1.0], A_ub=csr([[0.0, 0.0, 1.0]]), b_ub=[1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0], A_ub=[[np.inf]], b_ub=[1.0])
+            LinearProgram([1.0], A_ub=csr([[np.inf]]), b_ub=[1.0])
         with pytest.raises(ValueError):
-            LinearProgram([1.0], A_ub=[[1.0]], b_ub=[np.nan])
+            LinearProgram([1.0], A_ub=csr([[1.0]]), b_ub=[np.nan])
         with pytest.raises(ValueError):
             LinearProgram([np.nan])
 
@@ -266,7 +270,7 @@ class TestValidation:
 
     def test_rhs_length(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0], A_eq=[[1.0], [2.0]], b_eq=[1.0])
+            LinearProgram([1.0], A_eq=csr([[1.0], [2.0]]), b_eq=[1.0])
 
 
 class TestDeterminism:
@@ -409,8 +413,7 @@ def rr_pmf(n, eps, seed):
     """The randomized-response estimate of 1000 clipped N(0, 0.2) clients."""
     rng = np.random.default_rng(seed)
     xs = np.clip(rng.normal(0.0, 0.2, 1000), -1.0, 1.0)
-    hist = collect_perturbed_histogram(make_domain(1.0, n), xs, eps, rng)
-    return reconstruct_pmf(hist, build_rr_matrix(n, eps))
+    return reconstruct_pmf(collect_perturbed_histogram(make_domain(1.0, n), xs, eps, rng), eps)
 
 
 def golden_programs():
