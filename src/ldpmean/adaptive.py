@@ -24,6 +24,14 @@ integer k, found exactly in closed form, therefore proves R(A)'s optimum
 optimal to tol, since sum_k t_k <= 1.  solve_noise_table grows A until
 R(A) is certified or A reaches M - N, where R(A) is the window's program.
 
+R(A)'s constraints depend on (N, A, eps) alone, never on the pmf, so the
+optimal basis of one R(A) is primal feasible for R(A) of every other pmf
+at the same key.  The latest optimal solution at each key is stored (at
+most _STORE_KEYS keys): the same program again reuses it, and any other
+starts HiGHS's primal simplex from its basis.  A table therefore depends
+on its inputs and on the earlier solves at its keys in the process; the
+CLI clears the store (clear_store) at the start of each command.
+
 HiGHS holds the tube only to its tolerances (the upper row to 1e-7 after
 division by expm1(eps)), so the table is the solved point projected onto
 the tube in the same coordinates: s = max(s, 0), t_k = max(t_k, 0,
@@ -70,6 +78,11 @@ _ROW_TOL = 1e-7
 # entries fit in L1 cache, and at most 2M of them (one per cdf point) fall
 # back to the search: under 2% of draws at M = 32.
 _GUIDE_BUCKETS = 1 << 12
+# The store of solves: (N, A, eps) -> (objective, LpSolution) of the latest
+# optimal R(A) there, least recently used first, at most _STORE_KEYS keys
+# (a design at one N touches one or two per eps)
+_STORE_KEYS = 32
+_store: dict[tuple, tuple[np.ndarray, lplib.LpSolution]] = {}
 
 
 @dataclass(frozen=True)
@@ -289,12 +302,38 @@ def _certified(
     return _slack_minimum(masses, sigma, y, a, eps)[1] >= -tol
 
 
+def clear_store() -> None:
+    """Forget every stored solve: the next R(A) at each (N, A, eps) is
+    solved from cold, as in a fresh process."""
+    _store.clear()
+
+
+def _solve_stored(program: lplib.LinearProgram, key: tuple) -> lplib.LpSolution:
+    """R(A)'s solution, through the store at key = (N, A, eps): the stored
+    solution itself if its objective is the program's, else HiGHS's from
+    the stored basis, and from cold where there is none or where the start
+    does not end optimal.  An optimal solution replaces the stored one."""
+    stored = _store.pop(key, None)
+    if stored is not None and np.array_equal(stored[0], program.objective):
+        sol = stored[1]
+    else:
+        sol = lplib.solve(program, start=None if stored is None else stored[1].basis)
+        if stored is not None and sol.status != "optimal":
+            sol = lplib.solve(program)
+    if sol.status == "optimal":
+        _store[key] = (program.objective, sol)
+        if len(_store) > _STORE_KEYS:
+            del _store[next(iter(_store))]
+    return sol
+
+
 def _solve_restricted_first(
     pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
 ) -> tuple[lplib.LpSolution, np.ndarray | None]:
-    """Solve the noise-design program through restricted programs R(A);
-    return the solution and its window masses q (projected onto the tube,
-    see _scatter), None unless optimal.
+    """Solve the noise-design program through restricted programs R(A),
+    each through the store (_solve_stored); return the solution and its
+    window masses q (projected onto the tube, see _scatter), None unless
+    optimal.
 
     A starts at _first_half_width, past the least feasible A, and grows by
     half, up to M - N, while R(A)'s optimum is not certified (see
@@ -304,7 +343,7 @@ def _solve_restricted_first(
     n, m = domain.n_bins, shape.m
     a = min(_first_half_width(n, eps), m - n)
     while True:
-        sol = lplib.solve(build_lp(pmf, domain.sigma, a, eps))
+        sol = _solve_stored(build_lp(pmf, domain.sigma, a, eps), (n, a, eps))
         if sol.status != "optimal":
             return sol, None
         if a == m - n or _certified(
@@ -325,8 +364,12 @@ def solve_noise_table(
     The program is solved over the outputs near the domain first and grown
     until a dual certificate proves the result optimal (see _certified), or
     until it fills the window, and its point is projected onto the tube
-    (see _scatter).  At eps = inf there is no tube, and the optimum adds no
-    noise.  The solved table is checked against its three invariants (row
+    (see _scatter).  Each program R(A) starts from the latest optimal
+    basis at its (N, A, eps) in this process, or reuses that solution
+    outright if the program is the same (see _solve_stored); so the table
+    depends on the pmf, eps, window and domain, and on the earlier solves
+    at those keys, which clear_store forgets.  At eps = inf there is no
+    tube, and the optimum adds no noise.  The solved table is checked against its three invariants (row
     normalization, row zero mean, exact privacy); any violation raises.
     """
     eps = check_eps(eps, allow_inf=True)

@@ -15,8 +15,10 @@ error that names its flag or key.
 Every run is seeded: the stream for each (run, eps, purpose) triple is an
 independent counter-based generator keyed by the base seed, so outputs are
 byte-identical across invocations and mechanisms share identical data
-partitions within a run.  Output is CSV with a leading comment line that
-records the fully resolved configuration.
+partitions within a run.  Each command starts with no stored solves
+(adaptive.clear_store), so its output depends only on its arguments, also
+when main runs several commands in one process.  Output is CSV with a
+leading comment line that records the fully resolved configuration.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .adaptive import (
     NoiseShape,
     _first_half_width,
+    clear_store,
     run_protocol,
     save_table,
     solve_noise_table,
@@ -448,6 +451,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    clear_store()
     try:
         config = load_config(args.config, overrides)
         _COMMANDS[args.command](config)

@@ -146,13 +146,19 @@ class BetaDistribution:
     def tent_moments(self, edges: np.ndarray):
         """m0, m1 of the Beta density in u = (x + beta) / 2 beta per
         segment: m0 = I_hi(a, b) - I_lo(a, b) and, since
-        u g(u) = a / (a + b) times the Beta(a + 1, b) density,
-        m1 = 2 beta (a / (a + b) (I_hi(a + 1, b) - I_lo(a + 1, b)) - u_lo m0)."""
+        u g(u) = a / (a + b) times the Beta(a + 1, b) density and
+        I_u(a + 1, b) = I_u(a, b) - F(u) / a with F(u) = u^a (1 - u)^b / B(a, b),
+        m1 = 2 beta ((a / (a + b) - u_lo) m0 - (F_hi - F_lo) / (a + b)).
+        Taking F in closed form rather than I(a + 1, b) from its continued
+        fraction cut the error of a Beta(7.5, 0.8) mass at N=64 from 1.5e-13
+        to 6e-15: m1 cancels down to about m0 / 2N, so an error in the I
+        values comes back about 2N times over."""
         span = edges[-1] - edges[0]
         u = (edges - edges[0]) / span
-        m0 = np.diff([_betainc(self.a, self.b, v) for v in u])
-        m1 = np.diff([_betainc(self.a + 1.0, self.b, v) for v in u])
-        return m0, span * (self.a / (self.a + self.b) * m1 - u[:-1] * m0)
+        a, b = self.a, self.b
+        m0 = np.diff([_betainc(a, b, v) for v in u])
+        front = np.diff([0.0 if v <= 0.0 or v >= 1.0 else _beta_front(a, b, v) for v in u])
+        return m0, span * ((a / (a + b) - u[:-1]) * m0 - front / (a + b))
 
 
 def _betainc(a: float, b: float, x: float) -> float:
@@ -160,9 +166,10 @@ def _betainc(a: float, b: float, x: float) -> float:
 
     Evaluates the continued fraction of I_x(a, b) by the modified Lentz
     method where it converges fast, x < (a + 1) / (a + b + 2), and uses
-    I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere.  Its absolute error is a few
-    1e-15 for shapes up to 30 and grows with the lgamma values in the
-    prefactor, to 1.2e-12 at a = b = 1000.
+    I_x(a, b) = 1 - I_{1-x}(b, a) elsewhere.  Its absolute error is about
+    1e-15 for shapes up to 30, where the prefactor comes from math.gamma
+    (_beta_front); from a + b = 171 on it comes from lgamma, and the error
+    grows with the lgamma values, to 1.2e-12 at a = b = 1000.
     """
     if x <= 0.0:
         return 0.0
@@ -188,12 +195,22 @@ def _betainc(a: float, b: float, x: float) -> float:
             c = c if abs(c) > tiny else tiny
             f *= c * d
         if abs(c * d - 1.0) <= 2.0**-52:
-            log_front = (
-                a * math.log(x) + b * math.log1p(-x)
-                + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-            )
-            return math.exp(log_front) * f / a
+            return _beta_front(a, b, x) * f / a
     raise ArithmeticError(f"I_{x}({a}, {b}): continued fraction did not converge")
+
+
+def _beta_front(a: float, b: float, x: float) -> float:
+    """x^a (1 - x)^b / B(a, b), from math.gamma below a + b = 171, where
+    Gamma(a + b) is finite; the lgamma form beyond loses lgamma's magnitude
+    times 2^-53 in the exponent.  Over the four Beta laws of the mpmath
+    reference at N=256 the worst mass is off by 5.3e-14 with math.gamma
+    and 6.7e-14 with lgamma."""
+    if a + b < 171.0:
+        return x**a * (1.0 - x) ** b * (math.gamma(a + b) / (math.gamma(a) * math.gamma(b)))
+    return math.exp(
+        a * math.log(x) + b * math.log1p(-x)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
 
 
 def true_pmf(dist, domain: QuantizedDomain) -> QuantizedPmf:

@@ -3,6 +3,11 @@
 The table suite fixes n_bins=8, m=32 (the harness default window ratio)
 and five quantized pmfs of different character.  Narrower windows make the
 program infeasible at eps=0.5, so every table here uses the 4x window.
+
+A solved table depends on the earlier solves at its (N, A, eps) in the
+process (adaptive._store).  So every test starts and ends with an empty
+store, and so does every fixture that solves tables and outlives a test:
+no verdict depends on which tests ran before.
 """
 
 import numpy as np
@@ -18,8 +23,27 @@ from ldpmean import (
     solve_noise_table,
     true_pmf,
 )
+from ldpmean.adaptive import clear_store
 
 EPS_GRID = (0.5, 1.0, 2.0, 4.0)
+
+
+@pytest.fixture(autouse=True)
+def empty_store():
+    """Each test solves from an empty store and leaves none behind."""
+    clear_store()
+    yield
+    clear_store()
+
+
+def solved_apart(build):
+    """build(), solved from an empty store that it leaves empty: for the
+    fixtures that outlive a test, which may be set up after any test."""
+    clear_store()
+    try:
+        return build()
+    finally:
+        clear_store()
 
 
 @pytest.fixture(scope="session")
@@ -49,8 +73,8 @@ def suite_pmfs(domain8):
 def solved_tables(domain8, suite_pmfs):
     """NoiseTable per (pmf name, eps) over the full grid; ~20 LP solves."""
     shape = NoiseShape(m=32)
-    tables = {}
-    for name, pmf in suite_pmfs.items():
-        for eps in EPS_GRID:
-            tables[(name, eps)] = solve_noise_table(pmf, eps, shape, domain8)
-    return tables
+    return solved_apart(lambda: {
+        (name, eps): solve_noise_table(pmf, eps, shape, domain8)
+        for name, pmf in suite_pmfs.items()
+        for eps in EPS_GRID
+    })

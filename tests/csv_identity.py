@@ -17,6 +17,9 @@ command, "identical", "data identical" where only the leading
 configuration line differs, or "DIFFERENT" with a diff, and exits 1 if any
 output differs at all.  Each command takes a few seconds; clients are
 numerous enough that every sampler runs over several blocks.
+``estimate-n32`` runs the adaptive arm alone at N=32 over three runs, so
+that each eps solves three tables at the same (N, A, eps), the later ones
+from the stored basis of the one before.
 """
 
 import difflib
@@ -56,6 +59,8 @@ def commands(data: Path, table: Path, ini: Path) -> dict:
                                  "--dataset", "exponential"],
         "estimate-bernoulli": ["estimate", "--n", "60000", "--runs", "2",
                                "--dataset", "bernoulli:p=0.3"],
+        "estimate-n32": ["estimate", "--bins", "32", "--runs", "3", "--eps", "0.5,1",
+                         "--mechanisms", "adaptive", "--n", "60000"],
         "estimate-ini": ["estimate", "--config", str(ini)],
         "estimate-csv": ["estimate", "--csv", str(data), "--column", "1", "--runs", "2"],
         "sweep-split": SWEEP + ["split", "--grid", "0.1,0.3"],

@@ -4,13 +4,14 @@ import io
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import suite_pmf_shapes
+from conftest import solved_apart, suite_pmf_shapes
 from lp_oracle import as_csr, csr
 from ldpmean.adaptive import (
     NoiseShape,
@@ -259,7 +260,7 @@ class TestSolveNoiseTable:
         # is tried
         calls = []
         refused = lp_solve(lplib.LinearProgram([1.0], A_ub=csr([[1e16]]), b_ub=[1.0]))
-        monkeypatch.setattr(lplib, "solve", lambda program: calls.append(1) or refused)
+        monkeypatch.setattr(lplib, "solve", lambda program, start=None: calls.append(1) or refused)
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         with pytest.raises(RuntimeError, match="status=model-error"):
@@ -274,7 +275,8 @@ class TestSolveNoiseTable:
         sizes = []
         solve = lplib.solve
         monkeypatch.setattr(
-            lplib, "solve", lambda program: sizes.append(program.num_vars) or solve(program)
+            lplib, "solve",
+            lambda program, start=None: sizes.append(program.num_vars) or solve(program, start),
         )
         table = solve_noise_table(pmf, 2.0, NoiseShape(m=25), d16)
         assert sizes == [build_lp(pmf, d16.sigma, a, 2.0).num_vars for a in (7, 9)]
@@ -366,8 +368,8 @@ class TestRestrictedSolve:
         solved = []
         solve = lplib.solve
 
-        def record(program):
-            solved.append((program, solve(program)))
+        def record(program, start=None):
+            solved.append((program, solve(program, start)))
             return solved[-1][1]
 
         monkeypatch.setattr(lplib, "solve", record)
@@ -460,7 +462,8 @@ class TestRestrictedSolve:
         solved = []
         solve = lplib.solve
         monkeypatch.setattr(
-            lplib, "solve", lambda program: solved.append(solve(program)) or solved[-1]
+            lplib, "solve",
+            lambda program, start=None: solved.append(solve(program, start)) or solved[-1],
         )
         table = assert_matches_whole_program(pmf, 0.5, shape, d8)
         (sol,) = solved
@@ -585,7 +588,9 @@ def test_design_cells_take_one_solve_each(monkeypatch):
     # rejects its first A
     solves, builds = [], []
     solve, build = lplib.solve, adaptive.build_lp
-    monkeypatch.setattr(lplib, "solve", lambda program: solves.append(1) or solve(program))
+    monkeypatch.setattr(
+        lplib, "solve", lambda program, start=None: solves.append(1) or solve(program, start)
+    )
     monkeypatch.setattr(adaptive, "build_lp", lambda *args: builds.append(1) or build(*args))
     d16 = make_domain(1.0, 16)
     counts = {}
@@ -597,6 +602,122 @@ def test_design_cells_take_one_solve_each(monkeypatch):
     assert sum(counts.values()) == 16
     assert [cell for cell, count in counts.items() if count != 1] == [("uniform", 2.0)]
     assert len(builds) == 16
+
+
+def recording_solve(monkeypatch):
+    """Route lplib.solve through a recorder; returns its list of
+    (program, start, solution), one per HiGHS call."""
+    calls = []
+    solve = lplib.solve
+
+    def record(program, start=None):
+        calls.append((program, start, solve(program, start)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lplib, "solve", record)
+    return calls
+
+
+class TestStore:
+    """The latest optimal R(A) per (N, A, eps) starts the next solve there
+    (adaptive._solve_stored)."""
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_warm_start_matches_cold(self, n, eps, monkeypatch):
+        # a re-estimate solved from the basis of the one before: the same
+        # optimum to 1e-12, certified and private either way, in fewer
+        # simplex iterations
+        domain, shape = make_domain(1.0, n), NoiseShape(m=4 * n)
+        first, again = (rr_pmf(n, eps, seed, sd=0.2, clients=1000) for seed in (11, 12))
+        solve_noise_table(first, eps, shape, domain)
+        calls = recording_solve(monkeypatch)
+        warm = solve_noise_table(again, eps, shape, domain)
+        warm_calls = list(calls)
+        adaptive.clear_store()
+        calls.clear()
+        cold = solve_noise_table(again, eps, shape, domain)
+        assert warm_calls[0][1] is not None and all(start is None for _, start, _ in calls)
+        assert warm.lp_objective == pytest.approx(cold.lp_objective, rel=1e-12, abs=0.0)
+        for table, made in ((warm, warm_calls), (cold, calls)):
+            sol = made[-1][2]
+            assert certified(again, domain, sol, half_width(sol, n), eps)
+            assert verify_privacy(table, eps).passed
+        iterations = [sum(sol.iterations for _, _, sol in made) for made in (warm_calls, calls)]
+        assert iterations[0] < iterations[1]
+
+    def test_same_program_reuses_the_solution(self, monkeypatch):
+        d16 = make_domain(1.0, 16)
+        pmf = rr_pmf(16, 1.0, seed=11, sd=0.2, clients=1000)
+        first = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
+        calls = recording_solve(monkeypatch)
+        again = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
+        assert calls == []
+        np.testing.assert_array_equal(again.q, first.q)
+
+    def test_nonoptimal_start_is_solved_once_more_from_cold(self, monkeypatch):
+        # a start that ends anywhere but optimal costs one more HiGHS call,
+        # without a start, and its answer is the table
+        d8 = make_domain(1.0, 8)
+        first, again = (rr_pmf(8, 1.0, seed, sd=0.2, clients=1000) for seed in (11, 12))
+        solve_noise_table(first, 1.0, NoiseShape(m=32), d8)
+        starts = []
+        solve = lplib.solve
+        failed = replace(lp_solve(lplib.LinearProgram([1.0])), status="numerical-failure")
+
+        def fake(program, start=None):
+            starts.append(start)
+            return failed if start is not None else solve(program)
+
+        monkeypatch.setattr(lplib, "solve", fake)
+        table = solve_noise_table(again, 1.0, NoiseShape(m=32), d8)
+        assert len(starts) == 2 and starts[0] is not None and starts[1] is None
+        adaptive.clear_store()
+        cold = solve_noise_table(again, 1.0, NoiseShape(m=32), d8)
+        np.testing.assert_array_equal(table.q, cold.q)
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ((8, 4.0), (8, 5.0)),  # another eps, at the same N and A = 4
+            ((8, 1.0), (16, 1.0)),  # another N
+        ],
+    )
+    def test_other_keys_start_cold(self, before, after, monkeypatch):
+        assert _first_half_width(8, 4.0) == _first_half_width(8, 5.0) == 4
+        for n, eps in (before, after):
+            domain = make_domain(1.0, n)
+            pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
+            calls = recording_solve(monkeypatch)
+            solve_noise_table(pmf, eps, NoiseShape(m=4 * n), domain)
+            assert [start for _, start, _ in calls] == [None]
+
+    def test_other_half_width_starts_cold(self, monkeypatch):
+        # uniform at N=16, eps=2 rejects A = 7 and solves A = 11; the store
+        # holds a Gaussian's R(7), so R(7) starts from its basis and R(11)
+        # from cold
+        d16 = make_domain(1.0, 16)
+        gaussian = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        uniform = true_pmf(BetaDistribution(a=1.0, b=1.0), d16)
+        solve_noise_table(gaussian, 2.0, NoiseShape(m=64), d16)
+        assert list(adaptive._store) == [(16, 7, 2.0)]
+        calls = recording_solve(monkeypatch)
+        solve_noise_table(uniform, 2.0, NoiseShape(m=64), d16)
+        assert [half_width(sol, 16) for _, _, sol in calls] == [7, 11]
+        assert calls[0][1] is not None and calls[1][1] is None
+        assert list(adaptive._store) == [(16, 7, 2.0), (16, 11, 2.0)]
+
+    def test_holds_at_most_its_bound(self):
+        # one key per eps at N=2; the least recently used key goes first
+        d2 = make_domain(1.0, 2)
+        grid = [1.0 + 0.25 * i for i in range(adaptive._STORE_KEYS + 5)]
+        for eps in grid:
+            solve_noise_table(SYM2, eps, NoiseShape(m=16), d2)
+            solve_noise_table(SYM2, grid[0], NoiseShape(m=16), d2)  # used again
+            assert len(adaptive._store) <= adaptive._STORE_KEYS
+        kept = {key[2] for key in adaptive._store}
+        assert len(kept) == adaptive._STORE_KEYS
+        assert kept == {grid[0], *grid[-(adaptive._STORE_KEYS - 1):]}
 
 
 @pytest.mark.parametrize("n, eps", [(8, 12.0), (8, 16.0), (16, 12.0), (16, 16.0), (16, 20.0)])
@@ -760,8 +881,10 @@ class TestVectorizedVerification:
         d16 = make_domain(1.0, 16)
         gaussian = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         return {
-            "solved": solve_noise_table(gaussian, 1.0, NoiseShape(m=64), d16),
-            "tail-loaded": edge_loaded_table()[1],  # mass at the window's edges
+            "solved": solved_apart(
+                lambda: solve_noise_table(gaussian, 1.0, NoiseShape(m=64), d16)
+            ),
+            "tail-loaded": solved_apart(edge_loaded_table)[1],  # mass at the window's edges
             "geometric": geometric_reference_table(4, 8, 0.8)[0],
             "disjoint": disjoint_table(),
             "empty": NoiseTable(domain=D2, shape=SHAPE2, q=np.zeros((3, 9)), eps=1.0),
@@ -812,7 +935,7 @@ class TestColumnWeights:
 
     @pytest.fixture(scope="class")
     def design(self):
-        pmf, table = edge_loaded_table()
+        pmf, table = solved_apart(edge_loaded_table)
         assert np.max(table.q[:, [0, -1]]) > 0.1
         return pmf, table.domain, table
 
@@ -876,14 +999,18 @@ def grid_pmfs(domain, eps):
 def grid_tables():
     """The 270 solved tables over GRID_BINS x GRID_EPS x grid_pmfs, each in
     the CLI's default window for its N and eps."""
-    tables = []
-    for n in GRID_BINS:
-        domain = make_domain(1.0, n)
-        for eps in GRID_EPS:
-            shape = NoiseShape(m=max(4 * n, n + _first_half_width(n, eps) + 2))
-            for pmf in grid_pmfs(domain, eps):
-                tables.append(solve_noise_table(pmf, eps, shape, domain))
-    return tables
+
+    def solve_grid():
+        tables = []
+        for n in GRID_BINS:
+            domain = make_domain(1.0, n)
+            for eps in GRID_EPS:
+                shape = NoiseShape(m=max(4 * n, n + _first_half_width(n, eps) + 2))
+                for pmf in grid_pmfs(domain, eps):
+                    tables.append(solve_noise_table(pmf, eps, shape, domain))
+        return tables
+
+    return solved_apart(solve_grid)
 
 
 def scatter_by_cells(z, n, m, a, eps):

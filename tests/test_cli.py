@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ldpmean import (
+    adaptive,
     cli,
     load_table,
     make_domain,
@@ -271,6 +272,18 @@ class TestEstimateCommand:
         assert run_cli(args + ["--out", str(a)]) == 0
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_each_command_starts_with_no_stored_solves(self, capsys):
+        # a command's bytes do not depend on the commands main ran before
+        # it in the process: each starts by clearing the store of solves
+        args = ["estimate", "--mechanisms", "adaptive", "--eps", "0.5,1",
+                "--bins", "8", "--n", "4000", "--runs", "2", "--out", "-"]
+        alone = run_cli(args + ["--seed", "4"], capsys)
+        run_cli(args + ["--seed", "3"], capsys)
+        assert run_cli(args + ["--seed", "4"], capsys) == alone
+        adaptive._store[("stale",)] = None
+        assert run_cli(["estimate", "--mechanisms", "laplace"] + FAST) == 0
+        assert adaptive._store == {}
 
     def test_seed_changes_output(self, tmp_path):
         base = ["estimate", "--mechanisms", "laplace", "--eps", "1.0",

@@ -103,7 +103,9 @@ class TestHandExamples:
         sol = solve(lp)
         assert sol.status == "infeasible"
         assert np.isnan(sol.objective_value)
-        assert sol.message == "model_status is Infeasible; primal_status is None"
+        # with presolve off the simplex, not presolve, finds the
+        # infeasibility, and so HiGHS names the primal status
+        assert sol.message == "model_status is Infeasible; primal_status is Infeasible"
 
     def test_unbounded(self):
         lp = LinearProgram([-1.0], A_ub=csr([[-1.0]]), b_ub=[0.0])
@@ -175,11 +177,28 @@ class TestHandExamples:
         assert options == {
             "dual_feasibility_tolerance": 1e-10,
             "simplex_dual_edge_weight_strategy": 1,  # devex
-            "presolve": "on",
+            "presolve": "off",  # R(A) is never reduced by it
             "simplex_strategy": 1,  # dual
             "solver": "choose",
             "output_flag": False,
         }
+
+    def test_start_runs_primal_simplex_from_the_basis(self, monkeypatch):
+        # an optimal solution carries its basis; given it back as a start,
+        # HiGHS's primal simplex is already optimal there
+        highs, made = recording_highs()
+        monkeypatch.setattr(lplib, "_Highs", highs)
+        program = GOLDEN[0][1]
+        cold = solve(program)
+        warm = solve(program, start=cold.basis)
+        assert [h.getOptionValue("simplex_strategy")[1] for h in made] == [1, 4]
+        assert warm.status == "optimal" and warm.iterations == 0
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+        assert warm.basis is not None
+
+    def test_basis_only_when_optimal(self):
+        assert solve(LinearProgram([1.0], A_ub=csr([[1.0]]), b_ub=[-1.0])).basis is None
+        assert solve(LinearProgram([-1.0], A_ub=csr([[-1.0]]), b_ub=[0.0])).basis is None
 
     def test_model_error_is_infeasible(self):
         # HiGHS refuses a coefficient of 1e16 when the model is passed;

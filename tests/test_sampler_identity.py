@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import solved_apart
 from ldpmean import adaptive, baselines, domain, freqest
 from ldpmean.adaptive import NoiseShape, NoiseTable
 from ldpmean.baselines import hybrid_alpha, piecewise_params, piecewise_window
@@ -147,7 +148,7 @@ def tail_table():
     reach the window's edges: q[0][+M] and q[8][-M] hold 0.142 each."""
     d8 = make_domain(1.0, 8)
     pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
-    return adaptive.solve_noise_table(pmf, 0.5, NoiseShape(m=24), d8)
+    return solved_apart(lambda: adaptive.solve_noise_table(pmf, 0.5, NoiseShape(m=24), d8))
 
 
 def assert_same(got, expected, rng_got, rng_expected):
