@@ -50,14 +50,12 @@ from .domain import (
     LinearTransform,
     QuantizedDomain,
     QuantizedPmf,
-    empirical_quantized_pmf,
     make_domain,
     rescale_to,
 )
 from .freqest import (
     collect_perturbed_histogram,
     reconstruct_pmf,
-    relative_error_bound,
 )
 from .multidim import assign_attributes, attribute_pools
 

@@ -43,20 +43,23 @@ ratio is at most (t_k + expm1(eps) t_k) / t_k = e^eps up to a few ulps.
 verify_privacy confirms it; no tolerance decides which masses are zero.
 
 Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
-for the offsets, exactly as rng.choice(p=...) would.
-adaptive_perturb_array rounds the clients (round_randomized_array), then
-draws the noise of each edge group with clients in edge order.  The
-category of a uniform u is cdf.searchsorted(u, side="right"), found
-through a guide table over 2^12 equal buckets of [0, 1): the same index
-for every u, without a binary search for most of them.  The arithmetic
-runs in blocks of domain._BLOCK values, because at millions of clients a
-full-length temporary costs more in page faults than its arithmetic.
+for the offsets of row i, and maps each uniform as rng.choice(p=...)
+would.  adaptive_perturb_array rounds the clients
+(round_randomized_array), then draws rng.random(n), one noise uniform per
+client in data order, from the client's own row.  Both go through one
+kernel (_draw_from_rows): the category of a uniform u in row i is
+cdf_i.searchsorted(u, side="right"), read from a stacked guide table over
+2^12 equal buckets of [0, 1) per row, and searched in the row's cdf only
+where the bucket holds a cdf point: the same index for every u, without a
+binary search for most of them.  The arithmetic runs in blocks of
+domain._BLOCK values, because at millions of clients a full-length
+temporary costs more in page faults than its arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,8 +93,10 @@ class NoiseShape:
     """The window half-width M: a table's noise offsets lie in [-M, M].
 
     r is the ratio of the geometric tails that tables once carried beyond
-    the window.  Nothing reads it or checks it; it remains so that callers
-    written for those tables still construct a shape and read shape.r.
+    the window.  Nothing in the package reads it or checks it; it remains
+    so that callers written for those tables still construct a shape and
+    read shape.r, as the benchmark's table facts (perfbench/run.py,
+    _table_facts) do.
     """
 
     m: int
@@ -310,12 +315,13 @@ def clear_store() -> None:
 
 def _solve_stored(program: lplib.LinearProgram, key: tuple) -> lplib.LpSolution:
     """R(A)'s solution, through the store at key = (N, A, eps): the stored
-    solution itself if its objective is the program's, else HiGHS's from
-    the stored basis, and from cold where there is none or where the start
-    does not end optimal.  An optimal solution replaces the stored one."""
+    solution if its objective is the program's, with 0 iterations and 0
+    seconds since HiGHS runs no work then; else HiGHS's from the stored
+    basis, and from cold where there is none or where the start does not
+    end optimal.  An optimal solution replaces the stored one."""
     stored = _store.pop(key, None)
     if stored is not None and np.array_equal(stored[0], program.objective):
-        sol = stored[1]
+        sol = replace(stored[1], iterations=0, run_seconds=0.0)
     else:
         sol = lplib.solve(program, start=None if stored is None else stored[1].basis)
         if stored is not None and sol.status != "optimal":
@@ -472,78 +478,98 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, lo, -1)
 
 
-def _cdf_index(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """cdf.searchsorted(u, side="right") for uniforms u in [0, 1), exactly:
-    u * K is exact for K a power of two, so its floor is u's bucket."""
-    cats = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
-    inside = cats < 0
-    if inside.any():
-        cats[inside] = cdf.searchsorted(u[inside], side="right")
-    return cats
+def _row_guides(q: np.ndarray) -> tuple[list, np.ndarray]:
+    """Each row's cdf, built exactly as rng.choice(p=...) builds it from
+    the renormalized row (None for a row with no mass), and the rows'
+    guide tables stacked and flattened, row i at [i K, (i + 1) K); a row
+    with no mass has -1 in every bucket."""
+    cdfs = []
+    # narrow entries keep the (N + 1) K table in cache; a category is < 2M + 1
+    dtype = np.int16 if q.shape[1] <= np.iinfo(np.int16).max else np.intp
+    guide = np.full((len(q), _GUIDE_BUCKETS), -1, dtype=dtype)
+    for i, row in enumerate(q):
+        total = row.sum()
+        cdf = None
+        if total > 0.0:
+            cdf = (row / total).cumsum()  # row invariants hold to 1e-7
+            cdf /= cdf[-1]
+            guide[i] = _guide_table(cdf)
+        cdfs.append(cdf)
+    return cdfs, guide.ravel()
 
 
-def _draw_offsets(table: NoiseTable, i: int, rng: np.random.Generator, out: np.ndarray):
-    """Fill the int64 array out with noise offsets drawn from row i.
+def _draw_from_rows(q: np.ndarray, values: np.ndarray, rows, rng: np.random.Generator):
+    """values[rows[c], k_c] for each client c, where k_c is the category
+    that the uniform u_c of rng.random(n) selects from row rows[c] of the
+    masses q: cdf.searchsorted(u_c, side="right") exactly, with the cdf
+    built as rng.choice(p=...) builds it.
 
-    The uniforms are drawn into out's own memory, as rng.choice(p=...)
-    draws them, and each block's categories are written over its uniforms.
+    k_c is read from the stacked guide table at row rows[c] and bucket
+    floor(u_c K) (u K is exact for K a power of two).  The draws that land
+    in a bucket holding a cdf point, under 2% at M = 32, are set aside and
+    found afterwards by a search in their own row's cdf.  The uniforms are
+    drawn into the result's memory, and each block's values are written
+    over its uniforms.
     """
-    m = table.shape.m
-    row = table.q[i]
-    total = row.sum()
-    if not total > 0.0:
-        raise ValueError(f"row {i} of the noise table has no mass")
-    probs = row / total  # row invariants hold to 1e-7; renormalize exactly
-    # the cdf exactly as rng.choice(p=probs) builds it
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    guide = _guide_table(cdf)
+    cdfs, guide = _row_guides(q)
+    flat = values.ravel()
+    width = values.shape[1]
+    out = np.empty(rows.size, dtype=values.dtype)
     u = out.view(np.float64)
     rng.random(out=u)
-    for block in _blocks(out.size):
-        np.subtract(_cdf_index(cdf, guide, u[block]), m, out=out[block])
+    aside, aside_u = [], []
+    for block in _blocks(rows.size):
+        rb, ub = rows[block], u[block]
+        key = np.multiply(ub, _GUIDE_BUCKETS, out=np.empty(ub.size, np.intp), casting="unsafe")
+        key += rb * _GUIDE_BUCKETS
+        cats = guide[key]
+        miss = np.flatnonzero(cats < 0)
+        if miss.size:
+            aside.append(miss + block.start)
+            aside_u.append(ub[miss])
+        np.multiply(rb, width, out=key)
+        key += cats
+        # a set-aside draw's -1 reads a neighbour until its search below
+        flat.take(key, out=out[block], mode="clip")
+    if aside:
+        pos, pos_u = np.concatenate(aside), np.concatenate(aside_u)
+        pos_rows = rows[pos]
+        cats = np.empty(pos.size, np.intp)
+        for i, cdf in enumerate(cdfs):
+            here = pos_rows == i
+            if not here.any():
+                continue
+            if cdf is None:
+                raise ValueError(f"row {i} of the noise table has no mass")
+            cats[here] = cdf.searchsorted(pos_u[here], side="right")
+        out[pos] = flat[pos_rows * width + cats]
+    return out
 
 
 def sample_noise(table: NoiseTable, i: int, rng: np.random.Generator, size=None):
     """Draw noise offsets j from row i of the table, |j| <= M, with the
-    row's masses renormalized to sum to 1."""
+    row's masses renormalized to sum to 1: rng.random(n), each uniform
+    mapped to its offset as rng.choice(p=...) maps it."""
     if not 0 <= i <= table.domain.n_bins:
         raise ValueError("edge index out of range")
-    j = np.empty(1 if size is None else int(size), dtype=np.int64)
-    _draw_offsets(table, i, rng, j)
+    n = 1 if size is None else int(size)
+    m = table.shape.m
+    offsets = np.broadcast_to(np.arange(-m, m + 1), table.q.shape)
+    j = _draw_from_rows(table.q, offsets, np.broadcast_to(np.int64(i), n), rng)
     return int(j[0]) if size is None else j
 
 
 def adaptive_perturb_array(
     table: NoiseTable, domain: QuantizedDomain, xs, rng: np.random.Generator
 ) -> np.ndarray:
-    """Perturb each value: randomized-round it to an edge and add noise
-    drawn from that edge's row.  Noise is drawn per rounded-edge group in
-    fixed edge order, clients in data order within a group (deterministic
-    for a given stream)."""
+    """Perturb each value: randomized-round it to an edge, then add noise
+    drawn from that edge's row, one uniform per client in data order.
+    The report of edge i and offset j is edges[i] + sigma j."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     idx = round_randomized_array(domain, xs, rng).ravel()
-    # the group members in data order: a stable sort by edge, on the
-    # narrowest integer type so that numpy sorts by radix
-    edge = idx.astype(np.min_scalar_type(domain.n_bins))
-    order = np.argsort(edge, kind="stable")
-    reports = np.empty(idx.size)
-    start = 0
-    for i, count in enumerate(np.bincount(idx, minlength=domain.n_bins + 1)):
-        if not count:
-            continue
-        group = reports[start : start + count]
-        offsets = group.view(np.int64)
-        _draw_offsets(table, i, rng, offsets)
-        for block in _blocks(count):
-            # float reports over their int offsets: numpy copies an input
-            # that overlaps the output where needed, so no offset is lost
-            np.multiply(domain.sigma, offsets[block], out=group[block])
-            group[block] += domain.edges[i]
-        start += count
-    out = idx.view(np.float64)  # the rounding's buffer, no longer needed
-    out[order] = reports
-    return out.reshape(xs.shape)
+    m = table.shape.m
+    reports = domain.edges[:, None] + domain.sigma * np.arange(-m, m + 1)
+    return _draw_from_rows(table.q, reports, idx, rng).reshape(xs.shape)
 
 
 def run_protocol(

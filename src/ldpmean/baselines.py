@@ -9,20 +9,21 @@ uniform arrays, in this order, before any other use of the generator:
 
 - laplace_perturb: rng.random(n);
 - duchi_perturb: rng.random(n);
-- piecewise_perturb: rng.random(n) (in or off the window), rng.random(n)
-  (position in the window), rng.random(n) (position off it);
-- hybrid_perturb: rng.random(n) (branch), then the piecewise draws, then
-  the two-point draw, so both branches are drawn for every value;
+- piecewise_perturb: rng.random(n), mapped through the inverse cdf;
+- hybrid_perturb: rng.random(n) (branch), then rng.random(n) (value: the
+  piecewise inverse cdf or the two-point comparison, by the branch);
 - generalized_rr: rng.random(n) (keep or not), then
   rng.integers(0, n_categories - 1, size=n).
 
-A fixed generator therefore gives the same reports and leaves the same
-stream position whatever else changes, which keeps CLI output stable.  The
-arithmetic runs in cache-sized blocks over the drawn arrays (see
-domain._BLOCK), with the reports written into a drawn buffer: a full-length
-temporary costs more in first-touch page faults than its arithmetic, and a
-per-element branch (np.where) more than a bit mask.  The range check of the
-input runs in the same pass, so a rejected input has consumed the draws.
+Every random choice compares a raw uniform with its threshold, and no
+uniform is rescaled.  A fixed generator therefore gives the same reports
+and leaves the same stream position whatever else changes, which keeps CLI
+output stable.  The arithmetic runs in cache-sized blocks over the drawn
+arrays (see domain._BLOCK), with the reports written into a drawn buffer:
+a full-length temporary costs more in first-touch page faults than its
+arithmetic, and a per-element branch (np.where) more than a bit mask.  The
+range check of the input runs in the same pass, so a rejected input has
+consumed the draws.
 """
 
 from __future__ import annotations
@@ -192,31 +193,33 @@ def piecewise_density(y, x: float, eps: float):
     return float(dens) if np.isscalar(y) else dens
 
 
-def _piecewise_block(xb, c: float, in_window, u, v) -> None:
-    """Piecewise reports of one block, written over its uniforms v.
+def _piecewise_block(xb, c: float, h: float, u, out) -> None:
+    """Piecewise reports of one block, the inverse cdf of its uniforms u,
+    written to out (which may be u).
 
-    in_window holds the first draw's verdict, u and v the second and third
-    draws.  Each value comes from the floating-point operations of
-    piecewise_window and the segment choice, in their order, so its bits do
-    not depend on the block."""
+    Off the window the density is 1/k, k = (h + 1)(C + 1), so [-C, l]
+    holds mass m_lo = (l + C)/k, the window [l, r] holds w = h/(h + 1) and
+    [r, C] the rest.  u < m_lo gives u k - C, u < m_lo + w gives
+    l + (u - m_lo)(C - 1)/w, and any other u gives u k - (w k + 1).  l is
+    piecewise_window's left end, by its operations, so no value's bits
+    depend on the block."""
+    k = (h + 1.0) * (c + 1.0)
+    w = h / (h + 1.0)
     left = (c + 1.0) / 2.0 * xb
     left -= (c - 1.0) / 2.0
-    len_lo = left + c  # length of [-C, l]
-    right = len_lo - 1.0  # piecewise_window's left + c - 1.0
-    total = np.subtract(c, right)  # length of [r, C], then of both sides
-    total += len_lo
-    # off the window: pick a side proportionally to its length, then uniform
-    v *= total
-    low_side = v < len_lo
-    y = v - len_lo
-    y += right
-    _select(low_side, np.subtract(v, c, out=total), y)
-    # within the window: uniform on [l, r]
-    y_in = np.subtract(right, left, out=right)
-    y_in *= u
+    m_lo = left + c
+    m_lo /= k
+    low = u < m_lo
+    y_in = np.subtract(u, m_lo)
+    y_in *= (c - 1.0) / w
     y_in += left
-    _select(in_window, y_in, y)
-    v[...] = y
+    m_lo += w
+    in_window = u < m_lo
+    y_low = np.multiply(u, k, out=m_lo)
+    np.subtract(y_low, w * k + 1.0, out=out)
+    y_low -= c
+    _select(in_window, y_in, out)
+    _select(low, y_low, out)
 
 
 def piecewise_perturb(x, eps: float, rng: np.random.Generator):
@@ -224,19 +227,16 @@ def piecewise_perturb(x, eps: float, rng: np.random.Generator):
 
     With probability e^{eps/2}/(e^{eps/2}+1) the output is uniform on the
     window [l(x), r(x)]; otherwise it is uniform on the complement
-    [-C, l(x)] u [r(x), C], drawn by a length-proportional segment choice.
-    For general beta the caller scales x in and the result out.
+    [-C, l(x)] u [r(x), C].  One uniform per value, through the inverse
+    cdf.  For general beta the caller scales x in and the result out.
     """
     xs = np.asarray(x, dtype=float).ravel()
     c, _ = piecewise_params(eps)
     h = math.exp(eps / 2.0)
-    u = np.empty(xs.size)
-    in_window = _draw_below(rng, u, h / (h + 1.0))
-    rng.random(out=u)
     out = rng.random(xs.size)
     for block in _blocks(xs.size):
         _check_block(xs[block], -1.0, 1.0)
-        _piecewise_block(xs[block], c, in_window[block], u[block], out[block])
+        _piecewise_block(xs[block], c, h, out[block], out[block])
     return _shaped(out, x)
 
 
@@ -257,28 +257,25 @@ def hybrid_alpha(eps: float) -> float:
 def hybrid_perturb(x, beta: float, eps: float, rng: np.random.Generator):
     """Mixture of the piecewise and two-point mechanisms at weight alpha.
 
-    Both branches are drawn for every value, so the stream consumption is
-    fixed whatever alpha is.
+    The branch uniform is drawn for every value, alpha = 0 included, and
+    one value uniform feeds the branch taken, so the stream consumption
+    is fixed whatever alpha is.
     """
     xs = np.asarray(x, dtype=float).ravel()
     alpha = hybrid_alpha(eps)
     c, _ = piecewise_params(eps)
     h, e = math.exp(eps / 2.0), math.exp(eps)
-    buf = np.empty(xs.size)
-    use_pm = _draw_below(rng, buf, alpha)
-    in_window = _draw_below(rng, buf, h / (h + 1.0))
-    rng.random(out=buf)
-    y_pm = rng.random(xs.size)
+    out = np.empty(xs.size)
+    use_pm = _draw_below(rng, out, alpha)
+    rng.random(out=out)
     for block in _blocks(xs.size):
-        xb = xs[block]
+        xb, u = xs[block], out[block]
         _check_block(xb, -beta, beta)
-        _piecewise_block(xb / beta, c, in_window[block], buf[block], y_pm[block])
-        y_pm[block] *= beta
-    # the two-point draw comes last, into buf, which the first pass has read
-    out = rng.random(out=buf)
-    for block in _blocks(xs.size):
-        _duchi_block(xs[block], beta, e, out[block])
-        _select(use_pm[block], y_pm[block], out[block])
+        y_pm = np.divide(xb, beta)
+        _piecewise_block(y_pm, c, h, u, y_pm)
+        y_pm *= beta
+        _duchi_block(xb, beta, e, u)
+        _select(use_pm[block], y_pm, u)
     return _shaped(out, x)
 
 

@@ -1,4 +1,4 @@
-"""Quantized data domain, randomized rounding, and empirical quantized pmfs.
+"""Quantized data domain, randomized rounding, and rescaling.
 
 The data range [-beta, beta] is split into ``n_bins`` equal bins whose N+1
 edges form the discrete support everything downstream works on.  A real value
@@ -153,23 +153,6 @@ def round_randomized_array(domain, x, rng: np.random.Generator) -> np.ndarray:
         idx, w_left = _rounding_block(domain, flat[block])
         np.add(idx, u[block] >= w_left, out=out[block])
     return out.reshape(xs.shape)
-
-
-def empirical_quantized_pmf(domain: QuantizedDomain, data) -> QuantizedPmf:
-    """Expected-rounding pmf of a dataset: masses[i] = mean of w_i(x) over data.
-
-    Deterministic (no sampling); the sampled variant lives inside the
-    mechanisms that need it.
-    """
-    xs = np.atleast_1d(np.asarray(data, dtype=float))
-    if xs.size == 0:
-        raise ValueError("data must be nonempty")
-    idx, w_left = rounding_weights_array(domain, xs)
-    masses = np.zeros(domain.n_bins + 1)
-    np.add.at(masses, idx, w_left)
-    np.add.at(masses, idx + 1, 1.0 - w_left)
-    masses /= xs.size
-    return QuantizedPmf(masses)
 
 
 def rescale_to(data, target_beta: float):

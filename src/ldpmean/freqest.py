@@ -61,19 +61,3 @@ def reconstruct_pmf(counts, eps: float) -> QuantizedPmf:
     # clipping only raises it
     v = np.clip(v, 0.0, None)
     return QuantizedPmf(v / v.sum())
-
-
-def relative_error_bound(p_true: QuantizedPmf, p_hat: QuantizedPmf) -> float:
-    """sup_j |p_true_j - p_hat_j| / p_true_j over indices with p_true_j > 0.
-
-    Zero-mass indices of p_true are excluded from the supremum (a finite
-    relative error is undefined there).
-    """
-    pt = p_true.masses
-    ph = p_hat.masses
-    if pt.size != ph.size:
-        raise ValueError("pmf size mismatch")
-    support = pt > 0
-    if not support.any():
-        return 0.0
-    return float(np.max(np.abs(pt[support] - ph[support]) / pt[support]))

@@ -14,8 +14,9 @@ k = 1 and k = 2 and on a CSV matrix, ``variance``, and ``optimize``, whose
 table file is compared after its printed summary.  The CSV inputs, the INI
 file and the table file are written to the temporary directory.  Prints one line per
 command, "identical", "data identical" where only the leading
-configuration line differs, or "DIFFERENT" with a diff, and exits 1 if any
-output differs at all.  Each command takes a few seconds; clients are
+configuration line differs, or "DIFFERENT" with the mechanisms whose rows
+differ and a diff; then the mechanisms whose rows differ in any command.
+Exits 1 if any output differs at all.  Each command takes a few seconds; clients are
 numerous enough that every sampler runs over several blocks.
 ``estimate-n32`` runs the adaptive arm alone at N=32 over three runs, so
 that each eps solves three tables at the same (N, A, eps), the later ones
@@ -101,6 +102,27 @@ def run(tree: Path, args: list[str], table: Path) -> bytes:
     return out
 
 
+def rows_by_mechanism(out: bytes) -> dict:
+    """The data rows of an output under the value of its "mechanism"
+    column; a line that is no CSV row of the header (the optimize
+    summary and table) goes under "(not a CSV row)"."""
+    lines = out.decode().splitlines()
+    header = lines[1].split(",") if len(lines) > 1 else []
+    col = header.index("mechanism") if "mechanism" in header else None
+    rows = {}
+    for line in lines[2:]:
+        fields = line.split(",")
+        key = fields[col] if col is not None and len(fields) == len(header) else "(not a CSV row)"
+        rows.setdefault(key, []).append(line)
+    return rows
+
+
+def moved(theirs: bytes, ours: bytes) -> list[str]:
+    """The mechanisms whose rows differ between two outputs."""
+    a, b = rows_by_mechanism(theirs), rows_by_mechanism(ours)
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
 def export(rev: str, into: Path) -> None:
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev, "src"],
@@ -114,7 +136,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    differ = 0
+    differ, moved_anywhere = 0, set()
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp) / "tree"
         export(argv[0], other)
@@ -130,10 +152,14 @@ def main(argv: list[str]) -> int:
             verdict = "identical" if same else "data identical" if data_same else "DIFFERENT"
             print(f"{name}: {verdict} ({len(ours)} bytes)")
             if not data_same:
+                mechanisms = moved(theirs, ours)
+                moved_anywhere.update(mechanisms)
+                print(f"{name}: rows differ for {', '.join(mechanisms)}")
                 sys.stdout.writelines(difflib.unified_diff(
                     theirs.decode().splitlines(True), ours.decode().splitlines(True),
                     argv[0], "working tree",
                 ))
+    print("rows differ for: " + (", ".join(sorted(moved_anywhere)) or "no mechanism"))
     return 1 if differ else 0
 
 

@@ -649,11 +649,19 @@ class TestStore:
     def test_same_program_reuses_the_solution(self, monkeypatch):
         d16 = make_domain(1.0, 16)
         pmf = rr_pmf(16, 1.0, seed=11, sd=0.2, clients=1000)
+        solutions = []
+        stored = adaptive._solve_stored
+        monkeypatch.setattr(adaptive, "_solve_stored",
+                            lambda program, key: solutions.append(stored(program, key)) or solutions[-1])
         first = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
+        assert all(sol.iterations > 0 and sol.run_seconds > 0.0 for sol in solutions)
+        solutions.clear()
         calls = recording_solve(monkeypatch)
         again = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
         assert calls == []
         np.testing.assert_array_equal(again.q, first.q)
+        # a reuse reports the HiGHS work it did: none
+        assert solutions and all(sol.iterations == 0 and sol.run_seconds == 0.0 for sol in solutions)
 
     def test_nonoptimal_start_is_solved_once_more_from_cold(self, monkeypatch):
         # a start that ends anywhere but optimal costs one more HiGHS call,
@@ -973,12 +981,13 @@ class TestColumnWeights:
         seen = []
         guide = adaptive._guide_table
         monkeypatch.setattr(adaptive, "_guide_table", lambda cdf: seen.append(cdf) or guide(cdf))
+        sample_noise(table, 0, np.random.default_rng(0), size=10)
+        assert len(seen) == self.N + 1  # one guide per row, for every row
         for i in range(self.N + 1):
-            sample_noise(table, i, np.random.default_rng(i), size=10)
             probs = table.q[i] / table.q[i].sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            np.testing.assert_array_equal(seen[-1], cdf)
+            np.testing.assert_array_equal(seen[i], cdf)
 
 
 GRID_BINS = (2, 4, 8, 16, 32)
@@ -1240,6 +1249,48 @@ class TestPerturb:
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         with pytest.raises(ValueError, match="value nan outside"):
             adaptive_perturb_array(table, D2, [0.0, math.nan], np.random.default_rng(0))
+
+
+class TestPerturbLaw:
+    """adaptive_perturb_array draws each client's offset from its edge's
+    row: at 1e6 clients on the edges, every offset's frequency is within
+    five standard errors of the row's mass, and no offset off the row's
+    support is ever drawn."""
+
+    N_CLIENTS = 1_000_000
+
+    @staticmethod
+    def hand_table():
+        # binary-fraction masses, zeros inside every row
+        i, j = np.meshgrid(np.arange(9), np.arange(13), indexing="ij")
+        q = ((3 * i + 5 * j) % 7) / 64.0
+        return NoiseTable(domain=make_domain(1.0, 8), shape=NoiseShape(m=6), q=q, eps=1.0)
+
+    @staticmethod
+    def solved_table(eps):
+        d8 = make_domain(1.0, 8)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
+        return solved_apart(lambda: solve_noise_table(pmf, eps, NoiseShape(m=24), d8))
+
+    @pytest.mark.parametrize("kind", ["hand", "eps=0.5", "eps=4"])
+    def test_row_frequencies(self, kind):
+        table = self.hand_table() if kind == "hand" else self.solved_table(float(kind[4:]))
+        dom, m = table.domain, table.shape.m
+        rows = np.arange(self.N_CLIENTS) % (dom.n_bins + 1)
+        reports = adaptive_perturb_array(table, dom, dom.edges[rows], np.random.default_rng(61))
+        offsets = np.rint((reports - dom.edges[rows]) / dom.sigma).astype(np.int64)
+        # every report is exactly edge + sigma * offset, offset in the window
+        np.testing.assert_array_equal(reports, dom.edges[rows] + dom.sigma * offsets)
+        assert np.abs(offsets).max() <= m
+        for i in range(dom.n_bins + 1):
+            drawn = offsets[rows == i]
+            counts = np.bincount(drawn + m, minlength=2 * m + 1)
+            p = table.q[i] / table.q[i].sum()
+            assert counts[p == 0.0].sum() == 0, f"row {i} drew off its support"
+            on = p > 0.0
+            expected = drawn.size * p[on]
+            z = (counts[on] - expected) / np.sqrt(expected * (1.0 - p[on]))
+            assert np.abs(z).max() <= 5.0, f"row {i}: z = {z.tolist()}"
 
 
 class TestProtocol:

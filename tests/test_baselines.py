@@ -366,3 +366,76 @@ class TestTinyEps:
         c, _ = piecewise_params(eps)
         assert math.isfinite(c) and c > 0.0
         assert math.isfinite(duchi_conditional_variance(0.5, 1.0, eps))
+
+
+def piecewise_cdf(y, x, eps):
+    """Pr[Y <= y | x] of the piecewise mechanism, from its density:
+    p inside the window [l, r], p / e^eps on the rest of [-C, C]."""
+    c, p = piecewise_params(eps)
+    left, right = piecewise_window(x, eps)
+    low = p / math.exp(eps)
+    return (
+        low * (np.clip(y, -c, left) + c)
+        + p * (np.clip(y, left, right) - left)
+        + low * (np.clip(y, right, c) - right)
+    )
+
+
+def hybrid_cdf(y, x, eps, left_limit=False):
+    """Pr[Y <= y | x] (Pr[Y < y] with left_limit) of the hybrid mechanism
+    at beta = 1: the piecewise law at weight alpha, the two points
+    +-(e + 1)/(e - 1) at 1 - alpha."""
+    alpha = hybrid_alpha(eps)
+    e = math.exp(eps)
+    support = (e + 1.0) / (e - 1.0)
+    p_pos = (e - 1.0) / (2.0 * e + 2.0) * x + 0.5
+    below = np.less if left_limit else np.less_equal
+    two_point = (1.0 - p_pos) * below(-support, y) + p_pos * below(support, y)
+    return alpha * piecewise_cdf(y, x, eps) + (1.0 - alpha) * two_point
+
+
+def ks_statistic(draws, cdf, cdf_left):
+    """sup |F_n - F| over the sorted draws, with F's left limits at its
+    atoms (ties included)."""
+    y = np.sort(draws)
+    n = y.size
+    rank = np.arange(1, n + 1) / n
+    return max(np.max(rank - cdf(y)), np.max(cdf_left(y) - (rank - 1.0 / n)))
+
+
+class TestInverseCdfLaw:
+    """The one-uniform samplers against the exact law: Kolmogorov-Smirnov
+    at 2e5 draws per input.  sqrt(n) D exceeds 2.2 with probability about
+    1e-4 under the law (Kolmogorov's limit); a window mass or segment
+    length off by 1% moves D by several times the bound."""
+
+    N = 200_000
+    BOUND = 2.2 / math.sqrt(N)
+
+    @pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 4.0])
+    def test_piecewise(self, eps, x):
+        rng = np.random.default_rng([31, int(10 * eps), int(10 * x) + 10])
+        draws = piecewise_perturb(np.full(self.N, x), eps, rng)
+        c, _ = piecewise_params(eps)
+        assert np.abs(draws).max() <= c
+        cdf = lambda y: piecewise_cdf(y, x, eps)
+        assert ks_statistic(draws, cdf, cdf) <= self.BOUND
+
+    @pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("eps", [0.3, 1.0, 4.0])
+    def test_hybrid(self, eps, x):
+        rng = np.random.default_rng([32, int(10 * eps), int(10 * x) + 10])
+        draws = hybrid_perturb(np.full(self.N, x), 1.0, eps, rng)
+        assert ks_statistic(
+            draws,
+            lambda y: hybrid_cdf(y, x, eps),
+            lambda y: hybrid_cdf(y, x, eps, left_limit=True),
+        ) <= self.BOUND
+
+    def test_statistic_sees_a_shifted_window(self):
+        # the check has power: the law at x = 0.1 is rejected for x = 0
+        rng = np.random.default_rng(33)
+        draws = piecewise_perturb(np.full(self.N, 0.1), 1.0, rng)
+        cdf = lambda y: piecewise_cdf(y, 0.0, 1.0)
+        assert ks_statistic(draws, cdf, cdf) > 3 * self.BOUND

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ldpmean.domain import (
     LinearTransform,
     QuantizedPmf,
-    empirical_quantized_pmf,
     make_domain,
     rescale_to,
     round_randomized_array,
@@ -156,44 +155,6 @@ class TestRoundRandomized:
         values = d.edges[draws]
         se = values.std() / 1000.0
         assert abs(values.mean() - x) < 4.0 * se
-
-
-class TestEmpiricalQuantizedPmf:
-    def test_single_edge(self):
-        d = make_domain(beta=1.0, n_bins=4)
-        pmf = empirical_quantized_pmf(d, [0.0])
-        np.testing.assert_allclose(pmf.masses, [0, 0, 1, 0, 0], atol=1e-12)
-
-    def test_hand_example(self):
-        d = make_domain(beta=1.0, n_bins=4)
-        pmf = empirical_quantized_pmf(d, [-0.3])
-        np.testing.assert_allclose(pmf.masses, [0, 0.6, 0.4, 0, 0], atol=1e-12)
-
-    def test_two_sample_average(self):
-        d = make_domain(beta=1.0, n_bins=4)
-        pmf = empirical_quantized_pmf(d, [-0.3, 0.3])
-        np.testing.assert_allclose(pmf.masses, [0, 0.3, 0.4, 0.3, 0], atol=1e-12)
-
-    def test_empty_data(self):
-        d = make_domain(beta=1.0, n_bins=4)
-        with pytest.raises(ValueError):
-            empirical_quantized_pmf(d, [])
-
-    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_masses_sum_to_one(self, data):
-        d = make_domain(beta=1.0, n_bins=6)
-        pmf = empirical_quantized_pmf(d, data)
-        assert abs(pmf.masses.sum() - 1.0) < 1e-12
-        assert np.all(pmf.masses >= 0.0)
-
-    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_pmf_mean_matches_data_mean(self, data):
-        # expected rounding preserves the first moment exactly
-        d = make_domain(beta=1.0, n_bins=6)
-        pmf = empirical_quantized_pmf(d, data)
-        assert pmf.masses @ d.edges == pytest.approx(np.mean(data), abs=1e-9)
 
 
 class TestRescale:

@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean.domain import QuantizedPmf, make_domain
-from ldpmean.freqest import (
-    collect_perturbed_histogram,
-    reconstruct_pmf,
-    relative_error_bound,
-)
+from ldpmean.domain import make_domain
+from ldpmean.freqest import collect_perturbed_histogram, reconstruct_pmf
 
 
 def rr_channel(n_bins, eps):
@@ -181,28 +177,6 @@ class TestEndToEnd:
         counts = collect_perturbed_histogram(d, data, 4.0, rng)
         rec = reconstruct_pmf(counts, 4.0)
         assert np.max(np.abs(rec.masses - truth)) < 0.02
-
-
-class TestRelativeErrorBound:
-    def test_identical(self):
-        p = QuantizedPmf(masses=np.array([0.5, 0.5]))
-        assert relative_error_bound(p, p) == 0.0
-
-    def test_hand_value(self):
-        p = QuantizedPmf(masses=np.array([0.5, 0.5]))
-        q = QuantizedPmf(masses=np.array([0.55, 0.45]))
-        assert relative_error_bound(p, q) == pytest.approx(0.1)
-
-    def test_zero_mass_index_excluded(self):
-        p = QuantizedPmf(masses=np.array([1.0, 0.0]))
-        q = QuantizedPmf(masses=np.array([0.9, 0.1]))
-        assert relative_error_bound(p, q) == pytest.approx(0.1)
-
-    def test_size_mismatch(self):
-        p = QuantizedPmf(masses=np.array([1.0, 0.0]))
-        q = QuantizedPmf(masses=np.array([0.5, 0.25, 0.25]))
-        with pytest.raises(ValueError):
-            relative_error_bound(p, q)
 
 
 class TestHistogramValidation:

@@ -1,12 +1,16 @@
 """Fixed-seed outputs compared with files committed beside this module.
 
 Criterion 10 checks that two runs of one version agree; these checks pin
-the outputs across versions.  The golden files were written by the plain
-full-array samplers that preceded the blocked ones, so a change to the
-samplers' arithmetic or to their order of draws fails here.  They assume
-numpy's Philox stream and its random and integers methods;
-regenerate them (``python3 tests/test_golden.py``) only for a change that
-declares new CLI output.
+the outputs across versions, so a change to the samplers' arithmetic or
+to their order of draws fails here.  The phase-1 digest was written by the
+plain full-array samplers that preceded the blocked ones.  The baseline
+CSV and the adaptive digest were written when piecewise came to draw one
+uniform per value, hybrid two and the adaptive noise one per client in
+data order (see the stream contract in the README); Duchi's and Laplace's
+rows are the same as before.  They assume numpy's Philox stream and its
+random and integers methods; regenerate them
+(``python3 tests/test_golden.py``) only for a change that declares new CLI
+output.
 """
 
 import hashlib
@@ -24,7 +28,7 @@ ESTIMATE_ARGS = [
 ESTIMATE_CSV = GOLDEN / "estimate_baselines.csv"
 # SHA-256 of adaptive_perturb_sample(): the reports' float64 bytes, then
 # the generator's next uniform
-ADAPTIVE_SHA256 = "bae52169a2e1cc930b60185190884c78bede8b7964f96ad066564faf6de3aeff"
+ADAPTIVE_SHA256 = "bfeb73f5bd11067fdf6e4355981f4666c47cfb1d84dde20278c4066409c3eeb5"
 # SHA-256 of phase1_sample(): the pmf float64 bytes per eps, then the
 # generator's next uniform
 PHASE1_SHA256 = "dff79f60a121530b3875f1daebc2558cc7b6390f9c607001292189ffa9fe5fbd"
@@ -49,8 +53,7 @@ def adaptive_perturb_sample() -> bytes:
     The masses are small binary fractions, so the table's bits do not
     depend on an LP solver; 3 * 2^14 + 7 clients cross several blocks.  The
     end columns are empty, as in tables whose optimum stays inside the
-    window: the digest was written by the samplers that drew geometric
-    tails beyond the window, which drew none here.
+    window.
     """
     from ldpmean.adaptive import NoiseShape, NoiseTable, adaptive_perturb_array
     from ldpmean.domain import make_domain

@@ -2,15 +2,17 @@
 
 Each reference below is a sampler in its plain full-array form: every
 uniform array drawn at full length, then the arithmetic on whole arrays,
-with np.where for each choice and rng.choice for the noise category.  The
-shipped samplers draw the same arrays in the same order and compute in
-blocks of domain._BLOCK values, so they must return the same bits and
-leave the generator at the same position.  Only two results may differ:
-non-finite inputs now raise, and the Laplace draw 0.0 gives finite noise
-(neither occurs below).
+with np.where for each choice and a per-row searchsorted (or rng.choice)
+for the noise category.  The shipped samplers draw the same arrays in the
+same order and compute in blocks of domain._BLOCK values, so they must
+return the same bits and leave the generator at the same position, and
+that position is the documented number of draws.  Only two results may
+differ: non-finite inputs now raise, and the Laplace draw 0.0 gives finite
+noise (neither occurs below).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,28 +51,35 @@ def ref_duchi(x, beta, eps, rng):
     return float(out) if np.isscalar(x) else out
 
 
-def ref_piecewise(x, eps, rng):
-    xs = np.asarray(x, dtype=float)
+def piecewise_inverse_cdf(xs, eps, u):
+    """The piecewise report of each x for its uniform u: [-C, l] holds mass
+    m_lo = (l + C)/k, k = (h + 1)(C + 1), the window w = h/(h + 1)."""
     c, _ = piecewise_params(eps)
     h = math.exp(eps / 2.0)
-    left, right = piecewise_window(xs, eps)
-    shape = np.shape(xs)
-    in_window = rng.random(shape) < h / (h + 1.0)
-    u = rng.random(shape)
-    y_in = left + u * (right - left)
-    len_lo = left + c
-    len_hi = c - right
-    v = rng.random(shape) * (len_lo + len_hi)
-    y_out = np.where(v < len_lo, -c + v, right + (v - len_lo))
-    out = np.where(in_window, y_in, y_out)
+    left, _ = piecewise_window(xs, eps)
+    k = (h + 1.0) * (c + 1.0)
+    w = h / (h + 1.0)
+    m_lo = (left + c) / k
+    y_in = (u - m_lo) * ((c - 1.0) / w) + left
+    y_off = np.where(u < m_lo, u * k - c, u * k - (w * k + 1.0))
+    return np.where((u >= m_lo) & (u < m_lo + w), y_in, y_off)
+
+
+def ref_piecewise(x, eps, rng):
+    xs = np.asarray(x, dtype=float)
+    out = piecewise_inverse_cdf(xs, eps, rng.random(np.shape(xs)))
     return float(out) if np.isscalar(x) else out
 
 
 def ref_hybrid(x, beta, eps, rng):
     xs = np.asarray(x, dtype=float)
     use_pm = rng.random(np.shape(xs)) < hybrid_alpha(eps)
-    y_pm = beta * ref_piecewise(xs / beta, eps, rng)
-    y_du = ref_duchi(xs, beta, eps, rng)
+    u = rng.random(np.shape(xs))
+    y_pm = beta * piecewise_inverse_cdf(xs / beta, eps, u)
+    e = math.exp(eps)
+    support = beta * (e + 1.0) / (e - 1.0)
+    p_pos = (e - 1.0) / (2.0 * e + 2.0) * xs / beta + 0.5
+    y_du = np.where(u < p_pos, support, -support)
     out = np.where(use_pm, y_pm, y_du)
     return float(out) if np.isscalar(x) else out
 
@@ -108,12 +117,14 @@ def ref_sample_noise(table, i, rng, size):
 def ref_adaptive_perturb(table, dom, xs, rng):
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     idx = ref_round_randomized(dom, xs, rng)
-    offsets = np.zeros(xs.size, dtype=np.int64)
+    u = rng.random(xs.shape)
+    offsets = np.zeros(xs.shape, dtype=np.int64)
     for i in range(dom.n_bins + 1):
+        probs = table.q[i] / table.q[i].sum()
+        cdf = probs.cumsum()  # as rng.choice(p=probs) builds it
+        cdf /= cdf[-1]
         mask = idx == i
-        count = int(mask.sum())
-        if count:
-            offsets[mask] = ref_sample_noise(table, i, rng, count)
+        offsets[mask] = cdf.searchsorted(u[mask], side="right") - table.shape.m
     return dom.edges[idx] + dom.sigma * offsets
 
 
@@ -279,9 +290,65 @@ def test_protocol_matches_reference(monkeypatch):
     np.testing.assert_array_equal(got.phase1_pmf.masses, expected.phase1_pmf.masses)
 
 
+# --- the stream position -------------------------------------------------
+
+
+DRAWS = {  # sampler on n values, and the arrays its documentation lists
+    "laplace": (lambda x, rng: baselines.laplace_perturb(x, 1.0, 1.0, rng), 1),
+    "duchi": (lambda x, rng: baselines.duchi_perturb(x, 1.0, 1.0, rng), 1),
+    "piecewise": (lambda x, rng: baselines.piecewise_perturb(x, 1.0, rng), 1),
+    "hybrid": (lambda x, rng: baselines.hybrid_perturb(x, 1.0, 1.0, rng), 2),
+    "hybrid-alpha-0": (lambda x, rng: baselines.hybrid_perturb(x, 1.0, 0.3, rng), 2),
+    "rounding": (lambda x, rng: domain.round_randomized_array(make_domain(1.0, 8), x, rng), 1),
+    "sample_noise": (lambda x, rng: adaptive.sample_noise(hand_table(), 3, rng, size=x.size), 1),
+    "adaptive": (lambda x, rng: adaptive.adaptive_perturb_array(
+        hand_table(), hand_table().domain, x, rng), 2),
+}
+
+
+@pytest.mark.parametrize("n", [1, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("name", sorted(DRAWS))
+def test_stream_position_is_the_documented_draws(name, n):
+    sampler, arrays = DRAWS[name]
+    rng, expected = stream(6, n), stream(6, n)
+    sampler(inputs(n), rng)
+    expected.random(arrays * n)
+    assert rng.random() == expected.random()
+
+
+@pytest.mark.parametrize("n", [1, B + 1])
+def test_generalized_rr_stream_position(n):
+    rng, expected = stream(7, n), stream(7, n)
+    baselines.generalized_rr(stream(2, n).integers(0, 9, n), 9, 1.0, rng)
+    expected.random(n)
+    expected.integers(0, 8, size=n)
+    assert rng.random() == expected.random()
+
+
 # --- the guide table -------------------------------------------------------
 
 K = adaptive._GUIDE_BUCKETS
+
+
+class Given:
+    """Stands in for a Generator whose uniforms are the given values."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+        return out
+
+
+def categories(q, u):
+    """The categories that the shipped sampler draws from the one row of
+    masses q for the uniforms u."""
+    q = np.atleast_2d(q)
+    return adaptive._draw_from_rows(
+        q, np.arange(q.shape[1])[None, :], np.zeros(u.size, np.int64), Given(u)
+    )
+
 
 masses = st.lists(
     st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-6, 1.0)),
@@ -298,7 +365,7 @@ masses = st.lists(
 def test_guide_table_matches_searchsorted(p, buckets, extra):
     probs = np.array(p)
     probs /= probs.sum()
-    cdf = probs.cumsum()
+    cdf = probs.cumsum()  # as rng.choice(p=probs) builds it
     cdf /= cdf[-1]
     edges = np.array(buckets, dtype=float) / K  # u exactly on k/K
     below = np.nextafter(edges, 0.0)
@@ -306,8 +373,7 @@ def test_guide_table_matches_searchsorted(p, buckets, extra):
     u = np.concatenate([edges, below, points, np.nextafter(points, 0.0), extra,
                         np.linspace(0.0, 1.0, 1000, endpoint=False)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    got = adaptive._cdf_index(cdf, adaptive._guide_table(cdf), u)
-    np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+    np.testing.assert_array_equal(categories(p, u), cdf.searchsorted(u, side="right"))
 
 
 def test_guide_table_on_bucket_edges():
@@ -317,5 +383,7 @@ def test_guide_table_on_bucket_edges():
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     cdf = np.append(np.unique(near), 1.0)
     u = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, 1.0), [0.0]])
-    got = adaptive._cdf_index(cdf, adaptive._guide_table(cdf), u)
+    guides = ([cdf], adaptive._guide_table(cdf).astype(np.int16))
+    with mock.patch.object(adaptive, "_row_guides", lambda q: guides):
+        got = categories(np.ones(cdf.size), u)
     np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
