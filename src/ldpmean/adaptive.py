@@ -8,29 +8,40 @@ normalization and zero mean and, per output grid index k = i + j, pure
 eps-LDP: max_i d_i(k) <= e^eps min_i d_i(k), where d_i(k) is the mass the
 table gives output k under input i.  An output outside [N - M, M] is out of
 reach for some input, so eps-LDP empties it for every input: the program
-over the window is the restricted program R(M - N) below.
+over the window is R(M - N), where R(A) is the program over the outputs
+k in [-A, N+A].
 
-build_lp assembles R(A), the program over the outputs k in [-A, N+A],
-directly as a staircase: each kept mass is t_k + s with
-0 <= s <= expm1(eps) t_k.  Its equality duals y certify it by weak
-duality.  With rho_i(j) = p_i sigma^2 j^2 - y_norm,i - y_mean,i j, any
-integer-offset eps-LDP table q whose rows have finite variance costs
-b.y + sum_k sum_i rho_i(k - i) q_ik (finite variance makes the sums
-converge absolutely, so they can be regrouped by output k).  Each q_ik
-lies in [t_k, e^eps t_k], t_k = min_i q_ik, so output k adds at least
+build_lp assembles the program over a sorted set S of outputs k (every
+other mass 0) directly as a staircase: each kept mass is t_k + s with
+0 <= s <= expm1(eps) t_k.  Its equality duals y price every output left
+out, by weak duality.  With rho_i(j) = p_i sigma^2 j^2 - y_norm,i -
+y_mean,i j, any integer-offset eps-LDP table q whose rows have finite
+variance costs b.y + sum_k sum_i rho_i(k - i) q_ik (finite variance makes
+the sums converge absolutely, so they can be regrouped by output k).  Each
+q_ik lies in [t_k, e^eps t_k], t_k = min_i q_ik, so output k adds at least
 t_k s(k), s(k) = sum_i min(rho_i, e^eps rho_i).  On the kept outputs
-s(k) >= 0 is R(A)'s own dual feasibility; s(k) >= -tol at every other
-integer k, found exactly in closed form, therefore proves R(A)'s optimum
-optimal to tol, since sum_k t_k <= 1.  solve_noise_table grows A until
-R(A) is certified or A reaches M - N, where R(A) is the window's program.
+s(k) >= 0 is the program's own dual feasibility; s(k) >= -tol at every
+other output of the window [N - M, M] therefore proves the optimum over S
+the window program's to tol, since sum_k t_k <= 1, and s(k) >= -tol at
+every other integer, found exactly in closed form beyond S (_certified),
+proves it optimal for every window.
 
-R(A)'s constraints depend on (N, A, eps) alone, never on the pmf, so the
-optimal basis of one R(A) is primal feasible for R(A) of every other pmf
-at the same key.  The latest optimal solution at each key is stored (at
-most _STORE_KEYS keys): the same program again reuses it, and any other
-starts HiGHS's primal simplex from its basis.  A table therefore depends
-on its inputs and on the earlier solves at its keys in the process; the
-CLI clears the store (clear_store) at the start of each command.
+The optimum loads few outputs (the sparse staircase of optimal noise,
+Geng & Viswanath, IEEE T-IT 2016), so solve_noise_table generates them
+(_solve_generated): S starts as a stride grid of about N + 1 outputs, and
+after each solve every window output with s(k) < -tol joins it, until
+none is left.  Each later round starts HiGHS's primal simplex from the
+last optimal basis, extended to the new outputs: the zero-padded optimum
+is feasible for the larger program.
+
+The program's constraints depend on (N, S, eps) alone, never on the pmf,
+so the optimal basis over S of one pmf is primal feasible over S for every
+other.  The last program of the latest solve at each (N, M, eps), its S
+and its solution, is stored (at most _STORE_KEYS keys): the same program
+again reuses the solution, and any other pmf starts from S and its basis.
+A table therefore depends on its inputs and on the earlier solves at its
+key in the process; the CLI clears the store (clear_store) at the start of
+each command.
 
 HiGHS holds the tube only to its tolerances (the upper row to 1e-7 after
 division by expm1(eps)), so the table is the solved point projected onto
@@ -81,11 +92,11 @@ _ROW_TOL = 1e-7
 # entries fit in L1 cache, and at most 2M of them (one per cdf point) fall
 # back to the search: under 2% of draws at M = 32.
 _GUIDE_BUCKETS = 1 << 12
-# The store of solves: (N, A, eps) -> (objective, LpSolution) of the latest
-# optimal R(A) there, least recently used first, at most _STORE_KEYS keys
-# (a design at one N touches one or two per eps)
+# The store of solves: (N, M, eps) -> (outputs S, objective, LpSolution) of
+# the last program of the latest optimal solve there, least recently used
+# first, at most _STORE_KEYS keys (a design at one window touches one per eps)
 _STORE_KEYS = 32
-_store: dict[tuple, tuple[np.ndarray, lplib.LpSolution]] = {}
+_store: dict[tuple, tuple[np.ndarray, np.ndarray, lplib.LpSolution]] = {}
 
 
 @dataclass(frozen=True)
@@ -162,14 +173,25 @@ def _min_half_width(n: int, eps: float) -> int:
 
 
 def _first_half_width(n: int, eps: float) -> int:
-    """First restricted half-width A to try.  The optimum reaches further
-    than the edge of feasibility (_min_half_width); starting half again
-    past it settles most programs in one solve."""
+    """Half-width A of the outputs [-A, N+A] that the first program spans.
+    The optimum reaches further than the edge of feasibility
+    (_min_half_width); half again past it, most optima need no output
+    beyond."""
     return math.ceil(1.5 * _min_half_width(n, eps) + 2.0)
 
 
-def build_lp(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.LinearProgram:
-    """R(A): the noise-design program over the outputs k in [-A, N+A] only,
+def _first_outputs(n: int, m: int, eps: float) -> np.ndarray:
+    """The first outputs S of a solve without a stored one: a stride grid
+    over [-A, N+A], A = min(_first_half_width, M - N), with both ends, and
+    so feasible wherever the window is (see _min_half_width); about N + 1
+    outputs, stride ceil((N + 2A + 1) / (N + 1))."""
+    a = min(_first_half_width(n, eps), m - n)
+    stride = -(-(n + 2 * a + 1) // (n + 1))
+    return np.unique(np.append(np.arange(-a, n + a + 1, stride), n + a))
+
+
+def build_lp(pmf: QuantizedPmf, sigma: float, ks, eps: float) -> lplib.LinearProgram:
+    """The noise-design program over the outputs ks only (sorted integers),
     over z = (s, t): each kept mass is q[i, k - i] = t_k + s, s >= 0.
 
     The lower tube row t_k <= q is then the bound s >= 0, and the upper row
@@ -177,10 +199,12 @@ def build_lp(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.Linea
     it stays O(1) at large eps, and empty at eps = inf): one row per kept
     cell (i, k), input-major.  Per input i the equality rows are
     normalization (row 2i) and zero mean (row 2i + 1); every other mass is
-    0.  The s are input-major, then the t.
+    0.  The s are input-major, then the t, each in the order of ks.
     """
     n = len(pmf) - 1
-    ks = np.arange(-a, n + a + 1)
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or ks.size == 0 or np.any(np.diff(ks) <= 0):
+        raise ValueError("outputs must be a nonempty increasing sequence")
     j = ks[None, :] - np.arange(n + 1)[:, None]  # offset of each cell
     cells = j.size
     cost = pmf.masses[:, None] * (sigma * j) ** 2
@@ -201,14 +225,13 @@ def build_lp(pmf: QuantizedPmf, sigma: float, a: int, eps: float) -> lplib.Linea
     )
 
 
-def _scatter(z: np.ndarray, n: int, m: int, a: int, eps: float) -> np.ndarray:
-    """The window masses q of R(A)'s point z, projected onto the tube:
-    s = max(s, 0), t = max(t, 0, max_i s / expm1(eps)) (the lift),
-    s = min(s, expm1(eps) t) (the rounding of the lift), and
-    q[i, k - i] = t_k + s on the kept outputs, 0 elsewhere.  At eps = inf
-    s has no upper bound (and inf * 0 would be NaN).  Needs N + A <= M, so
-    that every kept offset lies in the window."""
-    ks = np.arange(-a, n + a + 1)
+def _scatter(z: np.ndarray, n: int, m: int, ks: np.ndarray, eps: float) -> np.ndarray:
+    """The window masses q of the point z of build_lp over the outputs ks,
+    projected onto the tube: s = max(s, 0), t = max(t, 0, max_i s /
+    expm1(eps)) (the lift), s = min(s, expm1(eps) t) (the rounding of the
+    lift), and q[i, k - i] = t_k + s on the kept outputs, 0 elsewhere.  At
+    eps = inf s has no upper bound (and inf * 0 would be NaN).  Needs every
+    k in [N - M, M], so that every kept offset lies in the window."""
     cells = (n + 1) * ks.size
     s = np.maximum(z[:cells].reshape(n + 1, ks.size), 0.0)
     t = np.maximum(z[cells:], 0.0)
@@ -230,22 +253,21 @@ def _slack(masses: np.ndarray, sigma: float, y: np.ndarray, ks, eps: float) -> n
 
 
 def _slack_minimum(
-    masses: np.ndarray, sigma: float, y: np.ndarray, a: int, eps: float
+    masses: np.ndarray, sigma: float, y: np.ndarray, lo: int, hi: int, eps: float
 ) -> tuple[float, float]:
     """(k, s(k)) at the minimum of s over every integer k outside
-    [-A, N+A], found exactly at O(N^2) cost whatever eps is.
+    [lo, hi], found exactly at O(N^2) cost whatever eps is.
 
     Each rho_i is a quadratic in k (linear where p_i = 0), so s is a convex
     quadratic between consecutive real roots of the rho_i.  On each such
-    piece, cut at -A - 1/2 and N + A + 1/2, the integer minimum sits at the
+    piece, cut at lo - 1/2 and hi + 1/2, the integer minimum sits at the
     floor or the ceiling of the vertex, clamped to the piece; the integers
     on each side of every cut are candidates too, which covers round-off in
     the roots.  s is evaluated exactly at the candidates.  A piece whose
     curvature is not positive is checked at its ends only, and an unbounded
     one gives s = -inf.
     """
-    n = masses.size - 1
-    inputs = np.arange(n + 1)
+    inputs = np.arange(masses.size)
     curv = masses * sigma * sigma  # rho_i = curv (k - i)^2 + lin (k - i) + const
     lin, const = -y[1::2], -y[0::2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -253,13 +275,15 @@ def _slack_minimum(
         # const / h is the root of a linear rho_i
         h = -0.5 * (lin + np.copysign(np.sqrt(lin * lin - 4.0 * curv * const), lin))
         roots = np.concatenate([h / curv, const / h]) + np.tile(inputs, 2)
-    cuts = np.unique(np.concatenate([roots[np.isfinite(roots)], [-a - 0.5, n + a + 0.5]]))
-    lo = np.concatenate([[-np.inf], cuts])
-    hi = np.concatenate([cuts, [np.inf]])
-    outside = (hi <= -a - 0.5) | (lo >= n + a + 0.5)
-    lo, hi = lo[outside], hi[outside]  # the first and last are unbounded
+    cuts = np.unique(np.concatenate([roots[np.isfinite(roots)], [lo - 0.5, hi + 0.5]]))
+    lower = np.concatenate([[-np.inf], cuts])
+    upper = np.concatenate([cuts, [np.inf]])
+    outside = (upper <= lo - 0.5) | (lower >= hi + 0.5)
+    lower, upper = lower[outside], upper[outside]  # the first and last are unbounded
     # one point inside each piece fixes which branch of each min it takes
-    inner = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, (lo + hi) / 2))
+    inner = np.where(
+        np.isinf(lower), upper - 1.0, np.where(np.isinf(upper), lower + 1.0, (lower + upper) / 2)
+    )
     j = inner[:, None] - inputs
     weight = np.where(curv * j * j + lin * j + const < 0.0, math.exp(eps), 1.0)
     c2 = weight @ curv
@@ -267,21 +291,22 @@ def _slack_minimum(
         return math.nan, -math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = (weight @ (2.0 * curv * inputs - lin)) / (2.0 * c2)
-    near = np.clip(np.stack([np.floor(vertex), np.ceil(vertex)]), np.ceil(lo), np.floor(hi))
+    near = np.clip(np.stack([np.floor(vertex), np.ceil(vertex)]), np.ceil(lower), np.floor(upper))
     ends = [np.floor(cuts) - 1.0, np.floor(cuts), np.ceil(cuts), np.ceil(cuts) + 1.0]
     ks = np.concatenate([near.ravel(), *ends])
-    ks = np.unique(ks[np.isfinite(ks) & ((ks < -a) | (ks > n + a))])
+    ks = np.unique(ks[np.isfinite(ks) & ((ks < lo) | (ks > hi))])
     slack = _slack(masses, sigma, y, ks, eps)
     best = int(slack.argmin())
     return float(ks[best]), float(slack[best])
 
 
 def _certified(
-    masses: np.ndarray, sigma: float, y: np.ndarray, objective: float, a: int, eps: float
+    masses: np.ndarray, sigma: float, y: np.ndarray, objective: float, ks, eps: float
 ) -> bool:
-    """Whether R(A)'s optimum, of value objective and with equality duals
-    y, is optimal among all integer-offset eps-LDP noise tables whose rows
-    have finite variance, and so for the window program of every M.
+    """Whether the optimum of build_lp over the outputs ks, of value
+    objective and with equality duals y, is optimal among all
+    integer-offset eps-LDP noise tables whose rows have finite variance,
+    and so for the window program of every M.
 
     Weak duality.  Let q be any such table, and rho_i(j) = p_i sigma^2 j^2
     - y[2i] - y[2i + 1] j.  Each row has total mass 1 and mean 0, so
@@ -292,71 +317,95 @@ def _certified(
     sum_i rho_i(k - i) q[i, k - i] >= t_k s(k), s(k) = sum_i min(rho_i,
     e^eps rho_i).  Hence objective(q) >= b.y + sum_k t_k min(s(k), 0).
 
-    On the kept outputs s(k) >= 0 is R(A)'s own dual feasibility: the map
-    q = t_k + s takes the cone {0 <= s <= expm1(eps) t} one to one onto
-    the kept tube cone {t <= q <= e^eps t}, so R(A) has the same equality
-    duals over (t, s) as over (q, t).  It is not checked here; HiGHS meets
-    it only to its 1e-10 dual tolerance in (t, s) coordinates, which lets
-    s(k) dip to about -(N + 1) e^eps 1e-10 there.  On every other integer
-    output s(k) >= -tol is checked (_slack_minimum), tol = 1e-9 max(1,
-    |objective|).  Since sum_k t_k <= sum_k q[0, k] = 1, no such table
-    costs less than b.y - max(tol, -min s(k) over the kept k), and b.y is
-    R(A)'s optimum up to HiGHS's duality gap.
+    On the kept outputs s(k) >= 0 is the program's own dual feasibility:
+    the map q = t_k + s takes the cone {0 <= s <= expm1(eps) t} one to one
+    onto the kept tube cone {t <= q <= e^eps t}, so the program has the
+    same equality duals over (t, s) as over (q, t).  It is not checked
+    here; HiGHS meets it only to its 1e-10 dual tolerance in (t, s)
+    coordinates, which lets s(k) dip to about -(N + 1) e^eps 1e-10 there.
+    At every other integer output s(k) >= -tol is checked, tol = 1e-9
+    max(1, |objective|): exactly (_slack) at those between the least and
+    the greatest of ks, in closed form (_slack_minimum) beyond them.  Since
+    sum_k t_k <= sum_k q[0, k] = 1, no such table costs less than b.y -
+    max(tol, -min s(k) over the kept k), and b.y is the program's optimum
+    up to HiGHS's duality gap.
     """
+    ks = np.asarray(ks)
     tol = 1e-9 * max(1.0, abs(objective))
-    return _slack_minimum(masses, sigma, y, a, eps)[1] >= -tol
+    between = np.setdiff1d(np.arange(ks[0], ks[-1] + 1), ks)
+    if between.size and _slack(masses, sigma, y, between, eps).min() < -tol:
+        return False
+    return _slack_minimum(masses, sigma, y, int(ks[0]), int(ks[-1]), eps)[1] >= -tol
 
 
 def clear_store() -> None:
-    """Forget every stored solve: the next R(A) at each (N, A, eps) is
-    solved from cold, as in a fresh process."""
+    """Forget every stored solve: the next solve at each (N, M, eps)
+    starts from its first outputs and from cold, as in a fresh process."""
     _store.clear()
 
 
-def _solve_stored(program: lplib.LinearProgram, key: tuple) -> lplib.LpSolution:
-    """R(A)'s solution, through the store at key = (N, A, eps): the stored
-    solution if its objective is the program's, with 0 iterations and 0
-    seconds since HiGHS runs no work then; else HiGHS's from the stored
-    basis, and from cold where there is none or where the start does not
-    end optimal.  An optimal solution replaces the stored one."""
-    stored = _store.pop(key, None)
-    if stored is not None and np.array_equal(stored[0], program.objective):
-        sol = replace(stored[1], iterations=0, run_seconds=0.0)
-    else:
-        sol = lplib.solve(program, start=None if stored is None else stored[1].basis)
-        if stored is not None and sol.status != "optimal":
-            sol = lplib.solve(program)
-    if sol.status == "optimal":
-        _store[key] = (program.objective, sol)
-        if len(_store) > _STORE_KEYS:
-            del _store[next(iter(_store))]
+def _solve_from(program: lplib.LinearProgram, start) -> lplib.LpSolution:
+    """HiGHS's solution of the program from the start basis, or from cold
+    where there is none or where the start does not end optimal."""
+    sol = lplib.solve(program, start=start)
+    if start is not None and sol.status != "optimal":
+        sol = lplib.solve(program)
     return sol
 
 
-def _solve_restricted_first(
-    pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
-) -> tuple[lplib.LpSolution, np.ndarray | None]:
-    """Solve the noise-design program through restricted programs R(A),
-    each through the store (_solve_stored); return the solution and its
-    window masses q (projected onto the tube, see _scatter), None unless
-    optimal.
+def _extended_basis(basis, ks: np.ndarray, wider: np.ndarray, n: int):
+    """The basis of build_lp over the outputs ks, extended to the program
+    over wider, a superset of ks: the new s and t columns nonbasic at 0 and
+    the new tube rows' slacks basic.  The zero-padded optimum is feasible
+    for the wider program, so the basis is primal feasible there."""
+    at = np.searchsorted(wider, ks)
+    cells = (n + 1) * wider.size
+    kept = (np.arange(n + 1)[:, None] * wider.size + at).ravel()
+    return lplib.extend_basis(
+        basis,
+        np.concatenate([kept, cells + at]),
+        np.concatenate([kept, cells + np.arange(2 * (n + 1))]),
+        cells + wider.size,
+        cells + 2 * (n + 1),
+    )
 
-    A starts at _first_half_width, past the least feasible A, and grows by
-    half, up to M - N, while R(A)'s optimum is not certified (see
-    _certified).  R(M - N) is the window's own program, so its optimum is
-    returned whether certified or not.
+
+def _solve_generated(
+    pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
+) -> tuple[np.ndarray, lplib.LpSolution, np.ndarray | None]:
+    """Solve the window's program by output generation; return the last
+    program's outputs S, its solution, and its window masses q (projected
+    onto the tube, see _scatter), None unless optimal.
+
+    The first S is the stored one at (N, M, eps), else _first_outputs.
+    After each optimal round every window output k outside S with s(k) <
+    -1e-9 max(1, |objective|) joins S; a round that adds none ends the
+    loop, and its S and solution are stored.  Each round adds a window
+    output, so there are at most as many rounds as the window has outputs.
     """
     n, m = domain.n_bins, shape.m
-    a = min(_first_half_width(n, eps), m - n)
-    while True:
-        sol = _solve_stored(build_lp(pmf, domain.sigma, a, eps), (n, a, eps))
-        if sol.status != "optimal":
-            return sol, None
-        if a == m - n or _certified(
-            pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, a, eps
-        ):
-            return sol, _scatter(sol.x, n, m, a, eps)
-        a = min(math.ceil(1.5 * a), m - n)
+    key = (n, m, eps)
+    stored = _store.pop(key, None)
+    ks = _first_outputs(n, m, eps) if stored is None else stored[0]
+    program = build_lp(pmf, domain.sigma, ks, eps)
+    if stored is not None and np.array_equal(stored[1], program.objective):
+        sol = replace(stored[2], iterations=0, run_seconds=0.0)
+    else:
+        sol = _solve_from(program, None if stored is None else stored[2].basis)
+    while sol.status == "optimal":
+        left_out = np.setdiff1d(np.arange(n - m, m + 1), ks, assume_unique=True)
+        slack = _slack(pmf.masses, domain.sigma, sol.eq_duals, left_out, eps)
+        entering = left_out[slack < -1e-9 * max(1.0, abs(sol.objective_value))]
+        if entering.size == 0:
+            _store[key] = (ks, program.objective, sol)
+            if len(_store) > _STORE_KEYS:
+                del _store[next(iter(_store))]
+            return ks, sol, _scatter(sol.x, n, m, ks, eps)
+        wider = np.union1d(ks, entering)
+        start = _extended_basis(sol.basis, ks, wider, n)
+        ks, program = wider, build_lp(pmf, domain.sigma, wider, eps)
+        sol = _solve_from(program, start)
+    return ks, sol, None
 
 
 def solve_noise_table(
@@ -367,16 +416,17 @@ def solve_noise_table(
 ) -> NoiseTable:
     """Solve the noise-design LP and package the optimum as a NoiseTable.
 
-    The program is solved over the outputs near the domain first and grown
-    until a dual certificate proves the result optimal (see _certified), or
-    until it fills the window, and its point is projected onto the tube
-    (see _scatter).  Each program R(A) starts from the latest optimal
-    basis at its (N, A, eps) in this process, or reuses that solution
-    outright if the program is the same (see _solve_stored); so the table
-    depends on the pmf, eps, window and domain, and on the earlier solves
-    at those keys, which clear_store forgets.  At eps = inf there is no
-    tube, and the optimum adds no noise.  The solved table is checked against its three invariants (row
-    normalization, row zero mean, exact privacy); any violation raises.
+    The program is solved over a few outputs first, and the window outputs
+    its duals price below 0 are added until none is left (see
+    _solve_generated); its point is projected onto the tube (see
+    _scatter).  The first program starts from the outputs and basis of
+    the latest solve at its (N, M, eps) in this process, or reuses that
+    solution outright if the program is the same; so the table depends on
+    the pmf, eps, window and domain, and on the earlier solves at that
+    key, which clear_store forgets.  At eps = inf there is no tube, and
+    the optimum adds no noise.  The solved table is checked against its
+    three invariants (row normalization, row zero mean, exact privacy);
+    any violation raises.
     """
     eps = check_eps(eps, allow_inf=True)
     n, m = domain.n_bins, shape.m
@@ -388,7 +438,7 @@ def solve_noise_table(
         q = np.zeros((n + 1, 2 * m + 1))
         q[:, m] = 1.0
         return NoiseTable(domain=domain, shape=shape, q=q, eps=eps, lp_objective=0.0)
-    sol, q = _solve_restricted_first(pmf, eps, shape, domain)
+    _, sol, q = _solve_generated(pmf, eps, shape, domain)
     if sol.status != "optimal":
         hint = ""
         if sol.status == "infeasible":

@@ -107,7 +107,7 @@ class ExperimentConfig:
     @property
     def m(self) -> int:
         """The noise window M: noise_window, else 4 * bins widened until the
-        first restricted program at the smallest per-attribute budget
+        span of the first outputs at the smallest per-attribute budget
         min(eps_grid) / k fits inside it (see adaptive._first_half_width)."""
         if self.noise_window is not None:
             return self.noise_window

@@ -110,7 +110,10 @@ def _check_block(xs: np.ndarray, lo: float, hi: float) -> None:
 
 
 def _rounding_block(domain: QuantizedDomain, xs: np.ndarray):
-    """Left edge indices and left weights of one block of in-domain values."""
+    """Left edge indices and left weights of one block of in-domain values.
+    Floating error can leave a weight a hair outside [0, 1]; it is not
+    clipped here, since a uniform u in [0, 1) compares with it as with the
+    clipped weight."""
     _check_block(xs, -domain.beta, domain.beta)
     t = xs + domain.beta
     t /= domain.sigma
@@ -119,8 +122,6 @@ def _rounding_block(domain: QuantizedDomain, xs: np.ndarray):
     w_left = xs - domain.edges[idx]
     w_left /= domain.sigma
     np.subtract(1.0, w_left, out=w_left)
-    # floating error can leave w a hair outside [0, 1]
-    np.clip(w_left, 0.0, 1.0, out=w_left)
     return idx, w_left
 
 
@@ -137,7 +138,8 @@ def rounding_weights_array(domain: QuantizedDomain, x) -> tuple[np.ndarray, np.n
     idx = np.empty(flat.size, dtype=np.int64)
     w_left = np.empty(flat.size)
     for block in _blocks(flat.size):
-        idx[block], w_left[block] = _rounding_block(domain, flat[block])
+        idx[block], w = _rounding_block(domain, flat[block])
+        np.clip(w, 0.0, 1.0, out=w_left[block])
     return idx.reshape(xs.shape), w_left.reshape(xs.shape)
 
 

@@ -20,8 +20,10 @@ refuses to load is a model-error, where linprog says infeasible.
 
 Given a start, `solve` runs HiGHS's primal simplex from that basis instead:
 the optimal basis of an earlier program with the same constraints and
-another objective is primal feasible for this one, and primal simplex
-keeps it so, where the dual simplex would first give up that feasibility.
+another objective is primal feasible for this one, and so is that of a
+program this one extends by columns and rows that its optimum, padded
+with zeros, satisfies (extend_basis).  Primal simplex keeps the start
+feasible, where the dual simplex would first give up that feasibility.
 Every optimal solution carries its basis for the next start.
 
 The binding is loaded from its file in scipy's tree under its own module
@@ -72,6 +74,7 @@ def _load_binding():
 try:  # the binding is private to scipy
     _core = _load_binding()
     HighsBasis = _core.HighsBasis
+    HighsBasisStatus = _core.HighsBasisStatus
     HighsModelStatus = _core.HighsModelStatus
     HighsStatus = _core.HighsStatus
     MatrixFormat = _core.MatrixFormat
@@ -87,14 +90,15 @@ except (ImportError, AttributeError) as err:
     ) from err
 
 # HiGHS stops once reduced costs are within this of dual feasibility.  At
-# its default (1e-7) restricted noise-design solves stop up to 2e-7
-# relative above the optimum, and their equality duals are what certifies
-# them (adaptive._certified)
+# its default (1e-7) noise-design solves over a subset of the outputs stop
+# up to 2e-7 relative above the optimum, and their equality duals are what
+# prices the outputs left out (adaptive._solve_generated, _certified)
 _DUAL_TOL = 1e-10
 # Price the dual simplex with devex (HiGHS's strategy 1) rather than its
 # default steepest edge, which costs more per iteration than it saves in
-# iterations on the noise-design programs: the first R(A) of 36 analytic
-# cells (N in {8, 16, 32}, eps in {0.5, 1, 2, 4}) took 2.8-3.4 s in all
+# iterations on the noise-design programs: the program over the outputs
+# [-A, N+A] at the first A, R(A), of 36 analytic cells (N in {8, 16, 32},
+# eps in {0.5, 1, 2, 4}) took 2.8-3.4 s in all
 # against 5.7 s, and that of an N=32 randomized-response estimate at
 # eps=0.5 0.6-0.8 s against 3.6-4.0 s (2-core VM)
 _DEVEX = 1
@@ -123,9 +127,12 @@ _STATUS = {
     HighsModelStatus.kModelError: "model-error",
     HighsModelStatus.kUnbounded: "unbounded",
 }
-# HiGHS's simplex strategy from a start basis: primal (dual is 1).  From
-# the basis of one randomized-response estimate at N=16, eps=1, R(A) of the
-# next took 88-189 primal iterations, 371-389 dual ones and 983-1132 cold
+# HiGHS's simplex strategy from a start basis: primal (dual is 1).  A
+# noise-design start is the last round's optimal basis extended to the
+# outputs that output generation adds, or the stored one of another pmf
+# over the same outputs; both are primal feasible.  From the basis of one
+# randomized-response estimate at N=16, eps=1, the contiguous program of
+# the next took 88-189 primal iterations, 371-389 dual ones and 983-1132 cold
 _PRIMAL = 4
 
 
@@ -226,6 +233,31 @@ class LpSolution:
     basis: HighsBasis | None = None
 
 
+def extend_basis(
+    basis: HighsBasis, cols: np.ndarray, rows: np.ndarray, n_cols: int, n_rows: int
+) -> HighsBasis:
+    """basis, of a program whose column c and row r are column cols[c] and
+    row rows[r] of a larger one, extended to the larger program: every
+    other column nonbasic at its lower bound 0, every other row basic.  One
+    basic variable per added row keeps the basis square, and it is primal
+    feasible for the larger program wherever the old point padded with
+    zeros is feasible.  Most of the cost is the binding's conversion of
+    the statuses to Python objects and back; placing them in lists takes
+    a few microseconds."""
+    col_status = [HighsBasisStatus.kLower] * n_cols
+    for c, status in zip(cols.tolist(), basis.col_status):
+        col_status[c] = status
+    row_status = [HighsBasisStatus.kBasic] * n_rows
+    for r, status in zip(rows.tolist(), basis.row_status):
+        row_status[r] = status
+    wider = HighsBasis()
+    wider.col_status = col_status
+    wider.row_status = row_status
+    wider.valid = True
+    wider.alien = False
+    return wider
+
+
 def _stacked_csc(blocks: list, n: int) -> tuple:
     """(indptr, row indices, data) of the blocks' rows stacked, as CSC with
     int32 indices.  A stable sort by column keeps each column's rows
@@ -243,8 +275,9 @@ def _stacked_csc(blocks: list, n: int) -> tuple:
 def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution:
     """Solve with one HiGHS run at a dual feasibility tolerance of 1e-10:
     its dual simplex priced with devex, or with a start basis (an earlier
-    solution's `basis`, of a program with the same constraints) its primal
-    simplex from that basis.
+    solution's `basis`, of a program with the same constraints, or one
+    that extend_basis widened to this program) its primal simplex from
+    that basis.
 
     The model is the rows [A_ub; A_eq] as CSC, bounded by (-inf, b_ub] and
     [b_eq, b_eq], and the columns by [0, inf).

@@ -46,6 +46,12 @@ def solved_apart(build):
         clear_store()
 
 
+def span(n, a):
+    """The outputs k in [-A, N + A]: the S of build_lp for R(A), the
+    program over every output within A of the domain."""
+    return np.arange(-a, n + a + 1)
+
+
 @pytest.fixture(scope="session")
 def domain8():
     return make_domain(beta=1.0, n_bins=8)

@@ -15,7 +15,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from conftest import EPS_GRID
+from conftest import EPS_GRID, span
 from ldpmean import (
     NoiseShape,
     QuantizedPmf,
@@ -38,7 +38,7 @@ from ldpmean import (
 from ldpmean.adaptive import (
     _certified,
     _min_half_width,
-    _solve_restricted_first,
+    _solve_generated,
     adaptive_perturb_array,
     build_lp,
 )
@@ -186,29 +186,30 @@ def test_criterion_04_unbiasedness(capsys, domain8, solved_tables):
 def test_criterion_05_window_free_optimality(capsys, domain8, suite_pmfs):
     """Certified tables against wider and narrower programs, 5 pmfs x 4 eps.
 
-    Each table of the suite (N=8, M=32) is certified optimal among all
-    integer-offset eps-LDP tables.  So R(A') over more than twice the
-    outputs, A' = 2A + N, must not cost less than it, and the window
-    program R(A'') of every narrower window, A'' in [A_min, A), must cost
-    at least as much, or be infeasible; both to the certificate's
-    tolerance 1e-9 max(1, |objective|).
+    Each table of the suite (N=8, M=32) is solved over the outputs S that
+    output generation settles on, and certified optimal among all
+    integer-offset eps-LDP tables.  With [-A, N+A] the least span holding
+    S, R(A') over more than twice the outputs, A' = 2A + N, must not cost
+    less than it, and the window program R(A'') of every narrower window,
+    A'' in [A_min, A), must cost at least as much, or be infeasible; both
+    to the certificate's tolerance 1e-9 max(1, |objective|).
     """
     shape = NoiseShape(m=32)
     worst_gain, least_excess, programs = 0.0, math.inf, 0
     for name, pmf in suite_pmfs.items():
         for eps in EPS_GRID:
-            sol, _ = _solve_restricted_first(pmf, eps, shape, domain8)
-            a = (sol.columns // 10 - 9) // 2  # (N + 2)(N + 2A + 1) columns
+            ks, sol, _ = _solve_generated(pmf, eps, shape, domain8)
+            a = max(-int(ks[0]), int(ks[-1]) - 8)
             value = sol.objective_value
             tol = 1e-9 * max(1.0, abs(value))
-            assert _certified(pmf.masses, domain8.sigma, sol.eq_duals, value, a, eps), (
+            assert _certified(pmf.masses, domain8.sigma, sol.eq_duals, value, ks, eps), (
                 name, eps, a,
             )
-            wider = lp_solve(build_lp(pmf, domain8.sigma, 2 * a + 8, eps))
+            wider = lp_solve(build_lp(pmf, domain8.sigma, span(8, 2 * a + 8), eps))
             assert wider.status == "optimal"
             worst_gain = max(worst_gain, (value - wider.objective_value) / tol)
             for narrow in range(_min_half_width(8, eps), a):
-                window = lp_solve(build_lp(pmf, domain8.sigma, narrow, eps))
+                window = lp_solve(build_lp(pmf, domain8.sigma, span(8, narrow), eps))
                 programs += 1
                 if window.status == "infeasible":
                     continue

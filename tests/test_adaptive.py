@@ -1,17 +1,19 @@
 """Noise-table optimization, sampling, perturbation, and privacy checks."""
 
 import io
+import json
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import solved_apart, suite_pmf_shapes
+from conftest import solved_apart, span, suite_pmf_shapes
 from lp_oracle import as_csr, csr
 from ldpmean.adaptive import (
     NoiseShape,
@@ -27,6 +29,8 @@ from ldpmean.adaptive import (
     _certified,
     _density_from_q,
     _first_half_width,
+    _first_outputs,
+    _min_half_width,
     _scatter,
     _slack,
     _slack_minimum,
@@ -131,12 +135,12 @@ class TestNoiseMass:
             assert masses.sum() == pytest.approx(table.q[i].sum(), rel=1e-15)
 
 
-def row_by_row_lp(pmf, sigma, a, eps):
-    """Reference construction of R(A), one dense row at a time, in
-    build_lp's row and column order: (objective, A_eq, A_ub).  Cell (i, k)
-    holds q = t_k + s_ik; its column s_ik comes input-major, then the t_k."""
+def row_by_row_lp(pmf, sigma, ks, eps):
+    """Reference construction of the program over the outputs ks, one dense
+    row at a time, in build_lp's row and column order: (objective, A_eq,
+    A_ub).  Cell (i, k) holds q = t_k + s_ik; its column s_ik comes
+    input-major, then the t_k."""
     n = len(pmf) - 1
-    ks = range(-a, n + a + 1)
     cells = (n + 1) * len(ks)
     n_vars = cells + len(ks)
     objective = np.zeros(n_vars)
@@ -163,29 +167,44 @@ class TestBuildLp:
         # at eps = inf the upper rows keep only -t_k <= 0: no tube
         d3 = make_domain(1.0, 3)
         pmf = QuantizedPmf(masses=np.array([0.1, 0.2, 0.3, 0.4]))
-        prog = build_lp(pmf, d3.sigma, 2, eps)
-        objective, eq, ub = row_by_row_lp(pmf, d3.sigma, 2, eps)
+        prog = build_lp(pmf, d3.sigma, span(3, 2), eps)
+        objective, eq, ub = row_by_row_lp(pmf, d3.sigma, span(3, 2), eps)
         np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(as_csr(prog, "A_eq").toarray(), eq)
         np.testing.assert_array_equal(prog.b_eq, np.tile([1.0, 0.0], 4))
         np.testing.assert_array_equal(as_csr(prog, "A_ub").toarray(), ub)
         np.testing.assert_array_equal(prog.b_ub, np.zeros(len(ub)))
 
+    @pytest.mark.parametrize("ks", [[-5, -2, 0, 1, 3, 7], [2], [-1, 4]])
+    def test_outputs_with_gaps_match_row_by_row_reference(self, ks):
+        d3 = make_domain(1.0, 3)
+        pmf = QuantizedPmf(masses=np.array([0.1, 0.2, 0.3, 0.4]))
+        prog = build_lp(pmf, d3.sigma, np.array(ks), 2.0)
+        objective, eq, ub = row_by_row_lp(pmf, d3.sigma, ks, 2.0)
+        np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(as_csr(prog, "A_eq").toarray(), eq)
+        np.testing.assert_array_equal(as_csr(prog, "A_ub").toarray(), ub)
+
+    @pytest.mark.parametrize("ks", [[], [0, 2, 1], [1, 1, 2], [[0, 1]]])
+    def test_outputs_must_increase(self, ks):
+        with pytest.raises(ValueError, match="increasing"):
+            build_lp(SYM2, D2.sigma, np.array(ks, dtype=int), 1.0)
+
     def test_variable_count(self):
         d4 = make_domain(1.0, 4)
         pmf = QuantizedPmf(masses=np.full(5, 0.2))
-        prog = build_lp(pmf, d4.sigma, 4, 1.0)
+        prog = build_lp(pmf, d4.sigma, span(4, 4), 1.0)
         assert prog.num_vars == 5 * 13 + 13  # 65 cells s + 13 outputs t
 
     def test_infinite_eps_drops_privacy(self):
-        prog = build_lp(SYM2, D2.sigma, 2, math.inf)
+        prog = build_lp(SYM2, D2.sigma, span(2, 2), math.inf)
         sol = lp_solve(prog)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
-        q = _scatter(sol.x, 2, 4, 2, math.inf)
+        q = _scatter(sol.x, 2, 4, span(2, 2), math.inf)
         np.testing.assert_allclose(q[:, 4], 1.0, atol=1e-9)
 
-    # build_lp sizes R(A) from the pmf alone; the window and the pmf are
+    # build_lp sizes its program from the pmf and the outputs alone; the window and the pmf are
     # checked where they meet the domain, in solve_noise_table
 
     def test_window_narrower_than_domain_rejected(self):
@@ -256,8 +275,8 @@ class TestSolveNoiseTable:
         assert table.lp_objective == 0.0 and table.eps == math.inf
 
     def test_model_error_raises_without_growing(self, monkeypatch):
-        # a model HiGHS refuses says nothing of feasibility: no wider R(A)
-        # is tried
+        # a model HiGHS refuses says nothing of feasibility: no output is
+        # priced or added
         calls = []
         refused = lp_solve(lplib.LinearProgram([1.0], A_ub=csr([[1e16]]), b_ub=[1.0]))
         monkeypatch.setattr(lplib, "solve", lambda program, start=None: calls.append(1) or refused)
@@ -268,26 +287,23 @@ class TestSolveNoiseTable:
         assert calls == [1]
 
     def test_growth_stops_at_the_window(self, monkeypatch):
-        # uniform at eps = 2 rejects its first A = 7; half again is 11, past
-        # M - N = 9, so the second program is the window's own, R(9)
+        # uniform at eps = 2 in the window M = 22: outputs beyond the
+        # window [N - M, M] = [-6, 22] would lower the cost (the optimum is
+        # not certified), but generation adds none of them, and the table
+        # is the window program's optimum, R(M - N) = R(6)
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(BetaDistribution(a=1.0, b=1.0), d16)
-        sizes = []
-        solve = lplib.solve
-        monkeypatch.setattr(
-            lplib, "solve",
-            lambda program, start=None: sizes.append(program.num_vars) or solve(program, start),
-        )
-        table = solve_noise_table(pmf, 2.0, NoiseShape(m=25), d16)
-        assert sizes == [build_lp(pmf, d16.sigma, a, 2.0).num_vars for a in (7, 9)]
-        window = lp_solve(build_lp(pmf, d16.sigma, 9, 2.0))
-        assert table.lp_objective == window.objective_value
+        outputs = recording_builds(monkeypatch)
+        table = assert_matches_whole_program(pmf, 2.0, NoiseShape(m=22), d16)
+        assert len(outputs) >= 2 and all(ks[0] >= -6 and ks[-1] <= 22 for ks in outputs)
+        ks, _, sol = adaptive._store[(16, 22, 2.0)]
+        assert not certified(pmf, d16, sol, ks, 2.0)
+        assert verify_privacy(table, 2.0).passed
 
     @pytest.mark.parametrize("m", [36, 40])
     def test_window_holding_the_optimum_matches_a_wide_one(self, m):
-        # the optimum at eps = 1 is certified at A = 17 < M - N, so its
-        # offsets stay within +-(N + A) = +-33 and the narrower window gives
-        # the same table
+        # the optimum at eps = 1 is certified within offsets +-33, so the
+        # narrower window gives the same table
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         wide = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
@@ -298,8 +314,8 @@ class TestSolveNoiseTable:
 
     @pytest.mark.parametrize("eps, m", [(1.0, 29), (2.0, 35), (2.0, 41), (2.0, 47)])
     def test_narrow_windows_solve_their_window_program(self, eps, m):
-        # at M = 29 and eps = 1 the window binds, and R(M - N) itself is
-        # the answer; the wider windows hold a certified R(A)
+        # at M = 29 and eps = 1 the window binds, and R(M - N)'s optimum is
+        # the answer; the wider windows hold a certified optimum
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         table = assert_matches_whole_program(pmf, eps, NoiseShape(m=m), d16)
@@ -310,32 +326,42 @@ def assert_matches_whole_program(pmf, eps, shape, domain):
     """The table costs what the window's whole program, R(M - N), costs, to
     the certificate's tolerance 1e-9 max(1, |objective|)."""
     table = solve_noise_table(pmf, eps, shape, domain)
-    whole = lp_solve(build_lp(pmf, domain.sigma, shape.m - domain.n_bins, eps))
+    n = domain.n_bins
+    whole = lp_solve(build_lp(pmf, domain.sigma, span(n, shape.m - n), eps))
     assert whole.status == "optimal"
     gap = abs(table.lp_objective - whole.objective_value)
     assert gap <= 1e-9 * max(1.0, abs(table.lp_objective))
     return table
 
 
-def certified(pmf, domain, sol, a, eps):
-    return _certified(pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, a, eps)
+def certified(pmf, domain, sol, ks, eps):
+    return _certified(pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, ks, eps)
 
 
-def half_width(sol, n):
-    """The A of an R(A) solution, from its (N + 2)(N + 2A + 1) columns."""
-    return (sol.columns // (n + 2) - n - 1) // 2
-
-
-def whole_point(z, n, a, wide):
-    """R(wide)'s variables (s, t) of R(A)'s point z = (s, t): the cells and
-    outputs R(A) leaves out hold 0."""
-    ks, ks_wide = n + 2 * a + 1, n + 2 * wide + 1
-    cells = (n + 1) * ks_wide
-    x = np.zeros(cells + ks_wide)
-    s = x[:cells].reshape(n + 1, ks_wide)
-    s[:, wide - a : wide + a + n + 1] = z[: (n + 1) * ks].reshape(n + 1, ks)
-    x[cells + wide - a : cells + wide + a + n + 1] = z[(n + 1) * ks :]
+def whole_point(z, n, ks, wide):
+    """The variables (s, t) over the outputs wide of the point z = (s, t)
+    over the outputs ks, a subset of wide: the cells and outputs that ks
+    leaves out hold 0."""
+    at = np.searchsorted(wide, ks)
+    cells = (n + 1) * wide.size
+    x = np.zeros(cells + wide.size)
+    x[:cells].reshape(n + 1, wide.size)[:, at] = z[: (n + 1) * ks.size].reshape(n + 1, ks.size)
+    x[cells + at] = z[(n + 1) * ks.size :]
     return x
+
+
+def recording_builds(monkeypatch):
+    """Route adaptive.build_lp through a recorder; returns the list of the
+    outputs S of each program it builds."""
+    outputs = []
+    build = adaptive.build_lp
+
+    def record(pmf, sigma, ks, eps):
+        outputs.append(np.asarray(ks))
+        return build(pmf, sigma, ks, eps)
+
+    monkeypatch.setattr(adaptive, "build_lp", record)
+    return outputs
 
 
 DESIGN_PMFS = {
@@ -346,9 +372,9 @@ DESIGN_PMFS = {
 
 
 class TestRestrictedSolve:
-    """solve_noise_table solves over the outputs near the domain first and
-    accepts that optimum only with a dual certificate; it must reach the
-    optimum of the window's whole program, R(M - N)."""
+    """solve_noise_table solves over a few outputs first and adds those
+    that its duals price below 0; it must reach the optimum of the
+    window's whole program, R(M - N)."""
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0, 8.0])
     @pytest.mark.parametrize("name", sorted(DESIGN_PMFS))
@@ -359,26 +385,17 @@ class TestRestrictedSolve:
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n", [4, 8, 25])
-    def test_domain_sizes(self, n, eps, monkeypatch):
+    def test_domain_sizes(self, n, eps):
         # the returned solve is certified, and its own duality gap
         # c.x - b.y, with b = (1, 0) per input, is within the certificate's
         # tolerance
         domain = make_domain(1.0, n)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
-        solved = []
-        solve = lplib.solve
-
-        def record(program, start=None):
-            solved.append((program, solve(program, start)))
-            return solved[-1][1]
-
-        monkeypatch.setattr(lplib, "solve", record)
         table = solve_noise_table(pmf, eps, NoiseShape(m=4 * n), domain)
-        program, sol = solved[-1]
-        a = half_width(sol, n)
-        assert certified(pmf, domain, sol, a, eps)
+        ks, objective, sol = adaptive._store[(n, 4 * n, eps)]
+        assert certified(pmf, domain, sol, ks, eps)
         tol = 1e-9 * max(1.0, abs(sol.objective_value))
-        assert abs(program.objective @ sol.x - sol.eq_duals[0::2].sum()) <= tol
+        assert abs(objective @ sol.x - sol.eq_duals[0::2].sum()) <= tol
         assert table.lp_objective == sol.objective_value
 
     @pytest.mark.parametrize("eps", [1.0, 2.0])
@@ -395,29 +412,30 @@ class TestRestrictedSolve:
         # optimum, which reaches offsets +-33
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        whole = lp_solve(build_lp(pmf, d16.sigma, 48, 0.5))
-        short = lp_solve(build_lp(pmf, d16.sigma, 27, 0.5))
+        whole = lp_solve(build_lp(pmf, d16.sigma, span(16, 48), 0.5))
+        short = lp_solve(build_lp(pmf, d16.sigma, span(16, 27), 0.5))
         assert short.status == "optimal"
         assert short.objective_value > whole.objective_value + 0.1
-        assert not certified(pmf, d16, short, 27, 0.5)
-        wide = lp_solve(build_lp(pmf, d16.sigma, 40, 0.5))
+        assert not certified(pmf, d16, short, span(16, 27), 0.5)
+        wide = lp_solve(build_lp(pmf, d16.sigma, span(16, 40), 0.5))
         assert wide.objective_value == pytest.approx(whole.objective_value, rel=1e-9)
-        assert certified(pmf, d16, wide, 40, 0.5)
+        assert certified(pmf, d16, wide, span(16, 40), 0.5)
 
     @pytest.mark.parametrize(
         "name, n, eps",
         [("gaussian", 16, 0.5), ("uniform", 16, 2.0), ("exponential", 16, 8.0), ("gaussian", 4, 1.0)],
     )
     def test_back_map_is_feasible_for_the_whole_program(self, name, n, eps):
-        # R(A)'s optimum, extended by zeros, is a point of the window
-        # program R(M - N) at M = 4N with the same cost
+        # the optimum over the first outputs, extended by zeros, is a point
+        # of the window program R(M - N) at M = 4N with the same cost; so
+        # every round's optimum is a feasible start for the next
         domain = make_domain(1.0, n)
         pmf = true_pmf(DESIGN_PMFS[name], domain)
-        program = build_lp(pmf, domain.sigma, 3 * n, eps)
-        a = _first_half_width(n, eps)
-        sol = lp_solve(build_lp(pmf, domain.sigma, a, eps))
+        program = build_lp(pmf, domain.sigma, span(n, 3 * n), eps)
+        ks = _first_outputs(n, 4 * n, eps)
+        sol = lp_solve(build_lp(pmf, domain.sigma, ks, eps))
         assert sol.status == "optimal"
-        x = whole_point(sol.x, n, a, 3 * n)
+        x = whole_point(sol.x, n, ks, span(n, 3 * n))
         np.testing.assert_allclose(as_csr(program, "A_eq") @ x, program.b_eq, rtol=0.0, atol=1e-9)
         assert np.max(as_csr(program, "A_ub") @ x) <= 1e-9
         assert program.objective @ x == pytest.approx(sol.objective_value, rel=1e-12)
@@ -425,13 +443,17 @@ class TestRestrictedSolve:
     @pytest.mark.parametrize("eps", [0.7, 3.0])
     @pytest.mark.parametrize("n, a", [(4, 3), (3, 0)])
     def test_is_the_whole_program_composed_with_the_back_map(self, n, a, eps):
-        # R(A) has the objective and equality rows of the window program
-        # R(A + 2) composed with the embedding x = T z
+        # the program over every other output of [-A, N+A] has the
+        # objective and equality rows of the window program R(A + 2)
+        # composed with the embedding x = T z
         domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.arange(1.0, n + 2) / ((n + 1) * (n + 2) / 2))
-        program = build_lp(pmf, domain.sigma, a + 2, eps)
-        sub = build_lp(pmf, domain.sigma, a, eps)
-        embed = np.column_stack([whole_point(z, n, a, a + 2) for z in np.eye(sub.num_vars)])
+        program = build_lp(pmf, domain.sigma, span(n, a + 2), eps)
+        ks = span(n, a)[::2]
+        sub = build_lp(pmf, domain.sigma, ks, eps)
+        embed = np.column_stack(
+            [whole_point(z, n, ks, span(n, a + 2)) for z in np.eye(sub.num_vars)]
+        )
         np.testing.assert_allclose(sub.objective, embed.T @ program.objective, rtol=1e-15)
         np.testing.assert_array_equal(
             as_csr(sub, "A_eq").toarray(), as_csr(program, "A_eq") @ embed
@@ -442,33 +464,27 @@ class TestRestrictedSolve:
     def test_one_tube_row_per_kept_cell(self, n, m, a):
         domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
-        sub = build_lp(pmf, domain.sigma, a, 1.0)
+        sub = build_lp(pmf, domain.sigma, span(n, a), 1.0)
         cells = (n + 1) * (n + 2 * a + 1)
         assert as_csr(sub, "A_ub").shape[0] == cells
         assert np.all(np.diff(as_csr(sub, "A_ub").indptr) == 2)  # one s and its t_k
         assert sub.num_vars == cells + n + 2 * a + 1
-        q = _scatter(np.ones(sub.num_vars), n, m, a, 1.0)
+        q = _scatter(np.ones(sub.num_vars), n, m, span(n, a), 1.0)
         assert q[:, [0, -1]].any() == (n + a == m)  # the edges only for R(M - N)
         assert np.count_nonzero(q) == cells
 
     def test_tail_mass_solves_whole_program(self, monkeypatch):
-        # at N=8, M=24, eps=0.5 the first A is past M - N = 16: the window
-        # program R(16) is solved whole, once, and its optimum puts 0.142
-        # on the window's edges.  It is not certified: a wider window
-        # costs less
+        # at N=8, M=24, eps=0.5 the first A is past M - N = 16: the first
+        # outputs span the whole window [-16, 24], generation reaches the
+        # window program R(16)'s optimum, and that puts 0.142 on the
+        # window's edges.  It is not certified: a wider window costs less
         d8 = make_domain(1.0, 8)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
-        shape = NoiseShape(m=24)
-        solved = []
-        solve = lplib.solve
-        monkeypatch.setattr(
-            lplib, "solve",
-            lambda program, start=None: solved.append(solve(program, start)) or solved[-1],
-        )
-        table = assert_matches_whole_program(pmf, 0.5, shape, d8)
-        (sol,) = solved
-        assert sol.columns == build_lp(pmf, d8.sigma, 16, 0.5).num_vars
-        assert not certified(pmf, d8, sol, 16, 0.5)
+        outputs = recording_builds(monkeypatch)
+        table = assert_matches_whole_program(pmf, 0.5, NoiseShape(m=24), d8)
+        assert (outputs[0][0], outputs[0][-1]) == (-16, 24)
+        ks, _, sol = adaptive._store[(8, 24, 0.5)]
+        assert not certified(pmf, d8, sol, ks, 0.5)
         assert np.max(table.q[:, [0, -1]]) > 0.1
         assert verify_privacy(table, 0.5).passed
         wider = solve_noise_table(pmf, 0.5, NoiseShape(m=64), d8)
@@ -476,13 +492,13 @@ class TestRestrictedSolve:
 
 
 def certified_solve(pmf, eps, domain):
-    """R(A)'s optimum at the first A where it is certified, and that A."""
-    a = _first_half_width(domain.n_bins, eps)
-    while True:
-        sol = lp_solve(build_lp(pmf, domain.sigma, a, eps))
-        if sol.status == "optimal" and certified(pmf, domain, sol, a, eps):
-            return sol, a
-        a = math.ceil(1.5 * a)
+    """Output generation in a window wide enough to hold the optimum: the
+    last round's solution, certified, and its outputs S."""
+    n = domain.n_bins
+    shape = NoiseShape(m=n + 3 * _first_half_width(n, eps))
+    ks, sol, _ = adaptive._solve_generated(pmf, eps, shape, domain)
+    assert sol.status == "optimal" and certified(pmf, domain, sol, ks, eps)
+    return sol, ks
 
 
 def rr_pmf(n, eps, seed, sd, clients):
@@ -511,14 +527,15 @@ class TestCertificate:
             assert np.count_nonzero(pmf.masses == 0.0) >= 3
         else:
             pmf = true_pmf(DESIGN_PMFS[name], domain)
-        sol, a = certified_solve(pmf, eps, domain)
+        sol, ks = certified_solve(pmf, eps, domain)
+        lo, hi = int(ks[0]), int(ks[-1])
         y = sol.eq_duals
         tol = 1e-9 * max(1.0, abs(sol.objective_value))
-        k, s_min = _slack_minimum(pmf.masses, domain.sigma, y, a, eps)
-        ks = np.arange(-20 * n, 21 * n + 1)
-        ks = ks[(ks < -a) | (ks > n + a)]
-        brute = _slack(pmf.masses, domain.sigma, y, ks, eps)
-        assert -20 * n <= k <= 21 * n and not -a <= k <= n + a
+        k, s_min = _slack_minimum(pmf.masses, domain.sigma, y, lo, hi, eps)
+        beyond = np.arange(-20 * n, 21 * n + 1)
+        beyond = beyond[(beyond < lo) | (beyond > hi)]
+        brute = _slack(pmf.masses, domain.sigma, y, beyond, eps)
+        assert -20 * n <= k <= 21 * n and not lo <= k <= hi
         assert s_min == pytest.approx(brute.min(), rel=1e-12, abs=1e-15)
         assert min(s_min, brute.min()) >= -tol
         # the self-contained duality gap c.x - b.y, with b = (1, 0) per input
@@ -526,16 +543,17 @@ class TestCertificate:
 
     @pytest.mark.parametrize("name, n, eps", CERTIFICATE_CASES)
     def test_kept_outputs_within_the_dual_tolerance(self, name, n, eps):
-        # _certified trusts s(k) >= 0 on the kept outputs to R(A)'s dual
-        # feasibility, which HiGHS holds to 1e-10 in (t, s) coordinates;
-        # the proven bound is b.y - max(tol, -min s(k)) over those k
+        # _certified trusts s(k) >= 0 on the kept outputs to the program's
+        # dual feasibility, which HiGHS holds to 1e-10 in (t, s)
+        # coordinates; the proven bound is b.y - max(tol, -min s(k)) over
+        # those k
         domain = make_domain(1.0, n)
         if name == "estimated":
             pmf = rr_pmf(n, eps, seed=3, sd=0.1, clients=2000)
         else:
             pmf = true_pmf(DESIGN_PMFS[name], domain)
-        sol, a = certified_solve(pmf, eps, domain)
-        kept = _slack(pmf.masses, domain.sigma, sol.eq_duals, np.arange(-a, n + a + 1), eps)
+        sol, ks = certified_solve(pmf, eps, domain)
+        kept = _slack(pmf.masses, domain.sigma, sol.eq_duals, ks, eps)
         scale = (n + 1) * math.exp(eps) * 1e-10 * max(1.0, abs(sol.objective_value))
         assert kept.min() >= -scale
 
@@ -561,21 +579,38 @@ class TestCertificate:
         ks = np.arange(-20 * n, 21 * n + 1)
         assert _slack(masses, domain.sigma, y, ks, eps).min() > 0.0
         assert _slack(masses, domain.sigma, y, [k0 + 5, k0 + 7], eps).min() > 0.0
-        k, s_min = _slack_minimum(masses, domain.sigma, y, 4, eps)
+        k, s_min = _slack_minimum(masses, domain.sigma, y, -4, n + 4, eps)
         assert k == k0 + 6
         assert s_min == pytest.approx(-dip, rel=1e-3)
-        assert not _certified(masses, domain.sigma, y, 1.0, 4, eps)
+        assert not _certified(masses, domain.sigma, y, 1.0, span(n, 4), eps)
+
+    def test_gap_inside_the_outputs_is_priced(self):
+        # an output left out between kept ones is checked exactly: the
+        # outputs [-27, 43] less one the optimum over them loads are not
+        # certified, though every output beyond them prices >= 0
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
+        full = lp_solve(build_lp(pmf, d16.sigma, span(16, 40), 0.5))
+        assert certified(pmf, d16, full, span(16, 40), 0.5)
+        loaded = int(np.argmax(full.x[-span(16, 40).size :])) - 40
+        ks = np.setdiff1d(span(16, 40), [loaded])
+        holed = lp_solve(build_lp(pmf, d16.sigma, ks, 0.5))
+        assert holed.objective_value > full.objective_value
+        y = holed.eq_duals
+        assert _slack_minimum(pmf.masses, d16.sigma, y, -40, 56, 0.5)[1] >= -1e-9
+        assert _slack(pmf.masses, d16.sigma, y, [loaded], 0.5)[0] < -1e-9
+        assert not certified(pmf, d16, holed, ks, 0.5)
 
     def test_memory_at_large_eps(self):
         # a bound enumerated up to an analytic limit grows with e^eps
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        a = _first_half_width(16, 20.0)
-        sol = lp_solve(build_lp(pmf, d16.sigma, a, 20.0))
+        ks = span(16, _first_half_width(16, 20.0))
+        sol = lp_solve(build_lp(pmf, d16.sigma, ks, 20.0))
         assert sol.status == "optimal"
         tracemalloc.start()
         try:
-            ok = certified(pmf, d16, sol, a, 20.0)
+            ok = certified(pmf, d16, sol, ks, 20.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -583,25 +618,25 @@ class TestCertificate:
         assert peak < 1 << 20
 
 
-def test_design_cells_take_one_solve_each(monkeypatch):
-    # one HiGHS solve of R(A) per table, each assembled once; uniform eps=2
-    # rejects its first A
-    solves, builds = [], []
-    solve, build = lplib.solve, adaptive.build_lp
-    monkeypatch.setattr(
-        lplib, "solve", lambda program, start=None: solves.append(1) or solve(program, start)
-    )
-    monkeypatch.setattr(adaptive, "build_lp", lambda *args: builds.append(1) or build(*args))
+def test_design_cells_take_one_solve_per_round(monkeypatch):
+    # each round of output generation assembles one program and makes one
+    # HiGHS call, with no cold retry; every round adds outputs, and none
+    # of the 15 design cells at N=16, M=64 takes more than three
+    outputs = recording_builds(monkeypatch)
+    calls = recording_solve(monkeypatch)
     d16 = make_domain(1.0, 16)
-    counts = {}
+    rounds = []
     for name in sorted(DESIGN_PMFS):
         for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
-            before = len(solves)
+            outputs.clear()
+            calls.clear()
             solve_noise_table(true_pmf(DESIGN_PMFS[name], d16), eps, NoiseShape(m=64), d16)
-            counts[name, eps] = len(solves) - before
-    assert sum(counts.values()) == 16
-    assert [cell for cell, count in counts.items() if count != 1] == [("uniform", 2.0)]
-    assert len(builds) == 16
+            assert len(calls) == len(outputs)
+            assert all(start is not None for _, start, _ in calls[1:])
+            for ks, wider in zip(outputs, outputs[1:]):
+                assert wider.size > ks.size and np.isin(ks, wider).all()
+            rounds.append(len(outputs))
+    assert max(rounds) <= 3 and sum(rounds) > 15
 
 
 def recording_solve(monkeypatch):
@@ -618,30 +653,110 @@ def recording_solve(monkeypatch):
     return calls
 
 
+REFERENCE_OBJECTIVES = Path(__file__).resolve().parents[1] / "perfbench" / "reference_objectives.json"
+
+
+class TestGeneration:
+    """Output generation reaches the window program's optimum, prices every
+    window output it leaves out, and starts each later round from the last
+    optimal basis, extended (adaptive._solve_generated)."""
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("name", sorted(DESIGN_PMFS))
+    def test_design_cells_match_the_reference(self, name, eps):
+        # the benchmark's reference objectives to 1e-9, and no higher than
+        # the window's whole program, R(M - N), solved at once
+        cells = json.loads(REFERENCE_OBJECTIVES.read_text())["cells"]
+        (reference,) = [
+            c["lp_objective"] for c in cells if (c["pmf"], c["n_bins"], c["eps"]) == (name, 16, eps)
+        ]
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(DESIGN_PMFS[name], d16)
+        table = solve_noise_table(pmf, eps, NoiseShape(m=64), d16)
+        whole = lp_solve(build_lp(pmf, d16.sigma, span(16, 48), eps))
+        assert table.lp_objective == pytest.approx(reference, rel=1e-9, abs=0.0)
+        assert table.lp_objective <= whole.objective_value + 1e-9 * abs(whole.objective_value)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_left_out_outputs_price_nonnegative(self, n, eps, monkeypatch):
+        # a randomized-response estimate: s(k) >= -tol at every window
+        # output the last program leaves out, and every round after the
+        # first ends optimal from its extended start, with no cold retry
+        domain, m = make_domain(1.0, n), 4 * n
+        pmf = rr_pmf(n, eps, seed=13, sd=0.2, clients=1000)
+        outputs = recording_builds(monkeypatch)
+        calls = recording_solve(monkeypatch)
+        solve_noise_table(pmf, eps, NoiseShape(m=m), domain)
+        ks, _, sol = adaptive._store[(n, m, eps)]
+        window = np.arange(n - m, m + 1)
+        left_out = window[~np.isin(window, ks)]
+        tol = 1e-9 * max(1.0, abs(sol.objective_value))
+        assert np.all(_slack(pmf.masses, domain.sigma, sol.eq_duals, left_out, eps) >= -tol)
+        assert len(calls) == len(outputs) and calls[0][1] is None
+        assert all(start is not None and made.status == "optimal" for _, start, made in calls[1:])
+
+    @pytest.mark.parametrize("n, eps", [(4, 1.0), (8, 0.5), (16, 0.5), (16, 2.0)])
+    def test_window_just_above_the_feasibility_bound(self, n, eps):
+        # at the least feasible window, M = N + A_min, and one wider, the
+        # table is the window program's optimum
+        domain = make_domain(1.0, n)
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
+        least = n + _min_half_width(n, eps)
+        for m in (least, least + 1):
+            table = assert_matches_whole_program(pmf, eps, NoiseShape(m=m), domain)
+            assert verify_privacy(table, eps).passed
+
+    def test_extended_basis(self):
+        # the first outputs' optimal basis, extended to every output of
+        # [-30, 46]: kept columns and rows keep their status, new columns
+        # are nonbasic at 0 and new rows basic; primal simplex from it
+        # reaches the cold optimum, to the dual tolerance's 1e-9, in fewer
+        # iterations
+        d16 = make_domain(1.0, 16)
+        pmf = true_pmf(DESIGN_PMFS["gaussian"], d16)
+        ks, wide = _first_outputs(16, 64, 1.0), span(16, 30)
+        sol = lp_solve(build_lp(pmf, d16.sigma, ks, 1.0))
+        start = adaptive._extended_basis(sol.basis, ks, wide, 16)
+        cells, kept_cells = 17 * wide.size, 17 * ks.size
+        kept = (np.arange(17)[:, None] * wide.size + np.searchsorted(wide, ks)).ravel()
+        col, row = np.array(start.col_status), np.array(start.row_status)
+        assert col[kept].tolist() == sol.basis.col_status[:kept_cells]
+        assert row[kept].tolist() == sol.basis.row_status[:kept_cells]
+        assert row[cells:].tolist() == sol.basis.row_status[kept_cells:]
+        basic = lplib.HighsBasisStatus.kBasic
+        assert sum(v == basic for v in col) + sum(v == basic for v in row) == row.size
+        program = build_lp(pmf, d16.sigma, wide, 1.0)
+        warm, cold = lp_solve(program, start), lp_solve(program)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=0.0)
+        assert warm.iterations < cold.iterations
+
+
 class TestStore:
-    """The latest optimal R(A) per (N, A, eps) starts the next solve there
-    (adaptive._solve_stored)."""
+    """The last program of the latest optimal solve at each (N, M, eps),
+    its outputs S and its solution, start the next solve there
+    (adaptive._solve_generated)."""
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_warm_start_matches_cold(self, n, eps, monkeypatch):
-        # a re-estimate solved from the basis of the one before: the same
-        # optimum to 1e-12, certified and private either way, in fewer
-        # simplex iterations
-        domain, shape = make_domain(1.0, n), NoiseShape(m=4 * n)
+        # a re-estimate solved from the outputs and basis of the one
+        # before: the same optimum to 1e-12, certified and private either
+        # way, in fewer simplex iterations over all its rounds
+        domain, shape, key = make_domain(1.0, n), NoiseShape(m=4 * n), (n, 4 * n, eps)
         first, again = (rr_pmf(n, eps, seed, sd=0.2, clients=1000) for seed in (11, 12))
         solve_noise_table(first, eps, shape, domain)
         calls = recording_solve(monkeypatch)
         warm = solve_noise_table(again, eps, shape, domain)
-        warm_calls = list(calls)
+        warm_calls, warm_last = list(calls), adaptive._store[key]
         adaptive.clear_store()
         calls.clear()
         cold = solve_noise_table(again, eps, shape, domain)
-        assert warm_calls[0][1] is not None and all(start is None for _, start, _ in calls)
+        assert warm_calls[0][1] is not None and calls[0][1] is None
         assert warm.lp_objective == pytest.approx(cold.lp_objective, rel=1e-12, abs=0.0)
-        for table, made in ((warm, warm_calls), (cold, calls)):
-            sol = made[-1][2]
-            assert certified(again, domain, sol, half_width(sol, n), eps)
+        for table, (ks, _, sol) in ((warm, warm_last), (cold, adaptive._store[key])):
+            assert certified(again, domain, sol, ks, eps)
             assert verify_privacy(table, eps).passed
         iterations = [sum(sol.iterations for _, _, sol in made) for made in (warm_calls, calls)]
         assert iterations[0] < iterations[1]
@@ -649,71 +764,80 @@ class TestStore:
     def test_same_program_reuses_the_solution(self, monkeypatch):
         d16 = make_domain(1.0, 16)
         pmf = rr_pmf(16, 1.0, seed=11, sd=0.2, clients=1000)
-        solutions = []
-        stored = adaptive._solve_stored
-        monkeypatch.setattr(adaptive, "_solve_stored",
-                            lambda program, key: solutions.append(stored(program, key)) or solutions[-1])
         first = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
-        assert all(sol.iterations > 0 and sol.run_seconds > 0.0 for sol in solutions)
-        solutions.clear()
+        made = adaptive._store[(16, 64, 1.0)][2]
+        assert made.iterations > 0 and made.run_seconds > 0.0
         calls = recording_solve(monkeypatch)
         again = solve_noise_table(pmf, 1.0, NoiseShape(m=64), d16)
         assert calls == []
         np.testing.assert_array_equal(again.q, first.q)
         # a reuse reports the HiGHS work it did: none
-        assert solutions and all(sol.iterations == 0 and sol.run_seconds == 0.0 for sol in solutions)
+        reused = adaptive._store[(16, 64, 1.0)][2]
+        assert reused.iterations == 0 and reused.run_seconds == 0.0
 
     def test_nonoptimal_start_is_solved_once_more_from_cold(self, monkeypatch):
-        # a start that ends anywhere but optimal costs one more HiGHS call,
-        # without a start, and its answer is the table
+        # a start that ends anywhere but optimal, the stored basis or a
+        # round's extended one, costs one more HiGHS call on the same
+        # program without a start, and its answer carries on
         d8 = make_domain(1.0, 8)
         first, again = (rr_pmf(8, 1.0, seed, sd=0.2, clients=1000) for seed in (11, 12))
         solve_noise_table(first, 1.0, NoiseShape(m=32), d8)
-        starts = []
+        calls = []
         solve = lplib.solve
         failed = replace(lp_solve(lplib.LinearProgram([1.0])), status="numerical-failure")
 
         def fake(program, start=None):
-            starts.append(start)
-            return failed if start is not None else solve(program)
+            calls.append((program, start, failed if start is not None else solve(program)))
+            return calls[-1][2]
 
         monkeypatch.setattr(lplib, "solve", fake)
         table = solve_noise_table(again, 1.0, NoiseShape(m=32), d8)
-        assert len(starts) == 2 and starts[0] is not None and starts[1] is None
+        assert [start is None for _, start, _ in calls] == [False, True] * (len(calls) // 2)
+        assert all(calls[i][0] is calls[i + 1][0] for i in range(0, len(calls), 2))
+        assert table.lp_objective == calls[-1][2].objective_value
         adaptive.clear_store()
         cold = solve_noise_table(again, 1.0, NoiseShape(m=32), d8)
-        np.testing.assert_array_equal(table.q, cold.q)
+        assert table.lp_objective == pytest.approx(cold.lp_objective, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "before, after",
         [
-            ((8, 4.0), (8, 5.0)),  # another eps, at the same N and A = 4
+            ((8, 4.0), (8, 5.0)),  # another eps, at the same N and M = 32
             ((8, 1.0), (16, 1.0)),  # another N
         ],
     )
     def test_other_keys_start_cold(self, before, after, monkeypatch):
-        assert _first_half_width(8, 4.0) == _first_half_width(8, 5.0) == 4
         for n, eps in (before, after):
             domain = make_domain(1.0, n)
             pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
+            outputs = recording_builds(monkeypatch)
             calls = recording_solve(monkeypatch)
-            solve_noise_table(pmf, eps, NoiseShape(m=4 * n), domain)
-            assert [start for _, start, _ in calls] == [None]
+            solve_noise_table(pmf, eps, NoiseShape(m=32), domain)
+            assert calls[0][1] is None
+            np.testing.assert_array_equal(outputs[0], _first_outputs(n, 32, eps))
 
     def test_other_half_width_starts_cold(self, monkeypatch):
-        # uniform at N=16, eps=2 rejects A = 7 and solves A = 11; the store
-        # holds a Gaussian's R(7), so R(7) starts from its basis and R(11)
-        # from cold
+        # the window's half-width M - N is part of the key: with a
+        # Gaussian's solve stored at M = 64, a uniform at M = 48 starts
+        # cold from its first outputs, and one at M = 64 from the
+        # Gaussian's outputs and basis
         d16 = make_domain(1.0, 16)
         gaussian = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         uniform = true_pmf(BetaDistribution(a=1.0, b=1.0), d16)
         solve_noise_table(gaussian, 2.0, NoiseShape(m=64), d16)
-        assert list(adaptive._store) == [(16, 7, 2.0)]
+        assert list(adaptive._store) == [(16, 64, 2.0)]
+        stored = adaptive._store[(16, 64, 2.0)][0]
+        outputs = recording_builds(monkeypatch)
         calls = recording_solve(monkeypatch)
+        solve_noise_table(uniform, 2.0, NoiseShape(m=48), d16)
+        assert calls[0][1] is None
+        np.testing.assert_array_equal(outputs[0], _first_outputs(16, 48, 2.0))
+        outputs.clear()
+        calls.clear()
         solve_noise_table(uniform, 2.0, NoiseShape(m=64), d16)
-        assert [half_width(sol, 16) for _, _, sol in calls] == [7, 11]
-        assert calls[0][1] is not None and calls[1][1] is None
-        assert list(adaptive._store) == [(16, 7, 2.0), (16, 11, 2.0)]
+        assert calls[0][1] is not None
+        np.testing.assert_array_equal(outputs[0], stored)
+        assert list(adaptive._store) == [(16, 48, 2.0), (16, 64, 2.0)]
 
     def test_holds_at_most_its_bound(self):
         # one key per eps at N=2; the least recently used key goes first
@@ -774,18 +898,19 @@ def test_small_window_table_is_private(name):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_restricted_solve_matches_whole_program(n, eps, extra, seed):
-    # windows wide enough that R(A) is certified before it fills them; the
-    # certified optimum is that of a program over more than twice as many
-    # outputs, R(A') with A' = 2A + N
+    # windows wide enough that generation's outputs stay inside them and
+    # its optimum is certified; with [-A, N+A] the least span holding the
+    # outputs, the certified optimum is that of a program over more than
+    # twice as many outputs, R(A') with A' = 2A + N
     domain = make_domain(1.0, n)
     pmf = QuantizedPmf(masses=np.random.default_rng(seed).dirichlet(np.ones(n + 1)))
     shape = NoiseShape(m=n + 3 * _first_half_width(n, eps) + extra)
     table = solve_noise_table(pmf, eps, shape, domain)
-    sol, _ = adaptive._solve_restricted_first(pmf, eps, shape, domain)
-    a = half_width(sol, n)
-    assert a < shape.m - n and certified(pmf, domain, sol, a, eps)
+    ks, _, sol = adaptive._store[(n, shape.m, eps)]
+    a = max(-int(ks[0]), int(ks[-1]) - n)
+    assert a < shape.m - n and certified(pmf, domain, sol, ks, eps)
     assert table.lp_objective == sol.objective_value
-    wider = lp_solve(build_lp(pmf, domain.sigma, 2 * a + n, eps))
+    wider = lp_solve(build_lp(pmf, domain.sigma, span(n, 2 * a + n), eps))
     assert wider.status == "optimal"
     gap = abs(table.lp_objective - wider.objective_value)
     assert gap <= 1e-9 * max(1.0, abs(table.lp_objective))
@@ -958,7 +1083,7 @@ class TestColumnWeights:
     def test_lp_rows_and_objective(self, design):
         pmf, domain, _ = design
         a = self.M - self.N
-        program = build_lp(pmf, domain.sigma, a, self.EPS)
+        program = build_lp(pmf, domain.sigma, span(self.N, a), self.EPS)
         a_eq = as_csr(program, "A_eq").toarray()
         width = self.N + 2 * a + 1
         for i in range(self.N + 1):
@@ -1022,11 +1147,10 @@ def grid_tables():
     return solved_apart(solve_grid)
 
 
-def scatter_by_cells(z, n, m, a, eps):
+def scatter_by_cells(z, n, m, ks, eps):
     """Reference for _scatter: the tube projection, one output at a time:
     t lifted to the output's greatest s / expm1(eps), then each s clipped
     to expm1(eps) t."""
-    ks = range(-a, n + a + 1)
     cells = (n + 1) * len(ks)
     q = np.zeros((n + 1, 2 * m + 1))
     for c, k in enumerate(ks):
@@ -1080,8 +1204,8 @@ class TestDust:
             p = rng.dirichlet(np.ones(levels.size) * 0.3)
             size = (n + 2) * (n + 2 * a + 1)
             z = rng.choice(levels, size=size, p=p) * rng.uniform(0.5, 2.0, size)
-            q = _scatter(z, n, m, a, eps)
-            np.testing.assert_array_equal(q, scatter_by_cells(z, n, m, a, eps))
+            q = _scatter(z, n, m, span(n, a), eps)
+            np.testing.assert_array_equal(q, scatter_by_cells(z, n, m, span(n, a), eps))
             if math.isfinite(eps):
                 table = NoiseTable(domain=make_domain(1.0, n), shape=NoiseShape(m), q=q, eps=eps)
                 assert_columns_empty_or_full(table)

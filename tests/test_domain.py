@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpmean import domain as domain_module
 from ldpmean.domain import (
     LinearTransform,
     QuantizedPmf,
@@ -146,6 +147,24 @@ class TestRoundRandomized:
         rng = np.random.default_rng(2)
         draws = round_randomized_array(d, np.full(1_000_000, -0.3), rng)
         assert np.mean(draws == 1) == pytest.approx(0.6, abs=0.002)
+
+    @pytest.mark.parametrize("beta, n", [(1.0, 3), (0.3, 10), (2.9, 13)])
+    def test_uniform_meets_the_clipped_weight(self, beta, n):
+        # the rounding compares each uniform u in [0, 1) with the left
+        # weight before its clip to [0, 1], which round-off leaves a hair
+        # outside it at some edges; u >= w and u >= clip(w, 0, 1) agree
+        d = make_domain(beta=beta, n_bins=n)
+        xs = np.concatenate(
+            [d.edges, np.nextafter(d.edges, np.inf)[:-1], np.nextafter(d.edges, -np.inf)[1:]]
+        )
+        xs = np.tile(xs, 200)
+        raw = domain_module._rounding_block(d, xs)[1]
+        assert np.any((raw < 0.0) | (raw > 1.0))
+        idx, w_left = rounding_weights_array(d, xs)
+        assert np.all((w_left >= 0.0) & (w_left <= 1.0))
+        u = np.random.default_rng(4).random(xs.size)
+        drawn = round_randomized_array(d, xs, np.random.default_rng(4))
+        np.testing.assert_array_equal(drawn, idx + (u >= w_left))
 
     def test_rounded_value_is_unbiased(self):
         d = make_domain(beta=1.0, n_bins=8)

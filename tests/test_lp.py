@@ -16,11 +16,12 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from ldpmean import lp as lplib
-from ldpmean.adaptive import _first_half_width, build_lp
+from ldpmean.adaptive import _first_half_width, _first_outputs, build_lp
 from ldpmean.data import BetaDistribution, ShiftedExponential, TruncatedGaussian, true_pmf
 from ldpmean.domain import make_domain
 from ldpmean.freqest import collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import LinearProgram, solve
+from conftest import span
 from lp_oracle import as_csr, csr, dense_system, random_bounded_program, vertex_enumeration_optimum
 
 
@@ -404,8 +405,8 @@ class TestSolveRecord:
     def test_counts_equal_the_program_shapes(self):
         d8 = make_domain(1.0, 8)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
-        restricted = build_lp(pmf, d8.sigma, _first_half_width(8, 1.0), 1.0)
-        window = build_lp(pmf, d8.sigma, 32 - 8, 1.0)  # the window program at M=32
+        restricted = build_lp(pmf, d8.sigma, span(8, _first_half_width(8, 1.0)), 1.0)
+        window = build_lp(pmf, d8.sigma, span(8, 32 - 8), 1.0)  # the window program at M=32
         unconstrained = LinearProgram([1.0, 2.0, 0.0])
         for program in (restricted, window, unconstrained):
             blocks = [as_csr(program, name) for name in ("A_ub", "A_eq")]
@@ -436,10 +437,12 @@ def rr_pmf(n, eps, seed):
 
 
 def golden_programs():
-    """(label, program): the 15 benchmark R(A) at N=16, restricted programs
-    of randomized-response estimates at N=8 and N=16, and two window
-    programs R(M - N): at N=4, M=16, and at N=8, M=24, eps=0.5, whose
-    optimum puts mass on the window's edges."""
+    """(label, program): R(A) at the first A for the 15 benchmark cells at
+    N=16, restricted programs of randomized-response estimates at N=8 and
+    N=16, two window programs R(M - N): at N=4, M=16, and at N=8, M=24,
+    eps=0.5, whose optimum puts mass on the window's edges, and the first
+    program of output generation (a stride grid of outputs) at N=16,
+    M=64, eps=1."""
     d16 = make_domain(1.0, 16)
     dists = {
         "gaussian": TruncatedGaussian(mu=0.0, sd=0.1),
@@ -450,14 +453,16 @@ def golden_programs():
         pmf = true_pmf(dist, d16)
         for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
             a = _first_half_width(16, eps)
-            yield f"{name}-n16-eps{eps}", build_lp(pmf, d16.sigma, a, eps)
+            yield f"{name}-n16-eps{eps}", build_lp(pmf, d16.sigma, span(16, a), eps)
     for n in (8, 16):
         a = _first_half_width(n, 1.0)
-        yield f"rr-n{n}", build_lp(rr_pmf(n, 1.0, 5), make_domain(1.0, n).sigma, a, 1.0)
+        yield f"rr-n{n}", build_lp(rr_pmf(n, 1.0, 5), make_domain(1.0, n).sigma, span(n, a), 1.0)
     for n, m, eps in ((4, 16, 1.0), (8, 24, 0.5)):
         domain = make_domain(1.0, n)
-        program = build_lp(true_pmf(dists["gaussian"], domain), domain.sigma, m - n, eps)
+        program = build_lp(true_pmf(dists["gaussian"], domain), domain.sigma, span(n, m - n), eps)
         yield f"window-n{n}-m{m}", program
+    pmf = true_pmf(dists["gaussian"], d16)
+    yield "grid-n16-eps1.0", build_lp(pmf, d16.sigma, _first_outputs(16, 64, 1.0), 1.0)
 
 
 GOLDEN = list(golden_programs())
@@ -488,7 +493,7 @@ def model_programs():
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
         for eps in (0.5, 2.0, 8.0):
             a = _first_half_width(n, eps)
-            yield f"build-n{n}-eps{eps}", build_lp(pmf, domain.sigma, a, eps)
+            yield f"build-n{n}-eps{eps}", build_lp(pmf, domain.sigma, span(n, a), eps)
 
 
 MODEL_PROGRAMS = list(model_programs())
