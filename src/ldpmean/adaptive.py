@@ -36,8 +36,8 @@ is feasible for the larger program.
 
 The program's constraints depend on (N, S, eps) alone, never on the pmf,
 so the optimal basis over S of one pmf is primal feasible over S for every
-other.  The last program of the latest solve at each (N, M, eps), its S
-and its solution, is stored (at most _STORE_KEYS keys): the same program
+other.  The last program of the latest solve at each (N, M, eps), its S,
+objective and solution, is stored (at most _STORE_KEYS keys): the same program
 again reuses the solution, and any other pmf starts from S and its basis.
 A table therefore depends on its inputs and on the earlier solves at its
 key in the process; the CLI clears the store (clear_store) at the start of
@@ -57,7 +57,8 @@ Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
 for the offsets of row i, and maps each uniform as rng.choice(p=...)
 would.  adaptive_perturb_array rounds the clients
 (round_randomized_array), then draws rng.random(n), one noise uniform per
-client in data order, from the client's own row.  Both go through one
+client in data order, from the client's own row, and reports one float
+per output k, whichever input reached it.  Both go through one
 kernel (_draw_from_rows): the category of a uniform u in row i is
 cdf_i.searchsorted(u, side="right"), read from a stacked guide table over
 2^12 equal buckets of [0, 1) per row, and searched in the row's cdf only
@@ -344,15 +345,6 @@ def clear_store() -> None:
     _store.clear()
 
 
-def _solve_from(program: lplib.LinearProgram, start) -> lplib.LpSolution:
-    """HiGHS's solution of the program from the start basis, or from cold
-    where there is none or where the start does not end optimal."""
-    sol = lplib.solve(program, start=start)
-    if start is not None and sol.status != "optimal":
-        sol = lplib.solve(program)
-    return sol
-
-
 def _extended_basis(basis, ks: np.ndarray, wider: np.ndarray, n: int):
     """The basis of build_lp over the outputs ks, extended to the program
     over wider, a superset of ks: the new s and t columns nonbasic at 0 and
@@ -372,27 +364,33 @@ def _extended_basis(basis, ks: np.ndarray, wider: np.ndarray, n: int):
 
 def _solve_generated(
     pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
-) -> tuple[np.ndarray, lplib.LpSolution, np.ndarray | None]:
+) -> tuple[np.ndarray, lplib.LpSolution]:
     """Solve the window's program by output generation; return the last
-    program's outputs S, its solution, and its window masses q (projected
-    onto the tube, see _scatter), None unless optimal.
+    program's outputs S and its solution.
 
-    The first S is the stored one at (N, M, eps), else _first_outputs.
-    After each optimal round every window output k outside S with s(k) <
-    -1e-9 max(1, |objective|) joins S; a round that adds none ends the
-    loop, and its S and solution are stored.  Each round adds a window
-    output, so there are at most as many rounds as the window has outputs.
+    Round 0 takes S from the store at (N, M, eps), else _first_outputs.
+    Each round reuses the stored solution if its program is the stored
+    one, else solves from the start basis (stored, later the last one
+    extended), once more from cold if a start does not end optimal.  Every
+    window output outside S with s(k) < -1e-9 max(1, |objective|) joins S;
+    a round that adds none is stored and ends the loop, so there are at
+    most as many rounds as the window has outputs.
     """
     n, m = domain.n_bins, shape.m
     key = (n, m, eps)
     stored = _store.pop(key, None)
-    ks = _first_outputs(n, m, eps) if stored is None else stored[0]
-    program = build_lp(pmf, domain.sigma, ks, eps)
-    if stored is not None and np.array_equal(stored[1], program.objective):
-        sol = replace(stored[2], iterations=0, run_seconds=0.0)
-    else:
-        sol = _solve_from(program, None if stored is None else stored[2].basis)
-    while sol.status == "optimal":
+    ks, objective, sol = stored or (_first_outputs(n, m, eps), None, None)
+    start = None if sol is None else sol.basis
+    while True:
+        program = build_lp(pmf, domain.sigma, ks, eps)
+        if objective is not None and np.array_equal(objective, program.objective):
+            sol = replace(sol, iterations=0, run_seconds=0.0)
+        else:
+            sol = lplib.solve(program, start=start)
+            if start is not None and sol.status != "optimal":
+                sol = lplib.solve(program)
+        if sol.status != "optimal":
+            return ks, sol
         left_out = np.setdiff1d(np.arange(n - m, m + 1), ks, assume_unique=True)
         slack = _slack(pmf.masses, domain.sigma, sol.eq_duals, left_out, eps)
         entering = left_out[slack < -1e-9 * max(1.0, abs(sol.objective_value))]
@@ -400,12 +398,10 @@ def _solve_generated(
             _store[key] = (ks, program.objective, sol)
             if len(_store) > _STORE_KEYS:
                 del _store[next(iter(_store))]
-            return ks, sol, _scatter(sol.x, n, m, ks, eps)
+            return ks, sol
         wider = np.union1d(ks, entering)
         start = _extended_basis(sol.basis, ks, wider, n)
-        ks, program = wider, build_lp(pmf, domain.sigma, wider, eps)
-        sol = _solve_from(program, start)
-    return ks, sol, None
+        ks, objective = wider, None
 
 
 def solve_noise_table(
@@ -438,7 +434,7 @@ def solve_noise_table(
         q = np.zeros((n + 1, 2 * m + 1))
         q[:, m] = 1.0
         return NoiseTable(domain=domain, shape=shape, q=q, eps=eps, lp_objective=0.0)
-    _, sol, q = _solve_generated(pmf, eps, shape, domain)
+    ks, sol = _solve_generated(pmf, eps, shape, domain)
     if sol.status != "optimal":
         hint = ""
         if sol.status == "infeasible":
@@ -451,6 +447,7 @@ def solve_noise_table(
             f"after {sol.iterations} iterations "
             f"(n_bins={n}, m={m}, eps={eps}): {sol.message}{hint}"
         )
+    q = _scatter(sol.x, n, m, ks, eps)
     table = NoiseTable(
         domain=domain, shape=shape, q=q, eps=eps, lp_objective=sol.objective_value
     )
@@ -614,11 +611,14 @@ def adaptive_perturb_array(
 ) -> np.ndarray:
     """Perturb each value: randomized-round it to an edge, then add noise
     drawn from that edge's row, one uniform per client in data order.
-    The report of edge i and offset j is edges[i] + sigma j."""
+    The report of edge i and offset j is grid[i + j + M], grid = -beta +
+    sigma arange(-M, N + M + 1): one float per output, whichever input
+    reached it (edges[i] + sigma j is not, at a sigma that is not dyadic)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     idx = round_randomized_array(domain, xs, rng).ravel()
     m = table.shape.m
-    reports = domain.edges[:, None] + domain.sigma * np.arange(-m, m + 1)
+    grid = -domain.beta + domain.sigma * np.arange(-m, domain.n_bins + m + 1)
+    reports = np.lib.stride_tricks.sliding_window_view(grid, 2 * m + 1)
     return _draw_from_rows(table.q, reports, idx, rng).reshape(xs.shape)
 
 

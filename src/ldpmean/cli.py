@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 import typing
 from collections import defaultdict
@@ -91,16 +92,20 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mechanism {m!r}")
         if not self.mechanisms:
             raise ValueError("mechanism list is empty")
-        if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
-            raise ValueError("eps grid must be nonempty and positive")
+        if not self.eps_grid or not all(e > 0 for e in self.eps_grid):
+            raise ValueError(f"eps grid must be nonempty and positive, got {self.eps_grid}")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must lie in (0, 1)")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.bins < 1 or self.n_samples < 1 or self.beta <= 0:
-            raise ValueError("beta, bins and n must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if self.bins < 1 or self.n_samples < 1:
+            raise ValueError("bins and n must be positive")
+        if self.noise_window is not None and self.noise_window < 1:
+            raise ValueError(f"noise_window must be >= 1, got {self.noise_window}")
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be >= 1")
 

@@ -324,9 +324,8 @@ def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution
         value = info.objective_function_value
         duals = np.array(solution.row_dual[b_ub.size :])
         basis = highs.getBasis()
-    iterations = 0  # HiGHS's counts are void when it stopped on an error
-    if info.valid:
-        iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    # HiGHS's counts are void when it stopped on an error; every run is simplex
+    iterations = info.simplex_iteration_count if info.valid else 0
     return LpSolution(
         status, x, value, iterations, message, duals, n, m, data.size, run_seconds, basis
     )

@@ -4,8 +4,9 @@ The table suite fixes n_bins=8, m=32 (the harness default window ratio)
 and five quantized pmfs of different character.  Narrower windows make the
 program infeasible at eps=0.5, so every table here uses the 4x window.
 
-A solved table depends on the earlier solves at its (N, A, eps) in the
-process (adaptive._store).  So every test starts and ends with an empty
+A solved table depends on the earlier solves at its (N, M, eps) in the
+process: adaptive._store holds the outputs S, the objective and the
+solution of the latest one there.  So every test starts and ends with an empty
 store, and so does every fixture that solves tables and outlives a test:
 no verdict depends on which tests ran before.
 """

@@ -19,8 +19,8 @@ differ and a diff; then the mechanisms whose rows differ in any command.
 Exits 1 if any output differs at all.  Each command takes a few seconds; clients are
 numerous enough that every sampler runs over several blocks.
 ``estimate-n32`` runs the adaptive arm alone at N=32 over three runs, so
-that each eps solves three tables at the same (N, A, eps), the later ones
-from the stored basis of the one before.
+that each eps solves three tables at the same (N, M, eps), the later ones
+from the outputs S and the solution stored by the one before.
 """
 
 import difflib

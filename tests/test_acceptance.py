@@ -198,7 +198,7 @@ def test_criterion_05_window_free_optimality(capsys, domain8, suite_pmfs):
     worst_gain, least_excess, programs = 0.0, math.inf, 0
     for name, pmf in suite_pmfs.items():
         for eps in EPS_GRID:
-            ks, sol, _ = _solve_generated(pmf, eps, shape, domain8)
+            ks, sol = _solve_generated(pmf, eps, shape, domain8)
             a = max(-int(ks[0]), int(ks[-1]) - 8)
             value = sol.objective_value
             tol = 1e-9 * max(1.0, abs(value))

@@ -496,7 +496,7 @@ def certified_solve(pmf, eps, domain):
     last round's solution, certified, and its outputs S."""
     n = domain.n_bins
     shape = NoiseShape(m=n + 3 * _first_half_width(n, eps))
-    ks, sol, _ = adaptive._solve_generated(pmf, eps, shape, domain)
+    ks, sol = adaptive._solve_generated(pmf, eps, shape, domain)
     assert sol.status == "optimal" and certified(pmf, domain, sol, ks, eps)
     return sol, ks
 
@@ -1361,6 +1361,20 @@ class TestPerturb:
         draws = adaptive_perturb_array(table, D2, np.full(1_000_000, x), rng)
         se = draws.std(ddof=1) / 1000.0
         assert abs(draws.mean() - x) < 4.0 * se
+
+    @pytest.mark.parametrize("n", [10, 12, 25])
+    def test_one_float_per_output(self, n):
+        # sigma = 2 / N is not dyadic here, so edges[i] + sigma j would round
+        # differently for inputs that reach the same output k = i + j; every
+        # report is grid[k + M], whichever edge drew it
+        dom, m = make_domain(1.0, n), 4 * n
+        q = np.full((n + 1, 2 * m + 1), 1.0 / (2 * m + 1))
+        table = NoiseTable(domain=dom, shape=NoiseShape(m=m), q=q, eps=math.inf)
+        rows = np.arange(4000 * (n + 1)) % (n + 1)
+        reports = adaptive_perturb_array(table, dom, dom.edges[rows], np.random.default_rng(62))
+        grid = -dom.beta + dom.sigma * np.arange(-m, n + m + 1)
+        assert np.isin(reports, grid).all()
+        assert np.unique(reports).size == grid.size  # every output, one float each
 
     def test_out_of_domain(self):
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)

@@ -570,6 +570,23 @@ class TestErrorPaths:
         assert rc == 2
         assert "split must lie" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eps", "nan", "eps grid must be nonempty and positive, got (nan,)"),
+            ("--beta", "inf", "beta must be positive and finite, got inf"),
+            ("--noise-window", "0", "noise_window must be >= 1, got 0"),
+        ],
+        ids=["eps", "beta", "noise_window"],
+    )
+    def test_invalid_value_is_refused_by_name(self, flag, value, message, capsys):
+        # refused while the configuration is read, before any table or data
+        argv = ["estimate", "--mechanisms", "adaptive"] + FAST + [flag, value]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])

@@ -125,7 +125,7 @@ def ref_adaptive_perturb(table, dom, xs, rng):
         cdf /= cdf[-1]
         mask = idx == i
         offsets[mask] = cdf.searchsorted(u[mask], side="right") - table.shape.m
-    return dom.edges[idx] + dom.sigma * offsets
+    return -dom.beta + dom.sigma * (idx + offsets)  # the output grid's float
 
 
 # --- inputs ----------------------------------------------------------------
