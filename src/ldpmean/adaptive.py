@@ -419,33 +419,33 @@ def solve_noise_table(
     the latest solve at its (N, M, eps) in this process, or reuses that
     solution outright if the program is the same; so the table depends on
     the pmf, eps, window and domain, and on the earlier solves at that
-    key, which clear_store forgets.  At eps = inf there is no tube, and
-    the optimum adds no noise.  The solved table is checked against its
-    three invariants (row normalization, row zero mean, exact privacy);
-    any violation raises.
+    key, which clear_store forgets.  A window below the least one with an
+    eps-LDP table (N + _min_half_width) is a ValueError, raised before any
+    program is built.  At eps = inf there is no tube, and the optimum adds
+    no noise.  The solved table is checked against its three invariants
+    (row normalization, row zero mean, exact privacy); any violation
+    raises.
     """
     eps = check_eps(eps, allow_inf=True)
     n, m = domain.n_bins, shape.m
     if len(pmf) != n + 1:
         raise ValueError("pmf size does not match domain")
-    if m < n:
-        raise ValueError(f"noise window m = {m} must be >= n_bins = {n}")
+    least = n + _min_half_width(n, eps)
+    if m < least:
+        raise ValueError(
+            f"no eps-LDP table fits noise window m = {m} (n_bins={n}, eps={eps}): the least"
+            f" is m = n_bins + ceil(n_bins (coth(eps/2) - 1) / 2) = {least}"
+        )
     if not math.isfinite(eps):
         q = np.zeros((n + 1, 2 * m + 1))
         q[:, m] = 1.0
         return NoiseTable(domain=domain, shape=shape, q=q, eps=eps, lp_objective=0.0)
     ks, sol = _solve_generated(pmf, eps, shape, domain)
     if sol.status != "optimal":
-        hint = ""
-        if sol.status == "infeasible":
-            hint = (
-                "; no window below m = n_bins + ceil(n_bins (coth(eps/2) - 1) / 2)"
-                f" = {n + _min_half_width(n, eps)} has an eps-LDP table"
-            )
         raise RuntimeError(
             f"noise-table LP did not solve: status={sol.status} "
             f"after {sol.iterations} iterations "
-            f"(n_bins={n}, m={m}, eps={eps}): {sol.message}{hint}"
+            f"(n_bins={n}, m={m}, eps={eps}): {sol.message}"
         )
     q = _scatter(sol.x, n, m, ks, eps)
     table = NoiseTable(

@@ -36,6 +36,7 @@ import numpy as np
 from .adaptive import (
     NoiseShape,
     _first_half_width,
+    _min_half_width,
     clear_store,
     run_protocol,
     save_table,
@@ -94,6 +95,15 @@ class ExperimentConfig:
             raise ValueError("mechanism list is empty")
         if not self.eps_grid or not all(e > 0 for e in self.eps_grid):
             raise ValueError(f"eps grid must be nonempty and positive, got {self.eps_grid}")
+        # rows are keyed by (mechanism, eps), so a repeat would pool its runs
+        for name in ("mechanisms", "eps_grid"):
+            values = getattr(self, name)
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} lists {repeated!r} more than once")
+        baseline = next((m for m in self.mechanisms if m != "adaptive"), None)
+        if math.inf in self.eps_grid and baseline is not None:
+            raise ValueError(f"eps = inf is for adaptive alone; {baseline!r} needs a finite eps")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must lie in (0, 1)")
         if self.runs < 1:
@@ -104,10 +114,16 @@ class ExperimentConfig:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.bins < 1 or self.n_samples < 1:
             raise ValueError("bins and n must be positive")
-        if self.noise_window is not None and self.noise_window < 1:
-            raise ValueError(f"noise_window must be >= 1, got {self.noise_window}")
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be >= 1")
+        if self.noise_window is not None:
+            eps = min(self.eps_grid) / self.k
+            least = self.bins + _min_half_width(self.bins, eps)
+            if self.noise_window < least:
+                raise ValueError(
+                    f"noise_window must be >= {least}, the least with an eps-LDP table at"
+                    f" bins={self.bins}, eps = min(eps_grid) / k = {eps}; got {self.noise_window}"
+                )
 
     @property
     def m(self) -> int:
@@ -349,15 +365,18 @@ def cmd_sweep(config: ExperimentConfig) -> str:
     if not config.sweep_grid:
         raise ValueError("sweep grid is empty")
     config = replace(config, d=1, k=1)
-    fixed = _csv_data(config, [config.csv_column])
-    rows = []
+    subs = []  # every value's configuration, checked before the first run
     for value in sorted(config.sweep_grid):
         if config.sweep_parameter == "split":
             sub = replace(config, split=float(value))
         elif config.sweep_parameter == "bin_size":
             sub = replace(config, bins=max(1, round(2.0 * config.beta / value)))
         else:
-            sub = replace(config, noise_window=max(1, round(value * config.bins / 2)))
+            sub = replace(config, noise_window=round(value * config.bins / 2))
+        subs.append((value, sub))
+    fixed = _csv_data(config, [config.csv_column])
+    rows = []
+    for value, sub in subs:
         prefix = (config.sweep_parameter, float(value))
         rows.extend(prefix + row for row in _error_rows(sub, fixed))
     return _write_csv(config, "sweep", "parameter,value,mechanism,eps,mse,runs,seed", rows)

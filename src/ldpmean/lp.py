@@ -2,8 +2,9 @@
 
 Standard form: minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
 x >= 0.  The constraint blocks are CSR triples of numpy arrays, built by
-the caller directly in that form; `solve` is the package's only call into a
-solver.
+the caller directly in that form, and HiGHS takes them row-wise as they
+are, concatenated; it builds its own column copy.  `solve` is the
+package's only call into a solver.
 
 `solve` hands the program to scipy's bundled HiGHS binding directly, with
 the model and options that `scipy.optimize.linprog(method="highs")` builds,
@@ -258,20 +259,6 @@ def extend_basis(
     return wider
 
 
-def _stacked_csc(blocks: list, n: int) -> tuple:
-    """(indptr, row indices, data) of the blocks' rows stacked, as CSC with
-    int32 indices.  A stable sort by column keeps each column's rows
-    ascending: the arrays scipy's vstack(blocks).tocsc() holds."""
-    row_sizes = np.concatenate([np.zeros(0, dtype=int)] + [np.diff(a.indptr) for a in blocks])
-    cols = np.concatenate([np.zeros(0, dtype=int)] + [a.indices for a in blocks])
-    data = np.concatenate([np.zeros(0)] + [a.data for a in blocks])
-    order = np.argsort(cols, kind="stable")
-    rows = np.repeat(np.arange(row_sizes.size, dtype=np.int32), row_sizes)[order]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return indptr, rows, data[order]
-
-
 def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution:
     """Solve with one HiGHS run at a dual feasibility tolerance of 1e-10:
     its dual simplex priced with devex, or with a start basis (an earlier
@@ -279,12 +266,15 @@ def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution
     that extend_basis widened to this program) its primal simplex from
     that basis.
 
-    The model is the rows [A_ub; A_eq] as CSC, bounded by (-inf, b_ub] and
-    [b_eq, b_eq], and the columns by [0, inf).
+    The model is the rows [A_ub; A_eq], passed row-wise as the blocks hold
+    them, bounded by (-inf, b_ub] and [b_eq, b_eq], and the columns by
+    [0, inf).
     """
     n = program.num_vars
     blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
-    indptr, rows, data = _stacked_csc(blocks, n)
+    starts = np.cumsum(np.concatenate([[0]] + [np.diff(a.indptr) for a in blocks]), dtype=np.int32)
+    cols = np.concatenate([np.zeros(0, np.int32)] + [a.indices for a in blocks], dtype=np.int32)
+    data = np.concatenate([np.zeros(0)] + [a.data for a in blocks])
     b_ub = np.zeros(0) if program.b_ub is None else program.b_ub
     b_eq = np.zeros(0) if program.b_eq is None else program.b_eq
     m = b_ub.size + b_eq.size
@@ -294,11 +284,11 @@ def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution
     # the array form of passModel copies each array in one piece; every
     # column is marked continuous
     passed = highs.passModel(
-        n, m, data.size, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        n, m, data.size, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0,
         program.objective, np.zeros(n), np.full(n, kHighsInf),
         np.concatenate([np.full(b_ub.size, -kHighsInf), b_eq]),
         np.concatenate([b_ub, b_eq]),
-        indptr, rows, data, np.zeros(n, dtype=np.int32),
+        starts, cols, data, np.zeros(n, dtype=np.int32),
     )
     run_seconds = 0.0
     if passed == HighsStatus.kError:

@@ -210,7 +210,7 @@ class TestBuildLp:
     def test_window_narrower_than_domain_rejected(self):
         d4 = make_domain(1.0, 4)
         pmf = QuantizedPmf(masses=np.full(5, 0.2))
-        with pytest.raises(ValueError, match="must be >= n_bins"):
+        with pytest.raises(ValueError, match=r"m = 2 \(n_bins=4, eps=1.0\).* = 7$"):
             solve_noise_table(pmf, 1.0, NoiseShape(m=2), d4)
 
     def test_pmf_size_mismatch(self):
@@ -246,24 +246,30 @@ class TestSolveNoiseTable:
         table = solve_noise_table(center, 4.0, SHAPE2, D2)
         assert table.lp_objective < 8.0 / 16.0
 
-    def test_narrow_window_infeasible_is_diagnosed(self):
+    def test_narrow_window_infeasible_is_diagnosed(self, monkeypatch):
         # the privacy tube cannot carry the mean swing at small eps: rows 0
-        # and N need N + 2A + 1 >= N coth(eps/2) + 1 outputs, A = M - N
-        with pytest.raises(RuntimeError, match=r"infeasible.* = 6 has an eps-LDP table"):
-            solve_noise_table(SYM2, 0.5, SHAPE2, D2)
+        # and N need N + 2A + 1 >= N coth(eps/2) + 1 outputs, A = M - N;
+        # a narrower window is refused before any program is built
         solve_noise_table(SYM2, 0.5, NoiseShape(m=6), D2)
+        monkeypatch.setattr(adaptive, "build_lp", None)
+        with pytest.raises(ValueError, match=r"m = 4 \(n_bins=2, eps=0.5\).* = 6$"):
+            solve_noise_table(SYM2, 0.5, SHAPE2, D2)
 
     @pytest.mark.parametrize("eps", [0.5, 2.0])
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_least_window_is_sharp(self, n, eps):
-        # feasibility does not depend on the pmf; the named bound is the
-        # least window with an eps-LDP table
+        # feasibility does not depend on the pmf: R(A) is infeasible one
+        # output short of the bound and solves at it, and the least window
+        # that solve_noise_table takes is the bound
         domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
-        least = n + math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
-        with pytest.raises(RuntimeError, match=f"infeasible.* = {least} has an eps-LDP"):
-            solve_noise_table(pmf, eps, NoiseShape(m=least - 1), domain)
-        assert verify_privacy(solve_noise_table(pmf, eps, NoiseShape(m=least), domain), eps).passed
+        a_min = math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
+        assert lp_solve(build_lp(pmf, domain.sigma, span(n, a_min - 1), eps)).status == "infeasible"
+        assert lp_solve(build_lp(pmf, domain.sigma, span(n, a_min), eps)).status == "optimal"
+        with pytest.raises(ValueError, match=f" = {n + a_min}$"):
+            solve_noise_table(pmf, eps, NoiseShape(m=n + a_min - 1), domain)
+        table = solve_noise_table(pmf, eps, NoiseShape(m=n + a_min), domain)
+        assert verify_privacy(table, eps).passed
 
     def test_infinite_eps_is_the_zero_noise_table(self, monkeypatch):
         # no tube, so the optimum adds no noise; no LP is solved

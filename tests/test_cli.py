@@ -55,8 +55,9 @@ class TestConfig:
         assert config.shape.m == 64
 
     def test_noise_window_override(self):
-        assert ExperimentConfig(noise_window=12).m == 12
-        assert ExperimentConfig(noise_window=12, d=3, k=3, eps_grid=(0.1,)).m == 12
+        # an explicit window wins over the derived one (64 and 730 here)
+        assert ExperimentConfig(noise_window=50).m == 50
+        assert ExperimentConfig(noise_window=500, d=3, k=3, eps_grid=(0.1,)).m == 500
 
     @pytest.mark.parametrize(
         "fields, m",
@@ -135,11 +136,11 @@ class TestConfig:
     def test_fields_take_the_dataclass_types(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(
-            "[experiment]\nbeta = 2\nnoise_window = 9\nsplit = 0.25\n"
+            "[experiment]\nbeta = 2\nnoise_window = 13\nsplit = 0.25\n"
             "grid = 0.1, 0.2,\nmechanisms = laplace, duchi\ncsv = data.csv\n"
         )
         config = load_config(str(path), {"bins": "4", "n_samples": "300"})
-        assert (config.beta, config.noise_window, config.split) == (2.0, 9, 0.25)
+        assert (config.beta, config.noise_window, config.split) == (2.0, 13, 0.25)
         assert type(config.beta) is float and type(config.noise_window) is int
         assert (config.bins, config.n_samples) == (4, 300)
         assert config.sweep_grid == (0.1, 0.2)
@@ -159,7 +160,7 @@ FIELD_INPUTS = {
     "eps_grid": ("eps", "0.5,3", (0.5, 3.0), "0.5,x"),
     "beta": ("beta", "2", 2.0, "two"),
     "bins": ("bins", "4", 4, "4.5"),
-    "noise_window": ("noise-window", "9", 9, "x"),
+    "noise_window": ("noise-window", "48", 48, "x"),
     "split": ("split", "0.25", 0.25, "x"),
     "runs": ("runs", "3", 3, "x"),
     "seed": ("seed", "5", 5, "x"),
@@ -575,9 +576,14 @@ class TestErrorPaths:
         [
             ("--eps", "nan", "eps grid must be nonempty and positive, got (nan,)"),
             ("--beta", "inf", "beta must be positive and finite, got inf"),
-            ("--noise-window", "0", "noise_window must be >= 1, got 0"),
+            ("--noise-window", "0", "noise_window must be >= 4, the least with an eps-LDP "
+             "table at bins=2, eps = min(eps_grid) / k = 1.0; got 0"),
+            # rows are keyed by (mechanism, eps): a repeat would pool its
+            # runs into one mean and print that row twice
+            ("--eps", "1,1", "eps_grid lists 1.0 more than once"),
+            ("--mechanisms", "adaptive,adaptive", "mechanisms lists 'adaptive' more than once"),
         ],
-        ids=["eps", "beta", "noise_window"],
+        ids=["eps", "beta", "noise_window", "eps-repeated", "mechanisms-repeated"],
     )
     def test_invalid_value_is_refused_by_name(self, flag, value, message, capsys):
         # refused while the configuration is read, before any table or data
@@ -586,6 +592,50 @@ class TestErrorPaths:
         assert rc == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The calls of the gaussian sample generator."""
+        calls = []
+        draw, defaults = cli._GENERATORS["gaussian"]
+        monkeypatch.setitem(
+            cli._GENERATORS, "gaussian", (lambda *args: calls.append(args) or draw(*args), defaults)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            (["estimate", "--mechanisms", "adaptive", "--bins", "8", "--noise-window", "9",
+              "--eps", "0.5"], 21),
+            (["sweep", "--mechanisms", "adaptive", "--parameter", "noise_range", "--grid", "0.1"],
+             41),
+        ],
+        ids=["estimate", "sweep"],
+    )
+    def test_window_below_the_feasibility_bound_draws_nothing(self, argv, least, draws, capsys):
+        # no window below N + ceil(N (coth(eps/2) - 1) / 2) has an eps-LDP
+        # table; the configuration refuses it before any data or table
+        rc, out, err = run_cli(argv + ["--runs", "1", "--n", "200"], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: noise_window must be >= {least}, ")
+        assert draws == []
+
+    @pytest.mark.parametrize("command", ["estimate", "variance", "multidim"])
+    def test_infinite_eps_with_a_baseline_draws_nothing(self, command, draws, capsys):
+        rc, out, err = run_cli([command, "--eps", "inf", "--runs", "1", "--n", "200"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "error: eps = inf is for adaptive alone; 'duchi' needs a finite eps\n"
+        assert draws == []
+
+    def test_infinite_eps_runs_the_adaptive_arm_alone(self, capsys):
+        # the adaptive table at eps = inf adds no noise, and needs no LP
+        argv = ["estimate", "--mechanisms", "adaptive", "--eps", "inf", "--bins", "4",
+                "--runs", "1", "--n", "200"]
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, err) == (0, "")
+        _, rows = read_rows(out)
+        assert [row[:2] for row in rows] == [["adaptive", "inf"]]
 
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):

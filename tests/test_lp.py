@@ -500,24 +500,33 @@ MODEL_PROGRAMS = list(model_programs())
 
 
 class TestModelIdentity:
-    """solve stacks the blocks into the CSC arrays that scipy's vstack and
-    tocsc, duplicates summed, make of them: linprog's model."""
+    """solve passes the blocks row-wise, as the arrays that scipy's vstack
+    and tocsr, duplicates summed, make of them, and HiGHS solves its column
+    copy of them: the CSC arrays of linprog's model."""
 
     @pytest.mark.parametrize("label, program", MODEL_PROGRAMS, ids=[n for n, _ in MODEL_PROGRAMS])
     def test_csc_arrays(self, label, program, monkeypatch):
-        passed = []
+        passed, made = [], []
 
         class Highs(lplib._Highs):
             def passModel(self, *args):
                 passed.append(args)
+                made.append(self)
                 return super().passModel(*args)
 
         monkeypatch.setattr(lplib, "_Highs", Highs)
         solve(program)
-        ref = sparse.vstack([as_csr(program, "A_ub"), as_csr(program, "A_eq")]).tocsc()
+        ref = sparse.vstack([as_csr(program, "A_ub"), as_csr(program, "A_eq")]).tocsr()
         ref.sum_duplicates()
-        indptr, indices, data = passed[0][11:14]
-        assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
-        for got, want in ((indptr, ref.indptr), (indices, ref.indices), (data, ref.data)):
+        starts, indices, data = passed[0][11:14]
+        assert passed[0][3] == lplib.MatrixFormat.kRowwise
+        assert starts.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+        for got, want in ((starts, ref.indptr), (indices, ref.indices), (data, ref.data)):
             np.testing.assert_array_equal(got, want)
         assert passed[0][1:3] == (ref.shape[0], ref.nnz)
+        solved = made[0].getLp().a_matrix_
+        assert solved.format_ == lplib.MatrixFormat.kColwise
+        csc = ref.tocsc()
+        for got, want in ((solved.start_, csc.indptr), (solved.index_, csc.indices),
+                          (solved.value_, csc.data)):
+            np.testing.assert_array_equal(got, want)
