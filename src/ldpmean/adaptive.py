@@ -37,8 +37,10 @@ is feasible for the larger program.
 The program's constraints depend on (N, S, eps) alone, never on the pmf,
 so the optimal basis over S of one pmf is primal feasible over S for every
 other.  The last program of the latest solve at each (N, M, eps), its S,
-objective and solution, is stored (at most _STORE_KEYS keys): the same program
-again reuses the solution, and any other pmf starts from S and its basis.
+the program itself and its solution, is stored (at most _STORE_KEYS keys):
+the same program again reuses the solution, and any other pmf starts from
+the stored program with its own objective swapped in (_objective, which
+build_lp calls too), and from its basis.
 A table therefore depends on its inputs and on the earlier solves at its
 key in the process; the CLI clears the store (clear_store) at the start of
 each command.
@@ -93,11 +95,11 @@ _ROW_TOL = 1e-7
 # entries fit in L1 cache, and at most 2M of them (one per cdf point) fall
 # back to the search: under 2% of draws at M = 32.
 _GUIDE_BUCKETS = 1 << 12
-# The store of solves: (N, M, eps) -> (outputs S, objective, LpSolution) of
-# the last program of the latest optimal solve there, least recently used
+# The store of solves: (N, M, eps) -> (outputs S, LinearProgram, LpSolution)
+# of the last program of the latest optimal solve there, least recently used
 # first, at most _STORE_KEYS keys (a design at one window touches one per eps)
 _STORE_KEYS = 32
-_store: dict[tuple, tuple[np.ndarray, np.ndarray, lplib.LpSolution]] = {}
+_store: dict[tuple, tuple[np.ndarray, lplib.LinearProgram, lplib.LpSolution]] = {}
 
 
 @dataclass(frozen=True)
@@ -168,9 +170,17 @@ def _min_half_width(n: int, eps: float) -> int:
     table are such laws on the outputs k of R(A), L = N + 2A + 1, so R(A)
     is infeasible below A = N (coth(eps/2) - 1) / 2.  From there on it is
     feasible: randomized response between the two end outputs meets the
-    bound, and row i mixes rows 0 and N in the ratio (N - i) : i.
+    bound, and row i mixes rows 0 and N in the ratio (N - i) : i.  An eps
+    so small that this A is not a finite float is a ValueError.
     """
-    return math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
+    tanh = math.tanh(eps / 2.0)
+    bound = n * (1.0 / tanh - 1.0) / 2.0 if tanh > 0.0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"eps = {eps!r} is too small: the least eps-LDP noise window at n_bins={n},"
+            " n_bins + n_bins (coth(eps/2) - 1) / 2, is not a finite float"
+        )
+    return math.ceil(bound)
 
 
 def _first_half_width(n: int, eps: float) -> int:
@@ -208,8 +218,6 @@ def build_lp(pmf: QuantizedPmf, sigma: float, ks, eps: float) -> lplib.LinearPro
         raise ValueError("outputs must be a nonempty increasing sequence")
     j = ks[None, :] - np.arange(n + 1)[:, None]  # offset of each cell
     cells = j.size
-    cost = pmf.masses[:, None] * (sigma * j) ** 2
-    objective = np.concatenate([cost.ravel(), cost.sum(axis=0)])
     s_col = np.arange(cells).reshape(n + 1, ks.size)
     t_col = np.broadcast_to(cells + np.arange(ks.size), s_col.shape)
     # rows 2i and 2i + 1 over the s and t_k of input i's cells
@@ -221,9 +229,19 @@ def build_lp(pmf: QuantizedPmf, sigma: float, ks, eps: float) -> lplib.LinearPro
         np.stack([s_col.ravel(), t_col.ravel()], -1), np.stack(upper_vals, -1)
     )
     return lplib.LinearProgram(
-        objective, A_ub=upper, b_ub=np.zeros(cells),
+        _objective(pmf, sigma, ks), A_ub=upper, b_ub=np.zeros(cells),
         A_eq=a_eq, b_eq=np.tile([1.0, 0.0], n + 1),
     )
+
+
+def _objective(pmf: QuantizedPmf, sigma: float, ks: np.ndarray) -> np.ndarray:
+    """build_lp's objective over the outputs ks: the cost p_i (sigma (k -
+    i))^2 of each s, input-major, then that of each t_k, its sum over the
+    inputs.  The constraints do not depend on the pmf, so this is all of
+    the program that does."""
+    j = ks[None, :] - np.arange(len(pmf))[:, None]
+    cost = pmf.masses[:, None] * (sigma * j) ** 2
+    return np.concatenate([cost.ravel(), cost.sum(axis=0)])
 
 
 def _scatter(z: np.ndarray, n: int, m: int, ks: np.ndarray, eps: float) -> np.ndarray:
@@ -362,15 +380,25 @@ def _extended_basis(basis, ks: np.ndarray, wider: np.ndarray, n: int):
     )
 
 
+def _left_out(ks: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The window outputs [N - M, M] that the sorted outputs ks, all in the
+    window, leave out, in increasing order."""
+    out = np.ones(2 * m - n + 1, dtype=bool)
+    out[ks - (n - m)] = False
+    return np.flatnonzero(out) + (n - m)
+
+
 def _solve_generated(
     pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
 ) -> tuple[np.ndarray, lplib.LpSolution]:
     """Solve the window's program by output generation; return the last
     program's outputs S and its solution.
 
-    Round 0 takes S from the store at (N, M, eps), else _first_outputs.
-    Each round reuses the stored solution if its program is the stored
-    one, else solves from the start basis (stored, later the last one
+    Round 0 takes the program stored at (N, M, eps) with the pmf's
+    objective swapped in (with_objective keeps its constraints, which do
+    not depend on the pmf), else build_lp's over _first_outputs.  Each
+    round reuses the stored solution if its program is the stored one,
+    else solves from the start basis (stored, later the last one
     extended), once more from cold if a start does not end optimal.  Every
     window output outside S with s(k) < -1e-9 max(1, |objective|) joins S;
     a round that adds none is stored and ends the loop, so there are at
@@ -379,29 +407,36 @@ def _solve_generated(
     n, m = domain.n_bins, shape.m
     key = (n, m, eps)
     stored = _store.pop(key, None)
-    ks, objective, sol = stored or (_first_outputs(n, m, eps), None, None)
-    start = None if sol is None else sol.basis
-    while True:
+    sol = start = None
+    if stored is None:
+        ks = _first_outputs(n, m, eps)
         program = build_lp(pmf, domain.sigma, ks, eps)
-        if objective is not None and np.array_equal(objective, program.objective):
-            sol = replace(sol, iterations=0, run_seconds=0.0)
+    else:
+        ks, program, last = stored
+        objective = _objective(pmf, domain.sigma, ks)
+        if np.array_equal(objective, program.objective):
+            sol = replace(last, iterations=0, run_seconds=0.0)
         else:
+            program, start = program.with_objective(objective), last.basis
+    while True:
+        if sol is None:
             sol = lplib.solve(program, start=start)
             if start is not None and sol.status != "optimal":
                 sol = lplib.solve(program)
         if sol.status != "optimal":
             return ks, sol
-        left_out = np.setdiff1d(np.arange(n - m, m + 1), ks, assume_unique=True)
+        left_out = _left_out(ks, n, m)
         slack = _slack(pmf.masses, domain.sigma, sol.eq_duals, left_out, eps)
         entering = left_out[slack < -1e-9 * max(1.0, abs(sol.objective_value))]
         if entering.size == 0:
-            _store[key] = (ks, program.objective, sol)
+            _store[key] = (ks, program, sol)
             if len(_store) > _STORE_KEYS:
                 del _store[next(iter(_store))]
             return ks, sol
         wider = np.union1d(ks, entering)
         start = _extended_basis(sol.basis, ks, wider, n)
-        ks, objective = wider, None
+        ks, sol = wider, None
+        program = build_lp(pmf, domain.sigma, ks, eps)
 
 
 def solve_noise_table(

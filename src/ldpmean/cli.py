@@ -4,8 +4,13 @@ Subcommands: variance (expected-variance curves from a true pmf), estimate
 (end-to-end mean-estimation error), optimize (solve and dump one noise
 table), sweep (estimate repeated over a hyperparameter grid), multidim
 (attribute-sampled multidimensional estimation).  estimate and sweep run
-the multidim experiment at d = k = 1, and every mechanism of the
-experiment runs through its one per-attribute loop (_experiment).
+the multidim experiment, and every mechanism of the experiment runs
+through its one per-attribute loop (_experiment).  Every command but
+multidim runs one attribute at the full budget, d = k = 1, whatever --d
+and --k say, and optimize solves the adaptive table alone.  Each command
+checks the window and the eps grid as it runs them
+(ExperimentConfig.check_budget) before any data or table, so it is
+refused only for the fields it reads.
 
 Each field of ExperimentConfig is a flag and a config-file key: its name,
 or the short name _FLAG_NAMES gives it (--eps sets eps_grid).  Values are
@@ -101,9 +106,6 @@ class ExperimentConfig:
             repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
             if repeated is not None:
                 raise ValueError(f"{name} lists {repeated!r} more than once")
-        baseline = next((m for m in self.mechanisms if m != "adaptive"), None)
-        if math.inf in self.eps_grid and baseline is not None:
-            raise ValueError(f"eps = inf is for adaptive alone; {baseline!r} needs a finite eps")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must lie in (0, 1)")
         if self.runs < 1:
@@ -116,14 +118,24 @@ class ExperimentConfig:
             raise ValueError("bins and n must be positive")
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be >= 1")
-        if self.noise_window is not None:
-            eps = min(self.eps_grid) / self.k
-            least = self.bins + _min_half_width(self.bins, eps)
-            if self.noise_window < least:
-                raise ValueError(
-                    f"noise_window must be >= {least}, the least with an eps-LDP table at"
-                    f" bins={self.bins}, eps = min(eps_grid) / k = {eps}; got {self.noise_window}"
-                )
+
+    def check_budget(self) -> None:
+        """Refuse what the experiment loop cannot run at this k and these
+        mechanisms: an eps = inf with a baseline, and a noise_window below
+        the least with an eps-LDP table at min(eps_grid) / k, whose
+        derivation also refuses an eps too small for any finite window.
+        Each command calls it on the configuration it runs, before any data
+        or table."""
+        baseline = next((m for m in self.mechanisms if m != "adaptive"), None)
+        if math.inf in self.eps_grid and baseline is not None:
+            raise ValueError(f"eps = inf is for adaptive alone; {baseline!r} needs a finite eps")
+        eps = min(self.eps_grid) / self.k
+        least = self.bins + _min_half_width(self.bins, eps)
+        if self.noise_window is not None and self.noise_window < least:
+            raise ValueError(
+                f"noise_window must be >= {least}, the least with an eps-LDP table at"
+                f" bins={self.bins}, eps = min(eps_grid) / k = {eps}; got {self.noise_window}"
+            )
 
     @property
     def m(self) -> int:
@@ -215,8 +227,19 @@ def _true_pmf(config: ExperimentConfig, domain):
     return true_pmf(build(*values), domain)
 
 
+def _one_attribute(config: ExperimentConfig, **changes) -> ExperimentConfig:
+    """config at d = k = 1 and with changes, checked (check_budget): the
+    configuration a command that runs one attribute at the full budget
+    runs."""
+    config = replace(config, d=1, k=1, **changes)
+    config.check_budget()
+    return config
+
+
 def cmd_variance(config: ExperimentConfig) -> str:
-    """Expected variance per (mechanism, eps) against an analytic pmf."""
+    """Expected variance per (mechanism, eps) against an analytic pmf, at
+    d = k = 1."""
+    config = _one_attribute(config)
     domain = make_domain(config.beta, config.bins)
     pmf = _true_pmf(config, domain)
     rows = []
@@ -324,15 +347,18 @@ def _csv_data(config: ExperimentConfig, columns=None) -> np.ndarray | None:
 
 def cmd_estimate(config: ExperimentConfig) -> str:
     """Mean squared error of the end-to-end protocol per (mechanism, eps):
-    the multidim experiment at d = k = 1, with --csv read as one column."""
-    config = replace(config, d=1, k=1)
+    the multidim experiment at d = k = 1, with --csv read as one
+    column."""
+    config = _one_attribute(config)
     rows = _error_rows(config, _csv_data(config, [config.csv_column]))
     return _write_csv(config, "estimate", "mechanism,eps,mse,runs,seed", rows)
 
 
 def cmd_optimize(config: ExperimentConfig) -> str:
     """Solve one noise table at the first eps of the grid and dump it to
-    --out with a summary on stdout; with --out -, to stdout and stderr."""
+    --out with a summary on stdout; with --out -, to stdout and stderr.
+    Every other mechanism of the configuration is left aside."""
+    config = _one_attribute(config, mechanisms=("adaptive",))
     domain = make_domain(config.beta, config.bins)
     pmf = _true_pmf(config, domain)
     eps = sorted(config.eps_grid)[0]
@@ -373,6 +399,7 @@ def cmd_sweep(config: ExperimentConfig) -> str:
             sub = replace(config, bins=max(1, round(2.0 * config.beta / value)))
         else:
             sub = replace(config, noise_window=round(value * config.bins / 2))
+        sub.check_budget()
         subs.append((value, sub))
     fixed = _csv_data(config, [config.csv_column])
     rows = []
@@ -386,6 +413,7 @@ def cmd_multidim(config: ExperimentConfig) -> str:
     """Attribute-sampled multidimensional estimation; error is the sum of
     per-dimension squared errors against each dimension's full-data mean.
     Every mechanism spends eps / k on each of a client's k attributes."""
+    config.check_budget()
     fixed = _csv_data(config)
     d = config.d if fixed is None else fixed.shape[1]
     rows = _error_rows(replace(config, d=d), fixed, d, config.k)

@@ -3,8 +3,11 @@
 Standard form: minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
 x >= 0.  The constraint blocks are CSR triples of numpy arrays, built by
 the caller directly in that form, and HiGHS takes them row-wise as they
-are, concatenated; it builds its own column copy.  `solve` is the
-package's only call into a solver.
+are, concatenated; it builds its own column copy.  A LinearProgram
+concatenates them once, with the row and column bounds, when it is made
+(ModelArrays), and with_objective makes the same program with another
+objective, sharing those read-only arrays.  `solve` is the package's only
+call into a solver.
 
 `solve` hands the program to scipy's bundled HiGHS binding directly, with
 the model and options that `scipy.optimize.linprog(method="highs")` builds,
@@ -35,12 +38,13 @@ after, reuses the same module.
 
 from __future__ import annotations
 
+import copy
 import importlib.machinery
 import importlib.util
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -154,13 +158,31 @@ def csr_from_rows(cols: np.ndarray, vals: np.ndarray) -> Csr:
     return Csr(np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], vals[keep])
 
 
+def _read_only(a, dtype=None) -> np.ndarray:
+    """A read-only copy of a as a numpy array."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def _as_objective(objective) -> np.ndarray:
+    """A read-only copy of objective as floats; raises ValueError unless
+    it is a nonempty vector of finite coefficients."""
+    objective = _read_only(objective, float)
+    if objective.ndim != 1 or objective.size == 0:
+        raise ValueError("objective must be a nonempty vector")
+    if not np.all(np.isfinite(objective)):
+        raise ValueError("objective has non-finite coefficients")
+    return objective
+
+
 def _as_csr(a: Csr, n: int, name: str) -> Csr:
-    """The Csr block a, its arrays as numpy arrays, checked against n
-    columns.  Raises TypeError for a block of any other type."""
+    """The Csr block a, its arrays as read-only numpy copies, checked
+    against n columns.  Raises TypeError for a block of any other type."""
     if not isinstance(a, Csr):
         raise TypeError(f"{name} must be an lp.Csr, got {type(a).__name__}")
-    indptr, indices = np.asarray(a.indptr), np.asarray(a.indices)
-    data = np.asarray(a.data, dtype=float)
+    indptr, indices = _read_only(a.indptr), _read_only(a.indices)
+    data = _read_only(a.data, float)
     if not (
         indptr.ndim == 1 and indptr.size >= 1 and indptr[0] == 0
         and np.all(np.diff(indptr) >= 0) and indptr[-1] == indices.size == data.size
@@ -173,12 +195,46 @@ def _as_csr(a: Csr, n: int, name: str) -> Csr:
     return Csr(indptr, indices, data)
 
 
+class ModelArrays(NamedTuple):
+    """What HiGHS's passModel takes of a program after its objective, in
+    its order: the columns' bounds [0, inf), the rows [A_ub; A_eq] bounded
+    by (-inf, b_ub] and [b_eq, b_eq] in compressed sparse rows with int32
+    starts and column indices, and the columns' integrality (all
+    continuous)."""
+
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    starts: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    integrality: np.ndarray
+
+
+def _model_arrays(n: int, blocks: list, b_ub: np.ndarray, b_eq: np.ndarray) -> ModelArrays:
+    """The ModelArrays of n columns and the Csr blocks of the rows bounded
+    above by b_ub, then of those fixed at b_eq, each array read-only."""
+    starts = np.cumsum(np.concatenate([[0]] + [np.diff(a.indptr) for a in blocks]), dtype=np.int32)
+    arrays = ModelArrays(
+        np.zeros(n), np.full(n, kHighsInf),
+        np.concatenate([np.full(b_ub.size, -kHighsInf), b_eq]), np.concatenate([b_ub, b_eq]),
+        starts, np.concatenate([np.zeros(0, np.int32)] + [a.indices for a in blocks], dtype=np.int32),
+        np.concatenate([np.zeros(0)] + [a.data for a in blocks]), np.zeros(n, dtype=np.int32),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min objective . x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
     A constraint block left as None has no rows; any other block is a Csr
     (csr_from_rows builds one from 2-D blocks of columns and coefficients).
+    The program holds read-only copies of the arrays it is given, and
+    arrays holds them as HiGHS takes them (ModelArrays).
     """
 
     objective: np.ndarray
@@ -186,32 +242,48 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
     A_eq: Csr | None = None
     b_eq: np.ndarray | None = None
+    arrays: ModelArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        objective = np.asarray(self.objective, dtype=float)
-        if objective.ndim != 1 or objective.size == 0:
-            raise ValueError("objective must be a nonempty vector")
-        if not np.all(np.isfinite(objective)):
-            raise ValueError("objective has non-finite coefficients")
+        objective = _as_objective(self.objective)
         object.__setattr__(self, "objective", objective)
+        bounds = []
         for a_name, b_name in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
             a, b = getattr(self, a_name), getattr(self, b_name)
             if a is None and b is None:
+                bounds.append(np.zeros(0))
                 continue
             if a is None or b is None:
                 raise ValueError(f"{a_name} and {b_name} must be given together")
             a = _as_csr(a, objective.size, a_name)
-            b = np.asarray(b, dtype=float)
+            b = _read_only(b, float)
             if b.shape != (a.indptr.size - 1,):
                 raise ValueError(f"{b_name} length does not match the rows of {a_name}")
             if not np.all(np.isfinite(b)):
                 raise ValueError(f"non-finite coefficient in {b_name}")
             object.__setattr__(self, a_name, a)
             object.__setattr__(self, b_name, b)
+            bounds.append(b)
+        blocks = [a for a in (self.A_ub, self.A_eq) if a is not None]
+        object.__setattr__(self, "arrays", _model_arrays(objective.size, blocks, *bounds))
 
     @property
     def num_vars(self) -> int:
         return self.objective.size
+
+    def with_objective(self, objective) -> LinearProgram:
+        """This program with another objective of the same length; its
+        constraint blocks and arrays are shared, not built or checked
+        again.  Raises ValueError for an objective of another length or
+        with a non-finite coefficient."""
+        objective = _as_objective(objective)
+        if objective.size != self.num_vars:
+            raise ValueError(
+                f"objective has {objective.size} coefficients; the program has {self.num_vars}"
+            )
+        program = copy.copy(self)
+        object.__setattr__(program, "objective", objective)
+        return program
 
 
 @dataclass(frozen=True)
@@ -266,29 +338,17 @@ def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution
     that extend_basis widened to this program) its primal simplex from
     that basis.
 
-    The model is the rows [A_ub; A_eq], passed row-wise as the blocks hold
-    them, bounded by (-inf, b_ub] and [b_eq, b_eq], and the columns by
-    [0, inf).
+    The model is the program's arrays (ModelArrays) and its objective.
     """
-    n = program.num_vars
-    blocks = [a for a in (program.A_ub, program.A_eq) if a is not None]
-    starts = np.cumsum(np.concatenate([[0]] + [np.diff(a.indptr) for a in blocks]), dtype=np.int32)
-    cols = np.concatenate([np.zeros(0, np.int32)] + [a.indices for a in blocks], dtype=np.int32)
-    data = np.concatenate([np.zeros(0)] + [a.data for a in blocks])
-    b_ub = np.zeros(0) if program.b_ub is None else program.b_ub
-    b_eq = np.zeros(0) if program.b_eq is None else program.b_eq
-    m = b_ub.size + b_eq.size
+    n, arrays = program.num_vars, program.arrays
+    m, nonzeros = arrays.row_lower.size, arrays.values.size
     highs = _Highs()
     for name, value in _OPTIONS.items():
         highs.setOptionValue(name, value)
-    # the array form of passModel copies each array in one piece; every
-    # column is marked continuous
+    # the array form of passModel copies each array in one piece
     passed = highs.passModel(
-        n, m, data.size, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0,
-        program.objective, np.zeros(n), np.full(n, kHighsInf),
-        np.concatenate([np.full(b_ub.size, -kHighsInf), b_eq]),
-        np.concatenate([b_ub, b_eq]),
-        starts, cols, data, np.zeros(n, dtype=np.int32),
+        n, m, nonzeros, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0, program.objective,
+        *arrays,
     )
     run_seconds = 0.0
     if passed == HighsStatus.kError:
@@ -312,10 +372,11 @@ def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         value = info.objective_function_value
-        duals = np.array(solution.row_dual[b_ub.size :])
+        ub_rows = 0 if program.b_ub is None else program.b_ub.size
+        duals = np.array(solution.row_dual[ub_rows:])
         basis = highs.getBasis()
     # HiGHS's counts are void when it stopped on an error; every run is simplex
     iterations = info.simplex_iteration_count if info.valid else 0
     return LpSolution(
-        status, x, value, iterations, message, duals, n, m, data.size, run_seconds, basis
+        status, x, value, iterations, message, duals, n, m, nonzeros, run_seconds, basis
     )

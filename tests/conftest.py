@@ -5,7 +5,7 @@ and five quantized pmfs of different character.  Narrower windows make the
 program infeasible at eps=0.5, so every table here uses the 4x window.
 
 A solved table depends on the earlier solves at its (N, M, eps) in the
-process: adaptive._store holds the outputs S, the objective and the
+process: adaptive._store holds the outputs S, the program and the
 solution of the latest one there.  So every test starts and ends with an empty
 store, and so does every fixture that solves tables and outlives a test:
 no verdict depends on which tests ran before.

@@ -20,7 +20,10 @@ Exits 1 if any output differs at all.  Each command takes a few seconds; clients
 numerous enough that every sampler runs over several blocks.
 ``estimate-n32`` runs the adaptive arm alone at N=32 over three runs, so
 that each eps solves three tables at the same (N, M, eps), the later ones
-from the outputs S and the solution stored by the one before.
+from the outputs S and the solution stored by the one before;
+``estimate-n16`` does the same over five runs at the default N=16, where
+``estimate`` spends its time, so that the later tables' first rounds, each
+the stored program with the new pmf's objective, are compared too.
 """
 
 import difflib
@@ -62,6 +65,8 @@ def commands(data: Path, table: Path, ini: Path) -> dict:
                                "--dataset", "bernoulli:p=0.3"],
         "estimate-n32": ["estimate", "--bins", "32", "--runs", "3", "--eps", "0.5,1",
                          "--mechanisms", "adaptive", "--n", "60000"],
+        "estimate-n16": ["estimate", "--bins", "16", "--runs", "5", "--mechanisms", "adaptive",
+                         "--n", "60000"],
         "estimate-ini": ["estimate", "--config", str(ini)],
         "estimate-csv": ["estimate", "--csv", str(data), "--column", "1", "--runs", "2"],
         "sweep-split": SWEEP + ["split", "--grid", "0.1,0.3"],

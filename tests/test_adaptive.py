@@ -30,6 +30,7 @@ from ldpmean.adaptive import (
     _density_from_q,
     _first_half_width,
     _first_outputs,
+    _left_out,
     _min_half_width,
     _scatter,
     _slack,
@@ -271,6 +272,16 @@ class TestSolveNoiseTable:
         table = solve_noise_table(pmf, eps, NoiseShape(m=n + a_min), domain)
         assert verify_privacy(table, eps).passed
 
+    @pytest.mark.parametrize("eps", [1e-310, 5e-324])
+    def test_eps_too_small_for_any_window_is_refused(self, eps, monkeypatch):
+        # N (coth(eps/2) - 1) / 2 overflows (or eps / 2 is 0): a ValueError
+        # naming eps, not an OverflowError, and no program is built
+        with pytest.raises(ValueError, match=f"^eps = {eps!r} is too small: "):
+            _min_half_width(2, eps)
+        monkeypatch.setattr(adaptive, "build_lp", None)
+        with pytest.raises(ValueError, match=f"^eps = {eps!r} is too small: "):
+            solve_noise_table(SYM2, eps, SHAPE2, D2)
+
     def test_infinite_eps_is_the_zero_noise_table(self, monkeypatch):
         # no tube, so the optimum adds no noise; no LP is solved
         monkeypatch.setattr(lplib, "solve", None)
@@ -398,10 +409,10 @@ class TestRestrictedSolve:
         domain = make_domain(1.0, n)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
         table = solve_noise_table(pmf, eps, NoiseShape(m=4 * n), domain)
-        ks, objective, sol = adaptive._store[(n, 4 * n, eps)]
+        ks, program, sol = adaptive._store[(n, 4 * n, eps)]
         assert certified(pmf, domain, sol, ks, eps)
         tol = 1e-9 * max(1.0, abs(sol.objective_value))
-        assert abs(objective @ sol.x - sol.eq_duals[0::2].sum()) <= tol
+        assert abs(program.objective @ sol.x - sol.eq_duals[0::2].sum()) <= tol
         assert table.lp_objective == sol.objective_value
 
     @pytest.mark.parametrize("eps", [1.0, 2.0])
@@ -625,9 +636,11 @@ class TestCertificate:
 
 
 def test_design_cells_take_one_solve_per_round(monkeypatch):
-    # each round of output generation assembles one program and makes one
-    # HiGHS call, with no cold retry; every round adds outputs, and none
-    # of the 15 design cells at N=16, M=64 takes more than three
+    # each round of output generation makes one HiGHS call, with no cold
+    # retry, on one program: round 0 at a stored key on the stored one
+    # with the pmf's objective swapped in, every other round on build_lp's;
+    # every round adds outputs, and none of the 15 design cells at N=16,
+    # M=64 takes more than three
     outputs = recording_builds(monkeypatch)
     calls = recording_solve(monkeypatch)
     d16 = make_domain(1.0, 16)
@@ -636,7 +649,11 @@ def test_design_cells_take_one_solve_per_round(monkeypatch):
         for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
             outputs.clear()
             calls.clear()
+            stored = adaptive._store.get((16, 64, eps))
             solve_noise_table(true_pmf(DESIGN_PMFS[name], d16), eps, NoiseShape(m=64), d16)
+            if stored is not None:
+                assert calls[0][0].arrays is stored[1].arrays
+                outputs.insert(0, stored[0])
             assert len(calls) == len(outputs)
             assert all(start is not None for _, start, _ in calls[1:])
             for ks, wider in zip(outputs, outputs[1:]):
@@ -767,6 +784,25 @@ class TestStore:
         iterations = [sum(sol.iterations for _, _, sol in made) for made in (warm_calls, calls)]
         assert iterations[0] < iterations[1]
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_stored_program_takes_the_new_objective(self, n, eps, monkeypatch):
+        # round 0 of a re-estimate at a stored key hands HiGHS the stored
+        # program with the new pmf's objective swapped in: the objective's
+        # bits and every array of build_lp's program over the stored S,
+        # sharing the stored constraint arrays rather than rebuilding them
+        domain, shape, key = make_domain(1.0, n), NoiseShape(m=4 * n), (n, 4 * n, eps)
+        first, again = (rr_pmf(n, eps, seed, sd=0.2, clients=1000) for seed in (11, 12))
+        solve_noise_table(first, eps, shape, domain)
+        ks, stored, _ = adaptive._store[key]
+        calls = recording_solve(monkeypatch)
+        solve_noise_table(again, eps, shape, domain)
+        program, built = calls[0][0], build_lp(again, domain.sigma, ks, eps)
+        assert program.objective.tobytes() == built.objective.tobytes()
+        for got, want in zip(program.arrays, built.arrays):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert program.arrays is stored.arrays and program.A_eq is stored.A_eq
+
     def test_same_program_reuses_the_solution(self, monkeypatch):
         d16 = make_domain(1.0, 16)
         pmf = rr_pmf(16, 1.0, seed=11, sd=0.2, clients=1000)
@@ -832,17 +868,16 @@ class TestStore:
         uniform = true_pmf(BetaDistribution(a=1.0, b=1.0), d16)
         solve_noise_table(gaussian, 2.0, NoiseShape(m=64), d16)
         assert list(adaptive._store) == [(16, 64, 2.0)]
-        stored = adaptive._store[(16, 64, 2.0)][0]
+        stored = adaptive._store[(16, 64, 2.0)][1]
         outputs = recording_builds(monkeypatch)
         calls = recording_solve(monkeypatch)
         solve_noise_table(uniform, 2.0, NoiseShape(m=48), d16)
         assert calls[0][1] is None
         np.testing.assert_array_equal(outputs[0], _first_outputs(16, 48, 2.0))
-        outputs.clear()
         calls.clear()
         solve_noise_table(uniform, 2.0, NoiseShape(m=64), d16)
         assert calls[0][1] is not None
-        np.testing.assert_array_equal(outputs[0], stored)
+        assert calls[0][0].arrays is stored.arrays
         assert list(adaptive._store) == [(16, 48, 2.0), (16, 64, 2.0)]
 
     def test_holds_at_most_its_bound(self):
@@ -920,6 +955,23 @@ def test_restricted_solve_matches_whole_program(n, eps, extra, seed):
     assert wider.status == "optimal"
     gap = abs(table.lp_objective - wider.objective_value)
     assert gap <= 1e-9 * max(1.0, abs(table.lp_objective))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    extra=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    keep=st.floats(0.0, 1.0),
+)
+def test_left_out_is_the_window_less_the_outputs(n, extra, seed, keep):
+    # the mask over the window [N - M, M] leaves out what setdiff1d does
+    m = n + extra
+    window = np.arange(n - m, m + 1)
+    ks = window[np.random.default_rng(seed).random(window.size) < keep]
+    left_out = _left_out(ks, n, m)
+    np.testing.assert_array_equal(left_out, np.setdiff1d(window, ks))
+    assert left_out.dtype == window.dtype
 
 
 def disjoint_table():

@@ -637,6 +637,37 @@ class TestErrorPaths:
         _, rows = read_rows(out)
         assert [row[:2] for row in rows] == [["adaptive", "inf"]]
 
+    def test_optimize_at_infinite_eps_ignores_the_baselines(self, capsys):
+        # optimize solves the adaptive table alone, so the default
+        # mechanisms' baselines do not refuse eps = inf
+        rc, out, err = run_cli(["optimize", "--eps", "inf", "--bins", "4", "--out", "-"], capsys)
+        assert rc == 0 and "passed True" in err
+        assert out.splitlines()[0] == "1.0 4 16 inf"
+
+    def test_window_is_checked_at_the_budget_spent(self, draws, capsys):
+        # variance and optimize run one attribute at eps = 1, where the
+        # window 9 has a table; multidim at k = 2 spends eps / 2 = 0.5 per
+        # attribute, where the least window is 11
+        flags = ["--bins", "4", "--eps", "1", "--k", "2", "--noise-window", "9",
+                 "--mechanisms", "adaptive", "--runs", "1", "--n", "200"]
+        rc, out, err = run_cli(["variance"] + flags, capsys)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[0].endswith(" d=1 k=1 sweep_parameter=None sweep_grid= m=9")
+        rc, out, err = run_cli(["optimize", "--out", "-"] + flags, capsys)
+        assert rc == 0 and out.splitlines()[0] == "1.0 4 9 1.0"
+        rc, out, err = run_cli(["multidim"] + flags, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: noise_window must be >= 11, ")
+        assert draws == []
+
+    def test_eps_too_small_for_any_window_draws_nothing(self, draws, capsys):
+        argv = ["estimate", "--eps", "1e-310", "--mechanisms", "adaptive", "--bins", "2",
+                "--runs", "1", "--n", "100"]
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: eps = 1e-310 is too small: ")
+        assert draws == []
+
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])

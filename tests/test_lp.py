@@ -292,6 +292,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinearProgram([1.0], A_eq=csr([[1.0], [2.0]]), b_eq=[1.0])
 
+    def test_with_objective(self):
+        # another objective of the same length, finite, on the same
+        # read-only constraint arrays; the program it came from is unchanged,
+        # and so is each program when its caller's arrays change
+        cost, upper = np.array([1.0, 2.0]), csr([[1.0, 1.0]])
+        program = LinearProgram(cost, A_ub=upper, b_ub=[4.0],
+                                A_eq=csr([[1.0, -1.0]]), b_eq=[0.0])
+        swapped = np.array([-1.0, -1.0])
+        other = program.with_objective(swapped)
+        cost[0] = upper.data[0] = swapped[0] = 7.0
+        assert other.objective.tolist() == [-1.0, -1.0]
+        assert program.objective.tolist() == [1.0, 2.0]
+        assert other.arrays is program.arrays and other.A_ub is program.A_ub
+        assert solve(other).objective_value == -4.0
+        for array in (other.objective, *other.A_ub, other.b_eq, *other.arrays):
+            assert not array.flags.writeable
+        for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                program.with_objective(bad)
+        for bad in ([np.nan, 1.0], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                program.with_objective(bad)
+
 
 class TestDeterminism:
     def test_identical_solves(self):
