@@ -721,15 +721,17 @@ def save_table(table: NoiseTable, path) -> None:
 
 def load_table(path) -> NoiseTable:
     """Read a save_table file: a header line (beta, N, M, eps), then N+1 rows
-    of 2M+1 masses.  Any other header, and rows that do not sum to 1 with
-    mean 0, raise ValueError."""
+    of 2M+1 masses.  Any other header, one whose eps is not a privacy
+    budget (inf included) or whose beta is not positive and finite, and
+    rows that do not sum to 1 with mean 0, raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 4:
             raise ValueError(
                 f"malformed noise-table header in {path}: expected 'beta N M eps'"
             )
-        beta, n, m, eps = float(header[0]), int(header[1]), int(header[2]), float(header[3])
+        beta, n, m = float(header[0]), int(header[1]), int(header[2])
+        eps = check_eps(header[3], allow_inf=True)
         q = np.loadtxt(fh, ndmin=2)
     if q.shape != (n + 1, 2 * m + 1):
         raise ValueError(

@@ -396,9 +396,18 @@ def cmd_sweep(config: ExperimentConfig) -> str:
         if config.sweep_parameter == "split":
             sub = replace(config, split=float(value))
         elif config.sweep_parameter == "bin_size":
-            sub = replace(config, bins=max(1, round(2.0 * config.beta / value)))
+            bins = 2.0 * config.beta / value if 0.0 < value < math.inf else math.nan
+            if not math.isfinite(bins):
+                raise ValueError(
+                    f"sweep bin_size {value!r} is not a positive finite width with a finite"
+                    " bin count 2 beta / width"
+                )
+            sub = replace(config, bins=max(1, round(bins)))
         else:
-            sub = replace(config, noise_window=round(value * config.bins / 2))
+            window = value * config.bins / 2
+            if not math.isfinite(window):
+                raise ValueError(f"sweep noise_range {value!r} does not give a finite window")
+            sub = replace(config, noise_window=round(window))
         sub.check_budget()
         subs.append((value, sub))
     fixed = _csv_data(config, [config.csv_column])

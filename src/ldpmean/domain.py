@@ -72,9 +72,10 @@ class LinearTransform:
 
 
 def make_domain(beta: float, n_bins: int) -> QuantizedDomain:
-    """Build the quantized domain with sigma = 2*beta/N and edges -beta + j*sigma."""
-    if not (beta > 0):
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    """Build the quantized domain with sigma = 2*beta/N and edges -beta + j*sigma.
+    Raises ValueError unless 0 < beta < inf and N >= 1."""
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     n_bins = int(n_bins)

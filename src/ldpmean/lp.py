@@ -1,13 +1,12 @@
 """Linear programs in sparse form, solved by HiGHS through scipy's binding.
 
 Standard form: minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and
-x >= 0.  The constraint blocks are CSR triples of numpy arrays, built by
-the caller directly in that form, and HiGHS takes them row-wise as they
-are, concatenated; it builds its own column copy.  A LinearProgram
-concatenates them once, with the row and column bounds, when it is made
-(ModelArrays), and with_objective makes the same program with another
-objective, sharing those read-only arrays.  `solve` is the package's only
-call into a solver.
+x >= 0.  The caller builds the constraint blocks as CSR triples of numpy
+arrays; a LinearProgram keeps one read-only copy of them, concatenated in
+the row-wise layout HiGHS takes as it is (it builds its own column copy):
+the rows [A_ub; A_eq], bounded by (-inf, b_ub] and [b_eq, b_eq].
+with_objective makes the same program with another objective, sharing
+those arrays.  `solve` is the package's only call into a solver.
 
 `solve` hands the program to scipy's bundled HiGHS binding directly, with
 the model and options that `scipy.optimize.linprog(method="highs")` builds,
@@ -44,7 +43,7 @@ import importlib.util
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -158,17 +157,11 @@ def csr_from_rows(cols: np.ndarray, vals: np.ndarray) -> Csr:
     return Csr(np.concatenate([[0], np.cumsum(keep.sum(axis=1))]), cols[keep], vals[keep])
 
 
-def _read_only(a, dtype=None) -> np.ndarray:
-    """A read-only copy of a as a numpy array."""
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
 def _as_objective(objective) -> np.ndarray:
     """A read-only copy of objective as floats; raises ValueError unless
     it is a nonempty vector of finite coefficients."""
-    objective = _read_only(objective, float)
+    objective = np.array(objective, dtype=float)
+    objective.setflags(write=False)
     if objective.ndim != 1 or objective.size == 0:
         raise ValueError("objective must be a nonempty vector")
     if not np.all(np.isfinite(objective)):
@@ -176,13 +169,14 @@ def _as_objective(objective) -> np.ndarray:
     return objective
 
 
-def _as_csr(a: Csr, n: int, name: str) -> Csr:
-    """The Csr block a, its arrays as read-only numpy copies, checked
-    against n columns.  Raises TypeError for a block of any other type."""
+def _check_csr(a: Csr, n: int, name: str) -> None:
+    """Check the Csr block a against n columns, copying nothing.  Raises
+    TypeError for a block of any other type, ValueError for a malformed
+    one."""
     if not isinstance(a, Csr):
         raise TypeError(f"{name} must be an lp.Csr, got {type(a).__name__}")
-    indptr, indices = _read_only(a.indptr), _read_only(a.indices)
-    data = _read_only(a.data, float)
+    indptr, indices = np.asarray(a.indptr), np.asarray(a.indices)
+    data = np.asarray(a.data, dtype=float)
     if not (
         indptr.ndim == 1 and indptr.size >= 1 and indptr[0] == 0
         and np.all(np.diff(indptr) >= 0) and indptr[-1] == indices.size == data.size
@@ -192,39 +186,6 @@ def _as_csr(a: Csr, n: int, name: str) -> Csr:
         raise ValueError(f"{name} has a column index outside [0, {n})")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"non-finite coefficient in {name}")
-    return Csr(indptr, indices, data)
-
-
-class ModelArrays(NamedTuple):
-    """What HiGHS's passModel takes of a program after its objective, in
-    its order: the columns' bounds [0, inf), the rows [A_ub; A_eq] bounded
-    by (-inf, b_ub] and [b_eq, b_eq] in compressed sparse rows with int32
-    starts and column indices, and the columns' integrality (all
-    continuous)."""
-
-    col_lower: np.ndarray
-    col_upper: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
-    starts: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    integrality: np.ndarray
-
-
-def _model_arrays(n: int, blocks: list, b_ub: np.ndarray, b_eq: np.ndarray) -> ModelArrays:
-    """The ModelArrays of n columns and the Csr blocks of the rows bounded
-    above by b_ub, then of those fixed at b_eq, each array read-only."""
-    starts = np.cumsum(np.concatenate([[0]] + [np.diff(a.indptr) for a in blocks]), dtype=np.int32)
-    arrays = ModelArrays(
-        np.zeros(n), np.full(n, kHighsInf),
-        np.concatenate([np.full(b_ub.size, -kHighsInf), b_eq]), np.concatenate([b_ub, b_eq]),
-        starts, np.concatenate([np.zeros(0, np.int32)] + [a.indices for a in blocks], dtype=np.int32),
-        np.concatenate([np.zeros(0)] + [a.data for a in blocks]), np.zeros(n, dtype=np.int32),
-    )
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @dataclass(frozen=True)
@@ -233,49 +194,61 @@ class LinearProgram:
 
     A constraint block left as None has no rows; any other block is a Csr
     (csr_from_rows builds one from 2-D blocks of columns and coefficients).
-    The program holds read-only copies of the arrays it is given, and
-    arrays holds them as HiGHS takes them (ModelArrays).
+    The program keeps one read-only copy of its constraints, as HiGHS's
+    passModel takes them: rows, the Csr of [A_ub; A_eq] with int32 starts
+    and column indices, each row r bounded by row_lower[r] and row_upper[r],
+    (-inf, b_ub] for the rows of A_ub and [b_eq, b_eq] for those of A_eq.
     """
 
     objective: np.ndarray
-    A_ub: Csr | None = None
-    b_ub: np.ndarray | None = None
-    A_eq: Csr | None = None
-    b_eq: np.ndarray | None = None
-    arrays: ModelArrays = field(init=False, repr=False, compare=False)
+    A_ub: InitVar[Csr | None] = None
+    b_ub: InitVar[np.ndarray | None] = None
+    A_eq: InitVar[Csr | None] = None
+    b_eq: InitVar[np.ndarray | None] = None
+    rows: Csr = field(init=False, repr=False, compare=False)
+    row_lower: np.ndarray = field(init=False, repr=False, compare=False)
+    row_upper: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, A_ub, b_ub, A_eq, b_eq):
         objective = _as_objective(self.objective)
         object.__setattr__(self, "objective", objective)
-        bounds = []
-        for a_name, b_name in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
-            a, b = getattr(self, a_name), getattr(self, b_name)
+        blocks, lower, upper = [], [np.zeros(0)], [np.zeros(0)]
+        for a_name, a, b_name, b in (("A_ub", A_ub, "b_ub", b_ub), ("A_eq", A_eq, "b_eq", b_eq)):
             if a is None and b is None:
-                bounds.append(np.zeros(0))
                 continue
             if a is None or b is None:
                 raise ValueError(f"{a_name} and {b_name} must be given together")
-            a = _as_csr(a, objective.size, a_name)
-            b = _read_only(b, float)
-            if b.shape != (a.indptr.size - 1,):
+            _check_csr(a, objective.size, a_name)
+            b = np.asarray(b, dtype=float)
+            if b.shape != (len(a.indptr) - 1,):
                 raise ValueError(f"{b_name} length does not match the rows of {a_name}")
             if not np.all(np.isfinite(b)):
                 raise ValueError(f"non-finite coefficient in {b_name}")
-            object.__setattr__(self, a_name, a)
-            object.__setattr__(self, b_name, b)
-            bounds.append(b)
-        blocks = [a for a in (self.A_ub, self.A_eq) if a is not None]
-        object.__setattr__(self, "arrays", _model_arrays(objective.size, blocks, *bounds))
+            blocks.append(a)
+            lower.append(b if a_name == "A_eq" else np.full(b.size, -kHighsInf))
+            upper.append(b)
+        # each concatenation makes a new array: the program's own copy
+        rows = Csr(
+            np.cumsum(np.concatenate([[0]] + [np.diff(a.indptr) for a in blocks]), dtype=np.int32),
+            np.concatenate([np.zeros(0, np.int32)] + [a.indices for a in blocks], dtype=np.int32),
+            np.concatenate([np.zeros(0)] + [a.data for a in blocks], dtype=float),
+        )
+        lower, upper = np.concatenate(lower), np.concatenate(upper)
+        for array in (*rows, lower, upper):
+            array.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "row_lower", lower)
+        object.__setattr__(self, "row_upper", upper)
 
     @property
     def num_vars(self) -> int:
         return self.objective.size
 
     def with_objective(self, objective) -> LinearProgram:
-        """This program with another objective of the same length; its
-        constraint blocks and arrays are shared, not built or checked
-        again.  Raises ValueError for an objective of another length or
-        with a non-finite coefficient."""
+        """This program with another objective of the same length; its rows
+        and their bounds are shared, not built or checked again.  Raises
+        ValueError for an objective of another length or with a non-finite
+        coefficient."""
         objective = _as_objective(objective)
         if objective.size != self.num_vars:
             raise ValueError(
@@ -338,17 +311,19 @@ def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution
     that extend_basis widened to this program) its primal simplex from
     that basis.
 
-    The model is the program's arrays (ModelArrays) and its objective.
+    The model is the program's objective, rows and row bounds, with every
+    column in [0, inf) and continuous.
     """
-    n, arrays = program.num_vars, program.arrays
-    m, nonzeros = arrays.row_lower.size, arrays.values.size
+    n, rows = program.num_vars, program.rows
+    m, nonzeros = program.row_lower.size, rows.data.size
     highs = _Highs()
     for name, value in _OPTIONS.items():
         highs.setOptionValue(name, value)
     # the array form of passModel copies each array in one piece
     passed = highs.passModel(
         n, m, nonzeros, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0, program.objective,
-        *arrays,
+        np.zeros(n), np.full(n, kHighsInf), program.row_lower, program.row_upper, *rows,
+        np.zeros(n, dtype=np.int32),
     )
     run_seconds = 0.0
     if passed == HighsStatus.kError:
@@ -372,8 +347,7 @@ def solve(program: LinearProgram, start: HighsBasis | None = None) -> LpSolution
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         value = info.objective_function_value
-        ub_rows = 0 if program.b_ub is None else program.b_ub.size
-        duals = np.array(solution.row_dual[ub_rows:])
+        duals = np.array(solution.row_dual)[program.row_lower == program.row_upper]
         basis = highs.getBasis()
     # HiGHS's counts are void when it stopped on an error; every run is simplex
     iterations = info.simplex_iteration_count if info.valid else 0

@@ -24,23 +24,33 @@ def csr(rows) -> Csr:
     return csr_from_rows(np.broadcast_to(np.arange(rows.shape[1]), rows.shape), rows)
 
 
-def as_csr(lp: LinearProgram, name: str):
-    """The constraint block name ("A_ub" or "A_eq") of lp as a scipy CSR
-    array, None when lp has none."""
-    a = getattr(lp, name)
-    if a is None:
-        return None
-    return csr_array((a.data, a.indices, a.indptr), shape=(a.indptr.size - 1, lp.num_vars))
+def row_senses(lp: LinearProgram) -> np.ndarray:
+    """Each row's sense, read from its bounds: = where they are equal, <=
+    where the row is bounded only above."""
+    fixed = lp.row_lower == lp.row_upper
+    assert np.all(fixed | (lp.row_lower == -np.inf)), "a row bounded below only"
+    return np.where(fixed, EQUAL, LESS_EQUAL)
+
+
+def as_csr(lp: LinearProgram):
+    """The rows of lp as a scipy CSR array."""
+    rows = lp.rows
+    return csr_array((rows.data, rows.indices, rows.indptr), shape=(lp.row_upper.size, lp.num_vars))
+
+
+def rows_of(lp: LinearProgram, sense: str):
+    """(block, rhs): the rows of lp of the given sense, in their order in
+    lp, as a scipy CSR array, and their right-hand sides; (None, None)
+    when lp has none."""
+    picked = np.flatnonzero(row_senses(lp) == sense)
+    if picked.size == 0:
+        return None, None
+    return as_csr(lp)[picked], lp.row_upper[picked]
 
 
 def dense_system(lp: LinearProgram):
-    """(rows, senses, rhs): the A_ub rows as <=, then the A_eq rows as =."""
-    blocks = [(as_csr(lp, "A_ub"), lp.b_ub, LESS_EQUAL), (as_csr(lp, "A_eq"), lp.b_eq, EQUAL)]
-    blocks = [(a.toarray(), b, s) for a, b, s in blocks if a is not None]
-    rows = np.vstack([a for a, _, _ in blocks])
-    senses = [s for a, _, s in blocks for _ in range(a.shape[0])]
-    rhs = np.concatenate([b for _, b, _ in blocks])
-    return rows, senses, rhs
+    """(rows, senses, rhs): lp's rows, dense, in their order in lp."""
+    return as_csr(lp).toarray(), list(row_senses(lp)), lp.row_upper
 
 
 def feasible(point, rows, senses, rhs, tol=1e-7):

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import solved_apart, span, suite_pmf_shapes
-from lp_oracle import as_csr, csr
+from lp_oracle import EQUAL, LESS_EQUAL, csr, rows_of
 from ldpmean.adaptive import (
     NoiseShape,
     NoiseTable,
@@ -171,10 +172,11 @@ class TestBuildLp:
         prog = build_lp(pmf, d3.sigma, span(3, 2), eps)
         objective, eq, ub = row_by_row_lp(pmf, d3.sigma, span(3, 2), eps)
         np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
-        np.testing.assert_array_equal(as_csr(prog, "A_eq").toarray(), eq)
-        np.testing.assert_array_equal(prog.b_eq, np.tile([1.0, 0.0], 4))
-        np.testing.assert_array_equal(as_csr(prog, "A_ub").toarray(), ub)
-        np.testing.assert_array_equal(prog.b_ub, np.zeros(len(ub)))
+        (a_eq, b_eq), (a_ub, b_ub) = rows_of(prog, EQUAL), rows_of(prog, LESS_EQUAL)
+        np.testing.assert_array_equal(a_eq.toarray(), eq)
+        np.testing.assert_array_equal(b_eq, np.tile([1.0, 0.0], 4))
+        np.testing.assert_array_equal(a_ub.toarray(), ub)
+        np.testing.assert_array_equal(b_ub, np.zeros(len(ub)))
 
     @pytest.mark.parametrize("ks", [[-5, -2, 0, 1, 3, 7], [2], [-1, 4]])
     def test_outputs_with_gaps_match_row_by_row_reference(self, ks):
@@ -183,8 +185,8 @@ class TestBuildLp:
         prog = build_lp(pmf, d3.sigma, np.array(ks), 2.0)
         objective, eq, ub = row_by_row_lp(pmf, d3.sigma, ks, 2.0)
         np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
-        np.testing.assert_array_equal(as_csr(prog, "A_eq").toarray(), eq)
-        np.testing.assert_array_equal(as_csr(prog, "A_ub").toarray(), ub)
+        np.testing.assert_array_equal(rows_of(prog, EQUAL)[0].toarray(), eq)
+        np.testing.assert_array_equal(rows_of(prog, LESS_EQUAL)[0].toarray(), ub)
 
     @pytest.mark.parametrize("ks", [[], [0, 2, 1], [1, 1, 2], [[0, 1]]])
     def test_outputs_must_increase(self, ks):
@@ -453,8 +455,9 @@ class TestRestrictedSolve:
         sol = lp_solve(build_lp(pmf, domain.sigma, ks, eps))
         assert sol.status == "optimal"
         x = whole_point(sol.x, n, ks, span(n, 3 * n))
-        np.testing.assert_allclose(as_csr(program, "A_eq") @ x, program.b_eq, rtol=0.0, atol=1e-9)
-        assert np.max(as_csr(program, "A_ub") @ x) <= 1e-9
+        a_eq, b_eq = rows_of(program, EQUAL)
+        np.testing.assert_allclose(a_eq @ x, b_eq, rtol=0.0, atol=1e-9)
+        assert np.max(rows_of(program, LESS_EQUAL)[0] @ x) <= 1e-9
         assert program.objective @ x == pytest.approx(sol.objective_value, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.7, 3.0])
@@ -472,10 +475,9 @@ class TestRestrictedSolve:
             [whole_point(z, n, ks, span(n, a + 2)) for z in np.eye(sub.num_vars)]
         )
         np.testing.assert_allclose(sub.objective, embed.T @ program.objective, rtol=1e-15)
-        np.testing.assert_array_equal(
-            as_csr(sub, "A_eq").toarray(), as_csr(program, "A_eq") @ embed
-        )
-        np.testing.assert_array_equal(sub.b_eq, program.b_eq)
+        (sub_eq, sub_b), (eq, b) = rows_of(sub, EQUAL), rows_of(program, EQUAL)
+        np.testing.assert_array_equal(sub_eq.toarray(), eq @ embed)
+        np.testing.assert_array_equal(sub_b, b)
 
     @pytest.mark.parametrize("n, m, a", [(16, 64, 40), (4, 16, 3), (8, 32, 0), (4, 7, 3)])
     def test_one_tube_row_per_kept_cell(self, n, m, a):
@@ -483,8 +485,9 @@ class TestRestrictedSolve:
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
         sub = build_lp(pmf, domain.sigma, span(n, a), 1.0)
         cells = (n + 1) * (n + 2 * a + 1)
-        assert as_csr(sub, "A_ub").shape[0] == cells
-        assert np.all(np.diff(as_csr(sub, "A_ub").indptr) == 2)  # one s and its t_k
+        upper = rows_of(sub, LESS_EQUAL)[0]
+        assert upper.shape[0] == cells
+        assert np.all(np.diff(upper.indptr) == 2)  # one s and its t_k
         assert sub.num_vars == cells + n + 2 * a + 1
         q = _scatter(np.ones(sub.num_vars), n, m, span(n, a), 1.0)
         assert q[:, [0, -1]].any() == (n + a == m)  # the edges only for R(M - N)
@@ -652,7 +655,7 @@ def test_design_cells_take_one_solve_per_round(monkeypatch):
             stored = adaptive._store.get((16, 64, eps))
             solve_noise_table(true_pmf(DESIGN_PMFS[name], d16), eps, NoiseShape(m=64), d16)
             if stored is not None:
-                assert calls[0][0].arrays is stored[1].arrays
+                assert shares_rows(calls[0][0], stored[1])
                 outputs.insert(0, stored[0])
             assert len(calls) == len(outputs)
             assert all(start is not None for _, start, _ in calls[1:])
@@ -674,6 +677,12 @@ def recording_solve(monkeypatch):
 
     monkeypatch.setattr(lplib, "solve", record)
     return calls
+
+
+def shares_rows(program, stored) -> bool:
+    """Whether program holds stored's rows and row bounds, not copies."""
+    return (program.rows is stored.rows and program.row_lower is stored.row_lower
+            and program.row_upper is stored.row_upper)
 
 
 REFERENCE_OBJECTIVES = Path(__file__).resolve().parents[1] / "perfbench" / "reference_objectives.json"
@@ -799,9 +808,10 @@ class TestStore:
         solve_noise_table(again, eps, shape, domain)
         program, built = calls[0][0], build_lp(again, domain.sigma, ks, eps)
         assert program.objective.tobytes() == built.objective.tobytes()
-        for got, want in zip(program.arrays, built.arrays):
+        for got, want in zip((*program.rows, program.row_lower, program.row_upper),
+                             (*built.rows, built.row_lower, built.row_upper)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert program.arrays is stored.arrays and program.A_eq is stored.A_eq
+        assert shares_rows(program, stored)
 
     def test_same_program_reuses_the_solution(self, monkeypatch):
         d16 = make_domain(1.0, 16)
@@ -877,7 +887,7 @@ class TestStore:
         calls.clear()
         solve_noise_table(uniform, 2.0, NoiseShape(m=64), d16)
         assert calls[0][1] is not None
-        assert calls[0][0].arrays is stored.arrays
+        assert shares_rows(calls[0][0], stored)
         assert list(adaptive._store) == [(16, 48, 2.0), (16, 64, 2.0)]
 
     def test_holds_at_most_its_bound(self):
@@ -1142,7 +1152,7 @@ class TestColumnWeights:
         pmf, domain, _ = design
         a = self.M - self.N
         program = build_lp(pmf, domain.sigma, span(self.N, a), self.EPS)
-        a_eq = as_csr(program, "A_eq").toarray()
+        a_eq = rows_of(program, EQUAL)[0].toarray()
         width = self.N + 2 * a + 1
         for i in range(self.N + 1):
             block = slice(i * width, (i + 1) * width)  # the s of input i's cells
@@ -1555,6 +1565,30 @@ class TestSerialization:
         path = tmp_path / "table.txt"
         save_table(table, path)
         assert path.read_text().splitlines()[0] == "1.0 2 4 1.0"
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("1.0 2 4 nan", "eps must be positive, got nan"),
+         ("1.0 2 4 -1.0", "eps must be positive, got -1.0"),
+         ("1.0 2 4 0.0", "eps must be positive, got 0.0"),
+         ("inf 2 4 1.0", "beta must be positive and finite, got inf")],
+    )
+    def test_header_outside_its_range_is_refused(self, tmp_path, header, message):
+        path = tmp_path / "table.txt"
+        save_table(solve_noise_table(SYM2, 1.0, SHAPE2, D2), path)
+        body = path.read_text().splitlines()[1:]
+        path.write_text("\n".join([header, *body]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_table(path)
+
+    def test_infinite_eps_header_loads(self, tmp_path):
+        # the table of no noise, which optimize writes at eps = inf
+        q = np.zeros((3, 9))
+        q[:, 4] = 1.0
+        path = tmp_path / "table.txt"
+        save_table(NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf), path)
+        assert path.read_text().splitlines()[0] == "1.0 2 4 inf"
+        assert load_table(path).eps == math.inf
 
     def test_five_field_header_is_refused(self, tmp_path):
         # tables once carried a tail ratio r in the header (beta N M r eps);

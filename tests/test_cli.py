@@ -621,6 +621,27 @@ class TestErrorPaths:
         assert err.startswith(f"error: noise_window must be >= {least}, ")
         assert draws == []
 
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("bin_size", "0"), ("bin_size", "1e-320"), ("bin_size", "-0.5"), ("bin_size", "inf"),
+         ("noise_range", "inf"), ("noise_range", "nan")],
+    )
+    def test_sweep_value_without_a_finite_domain_draws_nothing(
+        self, parameter, value, draws, capsys
+    ):
+        # a bin width must be positive, finite and give a finite bin count
+        # 2 beta / width; a window ratio must give a finite window
+        argv = ["sweep", "--runs", "1", "--n", "100", "--eps", "1", "--parameter", parameter,
+                "--grid", value]
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, "")
+        message = {
+            "bin_size": "is not a positive finite width with a finite bin count 2 beta / width",
+            "noise_range": "does not give a finite window",
+        }[parameter]
+        assert err == f"error: sweep {parameter} {float(value)!r} {message}\n"
+        assert draws == []
+
     @pytest.mark.parametrize("command", ["estimate", "variance", "multidim"])
     def test_infinite_eps_with_a_baseline_draws_nothing(self, command, draws, capsys):
         rc, out, err = run_cli([command, "--eps", "inf", "--runs", "1", "--n", "200"], capsys)

@@ -46,7 +46,9 @@ class TestMakeDomain:
         assert d.edges[0] == -0.3
         assert d.edges[-1] == 0.3
 
-    @pytest.mark.parametrize("beta,n_bins", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+    @pytest.mark.parametrize(
+        "beta,n_bins", [(0.0, 4), (-1.0, 4), (math.inf, 4), (math.nan, 4), (1.0, 0)]
+    )
     def test_invalid_parameters(self, beta, n_bins):
         with pytest.raises(ValueError):
             make_domain(beta=beta, n_bins=n_bins)

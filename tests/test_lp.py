@@ -2,15 +2,20 @@
 the vertex oracle, and bit-for-bit agreement with scipy's linprog."""
 
 import importlib.machinery
+import importlib.metadata
 import importlib.util
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from packaging.requirements import Requirement
+from packaging.specifiers import SpecifierSet
+from packaging.version import Version
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
@@ -22,7 +27,10 @@ from ldpmean.domain import make_domain
 from ldpmean.freqest import collect_perturbed_histogram, reconstruct_pmf
 from ldpmean.lp import LinearProgram, solve
 from conftest import span
-from lp_oracle import as_csr, csr, dense_system, random_bounded_program, vertex_enumeration_optimum
+from lp_oracle import (
+    EQUAL, LESS_EQUAL, csr, dense_system, random_bounded_program, rows_of,
+    vertex_enumeration_optimum,
+)
 
 
 def check_feasible(lp, x, tol=1e-7):
@@ -130,12 +138,11 @@ class TestHandExamples:
     def test_equality_duals(self):
         # min x + 2y s.t. x + y = 2, x - y = 0: the rows are priced at 1.5
         # and -0.5, and b . y is the optimum
-        lp = LinearProgram(
-            [1.0, 2.0], A_eq=csr([[1.0, 1.0], [1.0, -1.0]]), b_eq=[2.0, 0.0]
-        )
+        b_eq = np.array([2.0, 0.0])
+        lp = LinearProgram([1.0, 2.0], A_eq=csr([[1.0, 1.0], [1.0, -1.0]]), b_eq=b_eq)
         sol = solve(lp)
         np.testing.assert_allclose(sol.eq_duals, [1.5, -0.5], atol=1e-9)
-        assert lp.b_eq @ sol.eq_duals == pytest.approx(sol.objective_value, abs=1e-12)
+        assert b_eq @ sol.eq_duals == pytest.approx(sol.objective_value, abs=1e-12)
 
     def test_redundant_equality(self):
         lp = LinearProgram(
@@ -304,9 +311,10 @@ class TestValidation:
         cost[0] = upper.data[0] = swapped[0] = 7.0
         assert other.objective.tolist() == [-1.0, -1.0]
         assert program.objective.tolist() == [1.0, 2.0]
-        assert other.arrays is program.arrays and other.A_ub is program.A_ub
+        assert other.rows is program.rows
+        assert other.row_lower is program.row_lower and other.row_upper is program.row_upper
         assert solve(other).objective_value == -4.0
-        for array in (other.objective, *other.A_ub, other.b_eq, *other.arrays):
+        for array in (other.objective, *other.rows, other.row_lower, other.row_upper):
             assert not array.flags.writeable
         for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
             with pytest.raises(ValueError):
@@ -314,6 +322,29 @@ class TestValidation:
         for bad in ([np.nan, 1.0], [1.0, np.inf]):
             with pytest.raises(ValueError, match="non-finite"):
                 program.with_objective(bad)
+
+    def test_holds_one_copy_of_its_rows(self):
+        # a program's only array state is its objective and its rows with
+        # their bounds, read-only, in the layout HiGHS takes; with_objective
+        # shares them, and later writes to the caller's arrays are not seen
+        upper, b_ub = csr([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]]), np.array([4.0, 3.0])
+        fixed, b_eq = csr([[1.0, -1.0, 0.0]]), np.array([0.5])
+        program = LinearProgram([1.0, 1.0, 1.0], A_ub=upper, b_ub=b_ub, A_eq=fixed, b_eq=b_eq)
+        assert set(vars(program)) == {"objective", "rows", "row_lower", "row_upper"}
+        assert isinstance(program.rows, lplib.Csr)
+        assert [a.dtype for a in program.rows] == [np.int32, np.int32, np.float64]
+        arrays = (program.objective, *program.rows, program.row_lower, program.row_upper)
+        for array in arrays:
+            assert not array.flags.writeable
+        other = program.with_objective([2.0, 2.0, 2.0])
+        assert other.rows is program.rows
+        assert other.row_lower is program.row_lower and other.row_upper is program.row_upper
+        for array in (*upper, *fixed, b_ub, b_eq):
+            array[...] = 0
+        want = ([0, 2, 4, 6], [0, 1, 1, 2, 0, 1], [1.0, 2.0, 1.0, 1.0, 1.0, -1.0],
+                [-np.inf, -np.inf, 0.5], [4.0, 3.0, 0.5])
+        for got, expected in zip(arrays[1:], want):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestDeterminism:
@@ -349,6 +380,7 @@ class TestVertexOracle:
 
 
 BINDING = "scipy.optimize._highspy._core"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def run_fresh(code):
@@ -367,7 +399,7 @@ def run_fresh(code):
 
 class TestBinding:
     def test_missing_binding_names_the_scipy_floor(self, monkeypatch, tmp_path):
-        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        pyproject = PYPROJECT.read_text()
         floor = re.search(r'"(scipy>=[0-9.]+)"', pyproject).group(1)
         spec = importlib.util.spec_from_file_location("lp_without_binding", lplib.__file__)
         # a None entry in sys.modules
@@ -381,6 +413,23 @@ class TestBinding:
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: tree)
         with pytest.raises(ImportError, match=re.escape(floor)):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    def test_floors_are_not_below_the_scipy_floors_own(self):
+        # scipy at its floor is installed, and ldpmean runs on no Python or
+        # numpy that this scipy does not run on
+        project = tomllib.loads(PYPROJECT.read_text())["project"]
+        scipy = importlib.metadata.distribution("scipy")
+
+        def floor(specifier):
+            specifiers = SpecifierSet(str(specifier))
+            return max(Version(s.version) for s in specifiers if s.operator == ">=")
+
+        def numpy_floor(requirements):
+            return next(floor(r.specifier) for r in map(Requirement, requirements)
+                        if r.name == "numpy" and r.marker is None)
+
+        assert floor(project["requires-python"]) >= floor(scipy.metadata["Requires-Python"])
+        assert numpy_floor(project["dependencies"]) >= numpy_floor(scipy.requires)
 
     def test_import_loads_only_the_binding_from_scipy(self):
         # the binding is the package's one scipy module: importing it, the
@@ -432,7 +481,7 @@ class TestSolveRecord:
         window = build_lp(pmf, d8.sigma, span(8, 32 - 8), 1.0)  # the window program at M=32
         unconstrained = LinearProgram([1.0, 2.0, 0.0])
         for program in (restricted, window, unconstrained):
-            blocks = [as_csr(program, name) for name in ("A_ub", "A_eq")]
+            blocks = [rows_of(program, sense)[0] for sense in (LESS_EQUAL, EQUAL)]
             blocks = [a for a in blocks if a is not None]
             sol = solve(program)
             assert sol.status == "optimal"
@@ -443,10 +492,12 @@ class TestSolveRecord:
 
 
 def linprog_reference(program):
-    """scipy's linprog(method="highs") with solve's options."""
+    """scipy's linprog(method="highs") with solve's options, given the
+    program's rows as A_ub and A_eq by their bounds."""
+    (a_ub, b_ub), (a_eq, b_eq) = rows_of(program, LESS_EQUAL), rows_of(program, EQUAL)
     return linprog(
-        program.objective, A_ub=as_csr(program, "A_ub"), b_ub=program.b_ub,
-        A_eq=as_csr(program, "A_eq"), b_eq=program.b_eq, bounds=(0, None), method="highs",
+        program.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+        method="highs",
         options={"dual_feasibility_tolerance": 1e-10,
                  "simplex_dual_edge_weight_strategy": "devex"},
     )
@@ -539,8 +590,12 @@ class TestModelIdentity:
 
         monkeypatch.setattr(lplib, "_Highs", Highs)
         solve(program)
-        ref = sparse.vstack([as_csr(program, "A_ub"), as_csr(program, "A_eq")]).tocsr()
+        (a_ub, b_ub), (a_eq, b_eq) = rows_of(program, LESS_EQUAL), rows_of(program, EQUAL)
+        ref = sparse.vstack([a_ub, a_eq]).tocsr()
         ref.sum_duplicates()
+        lower, upper = passed[0][9:11]
+        np.testing.assert_array_equal(lower, np.concatenate([np.full(b_ub.size, -np.inf), b_eq]))
+        np.testing.assert_array_equal(upper, np.concatenate([b_ub, b_eq]))
         starts, indices, data = passed[0][11:14]
         assert passed[0][3] == lplib.MatrixFormat.kRowwise
         assert starts.dtype == indices.dtype == np.int32 and data.dtype == np.float64
