@@ -13,7 +13,6 @@ from .adaptive import (
     build_lp,
     load_table,
     run_protocol,
-    sample_noise,
     save_table,
     solve_noise_table,
     verify_privacy,

@@ -55,19 +55,18 @@ all positive where t_k > 0, so no output has disjoint support, and their
 ratio is at most (t_k + expm1(eps) t_k) / t_k = e^eps up to a few ulps.
 verify_privacy confirms it; no tolerance decides which masses are zero.
 
-Sampling keeps a fixed stream contract.  sample_noise draws rng.random(n)
-for the offsets of row i, and maps each uniform as rng.choice(p=...)
-would.  adaptive_perturb_array rounds the clients
-(round_randomized_array), then draws rng.random(n), one noise uniform per
-client in data order, from the client's own row, and reports one float
-per output k, whichever input reached it.  Both go through one
-kernel (_draw_from_rows): the category of a uniform u in row i is
-cdf_i.searchsorted(u, side="right"), read from a stacked guide table over
-2^12 equal buckets of [0, 1) per row, and searched in the row's cdf only
-where the bucket holds a cdf point: the same index for every u, without a
-binary search for most of them.  The arithmetic runs in blocks of
-domain._BLOCK values, because at millions of clients a full-length
-temporary costs more in page faults than its arithmetic.
+Sampling keeps a fixed stream contract.  adaptive_perturb_array rounds
+the clients (round_randomized_array), then draws rng.random(n), one noise
+uniform per client in data order, maps it to an offset of the client's own
+row as rng.choice(p=...) maps a uniform, and reports one float per output
+k, whichever input reached it.  Its kernel (_draw_from_rows) reads the
+category of a uniform u in row i, cdf_i.searchsorted(u, side="right"),
+from a stacked guide table over 2^12 equal buckets of [0, 1) per row, and
+searches the row's cdf only where the bucket holds a cdf point: the same
+index for every u, without a binary search for most of them.  The
+arithmetic runs in blocks of domain._BLOCK values, because at millions of
+clients a full-length temporary costs more in page faults than its
+arithmetic.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ from .freqest import collect_perturbed_histogram, reconstruct_pmf
 
 # invariant tolerance for solved tables' rows
 _ROW_TOL = 1e-7
-# Buckets of the guide table that sample_noise uses in place of a binary
+# Buckets of the guide table that _draw_from_rows uses in place of a binary
 # search over the row's cdf.  A power of two, so u * K is exact; 2^12
 # entries fit in L1 cache, and at most 2M of them (one per cdf point) fall
 # back to the search: under 2% of draws at M = 32.
@@ -628,19 +627,6 @@ def _draw_from_rows(q: np.ndarray, values: np.ndarray, rows, rng: np.random.Gene
     return out
 
 
-def sample_noise(table: NoiseTable, i: int, rng: np.random.Generator, size=None):
-    """Draw noise offsets j from row i of the table, |j| <= M, with the
-    row's masses renormalized to sum to 1: rng.random(n), each uniform
-    mapped to its offset as rng.choice(p=...) maps it."""
-    if not 0 <= i <= table.domain.n_bins:
-        raise ValueError("edge index out of range")
-    n = 1 if size is None else int(size)
-    m = table.shape.m
-    offsets = np.broadcast_to(np.arange(-m, m + 1), table.q.shape)
-    j = _draw_from_rows(table.q, offsets, np.broadcast_to(np.int64(i), n), rng)
-    return int(j[0]) if size is None else j
-
-
 def adaptive_perturb_array(
     table: NoiseTable, domain: QuantizedDomain, xs, rng: np.random.Generator
 ) -> np.ndarray:
@@ -648,7 +634,11 @@ def adaptive_perturb_array(
     drawn from that edge's row, one uniform per client in data order.
     The report of edge i and offset j is grid[i + j + M], grid = -beta +
     sigma arange(-M, N + M + 1): one float per output, whichever input
-    reached it (edges[i] + sigma j is not, at a sigma that is not dyadic)."""
+    reached it (edges[i] + sigma j is not, at a sigma that is not dyadic).
+    domain must have the table's beta and N: ValueError otherwise."""
+    here, own = (domain.beta, domain.n_bins), (table.domain.beta, table.domain.n_bins)
+    if here != own:
+        raise ValueError(f"domain (beta, N) = {here} is not the table's {own}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     idx = round_randomized_array(domain, xs, rng).ravel()
     m = table.shape.m

@@ -11,8 +11,6 @@ from .adaptive import NoiseTable
 from .baselines import BASELINES, check_eps
 from .domain import QuantizedPmf, rounding_weights_array
 
-BASELINE_MECHANISMS = tuple(BASELINES)
-
 
 def row_variances(table: NoiseTable) -> np.ndarray:
     """Conditional noise variance of each row of a table: q times the
@@ -66,7 +64,7 @@ def baseline_conditional_variance(mechanism: str, xs, eps: float, beta: float):
     check_eps(eps)
     if mechanism not in BASELINES:
         raise ValueError(
-            f"unknown mechanism {mechanism!r}; expected one of {BASELINE_MECHANISMS}"
+            f"unknown mechanism {mechanism!r}; expected one of {tuple(BASELINES)}"
         )
     return BASELINES[mechanism][1](np.asarray(xs, dtype=float), beta, eps)
 

@@ -1,8 +1,8 @@
 """Classical epsilon-LDP perturbation mechanisms and their closed-form variances.
 
 These serve both as competitors in experiments and as analytic oracles in
-tests.  All samplers take an explicit numpy Generator and accept scalars or
-arrays of inputs (scalar in, scalar out).
+tests.  All samplers take an explicit numpy Generator and return an array
+shaped like their input (0-d for a 0-d input or a scalar).
 
 Stream contract.  For n input values each sampler draws these full-length
 uniform arrays, in this order, before any other use of the generator:
@@ -62,11 +62,6 @@ def _exp_above_one(eps: float, value: float) -> float:
     return value
 
 
-def _shaped(out: np.ndarray, x):
-    """Scalar in, scalar out; otherwise out in the shape of x."""
-    return out[0].item() if np.isscalar(x) else out.reshape(np.shape(x))
-
-
 def _draw_below(rng: np.random.Generator, buf: np.ndarray, threshold: float) -> np.ndarray:
     """rng.random(out=buf) < threshold, compared block by block; buf is
     free for the next draw afterwards."""
@@ -116,10 +111,7 @@ def laplace_perturb(x, beta: float, eps: float, rng: np.random.Generator):
         noise *= -b
         noise *= arg
         noise += xb
-    if np.isscalar(x):
-        return out[0].item()
-    # [()] turns a 0-d result into a numpy scalar, as x + noise does
-    return out.reshape(np.shape(x))[()]
+    return out.reshape(np.shape(x))
 
 
 def laplace_variance(beta: float, eps: float) -> float:
@@ -153,7 +145,7 @@ def duchi_perturb(x, beta: float, eps: float, rng: np.random.Generator):
     for block in _blocks(xs.size):
         _check_block(xs[block], -beta, beta)
         _duchi_block(xs[block], beta, e, out[block])
-    return _shaped(out, x)
+    return out.reshape(np.shape(x))
 
 
 def duchi_conditional_variance(x, beta: float, eps: float):
@@ -190,7 +182,7 @@ def piecewise_density(y, x: float, eps: float):
         p,
         np.where(np.abs(ys) <= c, p / math.exp(eps), 0.0),
     )
-    return float(dens) if np.isscalar(y) else dens
+    return dens
 
 
 def _piecewise_block(xb, c: float, h: float, u, out) -> None:
@@ -237,7 +229,7 @@ def piecewise_perturb(x, eps: float, rng: np.random.Generator):
     for block in _blocks(xs.size):
         _check_block(xs[block], -1.0, 1.0)
         _piecewise_block(xs[block], c, h, out[block], out[block])
-    return _shaped(out, x)
+    return out.reshape(np.shape(x))
 
 
 def piecewise_conditional_variance(x, eps: float):
@@ -276,7 +268,7 @@ def hybrid_perturb(x, beta: float, eps: float, rng: np.random.Generator):
         y_pm *= beta
         _duchi_block(xb, beta, e, u)
         _select(use_pm[block], y_pm, u)
-    return _shaped(out, x)
+    return out.reshape(np.shape(x))
 
 
 def hybrid_conditional_variance(x, beta: float, eps: float):
@@ -323,19 +315,17 @@ def generalized_rr(index, n_categories: int, eps: float, rng: np.random.Generato
     """Randomized response over {0, ..., n_categories-1}.
 
     Keeps the true index with probability e^eps / (e^eps + n_categories - 1),
-    otherwise reports a uniform draw among the other indices.  eps = 0 is the
-    uniform channel; eps = inf the identity.
+    otherwise reports a uniform draw among the other indices.  eps = inf is
+    the identity.
     """
-    eps = float(eps)
-    if math.isnan(eps) or eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
+    eps = check_eps(eps, allow_inf=True)
     if n_categories < 2:
         raise ValueError("need at least two categories")
     idx = np.asarray(index)
     flat = idx.ravel()
     if math.isinf(eps):
         _check_index(flat, n_categories)
-        return int(idx) if np.isscalar(index) else idx.copy()
+        return idx.copy()
     e = math.exp(eps)
     p_keep = e / (e + n_categories - 1.0)
     keep = rng.random(flat.size)
@@ -347,4 +337,4 @@ def generalized_rr(index, n_categories: int, eps: float, rng: np.random.Generato
         _check_index(ib, n_categories)
         ob += ob >= ib  # skip the true index
         _select(keep[block] < p_keep, ib.astype(dtype, copy=False), ob)
-    return int(out[0]) if np.isscalar(index) else out.reshape(idx.shape)
+    return out.reshape(idx.shape)

@@ -381,7 +381,8 @@ def cmd_sweep(config: ExperimentConfig) -> str:
 
     bin_size values are bin widths sigma (bins = round(2 beta / sigma));
     noise_range values are the window ratio 2M/N (M = round(value * N / 2));
-    split values are used directly.
+    split values are used directly.  Two values that run the same
+    configuration, and a width that rounds to 0 bins, are refused.
     """
     if config.sweep_parameter not in SWEEP_PARAMETERS:
         raise ValueError(
@@ -391,29 +392,42 @@ def cmd_sweep(config: ExperimentConfig) -> str:
     if not config.sweep_grid:
         raise ValueError("sweep grid is empty")
     config = replace(config, d=1, k=1)
-    subs = []  # every value's configuration, checked before the first run
+    name = config.sweep_parameter
+    field = {"split": "split", "bin_size": "bins", "noise_range": "noise_window"}[name]
+    subs = {}  # setting of field: (value, configuration), checked before the first run
     for value in sorted(config.sweep_grid):
-        if config.sweep_parameter == "split":
-            sub = replace(config, split=float(value))
-        elif config.sweep_parameter == "bin_size":
+        if name == "split":
+            setting = float(value)
+        elif name == "bin_size":
             bins = 2.0 * config.beta / value if 0.0 < value < math.inf else math.nan
             if not math.isfinite(bins):
                 raise ValueError(
                     f"sweep bin_size {value!r} is not a positive finite width with a finite"
                     " bin count 2 beta / width"
                 )
-            sub = replace(config, bins=max(1, round(bins)))
+            setting = round(bins)
+            if setting < 1:
+                raise ValueError(
+                    f"sweep bin_size {value!r} gives 0 bins: a width must be below"
+                    f" 4 beta = {4 * config.beta!r}"
+                )
         else:
             window = value * config.bins / 2
             if not math.isfinite(window):
                 raise ValueError(f"sweep noise_range {value!r} does not give a finite window")
-            sub = replace(config, noise_window=round(window))
+            setting = round(window)
+        if setting in subs:
+            raise ValueError(
+                f"sweep {name} values {subs[setting][0]!r} and {value!r} both run"
+                f" {field} = {setting!r}"
+            )
+        sub = replace(config, **{field: setting})
         sub.check_budget()
-        subs.append((value, sub))
+        subs[setting] = value, sub
     fixed = _csv_data(config, [config.csv_column])
     rows = []
-    for value, sub in subs:
-        prefix = (config.sweep_parameter, float(value))
+    for value, sub in subs.values():
+        prefix = (name, float(value))
         rows.extend(prefix + row for row in _error_rows(sub, fixed))
     return _write_csv(config, "sweep", "parameter,value,mechanism,eps,mse,runs,seed", rows)
 

@@ -73,11 +73,11 @@ class LinearTransform:
 
 def make_domain(beta: float, n_bins: int) -> QuantizedDomain:
     """Build the quantized domain with sigma = 2*beta/N and edges -beta + j*sigma.
-    Raises ValueError unless 0 < beta < inf and N >= 1."""
+    Raises ValueError unless 0 < beta < inf and N is a whole number >= 1."""
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
+    if not (n_bins >= 1 and float(n_bins).is_integer()):
+        raise ValueError(f"n_bins must be a whole number >= 1, got {n_bins!r}")
     n_bins = int(n_bins)
     sigma = 2.0 * beta / n_bins
     edges = -beta + sigma * np.arange(n_bins + 1)

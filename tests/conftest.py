@@ -24,7 +24,7 @@ from ldpmean import (
     solve_noise_table,
     true_pmf,
 )
-from ldpmean.adaptive import clear_store
+from ldpmean.adaptive import adaptive_perturb_array, clear_store
 
 EPS_GRID = (0.5, 1.0, 2.0, 4.0)
 
@@ -51,6 +51,14 @@ def span(n, a):
     """The outputs k in [-A, N + A]: the S of build_lp for R(A), the
     program over every output within A of the domain."""
     return np.arange(-a, n + a + 1)
+
+
+def edge_offsets(table, i, n, rng):
+    """The noise offsets that adaptive_perturb_array draws for n clients
+    on edge i, read off their reports."""
+    dom = table.domain
+    reports = adaptive_perturb_array(table, dom, np.full(n, dom.edges[i]), rng)
+    return np.rint((reports - dom.edges[i]) / dom.sigma).astype(np.int64)
 
 
 @pytest.fixture(scope="session")

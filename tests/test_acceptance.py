@@ -43,10 +43,10 @@ from ldpmean.adaptive import (
     build_lp,
 )
 from ldpmean.analysis import (
-    BASELINE_MECHANISMS,
     adaptive_conditional_variance,
     baseline_conditional_variance,
 )
+from ldpmean.baselines import BASELINES
 from ldpmean.cli import ExperimentConfig, _experiment, main as cli_main
 from ldpmean.domain import rounding_weights_array
 from ldpmean.lp import solve as lp_solve
@@ -75,7 +75,7 @@ def test_criterion_01_expected_variance_dominance(capsys):
     variance = expected_variance(table, pmf)
     best = min(
         baseline_expected_variance(mech, pmf, 1.0, 1.0)
-        for mech in BASELINE_MECHANISMS
+        for mech in BASELINES
     )
     ratio = variance / best
     objective_gap = abs(variance - table.lp_objective) / table.lp_objective
@@ -94,7 +94,7 @@ def test_criterion_01_expected_variance_dominance(capsys):
     )
     assert ratio < 1.0, (
         f"expected_variance {variance:.6f} does not beat the best baseline "
-        f"{best:.6f} over {BASELINE_MECHANISMS} (ratio {ratio:.3f})"
+        f"{best:.6f} over {tuple(BASELINES)} (ratio {ratio:.3f})"
     )
 
 

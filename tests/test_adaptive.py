@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import solved_apart, span, suite_pmf_shapes
+from conftest import edge_offsets, solved_apart, span, suite_pmf_shapes
 from lp_oracle import EQUAL, LESS_EQUAL, csr, rows_of
 from ldpmean.adaptive import (
     NoiseShape,
@@ -23,7 +23,6 @@ from ldpmean.adaptive import (
     build_lp,
     load_table,
     run_protocol,
-    sample_noise,
     save_table,
     solve_noise_table,
     verify_privacy,
@@ -1174,7 +1173,7 @@ class TestColumnWeights:
         seen = []
         guide = adaptive._guide_table
         monkeypatch.setattr(adaptive, "_guide_table", lambda cdf: seen.append(cdf) or guide(cdf))
-        sample_noise(table, 0, np.random.default_rng(0), size=10)
+        adaptive_perturb_array(table, table.domain, np.zeros(10), np.random.default_rng(0))
         assert len(seen) == self.N + 1  # one guide per row, for every row
         for i in range(self.N + 1):
             probs = table.q[i] / table.q[i].sum()
@@ -1346,12 +1345,15 @@ class TestMixtureLemma:
 
 
 class TestSampleNoise:
+    """The noise offsets that adaptive_perturb_array draws for clients on
+    one edge (conftest.edge_offsets)."""
+
     def test_point_row_always_zero(self):
         q = np.zeros((3, 9))
         q[:, 4] = 1.0
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         rng = np.random.default_rng(50)
-        draws = sample_noise(table, 0, rng, size=1000)
+        draws = edge_offsets(table, 0, 1000, rng)
         assert np.all(draws == 0)
 
     def test_window_edges_are_drawn_and_not_passed(self):
@@ -1359,26 +1361,16 @@ class TestSampleNoise:
         q[:, 0], q[:, -1] = 0.25, 0.75
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         rng = np.random.default_rng(51)
-        draws = sample_noise(table, 1, rng, size=1_000_000)
+        draws = edge_offsets(table, 1, 1_000_000, rng)
         assert set(np.unique(draws)) == {-4, 4}
         assert np.mean(draws == 4) == pytest.approx(0.75, abs=0.002)
 
     def test_solved_row_mean_is_zero(self):
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
         rng = np.random.default_rng(52)
-        draws = sample_noise(table, 1, rng, size=1_000_000)
+        draws = edge_offsets(table, 1, 1_000_000, rng)
         se = draws.std(ddof=1) / 1000.0
         assert abs(draws.mean()) < 4.0 * se
-
-    def test_scalar_draw(self):
-        table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
-        rng = np.random.default_rng(53)
-        assert isinstance(sample_noise(table, 0, rng), int)
-
-    def test_bad_index(self):
-        table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
-        with pytest.raises(ValueError):
-            sample_noise(table, 5, np.random.default_rng(0))
 
     def test_row_without_mass_is_named(self):
         # a table may hold an all-zero row (masses are finite and >= 0);
@@ -1389,8 +1381,8 @@ class TestSampleNoise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="row 1 of the noise table has no mass"):
-                sample_noise(table, 1, np.random.default_rng(0), size=10)
-            assert sample_noise(table, 2, np.random.default_rng(0), size=3).tolist() == [0] * 3
+                edge_offsets(table, 1, 10, np.random.default_rng(0))
+            assert edge_offsets(table, 2, 3, np.random.default_rng(0)).tolist() == [0] * 3
 
 
 class TestPerturb:
@@ -1455,6 +1447,17 @@ class TestPerturb:
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         with pytest.raises(ValueError, match="value nan outside"):
             adaptive_perturb_array(table, D2, [0.0, math.nan], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("beta, n_bins", [(1.0, 4), (2.0, 8)])
+    def test_other_domain_refused(self, beta, n_bins):
+        # the reports of an N=8 table would land on another domain's grid
+        q = np.zeros((9, 17))
+        q[:, 8] = 1.0
+        table = NoiseTable(domain=make_domain(1.0, 8), shape=NoiseShape(m=8), q=q, eps=math.inf)
+        with pytest.raises(ValueError, match=re.escape(
+                f"domain (beta, N) = ({beta}, {n_bins}) is not the table's (1.0, 8)")):
+            adaptive_perturb_array(table, make_domain(beta, n_bins), [0.0],
+                                   np.random.default_rng(0))
 
 
 class TestPerturbLaw:

@@ -16,13 +16,13 @@ from ldpmean import (
     solve_noise_table,
 )
 from ldpmean.analysis import (
-    BASELINE_MECHANISMS,
     baseline_expected_variance,
     claim3_bound,
     expected_variance,
     squared_error,
     variance_relative_error,
 )
+from ldpmean.baselines import BASELINES
 
 from conftest import EPS_GRID
 
@@ -182,7 +182,7 @@ class TestBaselineExpectedVariance:
 
     def test_beta_scales_quadratically(self):
         pmf = QuantizedPmf(masses=[0.25, 0.5, 0.25])
-        for mech in BASELINE_MECHANISMS:
+        for mech in BASELINES:
             one = baseline_expected_variance(mech, pmf, 1.0, 1.0)
             three = baseline_expected_variance(mech, pmf, 1.0, 3.0)
             assert three == pytest.approx(9.0 * one, rel=1e-10), mech

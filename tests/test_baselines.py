@@ -234,11 +234,11 @@ class TestGeneralizedRr:
             generalized_rr(idx, 5, math.inf, rng), idx
         )
 
-    def test_eps_zero_is_uniform(self):
-        rng = np.random.default_rng(23)
-        out = generalized_rr(np.zeros(500_000, dtype=int), 5, 0.0, rng)
-        counts = np.bincount(out, minlength=5) / 500_000
-        np.testing.assert_allclose(counts, 0.2, atol=0.004)
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_eps_zero_is_refused(self, eps):
+        # eps = 0 would be the uniform channel, which phase 1 cannot invert
+        with pytest.raises(ValueError, match="eps must be positive"):
+            generalized_rr(np.zeros(3, dtype=int), 5, eps, np.random.default_rng(23))
 
     def test_exact_ldp_by_enumeration(self):
         for eps in (0.5, 1.0, 2.0):

@@ -642,6 +642,28 @@ class TestErrorPaths:
         assert err == f"error: sweep {parameter} {float(value)!r} {message}\n"
         assert draws == []
 
+    @pytest.mark.parametrize(
+        "grid, extra, message",
+        [
+            ("split 0.1,0.1", [], "split values 0.1 and 0.1 both run split = 0.1"),
+            ("bin_size 0.5,0.51", [], "bin_size values 0.5 and 0.51 both run bins = 4"),
+            ("noise_range 6,6.1", ["--bins", "8"],
+             "noise_range values 6.0 and 6.1 both run noise_window = 24"),
+            ("bin_size 10,1e300", [], "bin_size 10.0 gives 0 bins: a width must be below"
+             " 4 beta = 4.0"),
+        ],
+        ids=["repeated", "bin_size-alias", "noise_range-alias", "bin_size-zero-bins"],
+    )
+    def test_sweep_values_of_one_run_draw_nothing(self, grid, extra, message, draws, capsys):
+        # each block is a run of its own, under the value that labels it
+        parameter, values = grid.split()
+        argv = ["sweep", "--runs", "1", "--n", "100", "--eps", "1", "--mechanisms", "laplace",
+                "--parameter", parameter, "--grid", values, *extra]
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: sweep {message}\n"
+        assert draws == []
+
     @pytest.mark.parametrize("command", ["estimate", "variance", "multidim"])
     def test_infinite_eps_with_a_baseline_draws_nothing(self, command, draws, capsys):
         rc, out, err = run_cli([command, "--eps", "inf", "--runs", "1", "--n", "200"], capsys)

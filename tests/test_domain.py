@@ -47,10 +47,17 @@ class TestMakeDomain:
         assert d.edges[-1] == 0.3
 
     @pytest.mark.parametrize(
-        "beta,n_bins", [(0.0, 4), (-1.0, 4), (math.inf, 4), (math.nan, 4), (1.0, 0)]
+        "beta,n_bins",
+        [(0.0, 4), (-1.0, 4), (math.inf, 4), (math.nan, 4), (1.0, 0), (1.0, 2.7),
+         (1.0, math.inf), (1.0, math.nan)],
     )
     def test_invalid_parameters(self, beta, n_bins):
-        with pytest.raises(ValueError):
+        # the error names the value it refuses
+        if n_bins == 4:
+            message = f"beta must be positive and finite, got {beta!r}"
+        else:
+            message = f"n_bins must be a whole number >= 1, got {n_bins!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             make_domain(beta=beta, n_bins=n_bins)
 
 

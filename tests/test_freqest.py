@@ -42,12 +42,11 @@ class TestRrMatrix:
         counts = np.array([3, 0, 5, 1, 1])
         np.testing.assert_array_equal(reconstruct_pmf(counts, math.inf).masses, counts / 10)
 
-    def test_eps_zero_is_uniform(self):
-        # phase 1 at eps = 0 reports every index alike, whatever the data
+    def test_eps_zero_is_refused(self):
+        # eps = 0 would report every index alike, whatever the data
         d = make_domain(1.0, 4)
-        counts = collect_perturbed_histogram(d, np.full(500_000, -1.0), 0.0,
-                                             np.random.default_rng(35))
-        np.testing.assert_allclose(counts / counts.sum(), 0.2, atol=0.003)
+        with pytest.raises(ValueError, match="eps must be positive, got 0.0"):
+            collect_perturbed_histogram(d, np.full(10, -1.0), 0.0, np.random.default_rng(35))
 
     def test_rows_sum_to_one(self):
         # A's rows sum to 1, so A^{-1}'s do: an unclipped inversion sums to
