@@ -55,18 +55,18 @@ all positive where t_k > 0, so no output has disjoint support, and their
 ratio is at most (t_k + expm1(eps) t_k) / t_k = e^eps up to a few ulps.
 verify_privacy confirms it; no tolerance decides which masses are zero.
 
-Sampling keeps a fixed stream contract.  adaptive_perturb_array rounds
-the clients (round_randomized_array), then draws rng.random(n), one noise
-uniform per client in data order, maps it to an offset of the client's own
-row as rng.choice(p=...) maps a uniform, and reports one float per output
-k, whichever input reached it.  Its kernel (_draw_from_rows) reads the
-category of a uniform u in row i, cdf_i.searchsorted(u, side="right"),
+Sampling reads nothing but the table, and keeps a fixed stream contract.
+adaptive_perturb_array rounds the clients to table.domain's edges
+(round_randomized_array), then draws rng.random(n), one noise uniform per
+client in data order, and maps it to an offset of the client's own row as
+rng.choice(p=...) maps a uniform.  Its kernel (_draw_from_rows) reads the
+category c of a uniform u in row i, cdf_i.searchsorted(u, side="right"),
 from a stacked guide table over 2^12 equal buckets of [0, 1) per row, and
 searches the row's cdf only where the bucket holds a cdf point: the same
-index for every u, without a binary search for most of them.  The
-arithmetic runs in blocks of domain._BLOCK values, because at millions of
-clients a full-length temporary costs more in page faults than its
-arithmetic.
+index for every u, without a binary search for most of them.  It reports
+grid[i + c], one float per output whichever input reached it, in blocks
+of domain._BLOCK values, because at millions of clients a full-length
+temporary costs more in page faults than its arithmetic.
 """
 
 from __future__ import annotations
@@ -456,9 +456,7 @@ def solve_noise_table(
     key, which clear_store forgets.  A window below the least one with an
     eps-LDP table (N + _min_half_width) is a ValueError, raised before any
     program is built.  At eps = inf there is no tube, and the optimum adds
-    no noise.  The solved table is checked against its three invariants
-    (row normalization, row zero mean, exact privacy); any violation
-    raises.
+    no noise.  A solved table that fails _check_table raises RuntimeError.
     """
     eps = check_eps(eps, allow_inf=True)
     n, m = domain.n_bins, shape.m
@@ -485,19 +483,13 @@ def solve_noise_table(
     table = NoiseTable(
         domain=domain, shape=shape, q=q, eps=eps, lp_objective=sol.objective_value
     )
-    _check_row_invariants(table)
-    report = verify_privacy(table, eps)
-    if not report.passed:
-        raise RuntimeError(
-            f"solved table fails privacy verification: "
-            f"max_ratio={report.max_ratio!r} > bound={report.bound!r} "
-            f"at {report.worst_pair}"
-        )
+    _check_table(table, RuntimeError)
     return table
 
 
-def _check_row_invariants(table: NoiseTable, error=RuntimeError) -> None:
-    """Raise error unless every row sums to 1 and has mean 0, to _ROW_TOL."""
+def _check_table(table: NoiseTable, error) -> None:
+    """Raise error unless every row sums to 1 and has mean 0, to _ROW_TOL,
+    and the table passes verify_privacy at its own eps."""
     m = table.shape.m
     off = np.max(np.abs(table.q.sum(axis=1) - 1.0))
     if off > _ROW_TOL:
@@ -505,6 +497,12 @@ def _check_row_invariants(table: NoiseTable, error=RuntimeError) -> None:
     off = np.max(np.abs(table.q @ np.arange(-m, m + 1)))
     if off > _ROW_TOL:
         raise error(f"row zero-mean off by {float(off)!r}")
+    report = verify_privacy(table, table.eps)
+    if not report.passed:
+        raise error(
+            f"table fails privacy verification: max_ratio={report.max_ratio!r}"
+            f" > bound={report.bound!r} at {report.worst_pair}"
+        )
 
 
 def _density_from_q(q: np.ndarray, n: int, m: int, ks: np.ndarray) -> np.ndarray:
@@ -579,28 +577,25 @@ def _row_guides(q: np.ndarray) -> tuple[list, np.ndarray]:
     return cdfs, guide.ravel()
 
 
-def _draw_from_rows(q: np.ndarray, values: np.ndarray, rows, rng: np.random.Generator):
-    """values[rows[c], k_c] for each client c, where k_c is the category
+def _draw_from_rows(q: np.ndarray, grid: np.ndarray, rows, rng: np.random.Generator):
+    """grid[rows[c] + k_c] for each client c, where k_c is the category
     that the uniform u_c of rng.random(n) selects from row rows[c] of the
     masses q: cdf.searchsorted(u_c, side="right") exactly, with the cdf
-    built as rng.choice(p=...) builds it.
+    built as rng.choice(p=...) builds it.  grid is float64.
 
     k_c is read from the stacked guide table at row rows[c] and bucket
     floor(u_c K) (u K is exact for K a power of two).  The draws that land
     in a bucket holding a cdf point, under 2% at M = 32, are set aside and
     found afterwards by a search in their own row's cdf.  The uniforms are
-    drawn into the result's memory, and each block's values are written
+    drawn into the result's memory, and each block's reports are written
     over its uniforms.
     """
     cdfs, guide = _row_guides(q)
-    flat = values.ravel()
-    width = values.shape[1]
-    out = np.empty(rows.size, dtype=values.dtype)
-    u = out.view(np.float64)
-    rng.random(out=u)
+    out = np.empty(rows.size)
+    rng.random(out=out)
     aside, aside_u = [], []
     for block in _blocks(rows.size):
-        rb, ub = rows[block], u[block]
+        rb, ub = rows[block], out[block]
         key = np.multiply(ub, _GUIDE_BUCKETS, out=np.empty(ub.size, np.intp), casting="unsafe")
         key += rb * _GUIDE_BUCKETS
         cats = guide[key]
@@ -608,10 +603,9 @@ def _draw_from_rows(q: np.ndarray, values: np.ndarray, rows, rng: np.random.Gene
         if miss.size:
             aside.append(miss + block.start)
             aside_u.append(ub[miss])
-        np.multiply(rb, width, out=key)
-        key += cats
+        np.add(rb, cats, out=key)
         # a set-aside draw's -1 reads a neighbour until its search below
-        flat.take(key, out=out[block], mode="clip")
+        grid.take(key, out=ub, mode="clip")
     if aside:
         pos, pos_u = np.concatenate(aside), np.concatenate(aside_u)
         pos_rows = rows[pos]
@@ -623,28 +617,22 @@ def _draw_from_rows(q: np.ndarray, values: np.ndarray, rows, rng: np.random.Gene
             if cdf is None:
                 raise ValueError(f"row {i} of the noise table has no mass")
             cats[here] = cdf.searchsorted(pos_u[here], side="right")
-        out[pos] = flat[pos_rows * width + cats]
+        out[pos] = grid[pos_rows + cats]
     return out
 
 
-def adaptive_perturb_array(
-    table: NoiseTable, domain: QuantizedDomain, xs, rng: np.random.Generator
-) -> np.ndarray:
-    """Perturb each value: randomized-round it to an edge, then add noise
-    drawn from that edge's row, one uniform per client in data order.
-    The report of edge i and offset j is grid[i + j + M], grid = -beta +
-    sigma arange(-M, N + M + 1): one float per output, whichever input
-    reached it (edges[i] + sigma j is not, at a sigma that is not dyadic).
-    domain must have the table's beta and N: ValueError otherwise."""
-    here, own = (domain.beta, domain.n_bins), (table.domain.beta, table.domain.n_bins)
-    if here != own:
-        raise ValueError(f"domain (beta, N) = {here} is not the table's {own}")
+def adaptive_perturb_array(table: NoiseTable, xs, rng: np.random.Generator) -> np.ndarray:
+    """Perturb each value: randomized-round it to an edge of the table's
+    domain, then add noise drawn from that edge's row, one uniform per
+    client in data order.  The report of edge i and offset j is
+    grid[i + j + M], grid = -beta + sigma arange(-M, N + M + 1): one float
+    per output, whichever input reached it (edges[i] + sigma j is not, at
+    a sigma that is not dyadic)."""
+    domain, m = table.domain, table.shape.m
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     idx = round_randomized_array(domain, xs, rng).ravel()
-    m = table.shape.m
     grid = -domain.beta + domain.sigma * np.arange(-m, domain.n_bins + m + 1)
-    reports = np.lib.stride_tricks.sliding_window_view(grid, 2 * m + 1)
-    return _draw_from_rows(table.q, reports, idx, rng).reshape(xs.shape)
+    return _draw_from_rows(table.q, grid, idx, rng).reshape(xs.shape)
 
 
 def run_protocol(
@@ -685,7 +673,8 @@ def run_protocol(
         )
     pmf_hat = reconstruct_pmf(collect_perturbed_histogram(domain, phase1, eps, rng), eps)
     table = solve_noise_table(pmf_hat, eps, shape, domain)
-    reports = adaptive_perturb_array(table, domain, phase2, rng)
+    # xs by keyword: perfbench/tracing.py (_CLIENT_ARG) counts it at argument 2 or as xs
+    reports = adaptive_perturb_array(table, xs=phase2, rng=rng)
     return ProtocolResult(
         mean_estimate=float(reports.mean()),
         phase1_pmf=pmf_hat,
@@ -712,8 +701,9 @@ def save_table(table: NoiseTable, path) -> None:
 def load_table(path) -> NoiseTable:
     """Read a save_table file: a header line (beta, N, M, eps), then N+1 rows
     of 2M+1 masses.  Any other header, one whose eps is not a privacy
-    budget (inf included) or whose beta is not positive and finite, and
-    rows that do not sum to 1 with mean 0, raise ValueError."""
+    budget (inf included) or whose beta is not positive and finite, rows
+    that do not sum to 1 with mean 0, and a table that fails
+    verify_privacy at the header's eps raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 4:
@@ -728,5 +718,5 @@ def load_table(path) -> NoiseTable:
             f"noise-table body is {q.shape}, expected {(n + 1, 2 * m + 1)}"
         )
     table = NoiseTable(domain=make_domain(beta, n), shape=NoiseShape(m=m), q=q, eps=eps)
-    _check_row_invariants(table, ValueError)
+    _check_table(table, ValueError)
     return table

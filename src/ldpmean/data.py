@@ -238,7 +238,8 @@ def load_csv_matrix(path, column_indices=None) -> np.ndarray:
     columns when column_indices is None.
 
     A single leading header row is skipped when a selected field is not
-    numeric; any later non-numeric field is an error citing its line number.
+    numeric; any later non-numeric field, or row of another field count than
+    the first numeric row's, is an error citing its line number.
     """
     import csv
 
@@ -260,7 +261,7 @@ def load_csv_matrix(path, column_indices=None) -> np.ndarray:
                     f"need column {max(wanted)}"
                 )
             try:
-                rows.append([float(record[c]) for c in wanted])
+                row = [float(record[c]) for c in wanted]
             except ValueError:
                 if line_no == 1:
                     continue  # header row
@@ -268,6 +269,12 @@ def load_csv_matrix(path, column_indices=None) -> np.ndarray:
                     f"{path}:{line_no}: non-numeric value in "
                     f"{[record[c] for c in wanted]!r}"
                 ) from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{line_no}: row has {len(row)} fields, "
+                    f"the first numeric row has {len(rows[0])}"
+                )
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
     return np.asarray(rows, dtype=float)

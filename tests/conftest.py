@@ -57,7 +57,7 @@ def edge_offsets(table, i, n, rng):
     """The noise offsets that adaptive_perturb_array draws for n clients
     on edge i, read off their reports."""
     dom = table.domain
-    reports = adaptive_perturb_array(table, dom, np.full(n, dom.edges[i]), rng)
+    reports = adaptive_perturb_array(table, np.full(n, dom.edges[i]), rng)
     return np.rint((reports - dom.edges[i]) / dom.sigma).astype(np.int64)
 
 

@@ -166,9 +166,7 @@ def test_criterion_04_unbiasedness(capsys, domain8, solved_tables):
     for eps_idx, eps in enumerate(EPS_GRID):
         table = solved_tables[("gaussian", eps)]
         for xi, x in enumerate((-0.73, 0.1, 0.52)):
-            draws = adaptive_perturb_array(
-                table, domain8, np.full(n, x), stream(9004, eps_idx, xi)
-            )
+            draws = adaptive_perturb_array(table, np.full(n, x), stream(9004, eps_idx, xi))
             se = draws.std(ddof=1) / math.sqrt(n)
             worst_sigmas = max(worst_sigmas, abs(draws.mean() - x) / se)
     ok = worst_sigmas <= 4.0

@@ -1173,7 +1173,7 @@ class TestColumnWeights:
         seen = []
         guide = adaptive._guide_table
         monkeypatch.setattr(adaptive, "_guide_table", lambda cdf: seen.append(cdf) or guide(cdf))
-        adaptive_perturb_array(table, table.domain, np.zeros(10), np.random.default_rng(0))
+        adaptive_perturb_array(table, np.zeros(10), np.random.default_rng(0))
         assert len(seen) == self.N + 1  # one guide per row, for every row
         for i in range(self.N + 1):
             probs = table.q[i] / table.q[i].sum()
@@ -1391,14 +1391,14 @@ class TestPerturb:
         q[:, 4] = 1.0
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         rng = np.random.default_rng(54)
-        assert adaptive_perturb_array(table, D2, [0.0], rng).tolist() == [0.0]
+        assert adaptive_perturb_array(table, [0.0], rng).tolist() == [0.0]
 
     def test_midpoint_with_zero_noise_splits(self):
         q = np.zeros((3, 9))
         q[:, 4] = 1.0
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         rng = np.random.default_rng(55)
-        draws = adaptive_perturb_array(table, D2, np.full(200_000, 0.5), rng)
+        draws = adaptive_perturb_array(table, np.full(200_000, 0.5), rng)
         np.testing.assert_allclose(np.unique(draws), [0.0, 1.0], atol=1e-12)
         assert np.mean(draws == 0.0) == pytest.approx(0.5, abs=0.005)
 
@@ -1418,7 +1418,7 @@ class TestPerturb:
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
         rng = np.random.default_rng(56)
         x = 0.37
-        draws = adaptive_perturb_array(table, D2, np.full(1_000_000, x), rng)
+        draws = adaptive_perturb_array(table, np.full(1_000_000, x), rng)
         se = draws.std(ddof=1) / 1000.0
         assert abs(draws.mean() - x) < 4.0 * se
 
@@ -1431,7 +1431,7 @@ class TestPerturb:
         q = np.full((n + 1, 2 * m + 1), 1.0 / (2 * m + 1))
         table = NoiseTable(domain=dom, shape=NoiseShape(m=m), q=q, eps=math.inf)
         rows = np.arange(4000 * (n + 1)) % (n + 1)
-        reports = adaptive_perturb_array(table, dom, dom.edges[rows], np.random.default_rng(62))
+        reports = adaptive_perturb_array(table, dom.edges[rows], np.random.default_rng(62))
         grid = -dom.beta + dom.sigma * np.arange(-m, n + m + 1)
         assert np.isin(reports, grid).all()
         assert np.unique(reports).size == grid.size  # every output, one float each
@@ -1439,25 +1439,14 @@ class TestPerturb:
     def test_out_of_domain(self):
         table = solve_noise_table(SYM2, 1.0, SHAPE2, D2)
         with pytest.raises(ValueError):
-            adaptive_perturb_array(table, D2, [0.0, 1.5], np.random.default_rng(0))
+            adaptive_perturb_array(table, [0.0, 1.5], np.random.default_rng(0))
 
     def test_non_finite_rejected(self):
         q = np.zeros((3, 9))
         q[:, 4] = 1.0
         table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
         with pytest.raises(ValueError, match="value nan outside"):
-            adaptive_perturb_array(table, D2, [0.0, math.nan], np.random.default_rng(0))
-
-    @pytest.mark.parametrize("beta, n_bins", [(1.0, 4), (2.0, 8)])
-    def test_other_domain_refused(self, beta, n_bins):
-        # the reports of an N=8 table would land on another domain's grid
-        q = np.zeros((9, 17))
-        q[:, 8] = 1.0
-        table = NoiseTable(domain=make_domain(1.0, 8), shape=NoiseShape(m=8), q=q, eps=math.inf)
-        with pytest.raises(ValueError, match=re.escape(
-                f"domain (beta, N) = ({beta}, {n_bins}) is not the table's (1.0, 8)")):
-            adaptive_perturb_array(table, make_domain(beta, n_bins), [0.0],
-                                   np.random.default_rng(0))
+            adaptive_perturb_array(table, [0.0, math.nan], np.random.default_rng(0))
 
 
 class TestPerturbLaw:
@@ -1486,7 +1475,7 @@ class TestPerturbLaw:
         table = self.hand_table() if kind == "hand" else self.solved_table(float(kind[4:]))
         dom, m = table.domain, table.shape.m
         rows = np.arange(self.N_CLIENTS) % (dom.n_bins + 1)
-        reports = adaptive_perturb_array(table, dom, dom.edges[rows], np.random.default_rng(61))
+        reports = adaptive_perturb_array(table, dom.edges[rows], np.random.default_rng(61))
         offsets = np.rint((reports - dom.edges[rows]) / dom.sigma).astype(np.int64)
         # every report is exactly edge + sigma * offset, offset in the window
         np.testing.assert_array_equal(reports, dom.edges[rows] + dom.sigma * offsets)
@@ -1542,6 +1531,24 @@ class TestProtocol:
         res = run_protocol(data, 8.0, 0.1, SHAPE2, D2, np.random.default_rng(64))
         # noise nearly vanishes; remaining error is the phase-2 sampling
         assert abs(res.mean_estimate - data.mean()) < 0.05
+
+    def test_phase2_clients_passed_as_xs(self, monkeypatch):
+        # the benchmark's tracer (perfbench/tracing.py, _CLIENT_ARG) counts the
+        # clients of adaptive_perturb_array at argument 2 or as the keyword xs
+        data = np.random.default_rng(65).uniform(-1.0, 1.0, 300)
+        mask = np.random.default_rng(66).random(300) < 0.2
+        calls = []
+        shipped = adaptive.adaptive_perturb_array
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return shipped(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "adaptive_perturb_array", recorder)
+        res = run_protocol(data, 1.0, 0.2, SHAPE2, D2, np.random.default_rng(67), split_mask=mask)
+        [(args, kwargs)] = calls
+        assert len(args) < 2 and len(kwargs["xs"]) == res.phase2_count
+        np.testing.assert_array_equal(kwargs["xs"], data[~mask])
 
 
 class TestSerialization:
@@ -1628,6 +1635,14 @@ class TestSerialization:
         path = tmp_path / "table.txt"
         save_table(NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=1.0), path)
         with pytest.raises(ValueError, match=message):
+            load_table(path)
+
+    def test_table_that_fails_privacy_is_refused(self, tmp_path):
+        # rows that sum to 1 with mean 0, but output 0 only input 0 reaches
+        # and output 1 only input 1: no noise, not eps-LDP at the header's eps
+        path = tmp_path / "table.txt"
+        path.write_text("1.0 1 1 1.0\n0.0 1.0 0.0\n0.0 1.0 0.0\n")
+        with pytest.raises(ValueError, match="fails privacy verification: max_ratio=inf"):
             load_table(path)
 
     def test_save_to_stream(self, tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end checks of the experiment runner."""
 
+import io
 import warnings
 from dataclasses import fields
 
@@ -11,6 +12,7 @@ from ldpmean import (
     cli,
     load_table,
     make_domain,
+    save_table,
     solve_noise_table,
     verify_privacy,
 )
@@ -484,6 +486,10 @@ class TestOptimizeCommand:
         table = load_table(str(out))
         assert table.domain.n_bins == 2
         assert table.eps == 1.0
+        # it passes load_table's privacy gate and reads back bit for bit
+        written = io.StringIO()
+        save_table(table, written)
+        assert written.getvalue() == out.read_text()
         # the dump stores the table itself, not the objective; the loaded
         # copy must still verify against its stated budget
         assert verify_privacy(table, 1.0).passed

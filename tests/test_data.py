@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,19 @@ class TestLoadCsv:
         path.write_text("x,y\n1,2\n3,4\n")
         got = load_csv_matrix(path)
         np.testing.assert_array_equal(got, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_matrix_ragged_row_rejected(self, tmp_path):
+        # a row of another field count than the first numeric row's names
+        # its line and both counts, whether it is shorter or longer
+        path = tmp_path / "ragged.csv"
+        path.write_text("x,y\n1,2\n3\n4,5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: row has 1 fields, the first numeric row has 2")):
+            load_csv_matrix(path)
+        path.write_text("1,2\n3,4,5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: row has 3 fields, the first numeric row has 2")):
+            load_csv_matrix(path)
 
     def test_matrix_column_subset_keeps_order(self, tmp_path):
         path = tmp_path / "subset.csv"

@@ -66,7 +66,7 @@ def adaptive_perturb_sample() -> bytes:
     rng = np.random.Generator(np.random.Philox(2024))
     xs = rng.random(3 * 2**14 + 7) * 2.0 - 1.0
     xs[:5] = domain.edges
-    reports = adaptive_perturb_array(table, domain, xs, rng)
+    reports = adaptive_perturb_array(table, xs, rng)
     return reports.tobytes() + np.float64(rng.random()).tobytes()
 
 

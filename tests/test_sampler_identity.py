@@ -116,7 +116,8 @@ def ref_choice_noise(table, i, xs, rng):
     return -table.domain.beta + table.domain.sigma * (i + j)
 
 
-def ref_adaptive_perturb(table, dom, xs, rng):
+def ref_adaptive_perturb(table, xs, rng):
+    dom = table.domain
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     idx = ref_round_randomized(dom, xs, rng)
     u = rng.random(xs.shape)
@@ -260,7 +261,7 @@ def test_sample_noise(n, tail_table):
     for table in (hand_table(), tail_table):
         dom = table.domain
         for i in (0, dom.n_bins // 2, dom.n_bins):
-            run_both(lambda x, rng: adaptive.adaptive_perturb_array(table, dom, x, rng),
+            run_both(lambda x, rng: adaptive.adaptive_perturb_array(table, x, rng),
                      lambda x, rng: ref_choice_noise(table, i, x, rng),
                      np.full(n, dom.edges[i]))
 
@@ -277,9 +278,8 @@ def test_tail_table_draws_its_tails(tail_table):
 @pytest.mark.parametrize("n", SIZES)
 def test_adaptive_perturb_array(n, tail_table):
     for table in (hand_table(), tail_table):
-        dom = table.domain
-        run_both(lambda x, rng: adaptive.adaptive_perturb_array(table, dom, x, rng),
-                 lambda x, rng: ref_adaptive_perturb(table, dom, x, rng), inputs(n))
+        run_both(lambda x, rng: adaptive.adaptive_perturb_array(table, x, rng),
+                 lambda x, rng: ref_adaptive_perturb(table, x, rng), inputs(n))
 
 
 def test_protocol_matches_reference(monkeypatch):
@@ -307,8 +307,7 @@ DRAWS = {  # sampler on n values, and the arrays its documentation lists
     "hybrid": (lambda x, rng: baselines.hybrid_perturb(x, 1.0, 1.0, rng), 2),
     "hybrid-alpha-0": (lambda x, rng: baselines.hybrid_perturb(x, 1.0, 0.3, rng), 2),
     "rounding": (lambda x, rng: domain.round_randomized_array(make_domain(1.0, 8), x, rng), 1),
-    "adaptive": (lambda x, rng: adaptive.adaptive_perturb_array(
-        hand_table(), hand_table().domain, x, rng), 2),
+    "adaptive": (lambda x, rng: adaptive.adaptive_perturb_array(hand_table(), x, rng), 2),
 }
 
 
@@ -352,7 +351,7 @@ def categories(q, u):
     masses q for the uniforms u."""
     q = np.atleast_2d(q)
     return adaptive._draw_from_rows(
-        q, np.arange(q.shape[1])[None, :], np.zeros(u.size, np.int64), Given(u)
+        q, np.arange(q.shape[1], dtype=float), np.zeros(u.size, np.int64), Given(u)
     )
 
 
