@@ -132,6 +132,7 @@ class NoiseTable:
     lp_objective: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "eps", check_eps(self.eps))
         q = np.asarray(self.q, dtype=float)
         n, m = self.domain.n_bins, self.shape.m
         if q.shape != (n + 1, 2 * m + 1):
@@ -206,11 +207,12 @@ def build_lp(pmf: QuantizedPmf, sigma: float, ks, eps: float) -> lplib.LinearPro
 
     The lower tube row t_k <= q is then the bound s >= 0, and the upper row
     q <= e^eps t_k is s / expm1(eps) - t_k <= 0 (divided by expm1(eps), so
-    it stays O(1) at large eps, and empty at eps = inf): one row per kept
-    cell (i, k), input-major.  Per input i the equality rows are
-    normalization (row 2i) and zero mean (row 2i + 1); every other mass is
-    0.  The s are input-major, then the t, each in the order of ks.
+    it stays O(1) at large eps): one row per kept cell (i, k), input-major.
+    Per input i the equality rows are normalization (row 2i) and zero mean
+    (row 2i + 1); every other mass is 0.  The s are input-major, then the
+    t, each in the order of ks.
     """
+    eps = check_eps(eps)
     n = len(pmf) - 1
     ks = np.asarray(ks)
     if ks.ndim != 1 or ks.size == 0 or np.any(np.diff(ks) <= 0):
@@ -247,15 +249,14 @@ def _scatter(z: np.ndarray, n: int, m: int, ks: np.ndarray, eps: float) -> np.nd
     """The window masses q of the point z of build_lp over the outputs ks,
     projected onto the tube: s = max(s, 0), t = max(t, 0, max_i s /
     expm1(eps)) (the lift), s = min(s, expm1(eps) t) (the rounding of the
-    lift), and q[i, k - i] = t_k + s on the kept outputs, 0 elsewhere.  At
-    eps = inf s has no upper bound (and inf * 0 would be NaN).  Needs every
-    k in [N - M, M], so that every kept offset lies in the window."""
+    lift), and q[i, k - i] = t_k + s on the kept outputs, 0 elsewhere.
+    Needs every k in [N - M, M], so that every kept offset lies in the
+    window."""
     cells = (n + 1) * ks.size
     s = np.maximum(z[:cells].reshape(n + 1, ks.size), 0.0)
     t = np.maximum(z[cells:], 0.0)
-    if math.isfinite(eps):
-        t = np.maximum(t, s.max(axis=0) / math.expm1(eps))
-        s = np.minimum(s, math.expm1(eps) * t)
+    t = np.maximum(t, s.max(axis=0) / math.expm1(eps))
+    s = np.minimum(s, math.expm1(eps) * t)
     q = np.zeros((n + 1, 2 * m + 1))
     rows = np.arange(n + 1)[:, None]
     q[rows, ks - rows + m] = s + t
@@ -455,10 +456,10 @@ def solve_noise_table(
     the pmf, eps, window and domain, and on the earlier solves at that
     key, which clear_store forgets.  A window below the least one with an
     eps-LDP table (N + _min_half_width) is a ValueError, raised before any
-    program is built.  At eps = inf there is no tube, and the optimum adds
-    no noise.  A solved table that fails _check_table raises RuntimeError.
+    program is built.  A solved table that fails _check_table raises
+    RuntimeError.
     """
-    eps = check_eps(eps, allow_inf=True)
+    eps = check_eps(eps)
     n, m = domain.n_bins, shape.m
     if len(pmf) != n + 1:
         raise ValueError("pmf size does not match domain")
@@ -468,10 +469,6 @@ def solve_noise_table(
             f"no eps-LDP table fits noise window m = {m} (n_bins={n}, eps={eps}): the least"
             f" is m = n_bins + ceil(n_bins (coth(eps/2) - 1) / 2) = {least}"
         )
-    if not math.isfinite(eps):
-        q = np.zeros((n + 1, 2 * m + 1))
-        q[:, m] = 1.0
-        return NoiseTable(domain=domain, shape=shape, q=q, eps=eps, lp_objective=0.0)
     ks, sol = _solve_generated(pmf, eps, shape, domain)
     if sol.status != "optimal":
         raise RuntimeError(
@@ -529,7 +526,7 @@ def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-14) -> Privacy
     input is a mixture of two rows, so at every output it lies between the
     rows' least and greatest mass, and its ratios are bounded by these.
     """
-    eps = check_eps(eps, allow_inf=True)
+    eps = check_eps(eps)
     n, m = table.domain.n_bins, table.shape.m
     ks = np.arange(-m, n + m + 1)
     density = _density_from_q(table.q, n, m, ks)
@@ -542,9 +539,8 @@ def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-14) -> Privacy
     worst = None
     if max_ratio > 0.0:
         worst = (int(ks[col]), int(density[:, col].argmax()), int(density[:, col].argmin()))
-    bound = math.exp(eps) * (1.0 + tol) if math.isfinite(eps) else math.inf
-    passed = (not math.isfinite(eps)) or max_ratio <= bound
-    return PrivacyReport(max_ratio=max_ratio, worst_pair=worst, bound=bound, passed=passed)
+    bound = math.exp(eps) * (1.0 + tol)
+    return PrivacyReport(max_ratio, worst, bound, passed=max_ratio <= bound)
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -653,7 +649,7 @@ def run_protocol(
     their reports.  A precomputed split_mask (True = phase 1) can be passed
     so several mechanisms share one partition.
     """
-    eps = check_eps(eps, allow_inf=True)
+    eps = check_eps(eps)
     if not (0.0 < split_ratio < 1.0):
         raise ValueError("split_ratio must lie in (0, 1)")
     xs = np.atleast_1d(np.asarray(data, dtype=float))
@@ -701,7 +697,7 @@ def save_table(table: NoiseTable, path) -> None:
 def load_table(path) -> NoiseTable:
     """Read a save_table file: a header line (beta, N, M, eps), then N+1 rows
     of 2M+1 masses.  Any other header, one whose eps is not a privacy
-    budget (inf included) or whose beta is not positive and finite, rows
+    budget (see check_eps) or whose beta is not positive and finite, rows
     that do not sum to 1 with mean 0, and a table that fails
     verify_privacy at the header's eps raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -711,7 +707,7 @@ def load_table(path) -> NoiseTable:
                 f"malformed noise-table header in {path}: expected 'beta N M eps'"
             )
         beta, n, m = float(header[0]), int(header[1]), int(header[2])
-        eps = check_eps(header[3], allow_inf=True)
+        eps = check_eps(header[3])
         q = np.loadtxt(fh, ndmin=2)
     if q.shape != (n + 1, 2 * m + 1):
         raise ValueError(

@@ -43,13 +43,19 @@ HYBRID_EPS_STAR = math.log(
 )
 
 
-def check_eps(eps: float, allow_inf: bool = False) -> float:
-    """Validate a privacy budget: finite positive float (inf when allowed)."""
+# The greatest privacy budget: e^700 ~ 1e304, so 2 e^eps + 2 (Duchi),
+# e^eps (1 + tol) (verify_privacy) and e^eps rho (adaptive._slack) stay
+# finite doubles.
+_EPS_MAX = 700.0
+
+
+def check_eps(eps: float) -> float:
+    """Validate a privacy budget: a float in (0, _EPS_MAX]."""
     eps = float(eps)
     if math.isnan(eps) or eps <= 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if math.isinf(eps) and not allow_inf:
-        raise ValueError("eps must be finite here")
+    if eps > _EPS_MAX:
+        raise ValueError(f"eps must be at most {_EPS_MAX!r}, got {eps!r}")
     return eps
 
 
@@ -315,17 +321,13 @@ def generalized_rr(index, n_categories: int, eps: float, rng: np.random.Generato
     """Randomized response over {0, ..., n_categories-1}.
 
     Keeps the true index with probability e^eps / (e^eps + n_categories - 1),
-    otherwise reports a uniform draw among the other indices.  eps = inf is
-    the identity.
+    otherwise reports a uniform draw among the other indices.
     """
-    eps = check_eps(eps, allow_inf=True)
+    eps = check_eps(eps)
     if n_categories < 2:
         raise ValueError("need at least two categories")
     idx = np.asarray(index)
     flat = idx.ravel()
-    if math.isinf(eps):
-        _check_index(flat, n_categories)
-        return idx.copy()
     e = math.exp(eps)
     p_keep = e / (e + n_categories - 1.0)
     keep = rng.random(flat.size)

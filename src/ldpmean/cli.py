@@ -49,7 +49,7 @@ from .adaptive import (
     verify_privacy,
 )
 from .analysis import baseline_expected_variance, squared_error
-from .baselines import BASELINES
+from .baselines import BASELINES, check_eps
 from .data import (
     BetaDistribution,
     ShiftedExponential,
@@ -98,8 +98,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mechanism {m!r}")
         if not self.mechanisms:
             raise ValueError("mechanism list is empty")
-        if not self.eps_grid or not all(e > 0 for e in self.eps_grid):
-            raise ValueError(f"eps grid must be nonempty and positive, got {self.eps_grid}")
+        if not self.eps_grid:
+            raise ValueError("eps grid is empty")
+        for e in self.eps_grid:
+            try:
+                check_eps(e)
+            except ValueError as exc:
+                raise ValueError(f"eps grid {self.eps_grid}: {exc}") from None
         # rows are keyed by (mechanism, eps), so a repeat would pool its runs
         for name in ("mechanisms", "eps_grid"):
             values = getattr(self, name)
@@ -120,15 +125,11 @@ class ExperimentConfig:
             raise ValueError("d and k must be >= 1")
 
     def check_budget(self) -> None:
-        """Refuse what the experiment loop cannot run at this k and these
-        mechanisms: an eps = inf with a baseline, and a noise_window below
-        the least with an eps-LDP table at min(eps_grid) / k, whose
-        derivation also refuses an eps too small for any finite window.
-        Each command calls it on the configuration it runs, before any data
-        or table."""
-        baseline = next((m for m in self.mechanisms if m != "adaptive"), None)
-        if math.inf in self.eps_grid and baseline is not None:
-            raise ValueError(f"eps = inf is for adaptive alone; {baseline!r} needs a finite eps")
+        """Refuse what the experiment loop cannot run at this k: a
+        noise_window below the least with an eps-LDP table at
+        min(eps_grid) / k, whose derivation also refuses an eps too small
+        for any finite window.  Each command calls it on the configuration
+        it runs, before any data or table."""
         eps = min(self.eps_grid) / self.k
         least = self.bins + _min_half_width(self.bins, eps)
         if self.noise_window is not None and self.noise_window < least:
@@ -357,8 +358,8 @@ def cmd_estimate(config: ExperimentConfig) -> str:
 def cmd_optimize(config: ExperimentConfig) -> str:
     """Solve one noise table at the first eps of the grid and dump it to
     --out with a summary on stdout; with --out -, to stdout and stderr.
-    Every other mechanism of the configuration is left aside."""
-    config = _one_attribute(config, mechanisms=("adaptive",))
+    The configuration's mechanisms are not read."""
+    config = _one_attribute(config)
     domain = make_domain(config.beta, config.bins)
     pmf = _true_pmf(config, domain)
     eps = sorted(config.eps_grid)[0]

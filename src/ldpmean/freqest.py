@@ -35,7 +35,7 @@ def collect_perturbed_histogram(
 
 def reconstruct_pmf(counts, eps: float) -> QuantizedPmf:
     """Invert the RR channel over the len(counts) edge indices at budget
-    eps (inf: the identity), clip negative entries to 0, renormalize.
+    eps, clip negative entries to 0, renormalize.
 
     counts must be a 1-D integer vector, all >= 0, with a positive total.
     eps = 0, the uniform channel, has no inverse and raises ValueError.
@@ -48,15 +48,12 @@ def reconstruct_pmf(counts, eps: float) -> QuantizedPmf:
     total = counts.sum()
     if not total > 0:
         raise ValueError("counts must have a positive total")
-    eps = check_eps(eps, allow_inf=True)
+    eps = check_eps(eps)
     freq = counts / total
-    if math.isinf(eps):
-        v = freq
-    else:
-        n = counts.size - 1
-        e = _exp_above_one(eps, math.exp(eps))
-        # A^{-1} f = ((n + e) f - sum(f)) / (e - 1)
-        v = ((n + e) * freq - freq.sum()) / (e - 1.0)
+    n = counts.size - 1
+    e = _exp_above_one(eps, math.exp(eps))
+    # A^{-1} f = ((n + e) f - sum(f)) / (e - 1)
+    v = ((n + e) * freq - freq.sum()) / (e - 1.0)
     # the row sums of A^{-1} make sum(v) = sum(f) = 1 before clipping, and
     # clipping only raises it
     v = np.clip(v, 0.0, None)

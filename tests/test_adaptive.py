@@ -113,6 +113,32 @@ class TestNoiseShapeAndTable:
         assert verify_privacy(signed, eps) == verify_privacy(table, eps)
 
 
+def point_table(eps=1.0):
+    """The N=2, M=4 table of no noise, labelled with budget eps."""
+    q = np.zeros((3, 9))
+    q[:, 4] = 1.0
+    return NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=eps)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        point_table,
+        lambda eps: verify_privacy(point_table(), eps),
+        lambda eps: build_lp(SYM2, D2.sigma, span(2, 2), eps),
+        lambda eps: solve_noise_table(SYM2, eps, SHAPE2, D2),
+        lambda eps: reconstruct_pmf(np.array([3, 4, 3]), eps),
+        lambda eps: run_protocol(np.zeros(10), eps, 0.5, SHAPE2, D2, np.random.default_rng(0)),
+    ],
+    ids=["NoiseTable", "verify_privacy", "build_lp", "solve_noise_table", "reconstruct_pmf",
+         "run_protocol"],
+)
+def test_eps_above_the_greatest_is_refused(call):
+    # from about 709.8 e^eps overflows, and from 709.09 2 e^eps + 2 does
+    with pytest.raises(ValueError, match=re.escape("eps must be at most 700.0, got 710.0")):
+        call(710.0)
+
+
 class TestNoiseMass:
     def test_tail_extrapolation(self):
         # nothing beyond the window: the tail past +-M is empty
@@ -122,9 +148,7 @@ class TestNoiseMass:
         assert masses[1] == masses[2] == 0.0
 
     def test_point_table_center(self):
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        table = point_table()
         assert offset_masses(table, 1, [0, 3]).tolist() == [1.0, 0.0]
 
     def test_total_mass_geometric_remainder(self):
@@ -163,9 +187,10 @@ def row_by_row_lp(pmf, sigma, ks, eps):
 
 
 class TestBuildLp:
-    @pytest.mark.parametrize("eps", [1.5, math.inf])
+    @pytest.mark.parametrize("eps", [1.5, 700.0])
     def test_matches_row_by_row_reference(self, eps):
-        # at eps = inf the upper rows keep only -t_k <= 0: no tube
+        # at eps = 700 the upper rows' s coefficient 1 / expm1(eps) is
+        # about 1e-304, still a normal float
         d3 = make_domain(1.0, 3)
         pmf = QuantizedPmf(masses=np.array([0.1, 0.2, 0.3, 0.4]))
         prog = build_lp(pmf, d3.sigma, span(3, 2), eps)
@@ -197,14 +222,6 @@ class TestBuildLp:
         pmf = QuantizedPmf(masses=np.full(5, 0.2))
         prog = build_lp(pmf, d4.sigma, span(4, 4), 1.0)
         assert prog.num_vars == 5 * 13 + 13  # 65 cells s + 13 outputs t
-
-    def test_infinite_eps_drops_privacy(self):
-        prog = build_lp(SYM2, D2.sigma, span(2, 2), math.inf)
-        sol = lp_solve(prog)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
-        q = _scatter(sol.x, 2, 4, span(2, 2), math.inf)
-        np.testing.assert_allclose(q[:, 4], 1.0, atol=1e-9)
 
     # build_lp sizes its program from the pmf and the outputs alone; the window and the pmf are
     # checked where they meet the domain, in solve_noise_table
@@ -282,15 +299,6 @@ class TestSolveNoiseTable:
         monkeypatch.setattr(adaptive, "build_lp", None)
         with pytest.raises(ValueError, match=f"^eps = {eps!r} is too small: "):
             solve_noise_table(SYM2, eps, SHAPE2, D2)
-
-    def test_infinite_eps_is_the_zero_noise_table(self, monkeypatch):
-        # no tube, so the optimum adds no noise; no LP is solved
-        monkeypatch.setattr(lplib, "solve", None)
-        table = solve_noise_table(SYM2, math.inf, SHAPE2, D2)
-        expected = np.zeros((3, 9))
-        expected[:, 4] = 1.0
-        np.testing.assert_array_equal(table.q, expected)
-        assert table.lp_objective == 0.0 and table.eps == math.inf
 
     def test_model_error_raises_without_growing(self, monkeypatch):
         # a model HiGHS refuses says nothing of feasibility: no output is
@@ -1018,12 +1026,6 @@ class TestVerifyPrivacy:
         assert report.max_ratio == math.inf
         assert report.worst_pair == (-4, 0, 1)
 
-    def test_infinite_eps_always_passes(self):
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
-        assert verify_privacy(table, math.inf).passed
-
     def test_composite_mixture_check(self):
         # the real inputs' tent mixtures are as private as the rows: the
         # mixture lemma, checked on 41 points of [-beta, beta]
@@ -1059,9 +1061,8 @@ def ratio_report_by_columns(density, ks, eps, tol):
         if ratio > max_ratio:
             max_ratio = ratio
             worst = (int(ks[col]), int(d.argmax()), int(d.argmin()))
-    bound = math.exp(eps) * (1.0 + tol) if math.isfinite(eps) else math.inf
-    passed = (not math.isfinite(eps)) or max_ratio <= bound
-    return max_ratio, worst, bound, passed
+    bound = math.exp(eps) * (1.0 + tol)
+    return max_ratio, worst, bound, max_ratio <= bound
 
 
 def edge_loaded_table():
@@ -1099,7 +1100,7 @@ class TestVectorizedVerification:
         np.testing.assert_array_equal(density, density_by_rows(table.q, n, m, ks))
         # the outputs past the reach of every input are empty: they count
         # as 0 and cannot move the first worst column
-        for eps, tol in ((table.eps, 1e-6), (0.5 * table.eps, 0.0), (math.inf, 1e-6)):
+        for eps, tol in ((table.eps, 1e-6), (0.5 * table.eps, 0.0)):
             report = verify_privacy(table, eps, tol)
             expected = ratio_report_by_columns(density, ks, eps, tol)
             assert (report.max_ratio, report.worst_pair, report.bound, report.passed) == expected
@@ -1142,7 +1143,7 @@ class TestColumnWeights:
     def test_hand_values(self):
         domain = make_domain(1.0, 4)  # sigma = 0.5
         q = np.array([[0.25, 0.0, 0.5, 0.0, 0.25]] * 5)
-        table = NoiseTable(domain=domain, shape=NoiseShape(m=2), q=q, eps=math.inf)
+        table = NoiseTable(domain=domain, shape=NoiseShape(m=2), q=q, eps=1.0)
         np.testing.assert_array_equal(row_variances(table), np.full(5, 0.5))
         masses = offset_masses(table, 0, range(-3, 4)).tolist()
         assert masses == [0.0, 0.25, 0.0, 0.5, 0.0, 0.25, 0.0]
@@ -1223,9 +1224,8 @@ def scatter_by_cells(z, n, m, ks, eps):
     for c, k in enumerate(ks):
         s = [max(z[i * len(ks) + c], 0.0) for i in range(n + 1)]
         t = max(z[cells + c], 0.0)
-        if math.isfinite(eps):
-            t = max(t, max(s) / math.expm1(eps))
-            s = [min(v, math.expm1(eps) * t) for v in s]
+        t = max(t, max(s) / math.expm1(eps))
+        s = [min(v, math.expm1(eps) * t) for v in s]
         for i in range(n + 1):
             q[i, k - i + m] = s[i] + t
     return q
@@ -1267,22 +1267,21 @@ class TestDust:
             n = int(rng.integers(1, 7))
             m = n + int(rng.integers(0, 5))
             a = m - n
-            eps = float(rng.choice([0.25, 1.0, 4.0, math.inf]))
+            eps = float(rng.choice([0.25, 1.0, 4.0]))
             p = rng.dirichlet(np.ones(levels.size) * 0.3)
             size = (n + 2) * (n + 2 * a + 1)
             z = rng.choice(levels, size=size, p=p) * rng.uniform(0.5, 2.0, size)
             q = _scatter(z, n, m, span(n, a), eps)
             np.testing.assert_array_equal(q, scatter_by_cells(z, n, m, span(n, a), eps))
-            if math.isfinite(eps):
-                table = NoiseTable(domain=make_domain(1.0, n), shape=NoiseShape(m), q=q, eps=eps)
-                assert_columns_empty_or_full(table)
-                cells = (n + 1) * (n + 2 * a + 1)
-                s = np.maximum(z[:cells].reshape(n + 1, -1), 0.0)
-                t = np.maximum(z[cells:], 0.0)
-                top = s.max(axis=0) / math.expm1(eps)
-                lifted += bool(np.any(top > t))
-                t = np.maximum(t, top)
-                clipped += bool(np.any(s > math.expm1(eps) * t))
+            table = NoiseTable(domain=make_domain(1.0, n), shape=NoiseShape(m), q=q, eps=eps)
+            assert_columns_empty_or_full(table)
+            cells = (n + 1) * (n + 2 * a + 1)
+            s = np.maximum(z[:cells].reshape(n + 1, -1), 0.0)
+            t = np.maximum(z[cells:], 0.0)
+            top = s.max(axis=0) / math.expm1(eps)
+            lifted += bool(np.any(top > t))
+            t = np.maximum(t, top)
+            clipped += bool(np.any(s > math.expm1(eps) * t))
         assert lifted >= 30 and clipped >= 30  # the lift and its rounding clip, often
 
 
@@ -1303,7 +1302,7 @@ def mixture_ratio(table, idx, w_left):
     n, m = table.domain.n_bins, table.shape.m
     ks = np.arange(-m, n + m + 1)
     with np.errstate(over="ignore"):  # a ratio past the largest float is inf
-        return ratio_report_by_columns(tent_mixture(table, idx, w_left), ks, math.inf, 0.0)[0]
+        return ratio_report_by_columns(tent_mixture(table, idx, w_left), ks, table.eps, 0.0)[0]
 
 
 class TestMixtureLemma:
@@ -1349,9 +1348,7 @@ class TestSampleNoise:
     one edge (conftest.edge_offsets)."""
 
     def test_point_row_always_zero(self):
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        table = point_table()
         rng = np.random.default_rng(50)
         draws = edge_offsets(table, 0, 1000, rng)
         assert np.all(draws == 0)
@@ -1359,7 +1356,7 @@ class TestSampleNoise:
     def test_window_edges_are_drawn_and_not_passed(self):
         q = np.zeros((3, 9))
         q[:, 0], q[:, -1] = 0.25, 0.75
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=1.0)
         rng = np.random.default_rng(51)
         draws = edge_offsets(table, 1, 1_000_000, rng)
         assert set(np.unique(draws)) == {-4, 4}
@@ -1377,7 +1374,7 @@ class TestSampleNoise:
         # drawing from it fails with the row's index, not with 0 / 0
         q = np.zeros((3, 9))
         q[[0, 2], 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="row 1 of the noise table has no mass"):
@@ -1387,16 +1384,12 @@ class TestSampleNoise:
 
 class TestPerturb:
     def test_edge_with_zero_noise_is_identity(self):
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        table = point_table()
         rng = np.random.default_rng(54)
         assert adaptive_perturb_array(table, [0.0], rng).tolist() == [0.0]
 
     def test_midpoint_with_zero_noise_splits(self):
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        table = point_table()
         rng = np.random.default_rng(55)
         draws = adaptive_perturb_array(table, np.full(200_000, 0.5), rng)
         np.testing.assert_allclose(np.unique(draws), [0.0, 1.0], atol=1e-12)
@@ -1429,7 +1422,7 @@ class TestPerturb:
         # report is grid[k + M], whichever edge drew it
         dom, m = make_domain(1.0, n), 4 * n
         q = np.full((n + 1, 2 * m + 1), 1.0 / (2 * m + 1))
-        table = NoiseTable(domain=dom, shape=NoiseShape(m=m), q=q, eps=math.inf)
+        table = NoiseTable(domain=dom, shape=NoiseShape(m=m), q=q, eps=1.0)
         rows = np.arange(4000 * (n + 1)) % (n + 1)
         reports = adaptive_perturb_array(table, dom.edges[rows], np.random.default_rng(62))
         grid = -dom.beta + dom.sigma * np.arange(-m, n + m + 1)
@@ -1442,9 +1435,7 @@ class TestPerturb:
             adaptive_perturb_array(table, [0.0, 1.5], np.random.default_rng(0))
 
     def test_non_finite_rejected(self):
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        table = NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf)
+        table = point_table()
         with pytest.raises(ValueError, match="value nan outside"):
             adaptive_perturb_array(table, [0.0, math.nan], np.random.default_rng(0))
 
@@ -1581,6 +1572,8 @@ class TestSerialization:
         [("1.0 2 4 nan", "eps must be positive, got nan"),
          ("1.0 2 4 -1.0", "eps must be positive, got -1.0"),
          ("1.0 2 4 0.0", "eps must be positive, got 0.0"),
+         ("1.0 2 4 inf", "eps must be at most 700.0, got inf"),
+         ("1.0 2 4 710.0", "eps must be at most 700.0, got 710.0"),
          ("inf 2 4 1.0", "beta must be positive and finite, got inf")],
     )
     def test_header_outside_its_range_is_refused(self, tmp_path, header, message):
@@ -1590,15 +1583,6 @@ class TestSerialization:
         path.write_text("\n".join([header, *body]) + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_table(path)
-
-    def test_infinite_eps_header_loads(self, tmp_path):
-        # the table of no noise, which optimize writes at eps = inf
-        q = np.zeros((3, 9))
-        q[:, 4] = 1.0
-        path = tmp_path / "table.txt"
-        save_table(NoiseTable(domain=D2, shape=SHAPE2, q=q, eps=math.inf), path)
-        assert path.read_text().splitlines()[0] == "1.0 2 4 inf"
-        assert load_table(path).eps == math.inf
 
     def test_five_field_header_is_refused(self, tmp_path):
         # tables once carried a tail ratio r in the header (beta N M r eps);

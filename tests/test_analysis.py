@@ -38,7 +38,7 @@ class TestExpectedVariance:
         shape = NoiseShape(m=4)
         q = np.zeros((5, 9))
         q[:, 4] = 1.0  # all mass on offset j = 0
-        table = NoiseTable(domain=domain, shape=shape, q=q, eps=math.inf)
+        table = NoiseTable(domain=domain, shape=shape, q=q, eps=1.0)
         assert expected_variance(table, uniform_pmf(4)) == 0.0
 
     def test_symmetric_two_point_rows(self):
@@ -48,7 +48,7 @@ class TestExpectedVariance:
         q = np.zeros((5, 9))
         q[:, 3] = 0.5
         q[:, 5] = 0.5
-        table = NoiseTable(domain=domain, shape=shape, q=q, eps=math.inf)
+        table = NoiseTable(domain=domain, shape=shape, q=q, eps=1.0)
         assert expected_variance(table, uniform_pmf(4)) == pytest.approx(
             0.25, rel=1e-12
         )
@@ -61,7 +61,7 @@ class TestExpectedVariance:
         q = np.zeros((5, 7))
         q[:, 0] = 0.5
         q[:, -1] = 0.5
-        table = NoiseTable(domain=domain, shape=shape, q=q, eps=math.inf)
+        table = NoiseTable(domain=domain, shape=shape, q=q, eps=1.0)
         assert expected_variance(table, uniform_pmf(4)) == pytest.approx(
             0.25 * 9.0, rel=1e-12
         )
@@ -76,7 +76,7 @@ class TestExpectedVariance:
         q[1, 3] = 0.5  # variance sigma^2 = 1.0
         q[2, 0] = 0.5
         q[2, 4] = 0.5  # the window edges: sigma^2 M^2 = 4.0
-        table = NoiseTable(domain=domain, shape=shape, q=q, eps=math.inf)
+        table = NoiseTable(domain=domain, shape=shape, q=q, eps=1.0)
         pmf = QuantizedPmf(masses=[0.5, 0.3, 0.2])
         expected = 0.3 * 1.0 + 0.2 * 4.0
         assert expected_variance(table, pmf) == pytest.approx(expected, rel=1e-12)

@@ -13,6 +13,7 @@ from ldpmean.baselines import (
     duchi_perturb,
     generalized_rr,
     hybrid_alpha,
+    hybrid_conditional_variance,
     hybrid_perturb,
     laplace_perturb,
     laplace_variance,
@@ -227,17 +228,13 @@ class TestGeneralizedRr:
         out = generalized_rr(np.zeros(1_000_000, dtype=int), 2, math.log(3.0), rng)
         assert np.mean(out == 0) == pytest.approx(0.75, abs=0.002)
 
-    def test_infinite_eps_is_identity(self):
-        rng = np.random.default_rng(22)
-        idx = np.arange(5)
-        np.testing.assert_array_equal(
-            generalized_rr(idx, 5, math.inf, rng), idx
-        )
-
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, 710.0, np.nextafter(700.0, math.inf)])
     def test_eps_zero_is_refused(self, eps):
-        # eps = 0 would be the uniform channel, which phase 1 cannot invert
-        with pytest.raises(ValueError, match="eps must be positive"):
+        # eps = 0 would be the uniform channel, which phase 1 cannot invert;
+        # above 700, e^eps comes within a factor 1e4 of overflow
+        eps = float(eps)
+        message = "positive" if not eps > 0.0 else "at most 700.0"
+        with pytest.raises(ValueError, match=re.escape(f"eps must be {message}, got {eps!r}")):
             generalized_rr(np.zeros(3, dtype=int), 5, eps, np.random.default_rng(23))
 
     def test_exact_ldp_by_enumeration(self):
@@ -254,7 +251,7 @@ class TestGeneralizedRr:
         with pytest.raises(ValueError):
             generalized_rr(5, 5, 1.0, rng)
 
-    @pytest.mark.parametrize("eps", [1.0, 50.0, math.inf])
+    @pytest.mark.parametrize("eps", [1.0, 50.0])
     def test_fractional_index_rejected(self, eps):
         index = np.zeros(40_000)
         index[30_000] = 8.5  # past the first block
@@ -263,8 +260,9 @@ class TestGeneralizedRr:
                 generalized_rr(bad, 9, eps, np.random.default_rng(0))
 
     def test_whole_float_indices_accepted(self):
-        out = generalized_rr(np.array([0.0, 8.0]), 9, math.inf, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, [0.0, 8.0])
+        out = generalized_rr(np.full(1000, 8.0), 9, 1.0, np.random.default_rng(0))
+        assert out.dtype == np.float64
+        assert set(np.unique(out)) == set(np.arange(9.0))
 
 
 class TestUnbiasednessGrid:
@@ -324,7 +322,7 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match=re.escape(f"value {bad!r} outside")):
                 sampler(x, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("eps", [1.0, math.inf])
+    @pytest.mark.parametrize("eps", [1.0])
     def test_generalized_rr_rejects_nan_index(self, eps):
         index = np.zeros(40_000)
         index[30_000] = math.nan
@@ -366,6 +364,38 @@ class TestTinyEps:
         c, _ = piecewise_params(eps)
         assert math.isfinite(c) and c > 0.0
         assert math.isfinite(duchi_conditional_variance(0.5, 1.0, eps))
+
+
+class TestGreatestEps:
+    """At eps = 700, the greatest budget, every closed form is a finite
+    float and the two-point reports still follow the input."""
+
+    EPS = 700.0
+
+    def test_closed_forms_are_finite(self):
+        xs = np.array([-1.0, 0.0, 0.9, 1.0])
+        values = [
+            laplace_variance(1.0, self.EPS),
+            *piecewise_params(self.EPS),
+            hybrid_alpha(self.EPS),
+            *duchi_conditional_variance(xs, 1.0, self.EPS),
+            *piecewise_conditional_variance(xs, self.EPS),
+            *hybrid_conditional_variance(xs, 1.0, self.EPS),
+            *piecewise_density(xs, 0.9, self.EPS),
+        ]
+        assert all(math.isfinite(v) for v in values)
+        # Duchi's support is +-beta (e + 1)/(e - 1), which rounds to beta
+        assert duchi_conditional_variance(0.9, 1.0, self.EPS) == pytest.approx(0.19)
+
+    @pytest.mark.parametrize("name", ["duchi", "hybrid"])
+    def test_unbiased(self, name):
+        # hybrid takes the piecewise branch alone here, whose window has
+        # shrunk to the input: every report is 0.9, and the mean is off by
+        # its rounding alone
+        perturb, _ = BASELINES[name]
+        draws = perturb(np.full(200_000, 0.9), 1.0, self.EPS, np.random.default_rng(41))
+        se = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.mean() - 0.9) <= 6.0 * se + 4 * math.ulp(0.9)
 
 
 def piecewise_cdf(y, x, eps):

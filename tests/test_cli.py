@@ -580,7 +580,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--eps", "nan", "eps grid must be nonempty and positive, got (nan,)"),
+            ("--eps", "nan", "eps grid (nan,): eps must be positive, got nan"),
             ("--beta", "inf", "beta must be positive and finite, got inf"),
             ("--noise-window", "0", "noise_window must be >= 4, the least with an eps-LDP "
              "table at bins=2, eps = min(eps_grid) / k = 1.0; got 0"),
@@ -670,28 +670,17 @@ class TestErrorPaths:
         assert err == f"error: sweep {message}\n"
         assert draws == []
 
-    @pytest.mark.parametrize("command", ["estimate", "variance", "multidim"])
-    def test_infinite_eps_with_a_baseline_draws_nothing(self, command, draws, capsys):
-        rc, out, err = run_cli([command, "--eps", "inf", "--runs", "1", "--n", "200"], capsys)
-        assert (rc, out) == (2, "")
-        assert err == "error: eps = inf is for adaptive alone; 'duchi' needs a finite eps\n"
-        assert draws == []
-
-    def test_infinite_eps_runs_the_adaptive_arm_alone(self, capsys):
-        # the adaptive table at eps = inf adds no noise, and needs no LP
-        argv = ["estimate", "--mechanisms", "adaptive", "--eps", "inf", "--bins", "4",
-                "--runs", "1", "--n", "200"]
+    @pytest.mark.parametrize("value", ["inf", "710"])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_eps_above_the_bound_draws_nothing(self, command, value, draws, capsys):
+        # every mechanism, the adaptive one too, spends a finite budget
+        argv = [command, "--eps", f"1,{value}", "--runs", "1", "--n", "200"]
         rc, out, err = run_cli(argv, capsys)
-        assert (rc, err) == (0, "")
-        _, rows = read_rows(out)
-        assert [row[:2] for row in rows] == [["adaptive", "inf"]]
-
-    def test_optimize_at_infinite_eps_ignores_the_baselines(self, capsys):
-        # optimize solves the adaptive table alone, so the default
-        # mechanisms' baselines do not refuse eps = inf
-        rc, out, err = run_cli(["optimize", "--eps", "inf", "--bins", "4", "--out", "-"], capsys)
-        assert rc == 0 and "passed True" in err
-        assert out.splitlines()[0] == "1.0 4 16 inf"
+        assert (rc, out) == (2, "")
+        value = float(value)
+        message = f"eps grid (1.0, {value!r}): eps must be at most 700.0, got {value!r}"
+        assert err == f"error: {message}\n"
+        assert draws == []
 
     def test_window_is_checked_at_the_budget_spent(self, draws, capsys):
         # variance and optimize run one attribute at eps = 1, where the
