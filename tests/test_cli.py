@@ -682,6 +682,23 @@ class TestErrorPaths:
         assert err == f"error: {message}\n"
         assert draws == []
 
+    @pytest.mark.parametrize("command", ["estimate", "variance", "multidim"])
+    def test_infinite_eps_with_a_baseline_draws_nothing(self, command, draws, capsys):
+        # the default mechanisms hold baselines; a lone inf is refused at the grid
+        rc, out, err = run_cli([command, "--eps", "inf", "--runs", "1", "--n", "200"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "error: eps grid (inf,): eps must be at most 700.0, got inf\n"
+        assert draws == []
+
+    def test_adaptive_alone_refuses_infinite_eps(self, draws, capsys):
+        # the adaptive arm has no eps = inf table: it refuses as the baselines do
+        argv = ["estimate", "--mechanisms", "adaptive", "--eps", "inf", "--bins", "4",
+                "--runs", "1", "--n", "200"]
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err == "error: eps grid (inf,): eps must be at most 700.0, got inf\n"
+        assert draws == []
+
     def test_window_is_checked_at_the_budget_spent(self, draws, capsys):
         # variance and optimize run one attribute at eps = 1, where the
         # window 9 has a table; multidim at k = 2 spends eps / 2 = 0.5 per

@@ -86,6 +86,18 @@ class TestCollect:
         assert counts[0] / counts.sum() == pytest.approx(0.75, abs=0.002)
         assert counts.dtype == np.int64
 
+    def test_midpoint_splits_at_infinite_eps(self):
+        # at eps = 700, the greatest budget, e^eps / (e^eps + N) rounds to
+        # 1: every index is kept, as it would be at eps = inf, and only the
+        # rounding of 0.25 between the edges 0 and 0.5 is left
+        d = make_domain(1.0, 4)
+        rng = np.random.default_rng(32)
+        counts = collect_perturbed_histogram(
+            d, np.full(1_000_000, 0.25), 700.0, rng
+        )
+        assert counts[2] / counts.sum() == pytest.approx(0.5, abs=0.002)
+        assert counts[3] / counts.sum() == pytest.approx(0.5, abs=0.002)
+
     def test_empty_data(self):
         d = make_domain(1.0, 4)
         with pytest.raises(ValueError):
