@@ -11,13 +11,20 @@ reach for some input, so eps-LDP empties it for every input: the program
 over the window is R(M - N), where R(A) is the program over the outputs
 k in [-A, N+A].
 
+The program is in units of the bin width sigma = 2 beta / N: offset j
+costs p_i j^2, and sigma^2 enters only where a variance is reported in
+data units (NoiseTable.lp_objective, analysis.row_variances).  A change of
+beta only rescales the problem and leaves its optimal table as it is, so
+the program, HiGHS's absolute tolerances on it, and the table are the same
+at every beta.
+
 build_lp assembles the program over a sorted set S of outputs k (every
 other mass 0) directly as a staircase: each kept mass is t_k + s with
 0 <= s <= expm1(eps) t_k.  Its equality duals y price every output left
-out, by weak duality.  With rho_i(j) = p_i sigma^2 j^2 - y_norm,i -
-y_mean,i j, any integer-offset eps-LDP table q whose rows have finite
-variance costs b.y + sum_k sum_i rho_i(k - i) q_ik (finite variance makes
-the sums converge absolutely, so they can be regrouped by output k).  Each
+out, by weak duality.  With rho_i(j) = p_i j^2 - y_norm,i - y_mean,i j,
+any integer-offset eps-LDP table q whose rows have finite variance costs
+b.y + sum_k sum_i rho_i(k - i) q_ik (finite variance makes the sums
+converge absolutely, so they can be regrouped by output k).  Each
 q_ik lies in [t_k, e^eps t_k], t_k = min_i q_ik, so output k adds at least
 t_k s(k), s(k) = sum_i min(rho_i, e^eps rho_i).  On the kept outputs
 s(k) >= 0 is the program's own dual feasibility; s(k) >= -tol at every
@@ -38,9 +45,9 @@ The program's constraints depend on (N, S, eps) alone, never on the pmf,
 so the optimal basis over S of one pmf is primal feasible over S for every
 other.  The last program of the latest solve at each (N, M, eps), its S,
 the program itself and its solution, is stored (at most _STORE_KEYS keys):
-the same program again reuses the solution, and any other pmf starts from
-the stored program with its own objective swapped in (_objective, which
-build_lp calls too), and from its basis.
+the same program again, at any beta, reuses the solution, and any other
+pmf starts from the stored program with its own objective swapped in
+(_objective, which build_lp calls too), and from its basis.
 A table therefore depends on its inputs and on the earlier solves at its
 key in the process; the CLI clears the store (clear_store) at the start of
 each command.
@@ -201,7 +208,7 @@ def _first_outputs(n: int, m: int, eps: float) -> np.ndarray:
     return np.unique(np.append(np.arange(-a, n + a + 1, stride), n + a))
 
 
-def build_lp(pmf: QuantizedPmf, sigma: float, ks, eps: float) -> lplib.LinearProgram:
+def build_lp(pmf: QuantizedPmf, ks, eps: float) -> lplib.LinearProgram:
     """The noise-design program over the outputs ks only (sorted integers),
     over z = (s, t): each kept mass is q[i, k - i] = t_k + s, s >= 0.
 
@@ -230,18 +237,18 @@ def build_lp(pmf: QuantizedPmf, sigma: float, ks, eps: float) -> lplib.LinearPro
         np.stack([s_col.ravel(), t_col.ravel()], -1), np.stack(upper_vals, -1)
     )
     return lplib.LinearProgram(
-        _objective(pmf, sigma, ks), A_ub=upper, b_ub=np.zeros(cells),
+        _objective(pmf, ks), A_ub=upper, b_ub=np.zeros(cells),
         A_eq=a_eq, b_eq=np.tile([1.0, 0.0], n + 1),
     )
 
 
-def _objective(pmf: QuantizedPmf, sigma: float, ks: np.ndarray) -> np.ndarray:
-    """build_lp's objective over the outputs ks: the cost p_i (sigma (k -
-    i))^2 of each s, input-major, then that of each t_k, its sum over the
-    inputs.  The constraints do not depend on the pmf, so this is all of
-    the program that does."""
+def _objective(pmf: QuantizedPmf, ks: np.ndarray) -> np.ndarray:
+    """build_lp's objective over the outputs ks: the cost p_i (k - i)^2 of
+    each s, in units of sigma^2, input-major, then that of each t_k, its
+    sum over the inputs.  The constraints do not depend on the pmf, so
+    this is all of the program that does."""
     j = ks[None, :] - np.arange(len(pmf))[:, None]
-    cost = pmf.masses[:, None] * (sigma * j) ** 2
+    cost = pmf.masses[:, None] * j**2
     return np.concatenate([cost.ravel(), cost.sum(axis=0)])
 
 
@@ -263,16 +270,17 @@ def _scatter(z: np.ndarray, n: int, m: int, ks: np.ndarray, eps: float) -> np.nd
     return q
 
 
-def _slack(masses: np.ndarray, sigma: float, y: np.ndarray, ks, eps: float) -> np.ndarray:
+def _slack(masses: np.ndarray, y: np.ndarray, ks, eps: float) -> np.ndarray:
     """s(k) = sum_i min(rho_i, e^eps rho_i) at the outputs ks, with
-    rho_i = p_i sigma^2 (k - i)^2 - y[2i] - y[2i + 1] (k - i)."""
+    rho_i = p_i (k - i)^2 - y[2i] - y[2i + 1] (k - i) in units of
+    sigma^2."""
     j = np.asarray(ks, dtype=float)[:, None] - np.arange(masses.size)
-    rho = masses * (sigma * j) ** 2 - y[0::2] - y[1::2] * j
+    rho = masses * j**2 - y[0::2] - y[1::2] * j
     return np.minimum(rho, math.exp(eps) * rho).sum(axis=1)
 
 
 def _slack_minimum(
-    masses: np.ndarray, sigma: float, y: np.ndarray, lo: int, hi: int, eps: float
+    masses: np.ndarray, y: np.ndarray, lo: int, hi: int, eps: float
 ) -> tuple[float, float]:
     """(k, s(k)) at the minimum of s over every integer k outside
     [lo, hi], found exactly at O(N^2) cost whatever eps is.
@@ -287,8 +295,8 @@ def _slack_minimum(
     one gives s = -inf.
     """
     inputs = np.arange(masses.size)
-    curv = masses * sigma * sigma  # rho_i = curv (k - i)^2 + lin (k - i) + const
-    lin, const = -y[1::2], -y[0::2]
+    # rho_i = curv (k - i)^2 + lin (k - i) + const
+    curv, lin, const = masses, -y[1::2], -y[0::2]
     with np.errstate(divide="ignore", invalid="ignore"):
         # roots of each rho_i in the stable form, h / curv and const / h;
         # const / h is the root of a linear rho_i
@@ -314,23 +322,23 @@ def _slack_minimum(
     ends = [np.floor(cuts) - 1.0, np.floor(cuts), np.ceil(cuts), np.ceil(cuts) + 1.0]
     ks = np.concatenate([near.ravel(), *ends])
     ks = np.unique(ks[np.isfinite(ks) & ((ks < lo) | (ks > hi))])
-    slack = _slack(masses, sigma, y, ks, eps)
+    slack = _slack(masses, y, ks, eps)
     best = int(slack.argmin())
     return float(ks[best]), float(slack[best])
 
 
 def _certified(
-    masses: np.ndarray, sigma: float, y: np.ndarray, objective: float, ks, eps: float
+    masses: np.ndarray, y: np.ndarray, objective: float, ks, eps: float
 ) -> bool:
     """Whether the optimum of build_lp over the outputs ks, of value
     objective and with equality duals y, is optimal among all
     integer-offset eps-LDP noise tables whose rows have finite variance,
     and so for the window program of every M.
 
-    Weak duality.  Let q be any such table, and rho_i(j) = p_i sigma^2 j^2
-    - y[2i] - y[2i + 1] j.  Each row has total mass 1 and mean 0, so
-    objective(q) = sum_i y[2i] + sum_k sum_i rho_i(k - i) q[i, k - i],
-    where finite variance makes every row's sums converge absolutely and
+    Weak duality.  Let q be any such table, and rho_i(j) = p_i j^2 - y[2i]
+    - y[2i + 1] j, in units of sigma^2 as the program is.  Each row has
+    total mass 1 and mean 0, so objective(q) = sum_i y[2i] + sum_k sum_i
+    rho_i(k - i) q[i, k - i], where finite variance makes every row's sums converge absolutely and
     so lets them be regrouped by output k.  eps-LDP puts each q[i, k - i]
     in [t_k, e^eps t_k] with t_k = min_i q[i, k - i], so
     sum_i rho_i(k - i) q[i, k - i] >= t_k s(k), s(k) = sum_i min(rho_i,
@@ -352,9 +360,9 @@ def _certified(
     ks = np.asarray(ks)
     tol = 1e-9 * max(1.0, abs(objective))
     between = np.setdiff1d(np.arange(ks[0], ks[-1] + 1), ks)
-    if between.size and _slack(masses, sigma, y, between, eps).min() < -tol:
+    if between.size and _slack(masses, y, between, eps).min() < -tol:
         return False
-    return _slack_minimum(masses, sigma, y, int(ks[0]), int(ks[-1]), eps)[1] >= -tol
+    return _slack_minimum(masses, y, int(ks[0]), int(ks[-1]), eps)[1] >= -tol
 
 
 def clear_store() -> None:
@@ -389,7 +397,7 @@ def _left_out(ks: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _solve_generated(
-    pmf: QuantizedPmf, eps: float, shape: NoiseShape, domain: QuantizedDomain
+    pmf: QuantizedPmf, eps: float, m: int
 ) -> tuple[np.ndarray, lplib.LpSolution]:
     """Solve the window's program by output generation; return the last
     program's outputs S and its solution.
@@ -404,16 +412,16 @@ def _solve_generated(
     a round that adds none is stored and ends the loop, so there are at
     most as many rounds as the window has outputs.
     """
-    n, m = domain.n_bins, shape.m
+    n = len(pmf) - 1
     key = (n, m, eps)
     stored = _store.pop(key, None)
     sol = start = None
     if stored is None:
         ks = _first_outputs(n, m, eps)
-        program = build_lp(pmf, domain.sigma, ks, eps)
+        program = build_lp(pmf, ks, eps)
     else:
         ks, program, last = stored
-        objective = _objective(pmf, domain.sigma, ks)
+        objective = _objective(pmf, ks)
         if np.array_equal(objective, program.objective):
             sol = replace(last, iterations=0, run_seconds=0.0)
         else:
@@ -426,7 +434,7 @@ def _solve_generated(
         if sol.status != "optimal":
             return ks, sol
         left_out = _left_out(ks, n, m)
-        slack = _slack(pmf.masses, domain.sigma, sol.eq_duals, left_out, eps)
+        slack = _slack(pmf.masses, sol.eq_duals, left_out, eps)
         entering = left_out[slack < -1e-9 * max(1.0, abs(sol.objective_value))]
         if entering.size == 0:
             _store[key] = (ks, program, sol)
@@ -436,7 +444,7 @@ def _solve_generated(
         wider = np.union1d(ks, entering)
         start = _extended_basis(sol.basis, ks, wider, n)
         ks, sol = wider, None
-        program = build_lp(pmf, domain.sigma, ks, eps)
+        program = build_lp(pmf, ks, eps)
 
 
 def solve_noise_table(
@@ -453,10 +461,11 @@ def solve_noise_table(
     _scatter).  The first program starts from the outputs and basis of
     the latest solve at its (N, M, eps) in this process, or reuses that
     solution outright if the program is the same; so the table depends on
-    the pmf, eps, window and domain, and on the earlier solves at that
-    key, which clear_store forgets.  A window below the least one with an
-    eps-LDP table (N + _min_half_width) is a ValueError, raised before any
-    program is built.  A solved table that fails _check_table raises
+    the pmf, eps, window and the domain's N, not on its beta, and on the
+    earlier solves at that key, which clear_store forgets.  lp_objective
+    is the program's optimum times sigma^2, in data units.  A window below
+    the least one with an eps-LDP table (N + _min_half_width) is a
+    ValueError, raised before any program is built.  A solved table that fails _check_table raises
     RuntimeError.
     """
     eps = check_eps(eps)
@@ -469,7 +478,7 @@ def solve_noise_table(
             f"no eps-LDP table fits noise window m = {m} (n_bins={n}, eps={eps}): the least"
             f" is m = n_bins + ceil(n_bins (coth(eps/2) - 1) / 2) = {least}"
         )
-    ks, sol = _solve_generated(pmf, eps, shape, domain)
+    ks, sol = _solve_generated(pmf, eps, m)
     if sol.status != "optimal":
         raise RuntimeError(
             f"noise-table LP did not solve: status={sol.status} "
@@ -478,7 +487,8 @@ def solve_noise_table(
         )
     q = _scatter(sol.x, n, m, ks, eps)
     table = NoiseTable(
-        domain=domain, shape=shape, q=q, eps=eps, lp_objective=sol.objective_value
+        domain=domain, shape=shape, q=q, eps=eps,
+        lp_objective=domain.sigma**2 * sol.objective_value,
     )
     _check_table(table, RuntimeError)
     return table

@@ -13,8 +13,9 @@ from .domain import QuantizedPmf, rounding_weights_array
 
 
 def row_variances(table: NoiseTable) -> np.ndarray:
-    """Conditional noise variance of each row of a table: q times the
-    variance (sigma j)^2 of each offset j, the LP's objective coefficients."""
+    """Conditional noise variance of each row of a table in data units: q
+    times the variance (sigma j)^2 of each offset j, sigma^2 times the LP's
+    objective coefficients j^2, which are in units of sigma^2."""
     m = table.shape.m
     return table.q @ (table.domain.sigma * np.arange(-m, m + 1)) ** 2
 
@@ -23,7 +24,7 @@ def expected_variance(table: NoiseTable, pmf: QuantizedPmf) -> float:
     """pmf-weighted conditional noise variance of a table.
 
     Evaluating this at the pmf the table was solved against reproduces its
-    lp_objective.
+    lp_objective, the LP's optimum times sigma^2.
     """
     if len(pmf) != table.domain.n_bins + 1:
         raise ValueError("pmf size does not match table")

@@ -171,11 +171,14 @@ def piecewise_params(eps: float) -> tuple[float, float]:
 
 
 def piecewise_window(x, eps: float):
-    """High-density window [l(x), r(x)] for input x in [-1, 1]."""
+    """High-density window [l(x), r(x)] for input x in [-1, 1]: its centre
+    (C + 1) x / 2 less and plus its half-width (C - 1) / 2 = 1 / (e^{eps/2}
+    - 1), so that r >= l at every eps (l + C - 1 falls below l where C - 1
+    is under half an ulp of l)."""
     c, _ = piecewise_params(eps)
-    xs = np.asarray(x, dtype=float)
-    left = (c + 1.0) / 2.0 * xs - (c - 1.0) / 2.0
-    return left, left + c - 1.0
+    centre = (c + 1.0) / 2.0 * np.asarray(x, dtype=float)
+    half = 1.0 / math.expm1(eps / 2.0)
+    return centre - half, centre + half
 
 
 def piecewise_density(y, x: float, eps: float):
@@ -199,8 +202,8 @@ def _piecewise_block(xb, c: float, h: float, u, out) -> None:
     holds mass m_lo = (l + C)/k, the window [l, r] holds w = h/(h + 1) and
     [r, C] the rest.  u < m_lo gives u k - C, u < m_lo + w gives
     l + (u - m_lo)(C - 1)/w, and any other u gives u k - (w k + 1).  l is
-    piecewise_window's left end, by its operations, so no value's bits
-    depend on the block."""
+    (C + 1)/2 x - (C - 1)/2 by the same operations in every block, so no
+    value's bits depend on the block."""
     k = (h + 1.0) * (c + 1.0)
     w = h / (h + 1.0)
     left = (c + 1.0) / 2.0 * xb

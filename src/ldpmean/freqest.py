@@ -24,7 +24,8 @@ def collect_perturbed_histogram(
 ) -> np.ndarray:
     """Randomized-round every sample to an edge, perturb the index with
     randomized response, and return the int64 count of each of the N+1
-    reported indices."""
+    reported indices.  A refused eps draws nothing."""
+    eps = check_eps(eps)
     xs = np.atleast_1d(np.asarray(data, dtype=float))
     if xs.size == 0:
         raise ValueError("data must be nonempty")

@@ -181,7 +181,7 @@ def test_criterion_04_unbiasedness(capsys, domain8, solved_tables):
     assert ok
 
 
-def test_criterion_05_window_free_optimality(capsys, domain8, suite_pmfs):
+def test_criterion_05_window_free_optimality(capsys, suite_pmfs):
     """Certified tables against wider and narrower programs, 5 pmfs x 4 eps.
 
     Each table of the suite (N=8, M=32) is solved over the outputs S that
@@ -192,22 +192,21 @@ def test_criterion_05_window_free_optimality(capsys, domain8, suite_pmfs):
     A'' in [A_min, A), must cost at least as much, or be infeasible; both
     to the certificate's tolerance 1e-9 max(1, |objective|).
     """
-    shape = NoiseShape(m=32)
     worst_gain, least_excess, programs = 0.0, math.inf, 0
     for name, pmf in suite_pmfs.items():
         for eps in EPS_GRID:
-            ks, sol = _solve_generated(pmf, eps, shape, domain8)
+            ks, sol = _solve_generated(pmf, eps, 32)
             a = max(-int(ks[0]), int(ks[-1]) - 8)
             value = sol.objective_value
             tol = 1e-9 * max(1.0, abs(value))
-            assert _certified(pmf.masses, domain8.sigma, sol.eq_duals, value, ks, eps), (
+            assert _certified(pmf.masses, sol.eq_duals, value, ks, eps), (
                 name, eps, a,
             )
-            wider = lp_solve(build_lp(pmf, domain8.sigma, span(8, 2 * a + 8), eps))
+            wider = lp_solve(build_lp(pmf, span(8, 2 * a + 8), eps))
             assert wider.status == "optimal"
             worst_gain = max(worst_gain, (value - wider.objective_value) / tol)
             for narrow in range(_min_half_width(8, eps), a):
-                window = lp_solve(build_lp(pmf, domain8.sigma, span(8, narrow), eps))
+                window = lp_solve(build_lp(pmf, span(8, narrow), eps))
                 programs += 1
                 if window.status == "infeasible":
                     continue

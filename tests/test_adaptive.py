@@ -125,7 +125,7 @@ def point_table(eps=1.0):
     [
         point_table,
         lambda eps: verify_privacy(point_table(), eps),
-        lambda eps: build_lp(SYM2, D2.sigma, span(2, 2), eps),
+        lambda eps: build_lp(SYM2, span(2, 2), eps),
         lambda eps: solve_noise_table(SYM2, eps, SHAPE2, D2),
         lambda eps: reconstruct_pmf(np.array([3, 4, 3]), eps),
         lambda eps: run_protocol(np.zeros(10), eps, 0.5, SHAPE2, D2, np.random.default_rng(0)),
@@ -160,7 +160,7 @@ class TestNoiseMass:
             assert masses.sum() == pytest.approx(table.q[i].sum(), rel=1e-15)
 
 
-def row_by_row_lp(pmf, sigma, ks, eps):
+def row_by_row_lp(pmf, ks, eps):
     """Reference construction of the program over the outputs ks, one dense
     row at a time, in build_lp's row and column order: (objective, A_eq,
     A_ub).  Cell (i, k) holds q = t_k + s_ik; its column s_ik comes
@@ -174,7 +174,7 @@ def row_by_row_lp(pmf, sigma, ks, eps):
         norm, mean = np.zeros(n_vars), np.zeros(n_vars)
         for c, k in enumerate(ks):
             s, t, j = i * len(ks) + c, cells + c, k - i
-            objective[s] = pmf.masses[i] * (sigma * j) ** 2
+            objective[s] = pmf.masses[i] * j**2
             norm[s] = norm[t] = 1.0
             mean[s] = mean[t] = float(j)
             upper = np.zeros(n_vars)
@@ -191,10 +191,9 @@ class TestBuildLp:
     def test_matches_row_by_row_reference(self, eps):
         # at eps = 700 the upper rows' s coefficient 1 / expm1(eps) is
         # about 1e-304, still a normal float
-        d3 = make_domain(1.0, 3)
         pmf = QuantizedPmf(masses=np.array([0.1, 0.2, 0.3, 0.4]))
-        prog = build_lp(pmf, d3.sigma, span(3, 2), eps)
-        objective, eq, ub = row_by_row_lp(pmf, d3.sigma, span(3, 2), eps)
+        prog = build_lp(pmf, span(3, 2), eps)
+        objective, eq, ub = row_by_row_lp(pmf, span(3, 2), eps)
         np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
         (a_eq, b_eq), (a_ub, b_ub) = rows_of(prog, EQUAL), rows_of(prog, LESS_EQUAL)
         np.testing.assert_array_equal(a_eq.toarray(), eq)
@@ -204,10 +203,9 @@ class TestBuildLp:
 
     @pytest.mark.parametrize("ks", [[-5, -2, 0, 1, 3, 7], [2], [-1, 4]])
     def test_outputs_with_gaps_match_row_by_row_reference(self, ks):
-        d3 = make_domain(1.0, 3)
         pmf = QuantizedPmf(masses=np.array([0.1, 0.2, 0.3, 0.4]))
-        prog = build_lp(pmf, d3.sigma, np.array(ks), 2.0)
-        objective, eq, ub = row_by_row_lp(pmf, d3.sigma, ks, 2.0)
+        prog = build_lp(pmf, np.array(ks), 2.0)
+        objective, eq, ub = row_by_row_lp(pmf, ks, 2.0)
         np.testing.assert_allclose(prog.objective, objective, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(rows_of(prog, EQUAL)[0].toarray(), eq)
         np.testing.assert_array_equal(rows_of(prog, LESS_EQUAL)[0].toarray(), ub)
@@ -215,12 +213,11 @@ class TestBuildLp:
     @pytest.mark.parametrize("ks", [[], [0, 2, 1], [1, 1, 2], [[0, 1]]])
     def test_outputs_must_increase(self, ks):
         with pytest.raises(ValueError, match="increasing"):
-            build_lp(SYM2, D2.sigma, np.array(ks, dtype=int), 1.0)
+            build_lp(SYM2, np.array(ks, dtype=int), 1.0)
 
     def test_variable_count(self):
-        d4 = make_domain(1.0, 4)
         pmf = QuantizedPmf(masses=np.full(5, 0.2))
-        prog = build_lp(pmf, d4.sigma, span(4, 4), 1.0)
+        prog = build_lp(pmf, span(4, 4), 1.0)
         assert prog.num_vars == 5 * 13 + 13  # 65 cells s + 13 outputs t
 
     # build_lp sizes its program from the pmf and the outputs alone; the window and the pmf are
@@ -283,8 +280,8 @@ class TestSolveNoiseTable:
         domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
         a_min = math.ceil(n * (1.0 / math.tanh(eps / 2.0) - 1.0) / 2.0)
-        assert lp_solve(build_lp(pmf, domain.sigma, span(n, a_min - 1), eps)).status == "infeasible"
-        assert lp_solve(build_lp(pmf, domain.sigma, span(n, a_min), eps)).status == "optimal"
+        assert lp_solve(build_lp(pmf, span(n, a_min - 1), eps)).status == "infeasible"
+        assert lp_solve(build_lp(pmf, span(n, a_min), eps)).status == "optimal"
         with pytest.raises(ValueError, match=f" = {n + a_min}$"):
             solve_noise_table(pmf, eps, NoiseShape(m=n + a_min - 1), domain)
         table = solve_noise_table(pmf, eps, NoiseShape(m=n + a_min), domain)
@@ -323,7 +320,7 @@ class TestSolveNoiseTable:
         table = assert_matches_whole_program(pmf, 2.0, NoiseShape(m=22), d16)
         assert len(outputs) >= 2 and all(ks[0] >= -6 and ks[-1] <= 22 for ks in outputs)
         ks, _, sol = adaptive._store[(16, 22, 2.0)]
-        assert not certified(pmf, d16, sol, ks, 2.0)
+        assert not certified(pmf, sol, ks, 2.0)
         assert verify_privacy(table, 2.0).passed
 
     @pytest.mark.parametrize("m", [36, 40])
@@ -353,15 +350,15 @@ def assert_matches_whole_program(pmf, eps, shape, domain):
     the certificate's tolerance 1e-9 max(1, |objective|)."""
     table = solve_noise_table(pmf, eps, shape, domain)
     n = domain.n_bins
-    whole = lp_solve(build_lp(pmf, domain.sigma, span(n, shape.m - n), eps))
+    whole = lp_solve(build_lp(pmf, span(n, shape.m - n), eps))
     assert whole.status == "optimal"
-    gap = abs(table.lp_objective - whole.objective_value)
-    assert gap <= 1e-9 * max(1.0, abs(table.lp_objective))
+    gap = abs(table.lp_objective / domain.sigma**2 - whole.objective_value)
+    assert gap <= 1e-9 * max(1.0, abs(whole.objective_value))
     return table
 
 
-def certified(pmf, domain, sol, ks, eps):
-    return _certified(pmf.masses, domain.sigma, sol.eq_duals, sol.objective_value, ks, eps)
+def certified(pmf, sol, ks, eps):
+    return _certified(pmf.masses, sol.eq_duals, sol.objective_value, ks, eps)
 
 
 def whole_point(z, n, ks, wide):
@@ -382,9 +379,9 @@ def recording_builds(monkeypatch):
     outputs = []
     build = adaptive.build_lp
 
-    def record(pmf, sigma, ks, eps):
+    def record(pmf, ks, eps):
         outputs.append(np.asarray(ks))
-        return build(pmf, sigma, ks, eps)
+        return build(pmf, ks, eps)
 
     monkeypatch.setattr(adaptive, "build_lp", record)
     return outputs
@@ -419,10 +416,10 @@ class TestRestrictedSolve:
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
         table = solve_noise_table(pmf, eps, NoiseShape(m=4 * n), domain)
         ks, program, sol = adaptive._store[(n, 4 * n, eps)]
-        assert certified(pmf, domain, sol, ks, eps)
+        assert certified(pmf, sol, ks, eps)
         tol = 1e-9 * max(1.0, abs(sol.objective_value))
         assert abs(program.objective @ sol.x - sol.eq_duals[0::2].sum()) <= tol
-        assert table.lp_objective == sol.objective_value
+        assert table.lp_objective == domain.sigma**2 * sol.objective_value
 
     @pytest.mark.parametrize("eps", [1.0, 2.0])
     def test_estimated_pmf_with_zero_cells(self, eps):
@@ -438,14 +435,14 @@ class TestRestrictedSolve:
         # optimum, which reaches offsets +-33
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        whole = lp_solve(build_lp(pmf, d16.sigma, span(16, 48), 0.5))
-        short = lp_solve(build_lp(pmf, d16.sigma, span(16, 27), 0.5))
+        whole = lp_solve(build_lp(pmf, span(16, 48), 0.5))
+        short = lp_solve(build_lp(pmf, span(16, 27), 0.5))
         assert short.status == "optimal"
         assert short.objective_value > whole.objective_value + 0.1
-        assert not certified(pmf, d16, short, span(16, 27), 0.5)
-        wide = lp_solve(build_lp(pmf, d16.sigma, span(16, 40), 0.5))
+        assert not certified(pmf, short, span(16, 27), 0.5)
+        wide = lp_solve(build_lp(pmf, span(16, 40), 0.5))
         assert wide.objective_value == pytest.approx(whole.objective_value, rel=1e-9)
-        assert certified(pmf, d16, wide, span(16, 40), 0.5)
+        assert certified(pmf, wide, span(16, 40), 0.5)
 
     @pytest.mark.parametrize(
         "name, n, eps",
@@ -457,9 +454,9 @@ class TestRestrictedSolve:
         # every round's optimum is a feasible start for the next
         domain = make_domain(1.0, n)
         pmf = true_pmf(DESIGN_PMFS[name], domain)
-        program = build_lp(pmf, domain.sigma, span(n, 3 * n), eps)
+        program = build_lp(pmf, span(n, 3 * n), eps)
         ks = _first_outputs(n, 4 * n, eps)
-        sol = lp_solve(build_lp(pmf, domain.sigma, ks, eps))
+        sol = lp_solve(build_lp(pmf, ks, eps))
         assert sol.status == "optimal"
         x = whole_point(sol.x, n, ks, span(n, 3 * n))
         a_eq, b_eq = rows_of(program, EQUAL)
@@ -473,11 +470,10 @@ class TestRestrictedSolve:
         # the program over every other output of [-A, N+A] has the
         # objective and equality rows of the window program R(A + 2)
         # composed with the embedding x = T z
-        domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.arange(1.0, n + 2) / ((n + 1) * (n + 2) / 2))
-        program = build_lp(pmf, domain.sigma, span(n, a + 2), eps)
+        program = build_lp(pmf, span(n, a + 2), eps)
         ks = span(n, a)[::2]
-        sub = build_lp(pmf, domain.sigma, ks, eps)
+        sub = build_lp(pmf, ks, eps)
         embed = np.column_stack(
             [whole_point(z, n, ks, span(n, a + 2)) for z in np.eye(sub.num_vars)]
         )
@@ -488,9 +484,8 @@ class TestRestrictedSolve:
 
     @pytest.mark.parametrize("n, m, a", [(16, 64, 40), (4, 16, 3), (8, 32, 0), (4, 7, 3)])
     def test_one_tube_row_per_kept_cell(self, n, m, a):
-        domain = make_domain(1.0, n)
         pmf = QuantizedPmf(masses=np.full(n + 1, 1.0 / (n + 1)))
-        sub = build_lp(pmf, domain.sigma, span(n, a), 1.0)
+        sub = build_lp(pmf, span(n, a), 1.0)
         cells = (n + 1) * (n + 2 * a + 1)
         upper = rows_of(sub, LESS_EQUAL)[0]
         assert upper.shape[0] == cells
@@ -511,7 +506,7 @@ class TestRestrictedSolve:
         table = assert_matches_whole_program(pmf, 0.5, NoiseShape(m=24), d8)
         assert (outputs[0][0], outputs[0][-1]) == (-16, 24)
         ks, _, sol = adaptive._store[(8, 24, 0.5)]
-        assert not certified(pmf, d8, sol, ks, 0.5)
+        assert not certified(pmf, sol, ks, 0.5)
         assert np.max(table.q[:, [0, -1]]) > 0.1
         assert verify_privacy(table, 0.5).passed
         wider = solve_noise_table(pmf, 0.5, NoiseShape(m=64), d8)
@@ -522,9 +517,8 @@ def certified_solve(pmf, eps, domain):
     """Output generation in a window wide enough to hold the optimum: the
     last round's solution, certified, and its outputs S."""
     n = domain.n_bins
-    shape = NoiseShape(m=n + 3 * _first_half_width(n, eps))
-    ks, sol = adaptive._solve_generated(pmf, eps, shape, domain)
-    assert sol.status == "optimal" and certified(pmf, domain, sol, ks, eps)
+    ks, sol = adaptive._solve_generated(pmf, eps, n + 3 * _first_half_width(n, eps))
+    assert sol.status == "optimal" and certified(pmf, sol, ks, eps)
     return sol, ks
 
 
@@ -558,10 +552,10 @@ class TestCertificate:
         lo, hi = int(ks[0]), int(ks[-1])
         y = sol.eq_duals
         tol = 1e-9 * max(1.0, abs(sol.objective_value))
-        k, s_min = _slack_minimum(pmf.masses, domain.sigma, y, lo, hi, eps)
+        k, s_min = _slack_minimum(pmf.masses, y, lo, hi, eps)
         beyond = np.arange(-20 * n, 21 * n + 1)
         beyond = beyond[(beyond < lo) | (beyond > hi)]
-        brute = _slack(pmf.masses, domain.sigma, y, beyond, eps)
+        brute = _slack(pmf.masses, y, beyond, eps)
         assert -20 * n <= k <= 21 * n and not lo <= k <= hi
         assert s_min == pytest.approx(brute.min(), rel=1e-12, abs=1e-15)
         assert min(s_min, brute.min()) >= -tol
@@ -580,7 +574,7 @@ class TestCertificate:
         else:
             pmf = true_pmf(DESIGN_PMFS[name], domain)
         sol, ks = certified_solve(pmf, eps, domain)
-        kept = _slack(pmf.masses, domain.sigma, sol.eq_duals, ks, eps)
+        kept = _slack(pmf.masses, sol.eq_duals, ks, eps)
         scale = (n + 1) * math.exp(eps) * 1e-10 * max(1.0, abs(sol.objective_value))
         assert kept.min() >= -scale
 
@@ -591,9 +585,8 @@ class TestCertificate:
         # k0 - 10 and k0 + 10 with its vertex at k0 + 40 / (e + 4) = k0 + 5.95,
         # set to dip below 0 at k0 + 6 only, 50 N past the domain
         n, k0, dip, eps = 4, 1000, 1e-6, 1.0
-        domain = make_domain(1.0, n)
-        masses = np.full(n + 1, 1.0 / (n + 1))
-        curv = masses * domain.sigma**2
+        # rho_i's curvature is p_i; the certificate does not need the p_i to sum to 1
+        curv = masses = np.full(n + 1, 0.05)
         center = np.full(n + 1, k0 + 10.0)
         center[0] = k0
         e_ = (math.e * (5.0 - curv[0] * 36.0) - n * curv[1] * 16.0 - dip) / n
@@ -604,12 +597,12 @@ class TestCertificate:
         y[0::2] = -curv * lead**2 - shift
         y[1::2] = 2.0 * curv * lead
         ks = np.arange(-20 * n, 21 * n + 1)
-        assert _slack(masses, domain.sigma, y, ks, eps).min() > 0.0
-        assert _slack(masses, domain.sigma, y, [k0 + 5, k0 + 7], eps).min() > 0.0
-        k, s_min = _slack_minimum(masses, domain.sigma, y, -4, n + 4, eps)
+        assert _slack(masses, y, ks, eps).min() > 0.0
+        assert _slack(masses, y, [k0 + 5, k0 + 7], eps).min() > 0.0
+        k, s_min = _slack_minimum(masses, y, -4, n + 4, eps)
         assert k == k0 + 6
         assert s_min == pytest.approx(-dip, rel=1e-3)
-        assert not _certified(masses, domain.sigma, y, 1.0, span(n, 4), eps)
+        assert not _certified(masses, y, 1.0, span(n, 4), eps)
 
     def test_gap_inside_the_outputs_is_priced(self):
         # an output left out between kept ones is checked exactly: the
@@ -617,27 +610,27 @@ class TestCertificate:
         # certified, though every output beyond them prices >= 0
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
-        full = lp_solve(build_lp(pmf, d16.sigma, span(16, 40), 0.5))
-        assert certified(pmf, d16, full, span(16, 40), 0.5)
+        full = lp_solve(build_lp(pmf, span(16, 40), 0.5))
+        assert certified(pmf, full, span(16, 40), 0.5)
         loaded = int(np.argmax(full.x[-span(16, 40).size :])) - 40
         ks = np.setdiff1d(span(16, 40), [loaded])
-        holed = lp_solve(build_lp(pmf, d16.sigma, ks, 0.5))
+        holed = lp_solve(build_lp(pmf, ks, 0.5))
         assert holed.objective_value > full.objective_value
         y = holed.eq_duals
-        assert _slack_minimum(pmf.masses, d16.sigma, y, -40, 56, 0.5)[1] >= -1e-9
-        assert _slack(pmf.masses, d16.sigma, y, [loaded], 0.5)[0] < -1e-9
-        assert not certified(pmf, d16, holed, ks, 0.5)
+        assert _slack_minimum(pmf.masses, y, -40, 56, 0.5)[1] >= -1e-9
+        assert _slack(pmf.masses, y, [loaded], 0.5)[0] < -1e-9
+        assert not certified(pmf, holed, ks, 0.5)
 
     def test_memory_at_large_eps(self):
         # a bound enumerated up to an analytic limit grows with e^eps
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d16)
         ks = span(16, _first_half_width(16, 20.0))
-        sol = lp_solve(build_lp(pmf, d16.sigma, ks, 20.0))
+        sol = lp_solve(build_lp(pmf, ks, 20.0))
         assert sol.status == "optimal"
         tracemalloc.start()
         try:
-            ok = certified(pmf, d16, sol, ks, 20.0)
+            ok = certified(pmf, sol, ks, 20.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -703,7 +696,7 @@ class TestGeneration:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0, 8.0])
     @pytest.mark.parametrize("name", sorted(DESIGN_PMFS))
     def test_design_cells_match_the_reference(self, name, eps):
-        # the benchmark's reference objectives to 1e-9, and no higher than
+        # the benchmark's reference objectives to 1e-11, and no higher than
         # the window's whole program, R(M - N), solved at once
         cells = json.loads(REFERENCE_OBJECTIVES.read_text())["cells"]
         (reference,) = [
@@ -712,9 +705,10 @@ class TestGeneration:
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(DESIGN_PMFS[name], d16)
         table = solve_noise_table(pmf, eps, NoiseShape(m=64), d16)
-        whole = lp_solve(build_lp(pmf, d16.sigma, span(16, 48), eps))
-        assert table.lp_objective == pytest.approx(reference, rel=1e-9, abs=0.0)
-        assert table.lp_objective <= whole.objective_value + 1e-9 * abs(whole.objective_value)
+        whole = lp_solve(build_lp(pmf, span(16, 48), eps))
+        value = d16.sigma**2 * whole.objective_value
+        assert table.lp_objective == pytest.approx(reference, rel=1e-11, abs=0.0)
+        assert table.lp_objective <= value + 1e-9 * abs(value)
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("n", [8, 16, 32])
@@ -731,7 +725,7 @@ class TestGeneration:
         window = np.arange(n - m, m + 1)
         left_out = window[~np.isin(window, ks)]
         tol = 1e-9 * max(1.0, abs(sol.objective_value))
-        assert np.all(_slack(pmf.masses, domain.sigma, sol.eq_duals, left_out, eps) >= -tol)
+        assert np.all(_slack(pmf.masses, sol.eq_duals, left_out, eps) >= -tol)
         assert len(calls) == len(outputs) and calls[0][1] is None
         assert all(start is not None and made.status == "optimal" for _, start, made in calls[1:])
 
@@ -755,7 +749,7 @@ class TestGeneration:
         d16 = make_domain(1.0, 16)
         pmf = true_pmf(DESIGN_PMFS["gaussian"], d16)
         ks, wide = _first_outputs(16, 64, 1.0), span(16, 30)
-        sol = lp_solve(build_lp(pmf, d16.sigma, ks, 1.0))
+        sol = lp_solve(build_lp(pmf, ks, 1.0))
         start = adaptive._extended_basis(sol.basis, ks, wide, 16)
         cells, kept_cells = 17 * wide.size, 17 * ks.size
         kept = (np.arange(17)[:, None] * wide.size + np.searchsorted(wide, ks)).ravel()
@@ -765,7 +759,7 @@ class TestGeneration:
         assert row[cells:].tolist() == sol.basis.row_status[kept_cells:]
         basic = lplib.HighsBasisStatus.kBasic
         assert sum(v == basic for v in col) + sum(v == basic for v in row) == row.size
-        program = build_lp(pmf, d16.sigma, wide, 1.0)
+        program = build_lp(pmf, wide, 1.0)
         warm, cold = lp_solve(program, start), lp_solve(program)
         assert warm.status == cold.status == "optimal"
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=0.0)
@@ -795,7 +789,7 @@ class TestStore:
         assert warm_calls[0][1] is not None and calls[0][1] is None
         assert warm.lp_objective == pytest.approx(cold.lp_objective, rel=1e-12, abs=0.0)
         for table, (ks, _, sol) in ((warm, warm_last), (cold, adaptive._store[key])):
-            assert certified(again, domain, sol, ks, eps)
+            assert certified(again, sol, ks, eps)
             assert verify_privacy(table, eps).passed
         iterations = [sum(sol.iterations for _, _, sol in made) for made in (warm_calls, calls)]
         assert iterations[0] < iterations[1]
@@ -813,7 +807,7 @@ class TestStore:
         ks, stored, _ = adaptive._store[key]
         calls = recording_solve(monkeypatch)
         solve_noise_table(again, eps, shape, domain)
-        program, built = calls[0][0], build_lp(again, domain.sigma, ks, eps)
+        program, built = calls[0][0], build_lp(again, ks, eps)
         assert program.objective.tobytes() == built.objective.tobytes()
         for got, want in zip((*program.rows, program.row_lower, program.row_upper),
                              (*built.rows, built.row_lower, built.row_upper)):
@@ -834,6 +828,17 @@ class TestStore:
         reused = adaptive._store[(16, 64, 1.0)][2]
         assert reused.iterations == 0 and reused.run_seconds == 0.0
 
+    def test_another_beta_reuses_the_solution(self, monkeypatch):
+        # the program is in units of sigma, so a domain of another
+        # half-width beta has the same program, and its table the same q
+        pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.3), make_domain(1.0, 16))
+        small = solve_noise_table(pmf, 1.0, NoiseShape(m=64), make_domain(1e-6, 16))
+        calls = recording_solve(monkeypatch)
+        large = solve_noise_table(pmf, 1.0, NoiseShape(m=64), make_domain(1e6, 16))
+        assert calls == [] and adaptive._store[(16, 64, 1.0)][2].iterations == 0
+        assert large.q.tobytes() == small.q.tobytes()
+        assert large.lp_objective == pytest.approx(1e24 * small.lp_objective, rel=1e-12)
+
     def test_nonoptimal_start_is_solved_once_more_from_cold(self, monkeypatch):
         # a start that ends anywhere but optimal, the stored basis or a
         # round's extended one, costs one more HiGHS call on the same
@@ -853,7 +858,7 @@ class TestStore:
         table = solve_noise_table(again, 1.0, NoiseShape(m=32), d8)
         assert [start is None for _, start, _ in calls] == [False, True] * (len(calls) // 2)
         assert all(calls[i][0] is calls[i + 1][0] for i in range(0, len(calls), 2))
-        assert table.lp_objective == calls[-1][2].objective_value
+        assert table.lp_objective == d8.sigma**2 * calls[-1][2].objective_value
         adaptive.clear_store()
         cold = solve_noise_table(again, 1.0, NoiseShape(m=32), d8)
         assert table.lp_objective == pytest.approx(cold.lp_objective, rel=1e-12, abs=0.0)
@@ -966,12 +971,12 @@ def test_restricted_solve_matches_whole_program(n, eps, extra, seed):
     table = solve_noise_table(pmf, eps, shape, domain)
     ks, _, sol = adaptive._store[(n, shape.m, eps)]
     a = max(-int(ks[0]), int(ks[-1]) - n)
-    assert a < shape.m - n and certified(pmf, domain, sol, ks, eps)
-    assert table.lp_objective == sol.objective_value
-    wider = lp_solve(build_lp(pmf, domain.sigma, span(n, 2 * a + n), eps))
+    assert a < shape.m - n and certified(pmf, sol, ks, eps)
+    assert table.lp_objective == domain.sigma**2 * sol.objective_value
+    wider = lp_solve(build_lp(pmf, span(n, 2 * a + n), eps))
     assert wider.status == "optimal"
-    gap = abs(table.lp_objective - wider.objective_value)
-    assert gap <= 1e-9 * max(1.0, abs(table.lp_objective))
+    gap = abs(sol.objective_value - wider.objective_value)
+    assert gap <= 1e-9 * max(1.0, abs(sol.objective_value))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1130,7 +1135,7 @@ class TestVectorizedVerification:
 class TestColumnWeights:
     """The LP, the row checks, the sampler and the variance read one law:
     column c of q is the offset j = c - M, and a unit of it carries mass 1,
-    mean j and variance (sigma j)^2, bit for bit."""
+    mean j and variance j^2 in units of sigma^2, bit for bit."""
 
     N, M, EPS = 8, 24, 0.5  # the window program is solved, its edges loaded
 
@@ -1149,9 +1154,9 @@ class TestColumnWeights:
         assert masses == [0.0, 0.25, 0.0, 0.5, 0.0, 0.25, 0.0]
 
     def test_lp_rows_and_objective(self, design):
-        pmf, domain, _ = design
+        pmf, _, _ = design
         a = self.M - self.N
-        program = build_lp(pmf, domain.sigma, span(self.N, a), self.EPS)
+        program = build_lp(pmf, span(self.N, a), self.EPS)
         a_eq = rows_of(program, EQUAL)[0].toarray()
         width = self.N + 2 * a + 1
         for i in range(self.N + 1):
@@ -1160,13 +1165,13 @@ class TestColumnWeights:
             np.testing.assert_array_equal(a_eq[2 * i, block], np.ones(width))
             np.testing.assert_array_equal(a_eq[2 * i + 1, block], j)
             np.testing.assert_array_equal(
-                program.objective[block], pmf.masses[i] * (domain.sigma * j) ** 2
+                program.objective[block], pmf.masses[i] * j**2
             )
 
     def test_variance_reads_the_objective_coefficients(self, design):
         pmf, domain, table = design
-        cost = (domain.sigma * np.arange(-self.M, self.M + 1)) ** 2
-        np.testing.assert_array_equal(row_variances(table), table.q @ cost)
+        cost = np.arange(-self.M, self.M + 1) ** 2
+        np.testing.assert_array_equal(row_variances(table), domain.sigma**2 * (table.q @ cost))
         assert expected_variance(table, pmf) == pytest.approx(table.lp_objective, rel=1e-9)
 
     def test_sampler_weights_rows_by_the_lp_norm(self, design, monkeypatch):

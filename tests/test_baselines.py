@@ -150,6 +150,14 @@ class TestPiecewise:
             )
             assert inside / outside == pytest.approx(math.exp(eps), rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [73.0, 74.0, 100.0, 700.0])
+    def test_window_holds_its_input_at_large_eps(self, eps):
+        # C - 1 falls below an ulp of x here; the window still holds x
+        _, p = piecewise_params(eps)
+        lo, hi = piecewise_window(0.9, eps)
+        assert lo <= 0.9 <= hi
+        assert piecewise_density([0.9], 0.9, eps)[0] == p
+
     def test_in_window_probability(self):
         # mass inside [l, r] is e^{eps/2}/(e^{eps/2}+1)
         eps = 1.0

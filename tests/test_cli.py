@@ -515,6 +515,60 @@ class TestOptimizeCommand:
         assert verify_privacy(table, 1.0).passed
 
 
+def recording_tables(monkeypatch):
+    """Route every solve_noise_table of the commands through a recorder;
+    returns the list of the tables it solves."""
+    tables = []
+    solve = adaptive.solve_noise_table
+
+    def record(*args):
+        tables.append(solve(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(adaptive, "solve_noise_table", record)
+    monkeypatch.setattr(cli, "solve_noise_table", record)
+    return tables
+
+
+class TestBeta:
+    """The design is solved in units of sigma = 2 beta / N, so beta only
+    scales a table's variance, and no beta is too large or too small."""
+
+    @staticmethod
+    def adaptive_variances(beta, capsys):
+        rc, out, _ = run_cli(["variance", "--dataset", "uniform", "--mechanisms", "adaptive",
+                              "--beta", repr(beta)], capsys)
+        assert rc == 0
+        return np.array([float(r[2]) for r in read_rows(out)[1]])
+
+    @pytest.mark.parametrize("beta", [2.0**-20, 1e-6, 1e6])
+    def test_variance_scales_as_beta_squared(self, beta, capsys):
+        # the uniform law on [-beta, beta] has no scale of its own
+        unit = self.adaptive_variances(1.0, capsys)
+        np.testing.assert_allclose(
+            self.adaptive_variances(beta, capsys), beta**2 * unit, rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--bins", "33", "--eps", "0.5,12", "--beta", "1e6", "--runs", "1"],
+            ["variance", "--bins", "16", "--eps", "1,40", "--noise-window", "200",
+             "--beta", "1e6", "--dataset", "uniform"],
+            ["optimize", "--bins", "5", "--eps", "20,0.001", "--beta", "1e-6",
+             "--dataset", "beta:a=1e-3,b=1e-3", "--out", "-"],
+        ],
+        ids=["estimate-beta-1e6", "variance-beta-1e6", "optimize-beta-1e-6"],
+    )
+    def test_extreme_beta_solves(self, argv, monkeypatch, capsys):
+        tables = recording_tables(monkeypatch)
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 0, err
+        assert tables
+        for table in tables:
+            assert verify_privacy(table, table.eps).passed
+
+
 class TestErrorPaths:
     def test_unknown_mechanism(self, capsys):
         rc, out, err = run_cli(

@@ -103,6 +103,14 @@ class TestCollect:
         with pytest.raises(ValueError):
             collect_perturbed_histogram(d, [], 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 710.0, math.inf, math.nan])
+    def test_refused_eps_draws_nothing(self, eps):
+        rng = np.random.default_rng(33)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="eps must be"):
+            collect_perturbed_histogram(make_domain(1.0, 4), np.zeros(10), eps, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestReconstruct:
     def test_noiseless_round_trip(self):

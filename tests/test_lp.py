@@ -477,8 +477,8 @@ class TestSolveRecord:
     def test_counts_equal_the_program_shapes(self):
         d8 = make_domain(1.0, 8)
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), d8)
-        restricted = build_lp(pmf, d8.sigma, span(8, _first_half_width(8, 1.0)), 1.0)
-        window = build_lp(pmf, d8.sigma, span(8, 32 - 8), 1.0)  # the window program at M=32
+        restricted = build_lp(pmf, span(8, _first_half_width(8, 1.0)), 1.0)
+        window = build_lp(pmf, span(8, 32 - 8), 1.0)  # the window program at M=32
         unconstrained = LinearProgram([1.0, 2.0, 0.0])
         for program in (restricted, window, unconstrained):
             blocks = [rows_of(program, sense)[0] for sense in (LESS_EQUAL, EQUAL)]
@@ -527,16 +527,16 @@ def golden_programs():
         pmf = true_pmf(dist, d16)
         for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
             a = _first_half_width(16, eps)
-            yield f"{name}-n16-eps{eps}", build_lp(pmf, d16.sigma, span(16, a), eps)
+            yield f"{name}-n16-eps{eps}", build_lp(pmf, span(16, a), eps)
     for n in (8, 16):
         a = _first_half_width(n, 1.0)
-        yield f"rr-n{n}", build_lp(rr_pmf(n, 1.0, 5), make_domain(1.0, n).sigma, span(n, a), 1.0)
+        yield f"rr-n{n}", build_lp(rr_pmf(n, 1.0, 5), span(n, a), 1.0)
     for n, m, eps in ((4, 16, 1.0), (8, 24, 0.5)):
         domain = make_domain(1.0, n)
-        program = build_lp(true_pmf(dists["gaussian"], domain), domain.sigma, span(n, m - n), eps)
+        program = build_lp(true_pmf(dists["gaussian"], domain), span(n, m - n), eps)
         yield f"window-n{n}-m{m}", program
     pmf = true_pmf(dists["gaussian"], d16)
-    yield "grid-n16-eps1.0", build_lp(pmf, d16.sigma, _first_outputs(16, 64, 1.0), 1.0)
+    yield "grid-n16-eps1.0", build_lp(pmf, _first_outputs(16, 64, 1.0), 1.0)
 
 
 GOLDEN = list(golden_programs())
@@ -567,7 +567,7 @@ def model_programs():
         pmf = true_pmf(TruncatedGaussian(mu=0.0, sd=0.1), domain)
         for eps in (0.5, 2.0, 8.0):
             a = _first_half_width(n, eps)
-            yield f"build-n{n}-eps{eps}", build_lp(pmf, domain.sigma, span(n, a), eps)
+            yield f"build-n{n}-eps{eps}", build_lp(pmf, span(n, a), eps)
 
 
 MODEL_PROGRAMS = list(model_programs())

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import edge_offsets, solved_apart
 from ldpmean import adaptive, baselines, domain, freqest
 from ldpmean.adaptive import NoiseShape, NoiseTable
-from ldpmean.baselines import hybrid_alpha, piecewise_params, piecewise_window
+from ldpmean.baselines import hybrid_alpha, piecewise_params
 from ldpmean.data import TruncatedGaussian, true_pmf
 from ldpmean.domain import make_domain
 
@@ -56,7 +56,7 @@ def piecewise_inverse_cdf(xs, eps, u):
     m_lo = (l + C)/k, k = (h + 1)(C + 1), the window w = h/(h + 1)."""
     c, _ = piecewise_params(eps)
     h = math.exp(eps / 2.0)
-    left, _ = piecewise_window(xs, eps)
+    left = (c + 1.0) / 2.0 * xs - (c - 1.0) / 2.0
     k = (h + 1.0) * (c + 1.0)
     w = h / (h + 1.0)
     m_lo = (left + c) / k
