@@ -68,18 +68,20 @@ adaptive_perturb_array rounds the clients to table.domain's edges
 client in data order, and maps it to an offset of the client's own row as
 rng.choice(p=...) maps a uniform.  Its kernel (_draw_from_rows) reads the
 category c of a uniform u in row i, cdf_i.searchsorted(u, side="right"),
-from a stacked guide table over 2^12 equal buckets of [0, 1) per row, and
-searches the row's cdf only where the bucket holds a cdf point: the same
-index for every u, without a binary search for most of them.  It reports
-grid[i + c], one float per output whichever input reached it, in blocks
-of domain._BLOCK values, because at millions of clients a full-length
-temporary costs more in page faults than its arithmetic.
+from a guide table over 2^12 equal buckets of [0, 1) per row (the indexed
+search of Chen & Asau, AIIE Transactions 1974), built for every row at
+once (_row_guides), and searches the row's cdf only where the bucket holds
+a cdf point: the same index for every u, mostly without a search.  It
+reports grid[i + c], one float per output whichever input reached it, in
+blocks of domain._BLOCK values, because at millions of clients a
+full-length temporary costs more in page faults than its arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +152,11 @@ class NoiseTable:
             raise ValueError("noise table masses must be finite and >= 0")
         object.__setattr__(self, "q", q)
         q.setflags(write=False)
+
+    @cached_property
+    def privacy(self) -> PrivacyReport:
+        """verify_privacy at the table's own eps, enumerated once per table."""
+        return verify_privacy(self, self.eps)
 
 
 @dataclass(frozen=True)
@@ -504,7 +511,7 @@ def _check_table(table: NoiseTable, error) -> None:
     off = np.max(np.abs(table.q @ np.arange(-m, m + 1)))
     if off > _ROW_TOL:
         raise error(f"row zero-mean off by {float(off)!r}")
-    report = verify_privacy(table, table.eps)
+    report = table.privacy
     if not report.passed:
         raise error(
             f"table fails privacy verification: max_ratio={report.max_ratio!r}"
@@ -553,34 +560,29 @@ def verify_privacy(table: NoiseTable, eps: float, tol: float = 1e-14) -> Privacy
     return PrivacyReport(max_ratio, worst, bound, passed=max_ratio <= bound)
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Index searchsorted(cdf, u, "right") for every u in each of the
-    _GUIDE_BUCKETS buckets [b/K, (b+1)/K), or -1 where a cdf point lies
-    strictly inside the bucket and the index depends on u."""
-    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-    lo = cdf.searchsorted(edges[:-1], side="right")
-    hi = cdf.searchsorted(edges[1:], side="left")
-    return np.where(lo == hi, lo, -1)
-
-
-def _row_guides(q: np.ndarray) -> tuple[list, np.ndarray]:
-    """Each row's cdf, built exactly as rng.choice(p=...) builds it from
-    the renormalized row (None for a row with no mass), and the rows'
-    guide tables stacked and flattened, row i at [i K, (i + 1) K); a row
-    with no mass has -1 in every bucket."""
-    cdfs = []
+def _row_guides(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's cdf as rng.choice(p=...) builds it from the renormalized
+    row (all NaN if the row has no mass), and the rows' guide tables, row i
+    at [i K, (i + 1) K) of one flat array.  Bucket b holds #{cdf <= b/K},
+    the category of every u in [b/K, (b + 1)/K), or -1 where a cdf point
+    lies strictly inside it (and in a row with no mass).  With C = cdf K,
+    exact for K a power of two, these count ceil(C) <= b and C in (b, b + 1):
+    two bincounts over the whole table, row i's bins at i (K + 1)."""
+    k = _GUIDE_BUCKETS
+    with np.errstate(invalid="ignore"):  # 0 / 0 in a row with no mass
+        cdf = (q / q.sum(axis=1, keepdims=True)).cumsum(axis=1)  # row invariants hold to 1e-7
+        cdf /= cdf[:, -1:]
+    scaled = np.nan_to_num(cdf * k)  # a row with no mass is masked below
+    at = np.arange(len(q))[:, None] * (k + 1)
+    ceils, inside = [
+        np.bincount(bins.astype(np.intp), minlength=at.size * (k + 1)).reshape(-1, k + 1)[:, :k]
+        for bins in ((at + np.ceil(scaled)).ravel(), (at + np.floor(scaled))[scaled % 1 > 0])
+    ]
     # narrow entries keep the (N + 1) K table in cache; a category is < 2M + 1
     dtype = np.int16 if q.shape[1] <= np.iinfo(np.int16).max else np.intp
-    guide = np.full((len(q), _GUIDE_BUCKETS), -1, dtype=dtype)
-    for i, row in enumerate(q):
-        total = row.sum()
-        cdf = None
-        if total > 0.0:
-            cdf = (row / total).cumsum()  # row invariants hold to 1e-7
-            cdf /= cdf[-1]
-            guide[i] = _guide_table(cdf)
-        cdfs.append(cdf)
-    return cdfs, guide.ravel()
+    guide = ceils.cumsum(axis=1, dtype=dtype)
+    guide[(inside > 0) | np.isnan(cdf[:, -1:])] = -1
+    return cdf, guide.ravel()
 
 
 def _draw_from_rows(q: np.ndarray, grid: np.ndarray, rows, rng: np.random.Generator):
@@ -592,11 +594,11 @@ def _draw_from_rows(q: np.ndarray, grid: np.ndarray, rows, rng: np.random.Genera
     k_c is read from the stacked guide table at row rows[c] and bucket
     floor(u_c K) (u K is exact for K a power of two).  The draws that land
     in a bucket holding a cdf point, under 2% at M = 32, are set aside and
-    found afterwards by a search in their own row's cdf.  The uniforms are
-    drawn into the result's memory, and each block's reports are written
-    over its uniforms.
+    found afterwards by a search in their own row's cdf (a row with no mass
+    is a ValueError).  The uniforms are drawn into the result's memory, and
+    each block's reports are written over its uniforms.
     """
-    cdfs, guide = _row_guides(q)
+    cdf, guide = _row_guides(q)
     out = np.empty(rows.size)
     rng.random(out=out)
     aside, aside_u = [], []
@@ -616,13 +618,11 @@ def _draw_from_rows(q: np.ndarray, grid: np.ndarray, rows, rng: np.random.Genera
         pos, pos_u = np.concatenate(aside), np.concatenate(aside_u)
         pos_rows = rows[pos]
         cats = np.empty(pos.size, np.intp)
-        for i, cdf in enumerate(cdfs):
-            here = pos_rows == i
-            if not here.any():
-                continue
-            if cdf is None:
+        for i in np.unique(pos_rows):
+            if np.isnan(cdf[i, -1]):
                 raise ValueError(f"row {i} of the noise table has no mass")
-            cats[here] = cdf.searchsorted(pos_u[here], side="right")
+            here = pos_rows == i
+            cats[here] = cdf[i].searchsorted(pos_u[here], side="right")
         out[pos] = grid[pos_rows + cats]
     return out
 

@@ -23,8 +23,8 @@ def row_variances(table: NoiseTable) -> np.ndarray:
 def expected_variance(table: NoiseTable, pmf: QuantizedPmf) -> float:
     """pmf-weighted conditional noise variance of a table.
 
-    Evaluating this at the pmf the table was solved against reproduces its
-    lp_objective, the LP's optimum times sigma^2.
+    At the pmf the table was solved against, this is its lp_objective, the
+    LP's optimum times sigma^2, wherever HiGHS holds the program's tube.
     """
     if len(pmf) != table.domain.n_bins + 1:
         raise ValueError("pmf size does not match table")

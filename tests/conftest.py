@@ -24,7 +24,7 @@ from ldpmean import (
     solve_noise_table,
     true_pmf,
 )
-from ldpmean.adaptive import adaptive_perturb_array, clear_store
+from ldpmean.adaptive import _GUIDE_BUCKETS, adaptive_perturb_array, clear_store
 
 EPS_GRID = (0.5, 1.0, 2.0, 4.0)
 
@@ -59,6 +59,25 @@ def edge_offsets(table, i, n, rng):
     dom = table.domain
     reports = adaptive_perturb_array(table, np.full(n, dom.edges[i]), rng)
     return np.rint((reports - dom.edges[i]) / dom.sigma).astype(np.int64)
+
+
+def row_guides_by_rows(q):
+    """The row-by-row form of adaptive._row_guides, its reference: each
+    row's cdf as rng.choice(p=...) builds it from the renormalized row (all
+    NaN for a row with no mass), and its guide table, searchsorted at each
+    bucket edge b/K: the index lo = #{cdf <= b/K} where hi = #{cdf <
+    (b + 1)/K} equals it, else -1; -1 in every bucket of a row with no mass."""
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    cdfs, guides = np.full(q.shape, np.nan), np.full((len(q), _GUIDE_BUCKETS), -1)
+    for i, row in enumerate(q):
+        total = row.sum()
+        if total > 0.0:
+            cdf = (row / total).cumsum()
+            cdfs[i] = cdf / cdf[-1]
+            lo = cdfs[i].searchsorted(edges[:-1], side="right")
+            hi = cdfs[i].searchsorted(edges[1:], side="left")
+            guides[i] = np.where(lo == hi, lo, -1)
+    return cdfs, guides.ravel()
 
 
 @pytest.fixture(scope="session")

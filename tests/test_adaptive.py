@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_offsets, solved_apart, span, suite_pmf_shapes
+from conftest import edge_offsets, row_guides_by_rows, solved_apart, span, suite_pmf_shapes
 from lp_oracle import EQUAL, LESS_EQUAL, csr, rows_of
 from ldpmean.adaptive import (
     NoiseShape,
@@ -1177,15 +1177,17 @@ class TestColumnWeights:
     def test_sampler_weights_rows_by_the_lp_norm(self, design, monkeypatch):
         _, _, table = design
         seen = []
-        guide = adaptive._guide_table
-        monkeypatch.setattr(adaptive, "_guide_table", lambda cdf: seen.append(cdf) or guide(cdf))
+        guides = adaptive._row_guides
+        monkeypatch.setattr(adaptive, "_row_guides", lambda q: seen.append(guides(q)) or seen[-1])
         adaptive_perturb_array(table, np.zeros(10), np.random.default_rng(0))
-        assert len(seen) == self.N + 1  # one guide per row, for every row
+        [(cdfs, guide)] = seen
+        # one guide per row, for every row
+        assert guide.size == (self.N + 1) * adaptive._GUIDE_BUCKETS
         for i in range(self.N + 1):
             probs = table.q[i] / table.q[i].sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            np.testing.assert_array_equal(seen[i], cdf)
+            np.testing.assert_array_equal(cdfs[i], cdf)
 
 
 GRID_BINS = (2, 4, 8, 16, 32)
@@ -1259,6 +1261,14 @@ class TestDust:
         round_off = sum(assert_columns_empty_or_full(table) for table in grid_tables)
         assert len(grid_tables) == 270
         assert round_off >= 1  # the grid reaches tables that carry round-off
+
+    def test_row_guides_of_solved_tables(self, grid_tables):
+        # the one-pass build against the per-row one, round-off masses included
+        for table in grid_tables:
+            cdf, guide = adaptive._row_guides(table.q)
+            expected_cdf, expected_guide = row_guides_by_rows(table.q)
+            np.testing.assert_array_equal(cdf, expected_cdf)
+            np.testing.assert_array_equal(guide, expected_guide)
 
     def test_random_dusty_tables(self):
         # LP points with round-off negatives and dust-level masses, each

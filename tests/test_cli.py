@@ -16,6 +16,7 @@ from ldpmean import (
     solve_noise_table,
     verify_privacy,
 )
+from ldpmean.analysis import expected_variance
 from ldpmean.cli import ExperimentConfig, load_config
 
 
@@ -243,7 +244,21 @@ class TestVarianceCommand:
         domain = make_domain(1.0, 2)
         pmf = cli._true_pmf(ExperimentConfig(dataset="uniform"), domain)
         table = solve_noise_table(pmf, 1.0, ExperimentConfig(bins=2).shape, domain)
-        assert values[("adaptive", "1.0")] == table.lp_objective
+        # the table's own variance, which here is the program's optimum
+        assert values[("adaptive", "1.0")] == expected_variance(table, pmf)
+        assert values[("adaptive", "1.0")] == pytest.approx(table.lp_objective, rel=1e-9)
+
+    @pytest.mark.parametrize("eps", ["1", "20"])
+    def test_adaptive_row_is_the_variance_of_the_table_optimize_writes(self, eps, tmp_path):
+        # at eps 20 HiGHS does not hold the program's tube, and the table's
+        # variance is 1.94 times the program's optimum (lp_objective)
+        argv = ["--bins", "8", "--eps", eps]
+        assert run_cli(["variance", "--mechanisms", "adaptive", "--out", str(tmp_path / "v")]
+                       + argv) == 0
+        assert run_cli(["optimize", "--out", str(tmp_path / "t")] + argv) == 0
+        _, [[_, _, value]] = read_rows((tmp_path / "v").read_text())
+        pmf = cli._true_pmf(ExperimentConfig(), make_domain(1.0, 8))
+        assert float(value) == expected_variance(load_table(tmp_path / "t"), pmf)
 
     def test_default_eps_grid_at_four_bins(self, tmp_path):
         # every default eps solves at N=4, M=16, eps=4 included
@@ -269,6 +284,19 @@ class TestVarianceCommand:
 
 
 class TestEstimateCommand:
+    @pytest.mark.parametrize("command", [["estimate"], ["multidim", "--d", "2", "--k", "1"]])
+    def test_rows_do_not_depend_on_the_other_mechanisms(self, command, capsys):
+        # each mechanism draws from its own stream over the shared data and
+        # split, so a row is the same whichever mechanisms run beside it
+        args = command + ["--n", "2000", "--runs", "2", "--seed", "5", "--bins", "8",
+                          "--out", "-"]
+        _, some, _ = run_cli(args + ["--mechanisms", "adaptive,laplace,duchi"], capsys)
+        _, every, _ = run_cli(args, capsys)
+        some_rows = sorted(read_rows(some)[1])
+        assert len(some_rows) == 3 * 4  # the default eps grid
+        assert some_rows == sorted(row for row in read_rows(every)[1]
+                                   if row[0] in ("adaptive", "laplace", "duchi"))
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         args = ["estimate", "--mechanisms", "adaptive,laplace"] + FAST
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -493,11 +521,26 @@ class TestOptimizeCommand:
         # the dump stores the table itself, not the objective; the loaded
         # copy must still verify against its stated budget
         assert verify_privacy(table, 1.0).passed
-        objective = next(
+        variance = next(
             line.split()[1] for line in stdout.splitlines()
-            if line.startswith("lp_objective")
+            if line.startswith("expected_variance")
         )
-        assert float(objective) > 0.0
+        pmf = cli._true_pmf(ExperimentConfig(dataset="uniform"), table.domain)
+        assert float(variance) == expected_variance(table, pmf) > 0.0
+
+    def test_privacy_is_enumerated_once(self, tmp_path, monkeypatch, capsys):
+        # the summary reads the verdict of the gate every solved table
+        # passes (NoiseTable.privacy), not a second enumeration
+        calls = []
+        verify = adaptive.verify_privacy
+        monkeypatch.setattr(adaptive, "verify_privacy", lambda *a: calls.append(a) or verify(*a))
+        out = tmp_path / "table.txt"
+        rc, stdout, _ = run_cli(["optimize", "--bins", "4", "--eps", "1", "--out", str(out)],
+                                capsys)
+        assert rc == 0 and len(calls) == 1
+        report = verify(load_table(out), 1.0)
+        assert (f"privacy max_ratio {report.max_ratio!r} bound {report.bound!r} passed True"
+                in stdout)
 
 
     def test_stdout_by_default(self, tmp_path, monkeypatch, capsys):

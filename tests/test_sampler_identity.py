@@ -13,14 +13,13 @@ non-finite inputs now raise, and the Laplace draw 0.0 gives finite noise
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_offsets, solved_apart
+from conftest import edge_offsets, row_guides_by_rows, solved_apart
 from ldpmean import adaptive, baselines, domain, freqest
 from ldpmean.adaptive import NoiseShape, NoiseTable
 from ldpmean.baselines import hybrid_alpha, piecewise_params
@@ -386,9 +385,30 @@ def test_guide_table_on_bucket_edges():
     ks = np.array([1, 2, 3, K // 3, K // 2, K - 1])
     edges = ks / K
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    cdf = np.append(np.unique(near), 1.0)
+    # powers of two between the points keep every step of the row's running
+    # sum exact, so that _row_guides builds this very cdf from its masses
+    cdf = np.append(np.unique(np.concatenate([near, 2.0 ** -np.arange(1, 11)])), 1.0)
+    q = np.diff(cdf, prepend=0.0)
+    got_cdf, guide = adaptive._row_guides(q[None])
+    np.testing.assert_array_equal(got_cdf[0], cdf)
+    np.testing.assert_array_equal(guide, row_guides_by_rows(q[None])[1])
     u = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, 1.0), [0.0]])
-    guides = ([cdf], adaptive._guide_table(cdf).astype(np.int16))
-    with mock.patch.object(adaptive, "_row_guides", lambda q: guides):
-        got = categories(np.ones(cdf.size), u)
+    got = categories(q, u)
     np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+
+def test_row_guides_match_the_per_row_reference():
+    # random tables of 1 to 8 rows and 3 to 4097 columns whose masses mix
+    # 0, 1e-13 and larger ones, one row of each with no mass
+    rng = np.random.default_rng(3)
+    levels = np.array([0.0, 1e-13, 1e-3, 0.1, 1.0])
+    for _ in range(200):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(3, 4098)))
+        q = rng.choice(levels, size=shape, p=rng.dirichlet(np.full(levels.size, 0.3)))
+        q *= rng.uniform(0.5, 2.0, shape)
+        q[rng.integers(shape[0])] = 0.0
+        cdf, guide = adaptive._row_guides(q)
+        expected_cdf, expected_guide = row_guides_by_rows(q)
+        np.testing.assert_array_equal(cdf, expected_cdf)  # NaN rows compare equal
+        assert guide.dtype == np.int16
+        np.testing.assert_array_equal(guide, expected_guide)
